@@ -590,33 +590,24 @@ let sendcost_rows () =
 
 let json_path = "BENCH_micro.json"
 
-(* Row names are controlled strings (no quotes/backslashes), but escape
-   defensively so the JSON stays well-formed whatever a row is called. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Estimates keep the 0.1 ns precision the file has always carried. *)
 let write_json ?(path = json_path) rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"dcp.bench.micro/v1\",\n  \"unit\": \"ns_per_op\",\n  \"results\": [";
-  List.iteri
-    (fun i (name, est) ->
-      Printf.fprintf oc "%s\n    { \"name\": \"%s\", \"ns_per_op\": %s }"
-        (if i = 0 then "" else ",")
-        (json_escape name)
-        (match est with Some v -> Printf.sprintf "%.1f" v | None -> "null"))
-    rows;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc
+  let open Dcp_json.Json in
+  let row (name, est) =
+    Obj
+      [
+        ("name", Str name);
+        ( "ns_per_op",
+          match est with Some v -> Num (float_of_string (Printf.sprintf "%.1f" v)) | None -> Null );
+      ]
+  in
+  to_file path
+    (Obj
+       [
+         ("schema", Str "dcp.bench.micro/v1");
+         ("unit", Str "ns_per_op");
+         ("results", Arr (List.map row rows));
+       ])
 
 (* One bechamel pass over [all_tests], silent: (name, ns/run option) in
    test order. *)

@@ -19,7 +19,7 @@
 module Driver = Dcp_lint.Driver
 module Proto_driver = Dcp_lint.Proto_driver
 module Baseline = Dcp_lint.Baseline
-module Report = Dcp_lint.Report
+module Json = Dcp_json.Json
 module Finding = Dcp_lint.Finding
 
 let usage () =
@@ -118,23 +118,18 @@ let () =
       Printf.eprintf "dcp_lint: %s\n" (Printexc.to_string exn);
       exit 2
   in
-  let write path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
-  in
   (match !json_path with
   | None -> ()
-  | Some path -> write path (Report.render outcome.Driver.report));
+  | Some path -> Json.to_file path outcome.Driver.report);
   (match !proto_json_path with
   | None -> ()
-  | Some path -> write path (Report.render proto.Proto_driver.report));
+  | Some path -> Json.to_file path proto.Proto_driver.report);
   (match !dot_path with
   | None -> ()
   | Some path -> (
       try
         check_dot proto.Proto_driver.dot;
-        write path proto.Proto_driver.dot
+        Out_channel.with_open_text path (fun oc -> output_string oc proto.Proto_driver.dot)
       with exn ->
         Printf.eprintf "dcp_lint: %s\n" (Printexc.to_string exn);
         exit 2));

@@ -57,41 +57,25 @@ let pp ppf t =
   FAIL seed=%d profile=%s: %s" f.seed f.profile f.reason)
     t.failures
 
-(* Same defensive escaping as the bench emitter: names and reasons are
-   controlled strings, but keep the JSON well-formed whatever they hold. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* [wall_s] keeps the millisecond precision the file has always carried. *)
 let write_json ~path sweeps =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"dcp.check.sweep/v1\",\n  \"sweeps\": [";
-  List.iteri
-    (fun i t ->
-      Printf.fprintf oc "%s\n    {\n      \"scenario\": \"%s\",\n      \"profiles\": [%s],\n"
-        (if i = 0 then "" else ",")
-        (json_escape t.scenario)
-        (String.concat ", " (List.map (fun p -> Printf.sprintf "\"%s\"" (json_escape p)) t.profiles));
-      Printf.fprintf oc "      \"seed_base\": %d,\n      \"seeds_per_profile\": %d,\n      \"runs\": %d,\n"
-        t.seed_base t.seeds t.runs;
-      Printf.fprintf oc "      \"wall_s\": %.3f,\n      \"failures\": [" t.wall_s;
-      List.iteri
-        (fun j f ->
-          Printf.fprintf oc "%s\n        { \"profile\": \"%s\", \"seed\": %d, \"reason\": \"%s\" }"
-            (if j = 0 then "" else ",")
-            (json_escape f.profile) f.seed (json_escape f.reason))
-        t.failures;
-      Printf.fprintf oc "%s]\n    }" (if t.failures = [] then "" else "\n      ");
-      ())
-    sweeps;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc
+  let open Dcp_json.Json in
+  let int n = Num (float_of_int n) in
+  let sweep t =
+    Obj
+      [
+        ("scenario", Str t.scenario);
+        ("profiles", Arr (List.map (fun p -> Str p) t.profiles));
+        ("seed_base", int t.seed_base);
+        ("seeds_per_profile", int t.seeds);
+        ("runs", int t.runs);
+        ("wall_s", Num (float_of_string (Printf.sprintf "%.3f" t.wall_s)));
+        ( "failures",
+          Arr
+            (List.map
+               (fun f ->
+                 Obj [ ("profile", Str f.profile); ("seed", int f.seed); ("reason", Str f.reason) ])
+               t.failures) );
+      ]
+  in
+  to_file path (Obj [ ("schema", Str "dcp.check.sweep/v1"); ("sweeps", Arr (List.map sweep sweeps)) ])

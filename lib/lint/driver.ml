@@ -4,7 +4,7 @@ type outcome = {
   stale_baseline : string list;
   files_scanned : int;
   layers : Layers.lib list;
-  report : Report.json;
+  report : Dcp_json.Json.t;
 }
 
 let default_dirs = [ "lib"; "bin"; "examples" ]

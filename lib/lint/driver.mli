@@ -6,7 +6,7 @@ type outcome = {
   stale_baseline : string list;  (** baseline entries matching nothing *)
   files_scanned : int;
   layers : Layers.lib list;
-  report : Report.json;  (** the [dcp.lint.report/v1] document *)
+  report : Dcp_json.Json.t;  (** the [dcp.lint.report/v1] document *)
 }
 
 val default_dirs : string list

@@ -11,6 +11,7 @@ type lib = { dir : string; lib_name : string; deps : string list; rank : int }
 let ranks =
   [
     ("rng", 0);
+    ("json", 0);
     ("wire", 1);
     ("sim", 1);
     ("net", 2);

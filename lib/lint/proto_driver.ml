@@ -14,7 +14,7 @@ type outcome = {
   stale_baseline : string list;
   units_scanned : int;
   edges : Proto_flow.edge list;
-  report : Report.json;
+  report : Dcp_json.Json.t;
   dot : string;
 }
 

@@ -1,13 +1,12 @@
 (* The machine-readable proto-tier report (`dcp.lint.proto/v1`).
 
-   Reuses [Report]'s self-contained JSON value so the document round-trips
-   through [Report.parse] without external dependencies.  Everything is
-   emitted in deterministic order: units as discovered (sorted paths),
-   sends by line, handles by line, flow edges by (src, dst), call-graph
-   edges grouped per library. *)
+   A [Json.t] document like [Report]'s.  Everything is emitted in
+   deterministic order: units as discovered (sorted paths), sends by line,
+   handles by line, flow edges by (src, dst), call-graph edges grouped per
+   library. *)
 
 open Proto_extract
-open Report
+open Dcp_json.Json
 
 let schema = "dcp.lint.proto/v1"
 
@@ -97,38 +96,12 @@ let of_call_graph edges =
            ])
        groups)
 
+let proto_rules =
+  [ "proto-dead-letter"; "proto-unreachable-handler"; "proto-reply-obligation"; "proto-escape" ]
+
 let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline =
-  let active = List.filter (fun f -> not f.Finding.baselined) findings in
-  let count p = List.length (List.filter p findings) in
-  let by_rule =
-    List.filter_map
-      (fun (rule, family) ->
-        if
-          not
-            (List.exists
-               (fun p -> String.equal rule p)
-               [
-                 "proto-dead-letter";
-                 "proto-unreachable-handler";
-                 "proto-reply-obligation";
-                 "proto-escape";
-               ])
-        then None
-        else
-          Some
-            ( rule,
-              Obj
-                [
-                  ("family", Str (Finding.family_name family));
-                  ( "total",
-                    Num (float_of_int (count (fun f -> String.equal f.Finding.rule rule))) );
-                  ( "active",
-                    Num
-                      (float_of_int
-                         (count (fun f ->
-                              String.equal f.Finding.rule rule && not f.Finding.baselined))) );
-                ] ))
-      Finding.rules
+  let rules =
+    List.filter (fun (rule, _) -> List.exists (String.equal rule) proto_rules) Finding.rules
   in
   Obj
     [
@@ -141,13 +114,6 @@ let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline =
       ("findings", Arr (List.map Report.of_finding findings));
       ("stale_baseline", Arr (List.map (fun k -> Str k) stale_baseline));
       ( "summary",
-        Obj
-          [
-            ("total", Num (float_of_int (List.length findings)));
-            ("active", Num (float_of_int (List.length active)));
-            ("baselined", Num (float_of_int (List.length findings - List.length active)));
-            ("stale_baseline", Num (float_of_int (List.length stale_baseline)));
-            ("flow_edges", Num (float_of_int (List.length flow)));
-            ("rules", Obj by_rule);
-          ] );
+        Report.summary ~rules ~findings ~stale_baseline
+          [ ("flow_edges", Num (float_of_int (List.length flow))) ] );
     ]

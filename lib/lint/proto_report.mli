@@ -1,7 +1,6 @@
 (** The machine-readable proto-tier report ([dcp.lint.proto/v1]).
 
-    Reuses {!Report.json}, so the document round-trips through
-    {!Report.parse}. *)
+    A {!Dcp_json.Json.t} document like {!Report}'s. *)
 
 val schema : string
 
@@ -12,6 +11,6 @@ val build :
   call_graph:(string option * string * string) list ->
   findings:Finding.t list ->
   stale_baseline:string list ->
-  Report.json
+  Dcp_json.Json.t
 (** Assemble the proto report.  [findings] should already be sorted and
     baseline-marked. *)

@@ -1,30 +1,19 @@
-(** The machine-readable lint report ([dcp.lint.report/v1]).
-
-    Self-contained JSON: a renderer plus a parser covering exactly the
-    emitted subset, so the schema round-trips without external
-    dependencies (same approach as the bench/check emitters). *)
+(** The machine-readable lint report ([dcp.lint.report/v1]), a
+    {!Dcp_json.Json.t} document. *)
 
 val schema : string
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val render : json -> string
-
-exception Parse_error of string
-
-val parse : string -> json
-(** Raises {!Parse_error} on malformed input. *)
-
-val member : string -> json -> json option
-
-val of_finding : Finding.t -> json
+val of_finding : Finding.t -> Dcp_json.Json.t
 (** Shared with the proto-tier report ([Proto_report]). *)
+
+val summary :
+  rules:(string * Finding.family) list ->
+  findings:Finding.t list ->
+  stale_baseline:string list ->
+  (string * Dcp_json.Json.t) list ->
+  Dcp_json.Json.t
+(** The summary block both reports share: total/active/baselined/stale
+    counts, then the extra fields, then per-rule counts over [rules]. *)
 
 val build :
   root:string ->
@@ -32,6 +21,6 @@ val build :
   layers:Layers.lib list ->
   findings:Finding.t list ->
   stale_baseline:string list ->
-  json
+  Dcp_json.Json.t
 (** Assemble the report document.  [findings] should already be sorted and
     baseline-marked; layers are re-sorted by (rank, dir). *)

@@ -8,6 +8,7 @@ module Scan = Dcp_lint.Scan
 module Baseline = Dcp_lint.Baseline
 module Report = Dcp_lint.Report
 module Driver = Dcp_lint.Driver
+module Json = Dcp_json.Json
 
 let read_fixture name =
   let path = Filename.concat "lint_fixtures" name in
@@ -190,15 +191,15 @@ let test_report_roundtrip () =
   let report =
     Report.build ~root:"." ~files_scanned:1 ~layers ~findings ~stale_baseline:[ "old key" ]
   in
-  let parsed = Report.parse (Report.render report) in
+  let parsed = Json.parse (Json.render report) in
   Alcotest.(check bool) "render/parse round-trips" true (parsed = report);
-  (match Report.member "schema" parsed with
-  | Some (Report.Str s) -> Alcotest.(check string) "schema" Report.schema s
+  (match Json.member "schema" parsed with
+  | Some (Json.Str s) -> Alcotest.(check string) "schema" Report.schema s
   | _ -> Alcotest.fail "schema member missing");
-  match Report.member "summary" parsed with
+  match Json.member "summary" parsed with
   | Some summary -> (
-      match (Report.member "total" summary, Report.member "active" summary) with
-      | Some (Report.Num total), Some (Report.Num active) ->
+      match (Json.member "total" summary, Json.member "active" summary) with
+      | Some (Json.Num total), Some (Json.Num active) ->
           Alcotest.(check int) "total counts findings" (List.length findings)
             (int_of_float total);
           Alcotest.(check int) "all active (no baseline applied)" (List.length findings)

@@ -1,14 +1,13 @@
 (* The whole-program proto tier: each fixture trips exactly its rule, the
-   clean fixture is silent, the proto report round-trips through its
-   reader (both the in-memory document and the committed
-   PROTO_report.json), and the real tree is clean modulo the committed
-   proto baseline. *)
+   clean fixture is silent, the proto report round-trips through the JSON
+   reader, every committed JSON artifact parses with its schema id, and
+   the real tree is clean modulo the committed proto baseline. *)
 
 module Finding = Dcp_lint.Finding
 module Baseline = Dcp_lint.Baseline
-module Report = Dcp_lint.Report
 module Proto_report = Dcp_lint.Proto_report
 module Proto_driver = Dcp_lint.Proto_driver
+module Json = Dcp_json.Json
 
 let read_file path =
   let ic = open_in_bin path in
@@ -84,15 +83,15 @@ let test_dot_export () =
 
 let test_report_roundtrip () =
   let o = analyze [ ("lib/demo/proto_missing_reply.ml", "proto_missing_reply.ml") ] in
-  let parsed = Report.parse (Report.render o.Proto_driver.report) in
+  let parsed = Json.parse (Json.render o.Proto_driver.report) in
   Alcotest.(check bool) "render/parse round-trips" true (parsed = o.Proto_driver.report);
-  (match Report.member "schema" parsed with
-  | Some (Report.Str s) -> Alcotest.(check string) "schema" Proto_report.schema s
+  (match Json.member "schema" parsed with
+  | Some (Json.Str s) -> Alcotest.(check string) "schema" Proto_report.schema s
   | _ -> Alcotest.fail "schema member missing");
-  match Report.member "summary" parsed with
+  match Json.member "summary" parsed with
   | Some summary -> (
-      match Report.member "active" summary with
-      | Some (Report.Num active) ->
+      match Json.member "active" summary with
+      | Some (Json.Num active) ->
           Alcotest.(check int) "active counted"
             (List.length o.Proto_driver.active)
             (int_of_float active)
@@ -133,21 +132,31 @@ let test_tree_clean () =
       Alcotest.(check bool) "flow graph is non-trivial" true
         (List.length o.Proto_driver.edges > 20)
 
-let test_committed_report () =
+(* Every committed artifact parses and carries its schema id; a lint
+   report also shows a clean tree. *)
+let committed_artifacts =
+  [
+    ("PROTO_report.json", "dcp.lint.proto/v1");
+    ("LINT_report.json", "dcp.lint.report/v1");
+    ("BENCH_micro.json", "dcp.bench.micro/v1");
+    ("CHECK_sweep.json", "dcp.check.sweep/v1");
+  ]
+
+let test_committed_artifact (file, schema) () =
   match find_repo_root () with
   | None -> ()
   | Some root -> (
-      let doc = Report.parse (read_file (Filename.concat root "PROTO_report.json")) in
-      (match Report.member "schema" doc with
-      | Some (Report.Str s) -> Alcotest.(check string) "committed schema" Proto_report.schema s
-      | _ -> Alcotest.fail "committed PROTO_report.json lacks a schema");
-      match Report.member "summary" doc with
+      let doc = Json.parse (read_file (Filename.concat root file)) in
+      (match Json.member "schema" doc with
+      | Some (Json.Str s) -> Alcotest.(check string) "committed schema" schema s
+      | _ -> Alcotest.failf "committed %s lacks a schema" file);
+      match Json.member "summary" doc with
+      | None -> ()
       | Some summary -> (
-          match Report.member "active" summary with
-          | Some (Report.Num n) ->
+          match Json.member "active" summary with
+          | Some (Json.Num n) ->
               Alcotest.(check int) "committed report shows a clean tree" 0 (int_of_float n)
-          | _ -> Alcotest.fail "summary.active missing")
-      | None -> Alcotest.fail "summary missing")
+          | _ -> Alcotest.fail "summary.active missing"))
 
 let tests =
   [
@@ -158,5 +167,9 @@ let tests =
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Alcotest.test_case "proto report round-trip" `Quick test_report_roundtrip;
     Alcotest.test_case "tree clean modulo proto baseline" `Quick test_tree_clean;
-    Alcotest.test_case "committed PROTO_report.json parses" `Quick test_committed_report;
   ]
+  @ List.map
+      (fun ((file, _) as artifact) ->
+        Alcotest.test_case (Printf.sprintf "committed %s parses" file) `Quick
+          (test_committed_artifact artifact))
+      committed_artifacts
