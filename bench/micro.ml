@@ -276,6 +276,44 @@ let test_send_path_1k =
           ignore (Runtime.create_guardian world ~at:0 ~def_name:"bench_client" ~args:[]);
           Runtime.run world))
 
+(* The first of the per-layer rows: one local [Runtime.send] on its own,
+   trace on — transmit check, encode, the deferred trace record, store
+   flush and the delivery timer it schedules.  The deliveries never run;
+   a fresh world every [batch] sends keeps the queue bounded, and its
+   set-up is spread over those sends. *)
+let test_layer_send =
+  Test.make ~name:"layer.send"
+    (Staged.stage
+       (let batch = 1024 in
+        let fresh () =
+          let world =
+            Runtime.create_world ~seed:3
+              ~topology:(Topology.full_mesh ~n:1 Dcp_net.Link.perfect)
+              ()
+          in
+          let ctx = ref None in
+          Runtime.register_def world
+            {
+              Runtime.def_name = "bench_sender";
+              provides = [ ([ Vtype.wildcard ], 64) ];
+              init = (fun c _ -> ctx := Some c);
+              recover = None;
+            };
+          let g = Runtime.create_guardian world ~at:0 ~def_name:"bench_sender" ~args:[] in
+          Runtime.run world;
+          (Option.get !ctx, List.hd (Runtime.guardian_ports g))
+        in
+        let args = [ Value.int 7; Value.str (String.make 32 'p') ] in
+        let current = ref (fresh ()) and sent = ref 0 in
+        fun () ->
+          if !sent = batch then begin
+            current := fresh ();
+            sent := 0
+          end;
+          incr sent;
+          let ctx, target = !current in
+          Runtime.send ctx ~to_:target ~reply_to:target "ping" args))
+
 (* The pure half of one anti-entropy round: merge-diff of two 1k-entry
    key-sorted digests.  This is what every replica runs per received
    digest, so its cost bounds sync CPU at scale. *)
@@ -313,6 +351,7 @@ let all_tests =
     test_reconcile_diff;
     test_send_path;
     test_send_path_1k;
+    test_layer_send;
   ]
 
 (* ---- deterministic replica macro rows ----

@@ -127,6 +127,7 @@ and node = {
 and guardian = {
   gid : int;
   gdef : def;
+  glabel : string;  (** ["def_name#gid"], the sender of its trace events *)
   home : node;
   secret : int64;
   gstore : Store.t;
@@ -328,32 +329,44 @@ let deliver_body w sh dst_node_id body =
             | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed
             | Ok (target, msg) -> deliver_message w node target msg))
 
-(* Route an already-composed message from a node to a target port,
-   encoding it on the way out (bounds checks apply to system messages
-   too).  Everything here is source-shard state: the encoder, the engine
-   the local-delivery timer lands on, and the network the remote path
-   uses.  If the destination node lives on another shard, the source
-   shard's network still simulates the full link (delay, loss,
-   fragmentation) — the destination handler is a forwarder that parks the
-   reassembled body in the outbox for the barrier exchange. *)
-let route w ~from ~target msg =
-  let sh = from.shard in
-  let env = Message.envelope ~target msg in
-  match Codec.encode_with sh.sencoder env with
+(* Encode a message for a target port with the shard's encoder (bounds
+   checks apply to system messages too). *)
+let encode sh ~target msg =
+  match Codec.encode_with sh.sencoder (Message.envelope ~target msg) with
   | Error e -> raise (Send_failed (Format.asprintf "%a" Codec.pp_error e))
-  | Ok body ->
-      if target.Port_name.node = from.node_id then begin
-        Metrics.incr sh.shot.m_send_local;
-        ignore
-          (Engine.schedule_after sh.sengine ~delay:w.config.local_delay (fun () ->
-               deliver_body w sh target.Port_name.node body))
-      end
-      else begin
-        Metrics.incr sh.shot.m_send_remote;
-        Network.send sh.snetwork ~src:from.node_id ~dst:target.Port_name.node body
-      end
+  | Ok body -> body
 
+(* Hand an encoded body from a node to its target.  Everything here is
+   source-shard state: the engine the local-delivery timer lands on, and
+   the network the remote path uses.  If the destination node lives on
+   another shard, the source shard's network still simulates the full link
+   (delay, loss, fragmentation) — the destination handler is a forwarder
+   that parks the reassembled body in the outbox for the barrier
+   exchange. *)
+let dispatch w ~from ~target body =
+  let sh = from.shard in
+  if target.Port_name.node = from.node_id then begin
+    Metrics.incr sh.shot.m_send_local;
+    ignore
+      (Engine.schedule_after sh.sengine ~delay:w.config.local_delay (fun () ->
+           deliver_body w sh target.Port_name.node body))
+  end
+  else begin
+    Metrics.incr sh.shot.m_send_remote;
+    Network.send sh.snetwork ~src:from.node_id ~dst:target.Port_name.node body
+  end
+
+let route w ~from ~target msg = dispatch w ~from ~target (encode from.shard ~target msg)
 let () = route_ref := route
+
+(* Detail text of a deferred send event, made only when the trace is read:
+   the envelope decodes to the target and the message as they were sent. *)
+let render_send config label body =
+  match Result.map Message.of_envelope (Codec.decode ~config body) with
+  | Ok (Ok (target, msg)) ->
+      Format.asprintf "%s -> %a: %a" label Port_name.pp target Message.pp msg
+  | Ok (Error reason) -> Printf.sprintf "%s -> <malformed envelope: %s>" label reason
+  | Error e -> Format.asprintf "%s -> <undecodable: %a>" label Codec.pp_error e
 
 (* ------------------------------------------------------------------ *)
 (* World setup                                                         *)
@@ -418,7 +431,7 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1)
       smetrics;
       shot = hot_of smetrics;
       sencoder = Codec.encoder ~config:config.codec ();
-      strace = Trace.create ();
+      strace = Trace.create ~render:(render_send config.codec) ();
       ssys_rng = sys_rng;
       sworkload_rng = workload_rng;
       sguardians_by_def = Hashtbl.create 16;
@@ -602,6 +615,7 @@ let create_guardian_at w node ~def ~args =
     {
       gid;
       gdef = def;
+      glabel = Printf.sprintf "%s#%d" def.def_name gid;
       home = node;
       secret;
       gstore;
@@ -622,7 +636,7 @@ let create_guardian_at w node ~def ~args =
   | Some gs -> gs := g :: !gs
   | None -> Hashtbl.replace sh.sguardians_by_def def.def_name (ref [ g ]));
   scount sh "guardian.created";
-  stracef sh "guardian" "created %s#%d at node %d" def.def_name gid node.node_id;
+  stracef sh "guardian" "created %s at node %d" g.glabel node.node_id;
   let ctx = { cworld = w; cguardian = g } in
   ignore (spawn_in g ~name:(def.def_name ^ ".init") (fun () -> def.init ctx args));
   g
@@ -664,7 +678,7 @@ let self_destruct c =
   if g.galive then begin
     kill_guardian_volatile g;
     scount g.home.shard "guardian.self_destructed";
-    stracef g.home.shard "guardian" "self-destruct %s#%d" g.gdef.def_name g.gid
+    stracef g.home.shard "guardian" "self-destruct %s" g.glabel
   end
 
 (* ------------------------------------------------------------------ *)
@@ -729,8 +743,8 @@ let restart_node w node_id =
                   bump "stable.salvaged" report.Store.salvaged;
                   bump "stable.ckpt_fallback" report.Store.checkpoint_fallbacks;
                   stracef sh "stable"
-                    "guardian %s#%d recovery damage: %d quarantined, %d salvaged, %d checkpoint fallbacks"
-                    g.gdef.def_name g.gid report.Store.quarantined report.Store.salvaged
+                    "guardian %s recovery damage: %d quarantined, %d salvaged, %d checkpoint fallbacks"
+                    g.glabel report.Store.quarantined report.Store.salvaged
                     report.Store.checkpoint_fallbacks
                 end;
                 if report.Store.dropped_unflushed > 0 then
@@ -751,8 +765,7 @@ let restart_node w node_id =
                 List.iter Port.reopen g.gports;
                 g.galive <- true;
                 scount sh "guardian.recovered";
-                stracef sh "guardian" "recovered %s#%d (replayed %d records)" g.gdef.def_name
-                  g.gid replayed;
+                stracef sh "guardian" "recovered %s (replayed %d records)" g.glabel replayed;
                 let ctx = { cworld = w; cguardian = g } in
                 ignore
                   (spawn_in g ~name:(g.gdef.def_name ^ ".recover") (fun () -> recover_proc ctx)))
@@ -778,18 +791,21 @@ let send c ~to_ ?reply_to command args =
   if not g.galive then Metrics.incr sh.shot.m_send_dead
   else begin
     Metrics.incr sh.shot.m_send_total;
-    (* §3.4 step 1: encode the arguments; failures surface at the sender. *)
+    (* §3.4 step 1: encode the arguments; failures surface at the sender,
+       before the send is traced or anything leaves the guardian. *)
     (match Transmit.check_named w.registry (Value.list args) with
     | Ok () -> ()
     | Error reason -> raise (Send_failed reason));
-    let msg = Message.make ?reply_to ~sent_at:(Engine.now sh.sengine) command args in
-    stracef sh "send" "%s#%d -> %a: %a" g.gdef.def_name g.gid Port_name.pp to_ Message.pp msg;
+    let now = Engine.now sh.sengine in
+    let body = encode sh ~target:to_ (Message.make ?reply_to ~sent_at:now command args) in
+    (* The trace keeps the body it will deliver; text is made on read. *)
+    Trace.record_deferred sh.strace ~at:now ~category:"send" ~label:g.glabel body;
     (* Externalization barrier (write-ahead discipline): everything this
        guardian logged is flushed before any message leaves it, so a later
        crash can tear or drop only state the rest of the world has never
        observed. *)
     Store.flush g.gstore;
-    route w ~from:g.home ~target:to_ msg
+    dispatch w ~from:g.home ~target:to_ body
   end
 
 let receive c ?timeout ports =

@@ -232,8 +232,11 @@ exception Send_failed of string
 
 val send :
   ctx -> to_:Port_name.t -> ?reply_to:Port_name.t -> string -> Value.t list -> unit
-(** No-wait send of [command(args)].  Returns immediately after composing
-    and scheduling the message. *)
+(** No-wait send of [command(args)].  Returns immediately after encoding
+    and scheduling the message.  The send is recorded in the trace as its
+    encoded body, rendered only when the trace is read.  A message that
+    fails to encode raises {!Send_failed} before anything else happens: it
+    is not traced, and the guardian's store is not flushed. *)
 
 val receive :
   ctx -> ?timeout:Clock.time -> Port.t list -> [ `Msg of Port.t * Message.t | `Timeout ]

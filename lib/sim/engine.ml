@@ -34,16 +34,27 @@ let schedule t ~at action =
 
 let schedule_after t ~delay action = schedule t ~at:(Clock.add t.clock delay) action
 
+(* A cancelled timer stays queued until it is popped or purged.  Once the
+   cancelled ones outnumber the live ones and pass this floor, [cancel]
+   drops them all in one O(n) pass: the queue stays within twice
+   [pending] (or the floor), at amortised O(1) per cancel.  Pop order
+   cannot change, because (time, seq) is a total order. *)
+let purge_floor = 1024
+
 let cancel timer =
   if not (timer.cancelled || timer.fired) then begin
+    let t = timer.owner in
     timer.cancelled <- true;
-    timer.owner.live <- timer.owner.live - 1
+    t.live <- t.live - 1;
+    (* fired timers have left the queue, so the rest of it is cancelled *)
+    let dead = Heap.length t.queue - t.live in
+    if dead > purge_floor && dead > t.live then Heap.filter t.queue (fun ev -> not ev.cancelled)
   end
 
 let is_cancelled timer = timer.cancelled
 
 (* [live] is kept exact by [schedule]/[cancel]/[step], so this is O(1);
-   cancelled timers still occupy the heap until popped but are not counted. *)
+   cancelled timers may still occupy the heap but are not counted. *)
 let pending t = t.live
 
 let rec step t =

@@ -23,7 +23,10 @@ val schedule_after : t -> delay:Clock.time -> (unit -> unit) -> timer
 (** [schedule_after t ~delay f] is [schedule t ~at:(now t + delay) f]. *)
 
 val cancel : timer -> unit
-(** Cancelling an already-fired or already-cancelled timer is a no-op. *)
+(** Cancelling an already-fired or already-cancelled timer is a no-op.
+    Cancelled timers are purged from the queue once they outnumber the
+    live ones, so a loop that schedules and cancels keeps a bounded
+    queue. *)
 
 val is_cancelled : timer -> bool
 
@@ -47,6 +50,7 @@ val events_executed : t -> int
 (** Total events executed so far (for sanity checks and benchmarks). *)
 
 val next_time : t -> Clock.time option
-(** Time of the earliest queued timer, cancelled ones included — a lower
-    bound on when the next live event fires.  Lets a sharded driver skip
-    empty epoch windows instead of stepping through them. *)
+(** Time of the earliest queued timer, possibly a cancelled one not yet
+    purged — a lower bound on when the next live event fires.  Lets a
+    sharded driver skip empty epoch windows instead of stepping through
+    them. *)

@@ -88,6 +88,28 @@ let pop_exn h =
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
+(* Compact the kept elements to the front, then restore heap order
+   bottom-up (Floyd): O(n).  The slots past the survivors are overwritten,
+   so the array keeps no reference to a dropped or popped element. *)
+let filter h keep =
+  let n = h.size in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let x = h.data.(i) in
+    if keep x then begin
+      h.data.(!kept) <- x;
+      incr kept
+    end
+  done;
+  h.size <- !kept;
+  if !kept = 0 then h.data <- [||]
+  else begin
+    Array.fill h.data !kept (Array.length h.data - !kept) h.data.(0);
+    for i = (!kept - 2) / 4 downto 0 do
+      sift_down h i h.data.(i)
+    done
+  end
+
 let clear h =
   h.data <- [||];
   h.size <- 0

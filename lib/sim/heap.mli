@@ -25,6 +25,10 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
 
+val filter : 'a t -> ('a -> bool) -> unit
+(** [filter h keep] drops every element for which [keep] is false, in
+    O(length).  The pop order of the survivors is unchanged. *)
+
 val clear : 'a t -> unit
 
 val to_list : 'a t -> 'a list

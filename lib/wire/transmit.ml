@@ -57,14 +57,15 @@ let register reg ~type_name ~external_rep =
 
 let external_rep_of reg name = Hashtbl.find_opt reg name
 
+(* Left to right, stopping at the first error: the walk allocates nothing
+   on a value that checks. *)
 let rec check_named reg v =
-  let all results = List.fold_left (fun acc r -> match acc with Error _ -> acc | Ok () -> r) (Ok ()) results in
   match v with
   | Value.Unit | Value.Bool _ | Value.Int _ | Value.Real _ | Value.Str _ | Value.Portv _
   | Value.Tokenv _ | Value.Option None ->
       Ok ()
-  | Value.Listv items | Value.Tuple items -> all (List.map (check_named reg) items)
-  | Value.Record fields -> all (List.map (fun (_, fv) -> check_named reg fv) fields)
+  | Value.Listv items | Value.Tuple items -> check_items reg items
+  | Value.Record fields -> check_fields reg fields
   | Value.Option (Some inner) -> check_named reg inner
   | Value.Named (name, rep) -> (
       match Hashtbl.find_opt reg name with
@@ -74,3 +75,11 @@ let rec check_named reg v =
           | Error reason ->
               Error (Printf.sprintf "%s: external rep mismatch (%s)" name reason)
           | Ok () -> check_named reg rep))
+
+and check_items reg = function
+  | [] -> Ok ()
+  | v :: rest -> ( match check_named reg v with Ok () -> check_items reg rest | err -> err)
+
+and check_fields reg = function
+  | [] -> Ok ()
+  | (_, v) :: rest -> ( match check_named reg v with Ok () -> check_fields reg rest | err -> err)

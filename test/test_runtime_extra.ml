@@ -213,6 +213,66 @@ let test_trace_has_send_and_discard () =
   Alcotest.(check bool) "send recorded" true (Trace.find trace ~category:"send" <> []);
   Alcotest.(check bool) "discard recorded" true (Trace.find trace ~category:"discard" <> [])
 
+(* A send is traced as its encoded body and rendered on read; the text
+   must be what formatting the message at send time gave. *)
+let test_trace_send_detail_every_constructor () =
+  let world = make_world () in
+  Transmit.register (Runtime.registry world) ~type_name:"celsius" ~external_rep:Vtype.Treal;
+  let expected = ref "" in
+  driver world ~at:0 (fun ctx ->
+      let g = Runtime.ctx_guardian ctx in
+      let here = Port.name (Runtime.new_port ctx [ Vtype.wildcard ]) in
+      let reply = Port.name (Runtime.new_port ctx [ Vtype.wildcard ]) in
+      let args =
+        [
+          Value.Unit;
+          Value.Bool false;
+          Value.int (-42);
+          Value.real 2.5;
+          Value.real (-0.0);
+          Value.real 1e-300;
+          Value.str "quote \" and\nnewline\x00";
+          Value.token (Runtime.seal_token ctx ~obj:7);
+          Value.Named ("celsius", Value.real 21.5);
+          Value.record
+            [
+              ("xs", Value.list [ Value.int 1; Value.str "a"; Value.list [] ]);
+              ("o", Value.option (Some (Value.Tuple [ Value.Bool true; Value.option None ])));
+            ];
+          Value.port here;
+        ]
+      in
+      let msg = Message.make ~reply_to:reply ~sent_at:(Runtime.ctx_now ctx) "every" args in
+      expected :=
+        Format.asprintf "%s#%d -> %a: %a" (Runtime.guardian_def_name g) (Runtime.guardian_id g)
+          Port_name.pp here Message.pp msg;
+      Runtime.send ctx ~to_:here ~reply_to:reply "every" args);
+  Runtime.run_for world (Clock.s 1);
+  match Trace.find (Runtime.trace world) ~category:"send" with
+  | [ e ] -> Alcotest.(check string) "rendered detail" !expected e.Trace.detail
+  | events -> Alcotest.failf "expected one send event, got %d" (List.length events)
+
+(* A message that fails to encode raises at the sender and leaves no send
+   event behind. *)
+let test_send_encode_failure_not_traced () =
+  let config = { Runtime.default_config with codec = Codec.config_1979 } in
+  let world =
+    Runtime.create_world ~seed:43 ~topology:(Topology.full_mesh ~n:2 Link.perfect) ~config ()
+  in
+  let raised = ref false in
+  driver world ~at:0 (fun ctx ->
+      let target = Port.name (Runtime.new_port ctx [ Vtype.wildcard ]) in
+      (try Runtime.send ctx ~to_:target "big" [ Value.int (1 lsl 40) ]
+       with Runtime.Send_failed _ -> raised := true);
+      Runtime.send ctx ~to_:target "small" [ Value.int 1 ]);
+  Runtime.run_for world (Clock.s 1);
+  Alcotest.(check bool) "Send_failed raised" true !raised;
+  match Trace.find (Runtime.trace world) ~category:"send" with
+  | [ e ] ->
+      Alcotest.(check bool) "only the good send traced" true
+        (String.ends_with ~suffix:": small(1)" e.Trace.detail)
+  | events -> Alcotest.failf "expected one send event, got %d" (List.length events)
+
 (* ---- messages between processes of one guardian ---- *)
 
 let test_intra_guardian_ports () =
@@ -335,6 +395,10 @@ let tests =
     Alcotest.test_case "port overflow failure" `Quick test_port_overflow_failure;
     Alcotest.test_case "primordial ping" `Quick test_primordial_ping;
     Alcotest.test_case "trace send+discard" `Quick test_trace_has_send_and_discard;
+    Alcotest.test_case "trace send detail, every constructor" `Quick
+      test_trace_send_detail_every_constructor;
+    Alcotest.test_case "send that fails to encode not traced" `Quick
+      test_send_encode_failure_not_traced;
     Alcotest.test_case "intra-guardian port messaging" `Quick test_intra_guardian_ports;
     Alcotest.test_case "foreign ports unobtainable" `Quick test_receive_foreign_port_rejected;
   ]

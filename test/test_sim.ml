@@ -139,6 +139,124 @@ let test_engine_pending () =
   Engine.cancel t1;
   Alcotest.(check int) "one after cancel" 1 (Engine.pending e)
 
+(* Cancelled timers are purged from the queue in bulk; the firing sequence
+   must match a reference that simply deletes a timer when it is
+   cancelled.  Bursts and mass cancels push the queue past the purge
+   floor.  ([run_until] is left out: it can fire one timer past its limit
+   when a cancelled timer heads the queue, so a purge can change whether
+   it does.) *)
+type engine_op =
+  | Schedule of int
+  | Burst of int * int
+  | Cancel of int
+  | Cancel_every of int
+  | Step
+
+let gen_engine_ops =
+  QCheck2.Gen.(
+    list_size (int_range 0 200)
+      (frequency
+         [
+           (4, map (fun d -> Schedule d) (int_range 0 50));
+           (2, map2 (fun n d -> Burst (n, d)) (int_range 1 150) (int_range 1 40));
+           (3, map (fun i -> Cancel i) nat);
+           (1, map (fun m -> Cancel_every m) (int_range 1 3));
+           (3, pure Step);
+         ]))
+
+module Ref_queue = Set.Make (struct
+  type t = Clock.time * int
+
+  let compare (t1, s1) (t2, s2) =
+    let c = Int.compare t1 t2 in
+    if c <> 0 then c else Int.compare s1 s2
+end)
+
+let prop_engine_purge_matches_reference =
+  QCheck2.Test.make ~name:"engine with purged cancels fires like a reference queue" ~count:150
+    gen_engine_ops (fun ops ->
+      let e = Engine.create () in
+      let fired = ref [] in
+      (* id -> (engine timer, reference key); ids count up like seq *)
+      let handles = Hashtbl.create 64 and n = ref 0 in
+      (* the reference: live (time, seq) pairs, a clock, a firing log *)
+      let live = ref Ref_queue.empty and clock = ref 0 and ref_fired = ref [] in
+      let schedule d =
+        let id = !n in
+        let timer = Engine.schedule_after e ~delay:d (fun () -> fired := id :: !fired) in
+        let key = (!clock + d, id) in
+        Hashtbl.replace handles id (timer, key);
+        live := Ref_queue.add key !live;
+        incr n
+      in
+      let cancel id =
+        let timer, key = Hashtbl.find handles id in
+        Engine.cancel timer;
+        live := Ref_queue.remove key !live
+      in
+      let ref_step () =
+        match Ref_queue.min_elt_opt !live with
+        | None -> false
+        | Some ((at, id) as k) ->
+            live := Ref_queue.remove k !live;
+            clock := at;
+            ref_fired := id :: !ref_fired;
+            true
+      in
+      let apply = function
+        | Schedule d -> schedule d
+        | Burst (k, d) ->
+            for i = 1 to k do
+              schedule ((i * 7) mod d)
+            done
+        | Cancel i -> if !n > 0 then cancel (i mod !n)
+        | Cancel_every m ->
+            for id = 0 to !n - 1 do
+              if id mod m = 0 then cancel id
+            done
+        | Step -> ignore (Engine.step e, ref_step ())
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          Engine.pending e = Ref_queue.cardinal !live && Engine.now e = !clock && !fired = !ref_fired)
+        ops
+      &&
+      (Engine.run e;
+       while ref_step () do () done;
+       !fired = !ref_fired))
+
+(* A loop that arms a timer and cancels it (a receive that is answered
+   before its timeout) must not grow the queue. *)
+let test_engine_cancel_cycles_bounded () =
+  let e = Engine.create () in
+  let order = ref [] in
+  for i = 1 to 10 do
+    ignore (Engine.schedule e ~at:(Clock.s (20 - i)) (fun () -> order := i :: !order))
+  done;
+  for _ = 1 to 100_000 do
+    Engine.cancel (Engine.schedule_after e ~delay:(Clock.s 1) (fun () -> Alcotest.fail "cancelled timer fired"))
+  done;
+  Alcotest.(check int) "pending counts live timers" 10 (Engine.pending e);
+  (* unpurged, 100k timers and their closures take over a million words *)
+  let words = Obj.reachable_words (Obj.repr e) in
+  if words > 50_000 then Alcotest.failf "queue holds %d words after 100k cancels" words;
+  Engine.run e;
+  Alcotest.(check (list int)) "live timers fire in time order" [ 10; 9; 8; 7; 6; 5; 4; 3; 2; 1 ]
+    (List.rev !order)
+
+let test_heap_filter () =
+  let h = Heap.of_list ~cmp:Int.compare (List.init 100 (fun i -> (i * 37) mod 100)) in
+  Heap.filter h (fun x -> x mod 3 <> 0);
+  Alcotest.(check bool) "invariant" true (Heap.check_invariant h);
+  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
+  Alcotest.(check (list int)) "survivors in order"
+    (List.filter (fun x -> x mod 3 <> 0) (List.init 100 Fun.id))
+    (drain []);
+  Heap.push h 5;
+  Heap.filter h (fun _ -> false);
+  Alcotest.(check bool) "emptied" true (Heap.is_empty h)
+
 (* ---- Metrics ---- *)
 
 let test_metrics_counters () =
@@ -221,6 +339,62 @@ let test_trace_find () =
   Trace.record t ~at:3 ~category:"a" "3";
   Alcotest.(check int) "category filter" 2 (List.length (Trace.find t ~category:"a"))
 
+let details t = List.map (fun e -> e.Trace.detail) (Trace.events t)
+let numbers lo hi = List.init (hi - lo + 1) (fun i -> string_of_int (lo + i))
+
+(* The ring starts small and doubles; growing must keep every event in
+   order, up to the capacity. *)
+let test_trace_ring_growth () =
+  let t = Trace.create ~capacity:1000 () in
+  for i = 1 to 300 do
+    Trace.record t ~at:i ~category:"x" (string_of_int i)
+  done;
+  Alcotest.(check int) "size" 300 (Trace.size t);
+  Alcotest.(check int) "total" 300 (Trace.total t);
+  Alcotest.(check (list string)) "all kept, oldest first" (numbers 1 300) (details t)
+
+(* Grown to exactly its capacity, the ring wraps and drops the oldest. *)
+let test_trace_ring_wrap_at_capacity () =
+  let t = Trace.create ~capacity:64 () in
+  for i = 1 to 64 do
+    Trace.record t ~at:i ~category:"x" (string_of_int i)
+  done;
+  Alcotest.(check (list string)) "full, nothing dropped" (numbers 1 64) (details t);
+  for i = 65 to 200 do
+    Trace.record t ~at:i ~category:"x" (string_of_int i)
+  done;
+  Alcotest.(check int) "size stays at capacity" 64 (Trace.size t);
+  Alcotest.(check int) "total counts all" 200 (Trace.total t);
+  Alcotest.(check (list string)) "newest kept in order" (numbers 137 200) (details t);
+  Trace.clear t;
+  Trace.record t ~at:1 ~category:"x" "again";
+  Alcotest.(check (list string)) "regrows after clear" [ "again" ] (details t)
+
+(* A deferred event is rendered on read, and [find] renders only the
+   category it returns. *)
+let test_trace_deferred_render () =
+  let rendered = ref 0 in
+  let render label body =
+    incr rendered;
+    label ^ " sent " ^ String.uppercase_ascii body
+  in
+  let t = Trace.create ~capacity:8 ~render () in
+  Trace.record_deferred t ~at:1 ~category:"send" ~label:"a#1" "ping";
+  Trace.record t ~at:2 ~category:"note" "eager";
+  Trace.record_deferred t ~at:3 ~category:"send" ~label:"b#2" "pong";
+  Alcotest.(check int) "nothing rendered while recording" 0 !rendered;
+  Alcotest.(check (list string)) "notes" [ "eager" ]
+    (List.map (fun e -> e.Trace.detail) (Trace.find t ~category:"note"));
+  Alcotest.(check int) "find renders only its category" 0 !rendered;
+  Alcotest.(check (list string)) "rendered in order" [ "a#1 sent PING"; "eager"; "b#2 sent PONG" ]
+    (details t);
+  Alcotest.(check int) "each deferred event rendered once per read" 2 !rendered;
+  Alcotest.(check (list string)) "default render"
+    [ "x#0: 3 bytes" ]
+    (let t = Trace.create () in
+     Trace.record_deferred t ~at:0 ~category:"send" ~label:"x#0" "abc";
+     details t)
+
 let tests =
   [
     Alcotest.test_case "heap basics" `Quick test_heap_basics;
@@ -237,6 +411,9 @@ let tests =
     Alcotest.test_case "engine run_until" `Quick test_engine_run_until;
     Alcotest.test_case "engine cascading events" `Quick test_engine_cascading;
     Alcotest.test_case "engine pending" `Quick test_engine_pending;
+    QCheck_alcotest.to_alcotest prop_engine_purge_matches_reference;
+    Alcotest.test_case "engine cancel cycles bounded" `Quick test_engine_cancel_cycles_bounded;
+    Alcotest.test_case "heap filter" `Quick test_heap_filter;
     Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
     Alcotest.test_case "metrics gauges" `Quick test_metrics_gauges;
     Alcotest.test_case "histogram quantiles" `Quick test_metrics_histogram_quantiles;
@@ -245,4 +422,7 @@ let tests =
     Alcotest.test_case "trace records" `Quick test_trace_records;
     Alcotest.test_case "trace ring overflow" `Quick test_trace_ring_overflow;
     Alcotest.test_case "trace find" `Quick test_trace_find;
+    Alcotest.test_case "trace ring growth" `Quick test_trace_ring_growth;
+    Alcotest.test_case "trace ring wrap at capacity" `Quick test_trace_ring_wrap_at_capacity;
+    Alcotest.test_case "trace deferred render" `Quick test_trace_deferred_render;
   ]
