@@ -214,10 +214,6 @@ val ctx_rng : ctx -> Dcp_rng.Rng.t
 (** This guardian's shard's workload stream.  Equals {!world_rng} when
     [shards = 1]. *)
 
-val ctx_shards : ctx -> int
-(** [shard_count (ctx_world c)], for primitives that keep a legacy global
-    id scheme at [1] and a sharded one above. *)
-
 val ctx_mint_id : ctx -> int
 (** A fresh id unique across the world and deterministic per
     (seed, shards): minted from a per-shard strided counter (shard k mints

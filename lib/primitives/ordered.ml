@@ -4,17 +4,6 @@ module Message = Dcp_core.Message
 module Port = Dcp_core.Port
 module Clock = Dcp_sim.Clock
 
-(* Channel ids are stamped into every data packet, so the sharded mint
-   rule applies (see Rpc.fresh_id). *)
-let next_channel = ref 0
-
-let fresh_channel ctx =
-  if Runtime.ctx_shards ctx = 1 then begin
-    incr next_channel;
-    !next_channel
-  end
-  else Runtime.ctx_mint_id ctx
-
 let data_signature = Vtype.signature "odata" [ Vtype.Tint; Vtype.Tint; Vtype.Tany ]
 
 (* ------------------------------------------------------------------ *)
@@ -134,7 +123,8 @@ let connect ctx ~to_ ?(window = 16) ?(retransmit_every = Clock.ms 100) () =
   let s =
     {
       sctx = ctx;
-      channel = fresh_channel ctx;
+      (* stamped into every data packet, so minted deterministically *)
+      channel = Runtime.ctx_mint_id ctx;
       dest = to_;
       ack_port = Runtime.new_port ctx ~capacity:256 [ Vtype.wildcard ];
       window;

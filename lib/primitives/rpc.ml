@@ -15,25 +15,12 @@ type response =
   | Failure_msg of string
   | Timeout
 
-(* Request ids only need to be unique per client guardian; a module-global
-   counter keeps them unique across the whole world, which also makes
-   traces easier to read.  Ids travel inside message bytes, so in a
-   sharded world they must come from the per-shard deterministic mint
-   (a counter shared across shards would make the bytes depend on
-   cross-shard interleaving); one shard keeps the legacy stream. *)
-let next_request_id = ref 0
-
-let fresh_id ctx =
-  if Runtime.ctx_shards ctx = 1 then begin
-    let id = !next_request_id in
-    incr next_request_id;
-    id
-  end
-  else Runtime.ctx_mint_id ctx
-
 let call ctx ~to_ ?(timeout = Clock.s 1) ?(attempts = 1) ?request_id command args =
   if attempts <= 0 then invalid_arg "Rpc.call: attempts must be positive";
-  let id = match request_id with Some id -> id | None -> fresh_id ctx in
+  (* Ids travel inside message bytes, so they come from the world's
+     deterministic mint: unique across the world, a function of
+     (seed, shards). *)
+  let id = match request_id with Some id -> id | None -> Runtime.ctx_mint_id ctx in
   (* Replies arrive as arbitrary commands prefixed with the request id, so
      the reply port is a wildcard port; the id match below provides the
      pairing the port type cannot. *)

@@ -5,18 +5,10 @@ module Port = Dcp_core.Port
 module Store = Dcp_stable.Store
 module Clock = Dcp_sim.Clock
 
-(* Request ids for protocol messages live in their own range so they never
-   collide with Rpc's counter or the bank's derived ids.  Like Rpc's ids
-   they are encoded into message bytes, so a sharded world mints them from
-   the per-shard deterministic counter (offset into the same range). *)
-let next_rid = ref 0
-
-let fresh_rid ctx =
-  if Runtime.ctx_shards ctx = 1 then begin
-    incr next_rid;
-    2_000_000_000 + !next_rid
-  end
-  else 2_000_000_000 + Runtime.ctx_mint_id ctx
+(* Request ids for protocol messages come from the world's mint, like
+   Rpc's, offset into their own range so they never collide with the ids
+   Rpc mints or the bank's derived ids. *)
+let fresh_rid ctx = 2_000_000_000 + Runtime.ctx_mint_id ctx
 
 (* ------------------------------------------------------------------ *)
 (* Participant                                                          *)
