@@ -1,6 +1,5 @@
 module Clock = Dcp_sim.Clock
 module Runtime = Dcp_core.Runtime
-module Engine = Dcp_sim.Engine
 module Rng = Dcp_rng.Rng
 
 let driver world ~at ~name body =
@@ -12,11 +11,16 @@ let driver world ~at ~name body =
 
 (* Schedule random crash/restart cycles on the given nodes over a horizon;
    outages last [crash_outage].  How many nodes may be down at once is the
-   profile's [max_concurrent_crashes]: at the default 1 the condition is
-   exactly the legacy "victim must be up" check (bit-for-bit, draw-for-draw
-   — historical fingerprints pin it), while larger bounds crash into
-   existing outages until the bound is met, so recovery and anti-entropy
-   run while peers are still dark. *)
+   profile's [max_concurrent_crashes]: at the default 1 a crash only
+   targets an up node, while larger bounds crash into existing outages
+   until the bound is met, so recovery and anti-entropy run while peers
+   are still dark.
+
+   A crash event must run on the victim's own shard (crash/restart touch
+   only that shard's state), so the whole plan is drawn up front — every
+   jitter, then every victim — and each event is pinned to its node with
+   [schedule_at].  The chaos rng is private to the plan, so the plan is a
+   function of it alone. *)
 let schedule_crashes world ~rng ~profile ~nodes ~horizon =
   match (profile.Profile.crash_every, nodes) with
   | None, _ | _, [] -> ()
@@ -29,67 +33,25 @@ let schedule_crashes world ~rng ~profile ~nodes ~horizon =
            || List.length (List.filter (fun n -> not (Runtime.node_up world n)) nodes)
               < profile.Profile.max_concurrent_crashes)
       in
-      if Runtime.shard_count world = 1 then begin
-        (* Unsharded path, kept verbatim: victims are drawn lazily at event
-           time, which interleaves the rng with engine execution in a way
-           pinned by historical fingerprints. *)
-        let engine = Runtime.engine world in
-        let rec plan at =
-          if at < horizon then begin
-            let jittered = at + Rng.int rng jitter in
-            ignore
-              (Engine.schedule engine ~at:jittered (fun () ->
-                   let victim = Rng.choice_list rng nodes in
-                   if may_crash victim then begin
-                     Runtime.crash_node world victim;
-                     ignore
-                       (Engine.schedule_after engine ~delay:outage (fun () ->
-                            Runtime.restart_node world victim))
-                   end));
-            plan (at + every)
-          end
-        in
-        plan every;
-        (* Whatever the interleaving, leave no node down past the horizon. *)
-        ignore
-          (Engine.schedule engine
-             ~at:(horizon + outage + Clock.s 1)
-             (fun () ->
-               List.iter
-                 (fun node ->
-                   if not (Runtime.node_up world node) then Runtime.restart_node world node)
-                 nodes))
-      end
-      else begin
-        (* Sharded worlds: a crash event must run on the victim's own shard
-           (crash/restart touch only that shard's state), so the whole plan
-           is drawn up front and each event is pinned with [schedule_at].
-           The draw order — every jitter, then every victim — matches the
-           lazy path's actual consumption order (jitters at plan time,
-           victims in chronological event order), so a given chaos rng
-           produces the same plan either way. *)
-        let rec times at acc =
-          if at < horizon then times (at + every) ((at + Rng.int rng jitter) :: acc)
-          else List.rev acc
-        in
-        let plan =
-          List.map (fun at -> (at, Rng.choice_list rng nodes)) (times every [])
-        in
-        List.iter
-          (fun (at, victim) ->
-            Runtime.schedule_at world ~node:victim ~at (fun () ->
-                if may_crash victim then begin
-                  Runtime.crash_node world victim;
-                  Runtime.schedule_at world ~node:victim ~at:(at + outage) (fun () ->
-                      Runtime.restart_node world victim)
-                end))
-          plan;
-        (* Final sweep, one event per node so each runs on its own shard. *)
-        List.iter
-          (fun node ->
-            Runtime.schedule_at world ~node
-              ~at:(horizon + outage + Clock.s 1)
-              (fun () ->
-                if not (Runtime.node_up world node) then Runtime.restart_node world node))
-          nodes
-      end
+      let rec times at acc =
+        if at < horizon then times (at + every) ((at + Rng.int rng jitter) :: acc)
+        else List.rev acc
+      in
+      let plan = List.map (fun at -> (at, Rng.choice_list rng nodes)) (times every []) in
+      List.iter
+        (fun (at, victim) ->
+          Runtime.schedule_at world ~node:victim ~at (fun () ->
+              if may_crash victim then begin
+                Runtime.crash_node world victim;
+                Runtime.schedule_at world ~node:victim ~at:(at + outage) (fun () ->
+                    Runtime.restart_node world victim)
+              end))
+        plan;
+      (* Leave no node down past the horizon: one event per node, so each
+         runs on its own shard. *)
+      List.iter
+        (fun node ->
+          Runtime.schedule_at world ~node
+            ~at:(horizon + outage + Clock.s 1)
+            (fun () -> if not (Runtime.node_up world node) then Runtime.restart_node world node))
+        nodes

@@ -23,6 +23,7 @@ val schedule_crashes :
     profile's [crash_every]/[crash_outage] (no-op when the profile has no
     crash schedule or [nodes] is empty).  The profile's
     [max_concurrent_crashes] bounds how many nodes may be down at once
-    (the default 1 reproduces the legacy single-victim schedule exactly),
-    and a final sweep shortly after [horizon] restarts anything still
-    down, so quiescent-point oracles always see a live system. *)
+    (at the default 1 a crash only targets an up node), and a final sweep
+    shortly after [horizon] restarts anything still down, so
+    quiescent-point oracles always see a live system.  The plan is drawn
+    from [rng] up front, the same way at every shard count. *)

@@ -16,10 +16,10 @@ type t = {
       (** mean gap between crash injections; [None] = no crashes *)
   crash_outage : Clock.time;  (** how long a crashed node stays down *)
   max_concurrent_crashes : int;
-      (** how many nodes the scheduler may hold down at once.  [1] keeps
-          the legacy schedule draw-for-draw (a crash only targets an up
-          node); above 1 the scheduler crashes into existing outages until
-          the bound is reached, so recovery runs while peers are down. *)
+      (** how many nodes the scheduler may hold down at once.  At [1] a
+          crash only targets an up node; above 1 the scheduler crashes
+          into existing outages until the bound is reached, so recovery
+          runs while peers are down. *)
   disk : Dcp_stable.Disk.spec option;
       (** the storage axis of the matrix: [None] = perfect disks, [Some]
           attaches the fault injector to every guardian store. *)
