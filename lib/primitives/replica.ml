@@ -510,15 +510,11 @@ let create_group world ~nodes ?(sync_every = Clock.ms 500) ?(fanout = 2)
       provides = [];
       init =
         (fun ctx _ ->
-          List.iteri
-            (fun i replica ->
+          List.iter
+            (fun replica ->
               let peers = List.filter (fun p -> not (Port_name.equal p replica)) replicas in
-              (* Stable request ids: join is idempotent, and a generated id
-                 would leak the process-global Rpc counter into message
-                 bytes, breaking run-to-run fingerprint determinism. *)
               match
-                Rpc.call ctx ~to_:replica ~timeout:(Clock.s 1) ~attempts:5
-                  ~request_id:(3_000_000_000 + i) "join"
+                Rpc.call ctx ~to_:replica ~timeout:(Clock.s 1) ~attempts:5 "join"
                   [ Value.list (List.map Value.port peers) ]
               with
               | Rpc.Reply ("joined", _) -> ()

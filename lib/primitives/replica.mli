@@ -70,10 +70,7 @@ val write :
   value:Value.t ->
   timeout:Dcp_sim.Clock.time ->
   bool
-(** Write through one replica; [true] on acknowledgement.  Callers needing
-    run-to-run determinism (check scenarios) should issue the RPC
-    themselves with a pinned [request_id] — generated ids draw from a
-    process-global counter. *)
+(** Write through one replica; [true] on acknowledgement. *)
 
 val read :
   Dcp_core.Runtime.ctx ->

@@ -490,9 +490,7 @@ let parse_members values =
 
 (* The bootstrap keeps offering the member list until every member has
    acknowledged: a member crashed through one round joins in a later one
-   (its store has nothing yet, so only the join makes it a member).  Request
-   ids are pinned — generated ids would leak the process-global Rpc counter
-   into message bytes and break fingerprint determinism. *)
+   (its store has nothing yet, so only the join makes it a member). *)
 let introduce world ~group ~at ~members =
   let def_name = group ^ "_bootstrap" in
   if Runtime.find_def world def_name <> None then
@@ -513,9 +511,7 @@ let introduce world ~group ~at ~members =
               (fun i member ->
                 if not joined.(i) then
                   match
-                    Rpc.call ctx ~to_:member ~timeout:(Clock.ms 600)
-                      ~request_id:(3_600_000_000 + (!round * n) + i)
-                      "members" payload
+                    Rpc.call ctx ~to_:member ~timeout:(Clock.ms 600) "members" payload
                   with
                   | Rpc.Reply ("members_ok", _) -> joined.(i) <- true
                   | Rpc.Reply _ | Rpc.Failure_msg _ | Rpc.Timeout -> ())

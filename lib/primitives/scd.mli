@@ -101,7 +101,7 @@ val introduce :
   Runtime.world -> group:string -> at:Runtime.node_id -> members:Port_name.t list -> unit
 (** Bootstrap helper: register and start a ["<group>_bootstrap"] guardian at
     node [at] that repeatedly offers the full member list to every member
-    (["members"] request, ["members_ok"] reply, pinned request ids) until
+    (["members"] request, ["members_ok"] reply) until
     each has acknowledged, riding out crash-restart cycles.
     @raise Invalid_argument if the group was already introduced. *)
 
