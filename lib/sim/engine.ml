@@ -73,16 +73,14 @@ let rec step t =
 
 let run t = while step t do () done
 
-let run_until t limit =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.queue with
-    | None -> continue := false
-    | Some ev ->
-        if Clock.compare ev.time limit > 0 then continue := false
-        else if not (step t) then continue := false
-  done;
-  if Clock.compare t.clock limit < 0 then t.clock <- limit
+(* A cancelled timer at the head is dropped here rather than by [step],
+   which would go on to fire the next live timer wherever it falls. *)
+let rec run_until t limit =
+  match Heap.peek t.queue with
+  | Some ev when Clock.compare ev.time limit <= 0 ->
+      if ev.cancelled then ignore (Heap.pop t.queue) else ignore (step t);
+      run_until t limit
+  | Some _ | None -> if Clock.compare t.clock limit < 0 then t.clock <- limit
 
 let run_for t d = run_until t (Clock.add t.clock d)
 let events_executed t = t.executed

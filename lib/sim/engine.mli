@@ -40,8 +40,8 @@ val run : t -> unit
 (** Run until no events remain. *)
 
 val run_until : t -> Clock.time -> unit
-(** Run events with time <= the limit; the clock is left at the limit if the
-    queue drains earlier events, otherwise at the last executed event. *)
+(** Run every live event with time <= the limit and none after it; the
+    clock is then left at the limit (or where it was, if already past). *)
 
 val run_for : t -> Clock.time -> unit
 (** [run_for t d] is [run_until t (now t + d)]. *)
