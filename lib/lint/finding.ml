@@ -56,6 +56,7 @@ let rules =
     ("hashtbl-order", Determinism);
     ("domain-primitives", Determinism);
     ("disk-faults", Determinism);
+    ("global-state", Determinism);
     ("poly-compare", Hygiene);
     ("obj-magic", Hygiene);
     ("mli-missing", Hygiene);
@@ -103,6 +104,15 @@ let explanations =
        other layers must take a Disk.t as configuration.  Constructing injectors \
        elsewhere would let tests bypass the stable-storage write-ahead \
        discipline." );
+    ( "global-state",
+      "A named module-level binding allocates a ref, Hashtbl, Queue, Stack or \
+       Buffer when its module is initialised (including the closure form \
+       [let f = let n = ref 0 in fun ...]).  That state outlives every world: a \
+       second world built in the same process starts from what the first left \
+       behind, so a run stops being a function of (seed, shards).  Keep the \
+       state in the world and reach it through the ctx, e.g. \
+       Runtime.ctx_mint_id for ids.  Function bodies and [let () = ...] \
+       program bodies are exempt: they allocate per call or per run." );
     ( "poly-compare",
       "Polymorphic compare/hash walks arbitrary structure: it is slow, breaks on \
        functional values, and orders abstract types by representation.  Use the \

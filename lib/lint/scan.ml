@@ -15,6 +15,7 @@ type ctx = {
   findings : Finding.t list ref;
   context : string list ref;  (* enclosing binding names, innermost first *)
   sort_depth : int ref;  (* > 0 inside an argument of a sort application *)
+  binding_depth : int ref;  (* > 0 inside a value binding's expression *)
   aliases : (string, string list) Hashtbl.t;
       (* [module U = Unix] renames, resolved before every longident check *)
 }
@@ -235,8 +236,6 @@ let mutable_payload e =
        e);
   !verdict
 
-(* ---- the iterator ---- *)
-
 let binding_name pat =
   let rec go p =
     match p.ppat_desc with
@@ -245,6 +244,65 @@ let binding_name pat =
     | _ -> None
   in
   go pat
+
+(* The mutable containers a module-level binding keeps hold of: those
+   allocated in its result — directly, or inside a constructor, tuple,
+   record, branch or lazy — and those bound by a local [let] that the rest
+   of the expression (typically a closure) still names.  A temporary used
+   while computing a constant table is not kept, and a function body
+   allocates per call, so neither counts. *)
+let allocation ctx e =
+  match e.pexp_desc with
+  | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, _) -> (
+      match resolve_alias ctx (Longident.flatten lid.txt) with
+      | [ "ref" ] | [ "Stdlib"; "ref" ] -> Some "ref"
+      | comps -> (
+          match last2 comps with
+          | (("Hashtbl" | "Queue" | "Stack" | "Buffer") as m), (("create" | "copy" | "of_seq") as f) ->
+              Some (m ^ "." ^ f)
+          | _ -> None))
+  | _ -> None
+
+let rec retained_allocations ctx e =
+  let go = retained_allocations ctx in
+  let cases cs = List.concat_map (fun c -> go c.pc_rhs) cs in
+  match allocation ctx e with
+  | Some token -> [ (token, e.pexp_loc) ]
+  | None -> (
+      match e.pexp_desc with
+      | Pexp_let (_, vbs, body) ->
+          let named name =
+            expr_contains
+              (fun e ->
+                match e.pexp_desc with
+                | Pexp_ident { txt = Longident.Lident n; _ } -> String.equal n name
+                | _ -> false)
+              body
+          in
+          List.concat_map
+            (fun vb ->
+              match binding_name vb.pvb_pat with
+              | Some name when named name -> go vb.pvb_expr
+              | Some _ | None -> [])
+            vbs
+          @ go body
+      | Pexp_sequence (_, e)
+      | Pexp_constraint (e, _)
+      | Pexp_coerce (e, _, _)
+      | Pexp_open (_, e)
+      | Pexp_letmodule (_, _, e)
+      | Pexp_lazy e
+      | Pexp_construct (_, Some e)
+      | Pexp_variant (_, Some e) ->
+          go e
+      | Pexp_tuple es | Pexp_array es -> List.concat_map go es
+      | Pexp_record (fields, _) -> List.concat_map (fun (_, e) -> go e) fields
+      | Pexp_ifthenelse (_, a, b) -> go a @ Option.fold ~none:[] ~some:go b
+      | Pexp_match (_, cs) -> cases cs
+      | Pexp_try (body, cs) -> go body @ cases cs
+      | _ -> [])
+
+(* ---- the iterator ---- *)
 
 let iterator ctx =
   let super = Ast_iterator.default_iterator in
@@ -345,11 +403,30 @@ let iterator ctx =
   let structure_item self item =
     match item.pstr_desc with
     | Pstr_value (_, bindings) ->
+        let visit vb =
+          incr ctx.binding_depth;
+          Fun.protect
+            ~finally:(fun () -> decr ctx.binding_depth)
+            (fun () -> self.Ast_iterator.value_binding self vb)
+        in
         List.iter
           (fun vb ->
             match binding_name vb.pvb_pat with
-            | Some name -> with_context ctx name (fun () -> self.Ast_iterator.value_binding self vb)
-            | None -> self.Ast_iterator.value_binding self vb)
+            | Some name ->
+                with_context ctx name (fun () ->
+                    (* module level: not inside another binding's expression *)
+                    if !(ctx.binding_depth) = 0 then
+                      List.iter
+                        (fun (token, loc) ->
+                          report ctx ~loc ~rule:"global-state" ~token
+                            (Printf.sprintf
+                               "module-level %s allocates %s when the module is initialised; \
+                                every world in the process shares it — keep the state in the \
+                                world (Runtime, the guardian's ctx)"
+                               name token))
+                        (retained_allocations ctx vb.pvb_expr);
+                    visit vb)
+            | None -> visit vb)
           bindings
     | Pstr_module ({ pmb_name = { txt = Some name; _ }; _ } as mb) ->
         register_alias name mb.pmb_expr;
@@ -371,6 +448,7 @@ let file ~path ~source =
       findings = ref [];
       context = ref [];
       sort_depth = ref 0;
+      binding_depth = ref 0;
       aliases = Hashtbl.create 8;
     }
   in

@@ -96,6 +96,16 @@ let test_disk_faults () =
     "lib/stable is exempt" []
     (rules_of (List.filter (fun f -> String.equal f.Finding.rule "disk-faults") exempt))
 
+let test_global_state () =
+  let findings = scan_fixture ~as_path:"lib/core/bad_global_state.ml" "bad_global_state.ml" in
+  let hits = List.filter (fun f -> String.equal f.Finding.rule "global-state") findings in
+  Alcotest.(check (list (pair string string)))
+    "counter, closure counter, nested-module table and boxed queue fire; per-call, \
+     temporary and program-body allocations do not"
+    [ ("next_id", "ref"); ("fresh", "ref"); ("Cache.table", "Hashtbl.create"); ("pending", "Queue.create") ]
+    (List.map (fun f -> (f.Finding.context, f.Finding.token)) hits);
+  Alcotest.(check bool) "--explain documents it" true (Option.is_some (Finding.explain "global-state"))
+
 let test_mutable_payload () =
   let findings =
     scan_fixture ~as_path:"lib/office/bad_mutable_payload.ml" "bad_mutable_payload.ml"
@@ -249,6 +259,7 @@ let tests =
     Alcotest.test_case "domain primitives fixture" `Quick test_domain_primitives;
     Alcotest.test_case "disk faults fixture" `Quick test_disk_faults;
     Alcotest.test_case "mutable payload fixture" `Quick test_mutable_payload;
+    Alcotest.test_case "global state fixture" `Quick test_global_state;
     Alcotest.test_case "parse error fixture" `Quick test_parse_error;
     Alcotest.test_case "missing mli" `Quick test_missing_mli;
     Alcotest.test_case "layer ranks" `Quick test_layers_ranks;
