@@ -77,8 +77,9 @@ let decode_record encoded =
 
 (* Step request ids are derived from the transfer id so a re-driven step
    after a coordinator crash reuses the id its first incarnation used, and
-   the branch's response record answers it.  The offset keeps them out of
-   the Rpc global counter's range. *)
+   the branch's response record answers it.  The offset keeps them clear
+   of the ids the world's mint hands out to Rpc (counting up from 0) and
+   Two_phase (from 2_000_000_000). *)
 let step_id tid = function
   | Withdrawing -> 3_000_000_000 + (tid * 4)
   | Depositing -> 3_000_000_000 + (tid * 4) + 1

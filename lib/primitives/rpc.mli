@@ -39,9 +39,12 @@ val call :
     deadline from the moment the try's request is sent — stale replies to
     other request ids are discarded without extending it.  Responses to
     earlier tries are accepted — any response to this request id settles the
-    call.  [request_id] overrides the generated id: callers that must stay
-    idempotent *across their own crashes* (they re-issue the call after
-    recovery) derive a stable id from logged state. *)
+    call.  Generated ids come from the world's mint
+    ({!Dcp_core.Runtime.ctx_mint_id}), so they are deterministic per
+    (seed, shards).  [request_id] overrides the generated id; pin one only
+    for cross-crash idempotency: a caller that re-issues the call after its
+    own recovery derives a stable id from logged state, so the server's
+    response record answers the retry. *)
 
 (** {1 Server side} *)
 
