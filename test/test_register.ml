@@ -99,13 +99,52 @@ let test_last_writer_wins_and_convergence () =
           Alcotest.(check bool) "durable tables identical" true (first = other))
         rest
 
-let test_crash_recovery_durability () =
+(* The two SCD objects, seen through the same write/read/raw-call shape so
+   the durability and at-most-once tests run against both. *)
+type scd_object = {
+  def_name : string;
+  create : Runtime.world -> Port_name.t array;
+  write_command : string;
+  ack : string;
+  put : Runtime.ctx -> Port_name.t -> key:string -> value:Value.t -> bool;
+  get : Runtime.ctx -> Port_name.t -> key:string -> Value.t option;
+}
+
+let register_object =
+  {
+    def_name = Register.def_name;
+    create = (fun world -> make_group world);
+    write_command = "write";
+    ack = "written";
+    put = (fun ctx register ~key ~value -> Register.write ctx ~register ~key ~value ~timeout);
+    get = (fun ctx register ~key -> Register.read ctx ~register ~key ~timeout);
+  }
+
+let snapshot_object =
+  {
+    def_name = Snapshot.def_name;
+    create =
+      (fun world ->
+        Array.of_list
+          (Snapshot.create_group world ~nodes:(List.init members Fun.id)
+             ~introduce_at:members ()));
+    write_command = "update";
+    ack = "updated";
+    put = (fun ctx snapshot ~key ~value -> Snapshot.update ctx ~snapshot ~key ~value ~timeout);
+    get =
+      (fun ctx snapshot ~key ->
+        Option.bind (Snapshot.scan ctx ~snapshot ~timeout) (List.assoc_opt key));
+  }
+
+let both_objects test () = List.iter test [ register_object; snapshot_object ]
+
+let test_crash_recovery_durability obj =
   let world = make_world () in
-  let ports = make_group world in
+  let ports = obj.create world in
   let reread = ref None in
   driver world ~at:members (fun ctx ->
       Runtime.sleep ctx (Clock.ms 300);
-      ignore (Register.write ctx ~register:ports.(1) ~key:"d" ~value:(Value.int 11) ~timeout));
+      ignore (obj.put ctx ports.(1) ~key:"d" ~value:(Value.int 11)));
   Runtime.run_for world (Clock.s 5);
   (* Kill every member node; recovery must rebuild clock, frontier and
      table from the stores alone. *)
@@ -118,27 +157,29 @@ let test_crash_recovery_durability () =
   done;
   driver world ~at:members (fun ctx ->
       Runtime.sleep ctx (Clock.ms 500);
-      reread := Register.read ctx ~register:ports.(0) ~key:"d" ~timeout);
+      reread := obj.get ctx ports.(0) ~key:"d");
   Runtime.run_for world (Clock.s 20);
   Alcotest.(check (option string))
-    "write survives a full-group crash" (Some "11")
+    (obj.def_name ^ ": write survives a full-group crash")
+    (Some "11")
     (Option.map Value.to_string !reread)
 
-let test_duplicate_rid_not_reexecuted () =
+let test_duplicate_rid_not_reexecuted obj =
   let world = make_world () in
-  let ports = make_group world in
+  let ports = obj.create world in
   let replies = ref [] in
   let ts_after_first = ref [] in
   let ts_after_dup = ref [] in
   let member_tables () =
-    Runtime.find_guardians world ~def_name:Register.def_name
+    Runtime.find_guardians world ~def_name:obj.def_name
     |> List.map (fun g -> Register.Table.in_store (Runtime.guardian_store g))
   in
   driver world ~at:members (fun ctx ->
       Runtime.sleep ctx (Clock.ms 300);
       let call () =
         match
-          Rpc.call ctx ~to_:ports.(0) ~timeout ~attempts:1 ~request_id:4_200_000_001 "write"
+          Rpc.call ctx ~to_:ports.(0) ~timeout ~attempts:1 ~request_id:4_200_000_001
+            obj.write_command
             [ Value.str "r"; Value.int 5 ]
         with
         | Rpc.Reply (cmd, _) -> replies := cmd :: !replies
@@ -153,8 +194,12 @@ let test_duplicate_rid_not_reexecuted () =
       Runtime.sleep ctx (Clock.s 2);
       ts_after_dup := member_tables ());
   Runtime.run_for world (Clock.s 20);
-  Alcotest.(check (list string)) "both calls acknowledged" [ "written"; "written" ] !replies;
-  Alcotest.(check bool) "duplicate left every timestamp unchanged" true
+  Alcotest.(check (list string))
+    (obj.def_name ^ ": both calls acknowledged")
+    [ obj.ack; obj.ack ] !replies;
+  Alcotest.(check bool)
+    (obj.def_name ^ ": duplicate left every timestamp unchanged")
+    true
     (!ts_after_first = !ts_after_dup)
 
 let test_snapshot_atomic_view () =
@@ -234,9 +279,10 @@ let tests =
     Alcotest.test_case "unknown key" `Quick test_unknown_key;
     Alcotest.test_case "last writer wins; tables converge" `Quick
       test_last_writer_wins_and_convergence;
-    Alcotest.test_case "writes survive a full-group crash" `Quick test_crash_recovery_durability;
+    Alcotest.test_case "writes survive a full-group crash" `Quick
+      (both_objects test_crash_recovery_durability);
     Alcotest.test_case "duplicate request id is not re-executed" `Quick
-      test_duplicate_rid_not_reexecuted;
+      (both_objects test_duplicate_rid_not_reexecuted);
     Alcotest.test_case "snapshot returns an atomic view" `Quick test_snapshot_atomic_view;
     Alcotest.test_case "barrier-free register is detected" `Slow test_register_mutation_detected;
     Alcotest.test_case "honest register twin passes" `Slow test_register_honest_twin_passes;

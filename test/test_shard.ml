@@ -1,7 +1,7 @@
 (* The sharded-runtime determinism contract, pinned.
 
-   Three scenarios (bank, replica, register) under the harshest profile
-   (wan+lossy+crash) at shard counts 1, 2 and 4, two seeds each.  The
+   Four scenarios (bank, replica, register, snapshot) under the harshest
+   profile (wan+lossy+crash) at shard counts 1, 2 and 4, two seeds each.  The
    expected fingerprints are absolute: a fingerprint is a pure function of
    (seed, profile, horizon, workload, shards), so any drift — a changed
    RNG split order, a different outbox injection order, a placement tweak —
@@ -35,8 +35,8 @@ let profile =
   | None -> Alcotest.fail "profile wan+lossy+crash missing"
 
 (* Replica runs at the check-smoke sweep's reduced size (2 s horizon, 40
-   writes over 100 replicas) to keep the matrix affordable; bank and
-   register use their scenario defaults. *)
+   writes over 100 replicas) to keep the matrix affordable; bank, register
+   and snapshot use their scenario defaults. *)
 let execute name ~seed ~shards ~parallel =
   let scenario =
     match Scenarios.find name with
@@ -69,6 +69,12 @@ let pinned =
     ("register", 11, 1, "ev=15713 sent=13075 lost=631 ok=39 unk=8 ne=1 conv=60000");
     ("register", 11, 2, "ev=22973 sent=12945 lost=622 ok=33 unk=8 ne=7 conv=60000");
     ("register", 11, 4, "ev=26704 sent=12942 lost=597 ok=32 unk=11 ne=5 conv=60000");
+    ("snapshot", 5, 1, "ev=9992 sent=7749 lost=363 ok=17 unk=5 ne=2 conv=60000");
+    ("snapshot", 5, 2, "ev=14863 sent=7758 lost=397 ok=18 unk=5 ne=1 conv=60000");
+    ("snapshot", 5, 4, "ev=17363 sent=7744 lost=366 ok=19 unk=3 ne=2 conv=60000");
+    ("snapshot", 11, 1, "ev=9995 sent=7761 lost=376 ok=16 unk=6 ne=2 conv=60000");
+    ("snapshot", 11, 2, "ev=14859 sent=7714 lost=351 ok=18 unk=4 ne=2 conv=60000");
+    ("snapshot", 11, 4, "ev=17168 sent=7654 lost=354 ok=14 unk=8 ne=2 conv=60000");
   ]
 
 let test_pinned (name, seed, shards, expected) () =
@@ -173,6 +179,8 @@ let tests =
         (test_parallel_matches "bank" 5);
       Alcotest.test_case "register: 4-domain run matches sequential" `Slow
         (test_parallel_matches "register" 11);
+      Alcotest.test_case "snapshot: 4-domain run matches sequential" `Slow
+        (test_parallel_matches "snapshot" 5);
       Alcotest.test_case "repeated parallel runs identical" `Quick test_repeat_identical;
       Alcotest.test_case "same seed, same bytes (shards=1)" `Quick (test_same_seed_same_bytes 1);
       Alcotest.test_case "same seed, same bytes (shards=2)" `Quick (test_same_seed_same_bytes 2);
