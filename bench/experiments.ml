@@ -191,7 +191,7 @@ let e2b () =
   in
   Tables.print
     ~title:
-      "E2b Advantage 1 (processor contention): CPU-heavy load (10ms/request), 4 CPUs per        node, 32 clerks — all guardians on one node compete for its cycles"
+      "E2b Advantage 1 (processor contention): CPU-heavy load (10ms/request), 4 CPUs per node, 32 clerks — all guardians on one node compete for its cycles"
     ~header:[ "layout"; "req/s"; "p50 ms"; "p95 ms" ]
     rows
 
@@ -809,7 +809,7 @@ let e9 () =
   in
   Tables.print
     ~title:
-      "E9  Atomic two-leg trips over 2PC vs naive sequential booking; leg 1 has 20 seats,        leg 2 only 10 (stranded = passengers left holding half a trip)"
+      "E9  Atomic two-leg trips over 2PC vs naive sequential booking; leg 1 has 20 seats, leg 2 only 10 (stranded = passengers left holding half a trip)"
     ~header:[ "passengers"; "method"; "booked"; "stranded"; "refused clean" ]
     rows
 
@@ -917,7 +917,7 @@ let e10 () =
   in
   Tables.print
     ~title:
-      "E10 §3.4 the price of ordering: 100 payloads over a jittery link; the Ordered        channel (seq/ack/retransmit over no-wait) vs bare no-wait sends"
+      "E10 §3.4 the price of ordering: 100 payloads over a jittery link; the Ordered channel (seq/ack/retransmit over no-wait) vs bare no-wait sends"
     ~header:[ "loss"; "method"; "data msgs sent"; "delivered"; "dup deliveries"; "in order" ]
     rows
 

@@ -171,26 +171,7 @@ let test_send_path =
             ~topology:(Topology.full_mesh ~n:1 Dcp_net.Link.perfect)
             ()
         in
-        let echo_def =
-          {
-            Runtime.def_name = "bench_echo";
-            provides = [ ([ Vtype.wildcard ], 64) ];
-            init =
-              (fun ctx _ ->
-                let rec loop () =
-                  (match Runtime.receive ctx [ Runtime.port ctx 0 ] with
-                  | `Timeout -> ()
-                  | `Msg (_, msg) -> (
-                      match msg.Dcp_core.Message.reply_to with
-                      | Some reply -> Runtime.send ctx ~to_:reply "pong" []
-                      | None -> ()));
-                  loop ()
-                in
-                loop ());
-            recover = None;
-          }
-        in
-        Runtime.register_def world echo_def;
+        Runtime.register_def world (Echo.def "bench_echo");
         let echo = Runtime.create_guardian world ~at:0 ~def_name:"bench_echo" ~args:[] in
         let echo_port = List.hd (Runtime.guardian_ports echo) in
         let client_def =
@@ -231,27 +212,8 @@ let test_send_path_1k =
             recover = None;
           }
         in
-        let echo_def =
-          {
-            Runtime.def_name = "bench_echo";
-            provides = [ ([ Vtype.wildcard ], 64) ];
-            init =
-              (fun ctx _ ->
-                let rec loop () =
-                  (match Runtime.receive ctx [ Runtime.port ctx 0 ] with
-                  | `Timeout -> ()
-                  | `Msg (_, msg) -> (
-                      match msg.Dcp_core.Message.reply_to with
-                      | Some reply -> Runtime.send ctx ~to_:reply "pong" []
-                      | None -> ()));
-                  loop ()
-                in
-                loop ());
-            recover = None;
-          }
-        in
         Runtime.register_def world idle_def;
-        Runtime.register_def world echo_def;
+        Runtime.register_def world (Echo.def "bench_echo");
         let echo = Runtime.create_guardian world ~at:0 ~def_name:"bench_echo" ~args:[] in
         let echo_port = List.hd (Runtime.guardian_ports echo) in
         for _ = 1 to 999 do
@@ -454,6 +416,7 @@ let sendcost_rows () =
   let module Rpc = Dcp_primitives.Rpc in
   let module Sync_send = Dcp_primitives.Sync_send in
   let module Register = Dcp_primitives.Register in
+  let module Snapshot = Dcp_primitives.Snapshot in
   let module Network = Dcp_net.Network in
   let module Message = Dcp_core.Message in
   let ops = 20 in
@@ -555,21 +518,23 @@ let sendcost_rows () =
     Runtime.run_for world (Clock.s 5);
     !cost
   in
-  (* scd register write on a 5-member group: broadcast + client exchange +
-     the status gossip share over the acked-write window. *)
-  let scd_cost =
-    let members = 5 in
+  (* An SCD-object write on an n-member group: the broadcast, the client
+     exchange and the status gossip share over the acked-write window.
+     Called for the register's write (5 members) and for the snapshot
+     object's update (4 members), whose group serves no per-key reads, so
+     its row isolates the pure update/gossip cost at a different size. *)
+  let scd_write_cost ~seed ~members ~driver_name ~create_group ~write =
     let world =
-      Runtime.create_world ~seed:23
+      Runtime.create_world ~seed
         ~topology:(Topology.full_mesh ~n:(members + 1) Dcp_net.Link.perfect)
         ()
     in
-    let regs =
+    let ports =
       Array.of_list
-        (Register.create_group world ~nodes:(List.init members Fun.id) ~introduce_at:members ())
+        (create_group world ~nodes:(List.init members Fun.id) ~introduce_at:members)
     in
     let cost = ref 0.0 in
-    driver world ~at:members ~name:"bench_scd_driver" (fun ctx ->
+    driver world ~at:members ~name:driver_name (fun ctx ->
         (* Past the bootstrap: the measured window holds only writes and
            steady-state gossip. *)
         Runtime.sleep ctx (Clock.s 2);
@@ -577,44 +542,25 @@ let sendcost_rows () =
           measure ctx (fun () ->
               for i = 1 to ops do
                 ignore
-                  (Register.write ctx
-                     ~register:regs.(i mod members)
-                     ~key:(Printf.sprintf "k%d" (i mod 4))
-                     ~value:(Value.int i) ~timeout:(Clock.s 2))
+                  (write ctx ports.(i mod members) ~key:(Printf.sprintf "k%d" (i mod 4))
+                     ~value:(Value.int i))
               done));
     Runtime.run_for world (Clock.s 30);
     !cost
   in
-  (* snapshot-object update on a 4-member group: same SCD broadcast
-     skeleton as the register write, but the group serves no per-key
-     reads, so the row isolates the pure update/gossip cost at a
-     different group size. *)
+  let scd_cost =
+    scd_write_cost ~seed:23 ~members:5 ~driver_name:"bench_scd_driver"
+      ~create_group:(fun world ~nodes ~introduce_at ->
+        Register.create_group world ~nodes ~introduce_at ())
+      ~write:(fun ctx register ~key ~value ->
+        Register.write ctx ~register ~key ~value ~timeout:(Clock.s 2))
+  in
   let snapshot_cost =
-    let module Snapshot = Dcp_primitives.Snapshot in
-    let members = 4 in
-    let world =
-      Runtime.create_world ~seed:29
-        ~topology:(Topology.full_mesh ~n:(members + 1) Dcp_net.Link.perfect)
-        ()
-    in
-    let snaps =
-      Array.of_list
-        (Snapshot.create_group world ~nodes:(List.init members Fun.id) ~introduce_at:members ())
-    in
-    let cost = ref 0.0 in
-    driver world ~at:members ~name:"bench_snapshot_driver" (fun ctx ->
-        Runtime.sleep ctx (Clock.s 2);
-        cost :=
-          measure ctx (fun () ->
-              for i = 1 to ops do
-                ignore
-                  (Snapshot.update ctx
-                     ~snapshot:snaps.(i mod members)
-                     ~key:(Printf.sprintf "k%d" (i mod 4))
-                     ~value:(Value.int i) ~timeout:(Clock.s 2))
-              done));
-    Runtime.run_for world (Clock.s 30);
-    !cost
+    scd_write_cost ~seed:29 ~members:4 ~driver_name:"bench_snapshot_driver"
+      ~create_group:(fun world ~nodes ~introduce_at ->
+        Snapshot.create_group world ~nodes ~introduce_at ())
+      ~write:(fun ctx snapshot ~key ~value ->
+        Snapshot.update ctx ~snapshot ~key ~value ~timeout:(Clock.s 2))
   in
   Printf.printf "  %-40s %12.1f msgs/op\n%!" "sendcost.sync_send (pair)" sync_cost;
   Printf.printf "  %-40s %12.1f msgs/op\n%!" "sendcost.rpc (pair)" rpc_cost;

@@ -19,27 +19,8 @@ let () =
   let idle_def =
     { Runtime.def_name = "probe_idle"; provides = []; init = (fun _ _ -> ()); recover = None }
   in
-  let echo_def =
-    {
-      Runtime.def_name = "probe_echo";
-      provides = [ ([ Vtype.wildcard ], 64) ];
-      init =
-        (fun ctx _ ->
-          let rec loop () =
-            (match Runtime.receive ctx [ Runtime.port ctx 0 ] with
-            | `Timeout -> ()
-            | `Msg (_, msg) -> (
-                match msg.Dcp_core.Message.reply_to with
-                | Some reply -> Runtime.send ctx ~to_:reply "pong" []
-                | None -> ()));
-            loop ()
-          in
-          loop ());
-      recover = None;
-    }
-  in
   Runtime.register_def world idle_def;
-  Runtime.register_def world echo_def;
+  Runtime.register_def world (Echo.def "probe_echo");
   let echo = Runtime.create_guardian world ~at:0 ~def_name:"probe_echo" ~args:[] in
   let echo_port = List.hd (Runtime.guardian_ports echo) in
   for _ = 1 to idle do

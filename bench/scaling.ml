@@ -39,26 +39,7 @@ let run_config ~domains =
       ~topology:(Topology.full_mesh ~n:domains Dcp_net.Link.perfect)
       ~shards:domains ~parallel:(domains > 1) ()
   in
-  let echo_def =
-    {
-      Runtime.def_name = "scale_echo";
-      provides = [ ([ Vtype.wildcard ], 64) ];
-      init =
-        (fun ctx _ ->
-          let rec loop () =
-            (match Runtime.receive ctx [ Runtime.port ctx 0 ] with
-            | `Timeout -> ()
-            | `Msg (_, msg) -> (
-                match msg.Dcp_core.Message.reply_to with
-                | Some reply -> Runtime.send ctx ~to_:reply "pong" []
-                | None -> ()));
-            loop ()
-          in
-          loop ());
-      recover = None;
-    }
-  in
-  Runtime.register_def world echo_def;
+  Runtime.register_def world (Echo.def "scale_echo");
   (* Read-only after this loop, so sharing it with every shard's pinger
      closure is safe. *)
   let echo_ports =

@@ -7,7 +7,6 @@ module Flight = Dcp_airline.Flight
 module Replica = Dcp_primitives.Replica
 module Reconcile = Dcp_primitives.Reconcile
 module Register = Dcp_primitives.Register
-module Scd = Dcp_primitives.Scd
 
 type t = {
   name : string;
@@ -180,14 +179,15 @@ let bank_model ~initial ~ledger ?(model_skips = 0) () =
 
 (* ---- replica ---- *)
 
-(* Anti-entropy has converged iff every live replica mirrors the same
-   key → stamp table ([Replica.table_in_store] is sorted by key, so plain
-   structural comparison is the convergence predicate).  Value equality
+(* The convergence predicate of both table-replicating primitives: every
+   live copy mirrors the same key → stamp table (each table is sorted by
+   key, so plain structural comparison is the predicate).  Value equality
    follows from stamp equality: last-writer-wins only stores a value under
-   the stamp that won, so two replicas agreeing on every stamp agree on
-   every value. *)
-let replica_tables_equal stores =
-  match List.map Replica.table_in_store stores with
+   the stamp that won, so two copies agreeing on every stamp agree on
+   every value.  A replica stamp and an SCD delivery timestamp are both
+   (counter, origin) pairs in the same order. *)
+let tables_equal ~copy tables =
+  match tables with
   | [] | [ _ ] -> Ok ()
   | reference :: rest ->
       let entry_to_string (key, stamp) =
@@ -214,9 +214,8 @@ let replica_tables_equal stores =
             if List.equal entry_equal reference table then first_divergence (i + 1) rest
             else
               Error
-                (Printf.sprintf
-                   "replica %d diverges from replica 0 (%d vs %d keys; first: %s)" i
-                   (List.length table) (List.length reference)
+                (Printf.sprintf "%s %d diverges from %s 0 (%d vs %d keys; first: %s)" copy i
+                   copy (List.length table) (List.length reference)
                    (first_difference reference table))
       in
       first_divergence 1 rest
@@ -227,7 +226,7 @@ let replica_convergence =
     check =
       (fun world ->
         let* stores = live_stores world ~def_name:Replica.def_name in
-        replica_tables_equal stores);
+        tables_equal ~copy:"replica" (List.map Replica.table_in_store stores));
   }
 
 let replica_sync_budget ~budget =
@@ -260,46 +259,15 @@ let linearizable ~clients ?(max_states = 200_000) () =
         else Linearize.check ~max_states events);
   }
 
-(* Same convergence predicate as the replica oracle, over the SCD objects'
-   durable LWW tables ([Register.Table.in_store] is key-sorted; ts
-   agreement implies value agreement because a value is only stored under
-   the ts that won it). *)
+(* The replica oracle's predicate over the SCD objects' durable LWW
+   tables ([Register.Table.in_store] is key-sorted). *)
 let table_convergence ~def_name =
   {
     name = "table_convergence";
     check =
       (fun world ->
         let* stores = live_stores world ~def_name in
-        match List.map Register.Table.in_store stores with
-        | [] | [ _ ] -> Ok ()
-        | reference :: rest ->
-            let entry_to_string (key, (clock, origin)) =
-              Printf.sprintf "%s@%d.%d" key clock origin
-            in
-            let entry_equal (k1, t1) (k2, t2) =
-              String.equal k1 k2 && Scd.ts_compare t1 t2 = 0
-            in
-            let rec first_difference a b =
-              match (a, b) with
-              | [], [] -> "none"
-              | e :: _, [] -> Printf.sprintf "%s missing" (entry_to_string e)
-              | [], e :: _ -> Printf.sprintf "%s extra" (entry_to_string e)
-              | e1 :: r1, e2 :: r2 ->
-                  if entry_equal e1 e2 then first_difference r1 r2
-                  else Printf.sprintf "%s vs %s" (entry_to_string e1) (entry_to_string e2)
-            in
-            let rec first_divergence i = function
-              | [] -> Ok ()
-              | table :: rest ->
-                  if List.equal entry_equal reference table then first_divergence (i + 1) rest
-                  else
-                    Error
-                      (Printf.sprintf
-                         "member %d diverges from member 0 (%d vs %d keys; first: %s)" i
-                         (List.length table) (List.length reference)
-                         (first_difference reference table))
-            in
-            first_divergence 1 rest);
+        tables_equal ~copy:"member" (List.map Register.Table.in_store stores));
   }
 
 (* ---- airline ---- *)

@@ -95,7 +95,9 @@ val table_convergence : def_name:string -> t
 (** Every live member of an SCD object group ([def_name] is
     {!Dcp_primitives.Register.def_name} or
     {!Dcp_primitives.Snapshot.def_name}) mirrors the same key → ts table
-    ({!Dcp_primitives.Register.Table.in_store}) at quiescence. *)
+    ({!Dcp_primitives.Register.Table.in_store}) at quiescence — the
+    {!replica_convergence} comparison, with the same failure text but
+    "member" for "replica". *)
 
 (** {1 Airline oracles} *)
 

@@ -325,6 +325,24 @@ let replica_fanout = 2
    the sweep exercises cursor continuation, not just single-window sync. *)
 let replica_budget = 2048
 
+(* Quiescence probe: step virtual time until [oracle] (a table
+   convergence oracle) holds.  The virtual time elapsed past the fault
+   horizon when it first holds is the convergence-time measurement, -1 if
+   it never does within [max_steps]; LWW tables are monotone in stamp
+   order and the workload has stopped, so once equal they stay equal. *)
+let convergence_ms world ~oracle ~max_steps ~horizon =
+  let step = Clock.ms 250 in
+  let rec probe i =
+    if Result.is_ok (Oracle.check_all [ oracle ] world) then
+      (Runtime.now world - horizon) / Clock.ms 1
+    else if i >= max_steps then -1
+    else begin
+      Runtime.run_for world step;
+      probe (i + 1)
+    end
+  in
+  probe 0
+
 let run_replica ~replicas:n (params : Scenario.params) =
   let profile = params.profile in
   let config = scenario_config profile in
@@ -354,24 +372,9 @@ let run_replica ~replicas:n (params : Scenario.params) =
   Chaos.schedule_crashes world ~rng:(chaos_rng params.seed) ~profile ~nodes
     ~horizon:params.horizon;
   Runtime.run_for world (params.horizon + Clock.s 5);
-  (* Quiescence probe: step virtual time until every live table agrees.
-     The virtual time elapsed past the fault horizon when agreement first
-     holds is the convergence-time measurement; LWW tables are monotone in
-     stamp order and the workload has stopped, so once equal they stay
-     equal. *)
-  let step = Clock.ms 250 in
-  let max_steps = 400 in
-  let converged () = Result.is_ok (Oracle.check_all [ Oracle.replica_convergence ] world) in
-  let rec probe i =
-    if converged () then true
-    else if i >= max_steps then false
-    else begin
-      Runtime.run_for world step;
-      probe (i + 1)
-    end
-  in
   let convergence_ms =
-    if probe 0 then (Runtime.now world - params.horizon) / Clock.ms 1 else -1
+    convergence_ms world ~oracle:Oracle.replica_convergence ~max_steps:400
+      ~horizon:params.horizon
   in
   let keys =
     match Runtime.find_guardians world ~def_name:Replica.def_name with
@@ -436,8 +439,6 @@ module Scd = Dcp_primitives.Scd
 
 let register_status_every = Clock.ms 100
 let register_op_timeout = Clock.ms 1500
-let register_client_def = "scd_register_client"
-let snapshot_client_def = "scd_snapshot_client"
 
 (* Spread [workload] operations over [clients] drivers. *)
 let split_workload ~clients workload =
@@ -545,36 +546,43 @@ let install_clients world ~def_name ~at ~ports ~keys ~write_pct ~use_snapshots ~
            ~args:[ Value.int idx; Value.int count ]))
     (split_workload ~clients workload)
 
-let scd_outcome ~params ~world ~object_def ~client_def ~counts ~issued =
-  (* Quiescence probe, as in [run_replica]: step until every member's
-     durable table agrees, measuring convergence past the fault horizon. *)
-  let step = Clock.ms 250 in
-  let max_steps = 200 in
-  let converged () =
-    Result.is_ok (Oracle.check_all [ Oracle.table_convergence ~def_name:object_def ] world)
+(* One runner for both SCD objects: they differ only in their group, its
+   size and the client mix. *)
+let run_scd_object ~members ~keys ~clients ~write_pct ~use_snapshots ~object_def ~client_def
+    ~create_group (params : Scenario.params) =
+  let profile = params.profile in
+  let config = scenario_config profile in
+  let world =
+    Runtime.create_world ~seed:params.seed
+      ~topology:(Topology.full_mesh ~n:(members + 1) profile.Profile.link)
+      ~config ~shards:params.shards ~parallel:params.parallel ()
   in
-  let rec probe i =
-    if converged () then true
-    else if i >= max_steps then false
-    else begin
-      Runtime.run_for world step;
-      probe (i + 1)
-    end
-  in
+  let nodes = List.init members Fun.id in
+  let ports = Array.of_list (create_group world ~nodes ~introduce_at:members) in
+  let counts = { ok = 0; unknown = 0; no_effect = 0 } in
+  install_clients world ~def_name:client_def ~at:members ~ports ~keys ~write_pct ~use_snapshots
+    ~counts ~workload:params.workload ~clients ~horizon:params.horizon;
+  Chaos.schedule_crashes world ~rng:(chaos_rng params.seed) ~profile ~nodes
+    ~horizon:params.horizon;
+  (* Settle bound: each op blocks at most one 1.5 s timeout plus pacing,
+     drivers run concurrently, and the last delivery needs a status round
+     past the last crash; virtual time is free. *)
+  Runtime.run_for world (params.horizon + Clock.s 60);
+  let issued = counts.ok + counts.unknown + counts.no_effect in
   let convergence_ms =
-    if probe 0 then (Runtime.now world - params.Scenario.horizon) / Clock.ms 1 else -1
+    convergence_ms world ~oracle:(Oracle.table_convergence ~def_name:object_def)
+      ~max_steps:200 ~horizon:params.horizon
   in
   let metric name = Metrics.count (Metrics.counter (Runtime.metrics world) name) in
-  let keys =
+  let stored_keys =
     match Runtime.find_guardians world ~def_name:object_def with
     | [] -> 0
     | g :: _ -> List.length (Register.Table.in_store (Runtime.guardian_store g))
   in
   let verdict =
-    if issued < params.Scenario.workload then
+    if issued < params.workload then
       Scenario.Fail
-        (Printf.sprintf "drivers issued only %d of %d operations" issued
-           params.Scenario.workload)
+        (Printf.sprintf "drivers issued only %d of %d operations" issued params.workload)
     else
       verdict_of
         [
@@ -595,7 +603,7 @@ let scd_outcome ~params ~world ~object_def ~client_def ~counts ~issued =
         ("ops_ok", counts.ok);
         ("ops_unknown", counts.unknown);
         ("ops_no_effect", counts.no_effect);
-        ("keys", keys);
+        ("keys", stored_keys);
         ("convergence_ms", convergence_ms);
         ("scd_msgs", metric Scd.metric_msgs);
         ("scd_sets", metric Scd.metric_sets);
@@ -605,37 +613,12 @@ let scd_outcome ~params ~world ~object_def ~client_def ~counts ~issued =
       @ stable_stats world;
   }
 
-let register_members = 5
-let register_keys = 4
-let register_client_count = 4
-
-let run_register ~stale_reads (params : Scenario.params) =
-  let profile = params.profile in
-  let config = scenario_config profile in
-  let world =
-    Runtime.create_world ~seed:params.seed
-      ~topology:(Topology.full_mesh ~n:(register_members + 1) profile.Profile.link)
-      ~config ~shards:params.shards ~parallel:params.parallel ()
-  in
-  let nodes = List.init register_members Fun.id in
-  let ports =
-    Array.of_list
-      (Register.create_group world ~nodes ~status_every:register_status_every ~stale_reads
-         ~introduce_at:register_members ())
-  in
-  let counts = { ok = 0; unknown = 0; no_effect = 0 } in
-  install_clients world ~def_name:register_client_def ~at:register_members ~ports
-    ~keys:register_keys ~write_pct:55 ~use_snapshots:false ~counts ~workload:params.workload
-    ~clients:register_client_count ~horizon:params.horizon;
-  Chaos.schedule_crashes world ~rng:(chaos_rng params.seed) ~profile ~nodes
-    ~horizon:params.horizon;
-  (* Settle bound: each op blocks at most one 1.5 s timeout plus pacing,
-     drivers run concurrently, and the last delivery needs a status round
-     past the last crash; virtual time is free. *)
-  Runtime.run_for world (params.horizon + Clock.s 60);
-  scd_outcome ~params ~world ~object_def:Register.def_name ~client_def:register_client_def
-    ~counts
-    ~issued:(counts.ok + counts.unknown + counts.no_effect)
+let run_register ~stale_reads =
+  run_scd_object ~members:5 ~keys:4 ~clients:4 ~write_pct:55 ~use_snapshots:false
+    ~object_def:Register.def_name ~client_def:"scd_register_client"
+    ~create_group:(fun world ~nodes ~introduce_at ->
+      Register.create_group world ~nodes ~status_every:register_status_every ~stale_reads
+        ~introduce_at ())
 
 let register =
   {
@@ -656,42 +639,17 @@ let register_mutated =
     run = run_register ~stale_reads:true;
   }
 
-let snapshot_members = 4
-let snapshot_keys = 3
-let snapshot_client_count = 3
-
-let run_snapshot (params : Scenario.params) =
-  let profile = params.profile in
-  let config = scenario_config profile in
-  let world =
-    Runtime.create_world ~seed:params.seed
-      ~topology:(Topology.full_mesh ~n:(snapshot_members + 1) profile.Profile.link)
-      ~config ~shards:params.shards ~parallel:params.parallel ()
-  in
-  let nodes = List.init snapshot_members Fun.id in
-  let ports =
-    Array.of_list
-      (Snapshot.create_group world ~nodes ~status_every:register_status_every
-         ~introduce_at:snapshot_members ())
-  in
-  let counts = { ok = 0; unknown = 0; no_effect = 0 } in
-  install_clients world ~def_name:snapshot_client_def ~at:snapshot_members ~ports
-    ~keys:snapshot_keys ~write_pct:60 ~use_snapshots:true ~counts ~workload:params.workload
-    ~clients:snapshot_client_count ~horizon:params.horizon;
-  Chaos.schedule_crashes world ~rng:(chaos_rng params.seed) ~profile ~nodes
-    ~horizon:params.horizon;
-  Runtime.run_for world (params.horizon + Clock.s 60);
-  scd_outcome ~params ~world ~object_def:Snapshot.def_name ~client_def:snapshot_client_def
-    ~counts
-    ~issued:(counts.ok + counts.unknown + counts.no_effect)
-
 let snapshot =
   {
     Scenario.name = "snapshot";
     descr = "SCD-broadcast snapshot object under churn; atomic whole-state views";
     default_horizon = Clock.s 4;
     default_workload = 24;
-    run = run_snapshot;
+    run =
+      run_scd_object ~members:4 ~keys:3 ~clients:3 ~write_pct:60 ~use_snapshots:true
+        ~object_def:Snapshot.def_name ~client_def:"scd_snapshot_client"
+        ~create_group:(fun world ~nodes ~introduce_at ->
+          Snapshot.create_group world ~nodes ~status_every:register_status_every ~introduce_at ());
   }
 
 let all = [ bank; airline; itinerary; replica; register; snapshot ]

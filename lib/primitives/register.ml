@@ -23,7 +23,7 @@ let port_type =
   ]
   @ Scd.signatures
 
-(* ---- the LWW table, durable, shared with Snapshot ---- *)
+(* ---- the LWW table, durable ---- *)
 
 module Table = struct
   type t = (string, Value.t * Scd.ts) Hashtbl.t
@@ -124,7 +124,8 @@ let recorded_reply store rid =
 
 (* ---- member state ---- *)
 
-type action = Reply_written | Reply_read of string
+(* What a parked request answers once its own broadcast is delivered. *)
+type action = Ack of string | Reply_value of string | Reply_state
 
 type pending = { reply : Port_name.t; rid : int; action : action }
 
@@ -147,6 +148,20 @@ let mode_in_store store =
 let send_reply ctx ~reply ~rid command args =
   Runtime.send ctx ~to_:reply command (Value.int rid :: args)
 
+let value_reply st key =
+  match Table.get st.table key with
+  | Some (value, _) -> ("value", [ value ])
+  | None -> ("unknown_key", [])
+
+(* The snapshot object's atomic view: the whole table at this member's
+   delivery point, key-sorted so identical states always encode
+   identically. *)
+let state_value st =
+  Value.list
+    (List.map
+       (fun (key, value, _) -> Value.tuple [ Value.str key; value ])
+       (Table.sorted_entries st.table))
+
 (* Resolve one parked request after its own broadcast was delivered: the
    reply (and its durable record) reflects the table at that delivery
    point. *)
@@ -157,11 +172,9 @@ let resolve ctx st ~seq =
       Hashtbl.remove st.pending seq;
       let command, args =
         match p.action with
-        | Reply_written -> ("written", [])
-        | Reply_read key -> (
-            match Table.get st.table key with
-            | Some (value, _) -> ("value", [ value ])
-            | None -> ("unknown_key", []))
+        | Ack command -> (command, [])
+        | Reply_value key -> value_reply st key
+        | Reply_state -> ("state", [ state_value st ])
       in
       record_reply ctx p.rid ~command args;
       send_reply ctx ~reply:p.reply ~rid:p.rid command args
@@ -185,6 +198,16 @@ let apply_deliveries ctx st =
         set)
     (Scd.drain st.scd)
 
+(* The delivery barrier: broadcast, and answer only once this member has
+   delivered its own message. *)
+let park ctx st ~reply ~rid payload action =
+  record_inflight ctx rid;
+  let id = Scd.broadcast ctx st.scd payload in
+  Hashtbl.replace st.pending id.Scd.seq { reply; rid; action }
+
+(* One handler for both objects.  A register's port type admits write and
+   read, a snapshot object's update and snapshot; the runtime refuses the
+   other pair on delivery, so each arm only ever sees its own object. *)
 let handle_request ctx st ~reply ~rid command args =
   match recorded_reply (Runtime.store ctx) rid with
   | Some (Some (recorded, recorded_args)) -> send_reply ctx ~reply ~rid recorded recorded_args
@@ -201,28 +224,19 @@ let handle_request ctx st ~reply ~rid command args =
             record_reply ctx rid ~command:"written" [];
             send_reply ctx ~reply ~rid "written" []
           end
-          else begin
-            record_inflight ctx rid;
-            let id = Scd.broadcast ctx st.scd (write_payload ~key ~value) in
-            Hashtbl.replace st.pending id.Scd.seq { reply; rid; action = Reply_written }
-          end
+          else park ctx st ~reply ~rid (write_payload ~key ~value) (Ack "written")
       | "read", [ Value.Str key ] ->
           if st.stale_reads then begin
             (* The deliberate mutation, read half: no delivery barrier, so
                the reply can predate writes already acknowledged elsewhere. *)
-            let command, args =
-              match Table.get st.table key with
-              | Some (value, _) -> ("value", [ value ])
-              | None -> ("unknown_key", [])
-            in
+            let command, args = value_reply st key in
             record_reply ctx rid ~command args;
             send_reply ctx ~reply ~rid command args
           end
-          else begin
-            record_inflight ctx rid;
-            let id = Scd.broadcast ctx st.scd sync_payload in
-            Hashtbl.replace st.pending id.Scd.seq { reply; rid; action = Reply_read key }
-          end
+          else park ctx st ~reply ~rid sync_payload (Reply_value key)
+      | "update", [ Value.Str key; value ] ->
+          park ctx st ~reply ~rid (write_payload ~key ~value) (Ack "updated")
+      | "snapshot", [] -> park ctx st ~reply ~rid sync_payload Reply_state
       | "members", _ ->
           (* Idempotent re-join offer from a bootstrap retry. *)
           send_reply ctx ~reply ~rid "members_ok" []
@@ -284,6 +298,7 @@ let await_members ctx ~config ~stale_reads =
   in
   wait ()
 
+(* A snapshot object never stored a mode, so it recovers atomic. *)
 let recover ctx =
   let store = Runtime.store ctx in
   let stale_reads = mode_in_store store in
@@ -293,28 +308,34 @@ let recover ctx =
       serve ctx st
   | None -> await_members ctx ~config:(Scd.config_in_store store) ~stale_reads
 
-let def : Runtime.def =
+let member_def ~def_name ~port_type : Runtime.def =
   {
     Runtime.def_name;
     provides = [ (port_type, 512) ];
     init =
       (fun ctx args ->
         match args with
-        | [ Value.Int status_every; Value.Int resend_max; Value.Bool stale_reads ]
+        | Value.Int status_every :: Value.Int resend_max :: ([] | [ Value.Bool _ ] as mode)
           when status_every > 0 && resend_max > 0 ->
-            persist_mode ctx ~stale_reads;
+            (* A register is created with its mode and records it; a
+               snapshot object has none and writes no mode record. *)
+            let stale_reads =
+              match mode with
+              | [ Value.Bool stale_reads ] ->
+                  persist_mode ctx ~stale_reads;
+                  stale_reads
+              | _ -> false
+            in
             let config = { Scd.status_every; resend_max } in
             Scd.persist_group_config ctx config;
             await_members ctx ~config ~stale_reads
-        | _ -> invalid_arg "register: bad creation arguments");
+        | _ -> invalid_arg (def_name ^ ": bad creation arguments"));
     recover = Some recover;
   }
 
-let create_group world ~nodes ?(status_every = Clock.ms 100) ?(resend_max = 32)
-    ?(stale_reads = false) ~introduce_at () =
-  if nodes = [] then invalid_arg "Register.create_group: need at least one node";
-  if Runtime.find_def world def_name = None then Runtime.register_def world def;
-  let args = [ Value.int status_every; Value.int resend_max; Value.bool stale_reads ] in
+let create_members world ~def_name ~port_type ~args ~nodes ~introduce_at =
+  if Runtime.find_def world def_name = None then
+    Runtime.register_def world (member_def ~def_name ~port_type);
   let ports =
     List.map
       (fun at ->
@@ -324,6 +345,12 @@ let create_group world ~nodes ?(status_every = Clock.ms 100) ?(resend_max = 32)
   in
   Scd.introduce world ~group:def_name ~at:introduce_at ~members:ports;
   ports
+
+let create_group world ~nodes ?(status_every = Clock.ms 100) ?(resend_max = 32)
+    ?(stale_reads = false) ~introduce_at () =
+  if nodes = [] then invalid_arg "Register.create_group: need at least one node";
+  create_members world ~def_name ~port_type ~nodes ~introduce_at
+    ~args:[ Value.int status_every; Value.int resend_max; Value.bool stale_reads ]
 
 let write ctx ~register ~key ~value ~timeout =
   match

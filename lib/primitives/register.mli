@@ -1,4 +1,5 @@
-(** Multi-writer multi-reader atomic registers over {!Scd}.
+(** Multi-writer multi-reader atomic registers over {!Scd}, and the one
+    SCD-object member that also serves {!Snapshot}.
 
     The SCD-broadcast construction of an atomic read/write memory (Imbs,
     Mostéfaoui, Perrin, Raynal; specification per Aspnes's notes, PAPERS.md):
@@ -10,6 +11,13 @@
     - [read k] SCD-broadcasts a sync marker and replies with the local value
       once that marker is delivered — the delivery barrier is what rules out
       stale reads and new/old inversions.
+
+    The snapshot object is the same construction with a different port
+    type: [update k v] is [write] under another name and [snapshot ()]
+    answers with the whole table instead of one key.  One member serves all
+    four commands; an object's port type decides which of them reach it
+    (the runtime checks the port type on delivery), and {!create_members}
+    builds a group of either kind.
 
     Values win by delivery timestamp (last-writer-wins over {!Scd.ts}, a
     total order), so every member's table converges to the same state
@@ -25,11 +33,12 @@
     still call with [~attempts:1]: a timed-out call has unknown effect and
     must be recorded as pending, never reissued under a fresh id.
 
-    The [stale_reads] mode skips the delivery barrier on both paths:
-    writes are acknowledged at broadcast time and reads served directly
-    from the local table — a deliberately broken register (the classic
-    fast-ack bug) for the [register_mutated] harness self-test, which the
-    linearizability oracle must catch. *)
+    The [stale_reads] mode skips the delivery barrier on both register
+    paths: writes are acknowledged at broadcast time and reads served
+    directly from the local table — a deliberately broken register (the
+    classic fast-ack bug) for the [register_mutated] harness self-test,
+    which the linearizability oracle must catch.  A register records its
+    mode durably; a snapshot object has none and is always atomic. *)
 
 open Dcp_wire
 module Runtime = Dcp_core.Runtime
@@ -41,28 +50,30 @@ val def_name : string
 val port_type : Vtype.port_type
 val metric_malformed : string
 
-(** The shared LWW table core, reused by {!Snapshot}: a volatile
-    key → (value, ts) map mirrored durably into the guardian's store under
-    ["k:"] keys. *)
+(** The members' durable LWW table: a volatile key → (value, ts) map
+    mirrored into the guardian's store under ["k:"] keys. *)
 module Table : sig
-  type t
-
-  val restore : Dcp_stable.Store.t -> t
-  (** Rebuild from the store's ["k:"] entries (empty on a fresh store). *)
-
-  val apply : Runtime.ctx -> t -> key:string -> value:Value.t -> ts:Scd.ts -> unit
-  (** Last-writer-wins by {!Scd.ts_compare}; persists winners. *)
-
-  val get : t -> string -> (Value.t * Scd.ts) option
-
-  val sorted_entries : t -> (string * Value.t * Scd.ts) list
-  (** Key-sorted, for deterministic snapshot replies. *)
-
   val in_store : Dcp_stable.Store.t -> (string * Scd.ts) list
   (** Key-sorted (key, winning ts) shape of a member's durable table — the
       convergence-oracle accessor (value agreement follows from ts
       agreement, as with {!Replica.table_in_store}). *)
 end
+
+val create_members :
+  Runtime.world ->
+  def_name:string ->
+  port_type:Vtype.port_type ->
+  args:Value.t list ->
+  nodes:Runtime.node_id list ->
+  introduce_at:Runtime.node_id ->
+  Port_name.t list
+(** The group constructor behind {!create_group} and
+    {!Snapshot.create_group}: one member per node under [def_name] (its
+    definition registered on first use) with [port_type] on its request
+    port, introduced to each other by a bootstrap guardian at
+    [introduce_at].  [args] is [[status_every; resend_max]], followed for a
+    register by its [stale_reads] flag.  Returns the request ports in
+    [nodes] order. *)
 
 val create_group :
   Runtime.world ->

@@ -6,15 +6,18 @@
     [update k v] is the register write; [snapshot ()] broadcasts a sync
     marker and, once it is delivered, replies with the member's {e entire}
     table — an atomic point-in-time view, totally ordered against every
-    update by the delivery timestamp order.  Shares {!Register.Table} (and
-    its durable ["k:"] mirror, so the same convergence oracle applies) but
-    is its own guardian definition: a snapshot group serves no per-key
-    reads, which is what lets the linearizability checker treat register
-    histories per key while snapshot histories check whole-state.
+    update by the delivery timestamp order.
 
-    The same durable at-most-once request discipline as {!Register}
-    applies; clients use single-attempt calls when a history is being
-    recorded. *)
+    This module is only a name, a port type and client helpers: the
+    members are {!Register}'s one SCD-object member, created through
+    {!Register.create_members}, so the table, its durable ["k:"] mirror
+    (and with it the convergence oracle), the delivery barrier and the
+    durable at-most-once request discipline are the register's own.  The
+    port type is what makes it a different object: a snapshot group
+    admits [update]/[snapshot] and no per-key [read], which is what lets
+    the linearizability checker treat register histories per key while
+    snapshot histories check whole-state.  Clients use single-attempt
+    calls when a history is being recorded. *)
 
 open Dcp_wire
 module Runtime = Dcp_core.Runtime
@@ -33,6 +36,8 @@ val create_group :
   introduce_at:Runtime.node_id ->
   unit ->
   Port_name.t list
+(** One member per node, introduced by a bootstrap guardian at
+    [introduce_at]; returns the request ports in [nodes] order. *)
 
 (** {1 Client helpers} *)
 

@@ -204,10 +204,7 @@ let test_duplicate_rid_not_reexecuted obj =
 
 let test_snapshot_atomic_view () =
   let world = make_world () in
-  let ports =
-    Array.of_list
-      (Snapshot.create_group world ~nodes:(List.init members Fun.id) ~introduce_at:members ())
-  in
+  let ports = snapshot_object.create world in
   let view = ref None in
   driver world ~at:members (fun ctx ->
       Runtime.sleep ctx (Clock.ms 300);
