@@ -330,7 +330,7 @@ let replica_budget = 2048
    horizon when it first holds is the convergence-time measurement, -1 if
    it never does within [max_steps]; LWW tables are monotone in stamp
    order and the workload has stopped, so once equal they stay equal. *)
-let convergence_ms world ~oracle ~max_steps ~horizon =
+let probe_convergence world ~oracle ~max_steps ~horizon =
   let step = Clock.ms 250 in
   let rec probe i =
     if Result.is_ok (Oracle.check_all [ oracle ] world) then
@@ -373,7 +373,7 @@ let run_replica ~replicas:n (params : Scenario.params) =
     ~horizon:params.horizon;
   Runtime.run_for world (params.horizon + Clock.s 5);
   let convergence_ms =
-    convergence_ms world ~oracle:Oracle.replica_convergence ~max_steps:400
+    probe_convergence world ~oracle:Oracle.replica_convergence ~max_steps:400
       ~horizon:params.horizon
   in
   let keys =
@@ -570,7 +570,7 @@ let run_scd_object ~members ~keys ~clients ~write_pct ~use_snapshots ~object_def
   Runtime.run_for world (params.horizon + Clock.s 60);
   let issued = counts.ok + counts.unknown + counts.no_effect in
   let convergence_ms =
-    convergence_ms world ~oracle:(Oracle.table_convergence ~def_name:object_def)
+    probe_convergence world ~oracle:(Oracle.table_convergence ~def_name:object_def)
       ~max_steps:200 ~horizon:params.horizon
   in
   let metric name = Metrics.count (Metrics.counter (Runtime.metrics world) name) in
