@@ -316,6 +316,56 @@ let all_tests =
     test_layer_send;
   ]
 
+(* ---- exact allocation rows ----
+
+   Minor-heap words per call of the wire stages a message goes through.
+   Unlike host time these are exact functions of the code and the
+   compiler, the same on every run, so the bench gate pins them at 0%.  The
+   subject is fixed: the envelope of one 100-entry sync_digest, the
+   message anti-entropy sends most. *)
+let alloc_rows () =
+  let module Replica = Dcp_primitives.Replica in
+  let module Reconcile = Dcp_primitives.Reconcile in
+  let module Message = Dcp_core.Message in
+  let entries =
+    List.init 100 (fun i -> Reconcile.entry_value (Printf.sprintf "key%04d" i, (i + 1, i mod 8)))
+  in
+  let args = [ Value.str ""; Value.option None; Value.list entries ] in
+  let port = Port_name.make ~node:1 ~guardian:2 ~index:0 ~uid:3 in
+  let envelope =
+    Message.envelope ~target:port
+      (Message.make ~reply_to:port ~sent_at:(Clock.ms 250) "sync_digest" args)
+  in
+  let encoded = Codec.encode_exn envelope in
+  let encoder = Codec.encoder () in
+  let calls = 1000 in
+  (* One call first, so a scratch buffer that grows does so untimed. *)
+  let words_per_call f =
+    ignore (Sys.opaque_identity (f ()));
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let rows =
+    [
+      ( "alloc.codec.encoded_size sync_digest",
+        words_per_call (fun () -> Codec.encoded_size envelope) );
+      ( "alloc.codec.encode_with sync_digest",
+        words_per_call (fun () -> Codec.encode_with encoder envelope) );
+      ("alloc.codec.decode sync_digest", words_per_call (fun () -> Codec.decode encoded));
+      ( "alloc.vtype.check_message sync_digest",
+        words_per_call (fun () ->
+            Vtype.check_message Replica.port_type ~command:"sync_digest" args) );
+    ]
+  in
+  List.map
+    (fun (name, words) ->
+      Printf.printf "  %-40s %12.1f words\n%!" name words;
+      (name ^ " (words)", Some words))
+    rows
+
 (* ---- deterministic replica macro rows ----
 
    Whole-protocol cost of anti-entropy convergence, measured in virtual
@@ -647,24 +697,28 @@ let run () =
   Printf.printf "== Micro-benchmarks (bechamel, monotonic clock, min of %d passes) ==\n%!"
     timing_passes;
   let timing = timing_rows () in
+  print_endline "== Allocation rows (exact, minor words per call) ==";
+  let alloc = alloc_rows () in
   print_endline "== Replica macro rows (deterministic, virtual units) ==";
   let macro = replica_rows () in
   print_endline "== Message-cost rows (deterministic, msgs/op) ==";
   let sendcost = sendcost_rows () in
   print_endline "== Domain-scaling rows (wall clock, msgs/s) ==";
   let scaling = Scaling.rows () in
-  write_json (timing @ macro @ sendcost @ scaling);
+  write_json (timing @ alloc @ macro @ sendcost @ scaling);
   Printf.printf "  wrote %s\n%!" json_path
 
 (* The deterministic rows alone, written to their own file: being exact,
-   they can be diffed against the committed baseline at a tight threshold
-   inside `dune runtest` (see bench/dune), where the timing rows cannot. *)
+   they can be diffed against the committed baseline at 0% inside
+   `dune runtest` (see bench/dune), where the timing rows cannot. *)
 let run_replica_gate () =
   print_newline ();
+  print_endline "== Allocation rows (exact, minor words per call) ==";
+  let alloc = alloc_rows () in
   print_endline "== Replica macro rows (deterministic, virtual units) ==";
   let macro = replica_rows () in
   print_endline "== Message-cost rows (deterministic, msgs/op) ==";
   let sendcost = sendcost_rows () in
   let path = "BENCH_replica.json" in
-  write_json ~path (macro @ sendcost);
+  write_json ~path (alloc @ macro @ sendcost);
   Printf.printf "  wrote %s\n%!" path

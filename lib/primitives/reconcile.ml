@@ -41,7 +41,8 @@ let entry_value (key, stamp) = Value.tuple [ Value.str key; stamp_value stamp ]
 
 let entry_of_value v =
   match v with
-  | Value.Tuple [ Value.Str key; stamp ] -> Option.map (fun s -> (key, s)) (stamp_of_value stamp)
+  | Value.Tuple [ Value.Str key; stamp ] -> (
+      match stamp_of_value stamp with Some s -> Some (key, s) | None -> None)
   | _ -> None
 
 let entry_compare (k1, _) (k2, _) = String.compare k1 k2

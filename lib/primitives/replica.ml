@@ -70,10 +70,16 @@ type config = { sync_every : Clock.time; fanout : int; byte_budget : int }
 let default_config =
   { sync_every = Clock.ms 500; fanout = 2; byte_budget = Reconcile.default_budget }
 
+(* One element of the digest view: a table entry, its digest value as sent
+   in [sync_digest], and that value's encoded size. *)
+type digest_entry = { entry : string * Reconcile.stamp; value : Value.t; size : int }
+
 type state = {
   replica_id : int;
   config : config;
   table : (string, Value.t * Reconcile.stamp) Hashtbl.t;
+  mutable view : digest_entry list option;
+      (** the table as key-sorted digest entries; [None] when stale *)
   mutable clock : int;
   mutable peers : Port_name.t array;  (** sorted, deduped, self excluded *)
   mutable cursor : string;  (** next digest window starts at this key; "" = wrap *)
@@ -163,12 +169,39 @@ let apply ctx state ~key ~value ~stamp =
   | Some (_, existing) when Reconcile.stamp_compare existing stamp >= 0 -> false
   | Some _ | None ->
       Hashtbl.replace state.table key (value, stamp);
+      state.view <- None;
       Store.set (Runtime.store ctx) ~key:(mirror_key key) (Reconcile.stamp_to_string stamp);
       true
 
-let sorted_entries state =
-  Hashtbl.fold (fun key (_, stamp) acc -> (key, stamp) :: acc) state.table []
-  |> List.sort Reconcile.entry_compare
+(* ---- the digest view ----
+
+   Every sync round describes a window of the key-sorted table, and most
+   rounds see the same table as the last one.  The view is that sorted
+   description with each entry's digest value and encoded size, rebuilt
+   only when [apply] has changed the table since it was last read. *)
+
+let digest_view state =
+  match state.view with
+  | Some view -> view
+  | None ->
+      let sorted =
+        Hashtbl.fold (fun key (_, stamp) acc -> (key, stamp) :: acc) state.table []
+        |> List.sort Reconcile.entry_compare
+      in
+      let view =
+        List.map
+          (fun entry ->
+            let value = Reconcile.entry_value entry in
+            { entry; value; size = Reconcile.value_size value })
+          sorted
+      in
+      state.view <- Some view;
+      view
+
+(* The suffix of the view whose keys are >= [key]. *)
+let rec view_from key = function
+  | e :: rest when String.compare (fst e.entry) key < 0 -> view_from key rest
+  | view -> view
 
 (* ---- sync-message accounting ---- *)
 
@@ -177,21 +210,17 @@ let sorted_entries state =
    that still exceeds the budget — only possible when one entry alone is
    bigger than the budget — is surfaced as replica.sync.over_budget instead
    of being silently withheld. *)
-let note_sync_message state ~command args =
-  let size = Reconcile.value_size (Value.tuple (Value.str command :: args)) in
+let message_size ~command args = Reconcile.value_size (Value.tuple (Value.str command :: args))
+
+let note_sync_size state size =
   Metrics.incr state.m.sync_msgs;
   Metrics.add state.m.sync_bytes size;
   if size > state.config.byte_budget then Metrics.incr state.m.over_budget;
   if float_of_int size > Metrics.gauge_value state.m.max_bytes then
     Metrics.set_gauge state.m.max_bytes (float_of_int size)
 
-let digest_entry_size entry = Reconcile.value_size (Reconcile.entry_value entry)
+let note_sync_message state ~command args = note_sync_size state (message_size ~command args)
 let pull_entry_size key = Reconcile.value_size (Value.str key)
-
-let delta_value (key, value, stamp) =
-  Value.tuple [ Value.str key; value; Reconcile.stamp_value stamp ]
-
-let delta_entry_size entry = Reconcile.value_size (delta_value entry)
 
 (* ---- fanout peer selection ---- *)
 
@@ -212,18 +241,19 @@ let send_deltas ctx state ~to_ keys =
     List.filter_map
       (fun key ->
         match Hashtbl.find_opt state.table key with
-        | Some (value, stamp) -> Some (key, value, stamp)
+        | Some (value, stamp) ->
+            Some (Value.tuple [ Value.str key; value; Reconcile.stamp_value stamp ])
         | None -> None)
       keys
   in
   if entries <> [] then
     List.iter
       (fun chunk ->
-        let args = [ Value.list (List.map delta_value chunk) ] in
+        let args = [ Value.list chunk ] in
         note_sync_message state ~command:"sync_delta" args;
         Metrics.add state.m.pushes (List.length chunk);
         Runtime.send ctx ~to_ "sync_delta" args)
-      (Reconcile.chunks ~budget:state.config.byte_budget ~size:delta_entry_size entries)
+      (Reconcile.chunks ~budget:state.config.byte_budget ~size:Reconcile.value_size entries)
 
 let send_pulls ctx state ~to_ keys =
   if keys <> [] then begin
@@ -245,29 +275,25 @@ let send_sync ctx state =
   match choose_peers state with
   | [] -> ()
   | chosen ->
-      let from_cursor =
-        List.filter
-          (fun (key, _) -> String.compare state.cursor key <= 0)
-          (sorted_entries state)
-      in
       let taken, rest =
-        Reconcile.take_within ~budget:state.config.byte_budget ~size:digest_entry_size
-          from_cursor
+        Reconcile.take_within ~budget:state.config.byte_budget ~size:(fun e -> e.size)
+          (view_from state.cursor (digest_view state))
       in
       let lo = state.cursor in
-      let hi = match rest with [] -> None | (key, _) :: _ -> Some key in
+      let hi = match rest with [] -> None | e :: _ -> Some (fst e.entry) in
       state.cursor <- (match hi with None -> "" | Some key -> key);
       let args =
         [
           Value.str lo;
           Value.option (Option.map Value.str hi);
-          Value.list (List.map Reconcile.entry_value taken);
+          Value.list (List.map (fun e -> e.value) taken);
         ]
       in
+      let size = message_size ~command:"sync_digest" args in
       let own = Dcp_core.Port.name (Runtime.port ctx 0) in
       List.iter
         (fun peer ->
-          note_sync_message state ~command:"sync_digest" args;
+          note_sync_size state size;
           Runtime.send ctx ~to_:peer ~reply_to:own "sync_digest" args)
         chosen
 
@@ -282,15 +308,28 @@ let broadcast_gossip ctx state ~key ~value ~stamp =
 
 (* Strict parses: one malformed element poisons the whole message (dropped,
    counted), because a partially applied sync message would leave the
-   protocol in a state no honest sender can produce. *)
+   protocol in a state no honest sender can produce.
+
+   An honest digest arrives strictly key-sorted and is used as it is;
+   anything else is sorted and deduplicated from the reversed parse, so the
+   entry kept for a repeated key is the one it always was. *)
 let parse_digest_entries entries =
-  List.fold_left
-    (fun acc v ->
-      match (acc, Reconcile.entry_of_value v) with
-      | Some parsed, Some entry -> Some (entry :: parsed)
-      | _, _ -> None)
-    (Some []) entries
-  |> Option.map (List.sort_uniq Reconcile.entry_compare)
+  let rec parse ascending parsed = function
+    | [] ->
+        Some
+          (if ascending then List.rev parsed
+           else List.sort_uniq Reconcile.entry_compare parsed)
+    | v :: rest -> (
+        match Reconcile.entry_of_value v with
+        | None -> None
+        | Some ((key, _) as entry) ->
+            let ascending =
+              ascending
+              && match parsed with [] -> true | (prev, _) :: _ -> String.compare prev key < 0
+            in
+            parse ascending (entry :: parsed) rest)
+  in
+  parse true [] entries
 
 let parse_delta_entries entries =
   List.fold_left
@@ -321,9 +360,11 @@ let handle_sync_digest ctx state ~reply ~lo ~hi entries =
     match parse_digest_entries entries with
     | None -> malformed state
     | Some claimed ->
-        let held =
-          List.filter (fun (key, _) -> Reconcile.in_window window key) (sorted_entries state)
+        let rec window_run = function
+          | e :: rest when Reconcile.in_window window (fst e.entry) -> e.entry :: window_run rest
+          | _ -> []
         in
+        let held = window_run (view_from lo (digest_view state)) in
         let d = Reconcile.diff ~claimed ~held in
         (* Observe the largest claimed stamp even for keys we do not pull:
            a crash-rejoined replica must not mint write stamps that lose to
@@ -454,6 +495,7 @@ let make_state ctx ~config ~peers =
     replica_id = Runtime.guardian_id (Runtime.ctx_guardian ctx);
     config;
     table = Hashtbl.create 32;
+    view = None;
     clock = 0;
     peers;
     cursor = "";

@@ -45,26 +45,20 @@ let tag_named = 13
 let zigzag i = (i lsl 1) lxor (i asr 62)
 let unzigzag u = (u lsr 1) lxor (-(u land 1))
 
-let write_varint buf i =
-  let rec loop u =
-    if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
-    else begin
-      Buffer.add_char buf (Char.chr ((u land 0x7f) lor 0x80));
-      loop (u lsr 7)
-    end
-  in
-  loop (zigzag i)
+(* The varint loops are top-level functions, not local closures over the
+   buffer or reader, so a varint costs no allocation. *)
+let rec write_uvarint_bits buf u =
+  if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
+  else begin
+    Buffer.add_char buf (Char.chr ((u land 0x7f) lor 0x80));
+    write_uvarint_bits buf (u lsr 7)
+  end
+
+let write_varint buf i = write_uvarint_bits buf (zigzag i)
 
 let write_uvarint buf u =
-  let rec loop u =
-    if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
-    else begin
-      Buffer.add_char buf (Char.chr ((u land 0x7f) lor 0x80));
-      loop (u lsr 7)
-    end
-  in
   if u < 0 then raise (Codec_error (Malformed "negative length"));
-  loop u
+  write_uvarint_bits buf u
 
 let write_int64 buf v =
   for shift = 0 to 7 do
@@ -92,20 +86,15 @@ let rec encode_value config buf v =
   | Value.Listv items ->
       Buffer.add_char buf (Char.chr tag_list);
       write_uvarint buf (List.length items);
-      List.iter (encode_value config buf) items
+      encode_items config buf items
   | Value.Tuple items ->
       Buffer.add_char buf (Char.chr tag_tuple);
       write_uvarint buf (List.length items);
-      List.iter (encode_value config buf) items
+      encode_items config buf items
   | Value.Record fields ->
       Buffer.add_char buf (Char.chr tag_record);
       write_uvarint buf (List.length fields);
-      List.iter
-        (fun (name, fv) ->
-          write_uvarint buf (String.length name);
-          Buffer.add_string buf name;
-          encode_value config buf fv)
-        fields
+      encode_fields config buf fields
   | Value.Option None -> Buffer.add_char buf (Char.chr tag_none)
   | Value.Option (Some inner) ->
       Buffer.add_char buf (Char.chr tag_some);
@@ -128,6 +117,61 @@ let rec encode_value config buf v =
       Buffer.add_string buf name;
       encode_value config buf rep
 
+and encode_items config buf = function
+  | [] -> ()
+  | v :: rest ->
+      encode_value config buf v;
+      encode_items config buf rest
+
+and encode_fields config buf = function
+  | [] -> ()
+  | (name, fv) :: rest ->
+      write_uvarint buf (String.length name);
+      Buffer.add_string buf name;
+      encode_value config buf fv;
+      encode_fields config buf rest
+
+(* [encoded_size]'s walk: the byte count [encode_value] would write, with
+   the same checks raised at the same node, and nothing written. *)
+let rec uvarint_size_from n u =
+  if u land lnot 0x7f = 0 then n else uvarint_size_from (n + 1) (u lsr 7)
+
+let uvarint_size u = uvarint_size_from 1 u
+let varint_size i = uvarint_size (zigzag i)
+
+let rec size_value config acc v =
+  match v with
+  | Value.Unit | Value.Bool _ | Value.Option None -> acc + 1
+  | Value.Int i ->
+      if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
+      acc + 1 + varint_size i
+  | Value.Real _ -> acc + 9
+  | Value.Str s ->
+      let len = String.length s in
+      if len > config.max_string then raise (Codec_error (String_too_long len));
+      acc + 1 + uvarint_size len + len
+  | Value.Listv items | Value.Tuple items ->
+      size_items config (acc + 1 + uvarint_size (List.length items)) items
+  | Value.Record fields -> size_fields config (acc + 1 + uvarint_size (List.length fields)) fields
+  | Value.Option (Some inner) -> size_value config (acc + 1) inner
+  | Value.Portv p ->
+      acc + 1 + varint_size p.Port_name.node + varint_size p.Port_name.guardian
+      + varint_size p.Port_name.index + varint_size p.Port_name.uid
+  | Value.Tokenv tok -> acc + 17 + varint_size (Token.owner tok)
+  | Value.Named (name, rep) ->
+      let len = String.length name in
+      size_value config (acc + 1 + uvarint_size len + len) rep
+
+and size_items config acc = function
+  | [] -> acc
+  | v :: rest -> size_items config (size_value config acc v) rest
+
+and size_fields config acc = function
+  | [] -> acc
+  | (name, fv) :: rest ->
+      let len = String.length name in
+      size_fields config (size_value config (acc + uvarint_size len + len) fv) rest
+
 type reader = { input : string; mutable pos : int }
 
 let read_byte r =
@@ -136,14 +180,13 @@ let read_byte r =
   r.pos <- r.pos + 1;
   c
 
-let read_uvarint r =
-  let rec loop shift acc =
-    if shift > 62 then raise (Codec_error (Malformed "varint too long"));
-    let b = read_byte r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else loop (shift + 7) acc
-  in
-  loop 0 0
+let rec read_uvarint_from r shift acc =
+  if shift > 62 then raise (Codec_error (Malformed "varint too long"));
+  let b = read_byte r in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else read_uvarint_from r (shift + 7) acc
+
+let read_uvarint r = read_uvarint_from r 0 0
 
 let read_varint r = unzigzag (read_uvarint r)
 
@@ -165,6 +208,12 @@ let read_string r =
   r.pos <- r.pos + len;
   s
 
+(* A collection's element count; a varint can decode negative. *)
+let read_count r =
+  let n = read_uvarint r in
+  if n < 0 then raise (Codec_error (Malformed "negative length"));
+  n
+
 let rec decode_value config r =
   let tag = read_byte r in
   if tag = tag_unit then Value.Unit
@@ -182,15 +231,9 @@ let rec decode_value config r =
       raise (Codec_error (String_too_long (String.length s)));
     Value.Str s
   end
-  else if tag = tag_list then Value.Listv (decode_seq config r)
-  else if tag = tag_tuple then Value.Tuple (decode_seq config r)
-  else if tag = tag_record then begin
-    let n = read_uvarint r in
-    Value.Record
-      (List.init n (fun _ ->
-           let name = read_string r in
-           (name, decode_value config r)))
-  end
+  else if tag = tag_list then Value.Listv (decode_items config r (read_count r))
+  else if tag = tag_tuple then Value.Tuple (decode_items config r (read_count r))
+  else if tag = tag_record then Value.Record (decode_fields config r (read_count r))
   else if tag = tag_none then Value.Option None
   else if tag = tag_some then Value.Option (Some (decode_value config r))
   else if tag = tag_port then begin
@@ -212,9 +255,20 @@ let rec decode_value config r =
   end
   else raise (Codec_error (Malformed (Printf.sprintf "unknown tag %d" tag)))
 
-and decode_seq config r =
-  let n = read_uvarint r in
-  List.init n (fun _ -> decode_value config r)
+(* Lists and records are built in order, in constant stack (tail modulo
+   cons): a list is as long as the input admits, one byte per element. *)
+and[@tail_mod_cons] decode_items config r n =
+  if n = 0 then []
+  else
+    let v = decode_value config r in
+    v :: decode_items config r (n - 1)
+
+and[@tail_mod_cons] decode_fields config r n =
+  if n = 0 then []
+  else
+    let name = read_string r in
+    let field = (name, decode_value config r) in
+    field :: decode_fields config r (n - 1)
 
 (* An encoder owns a scratch buffer reused across calls, so hot senders
    (Runtime.route encodes every message in the world) stop allocating and
@@ -254,4 +308,7 @@ let encode_exn ?config v =
 let decode_exn ?config s =
   match decode ?config s with Ok v -> v | Error e -> raise (Codec_error e)
 
-let encoded_size ?config v = Result.map String.length (encode ?config v)
+let encoded_size ?(config = default_config) v =
+  match size_value config 0 v with
+  | n -> if n > config.max_message then Error (Message_too_long n) else Ok n
+  | exception Codec_error e -> Error e

@@ -46,8 +46,9 @@ val decode : ?config:config -> string -> (Value.t, error) result
     [encode] allocates a fresh scratch buffer per call.  A long-lived
     sender (the runtime encodes every message it routes) should mint one
     {!encoder} and call {!encode_with}: the scratch buffer is reused
-    across calls, so steady-state encoding allocates only the output
-    string. *)
+    across calls and the walk allocates nothing per node, so steady-state
+    encoding allocates only the output string (and, per token, the
+    tuple {!Token.to_wire} returns). *)
 
 type encoder
 
@@ -69,4 +70,6 @@ val decode_exn : ?config:config -> string -> Value.t
 (** @raise Codec_error *)
 
 val encoded_size : ?config:config -> Value.t -> (int, error) result
-(** Size of the encoding without materialising it. *)
+(** Size of the encoding without materialising it: the same result as
+    [Result.map String.length (encode ?config v)], errors included, from a
+    walk that writes nothing and allocates only its result. *)

@@ -50,10 +50,11 @@ let rec equal a b =
       _ ) ->
       false
 
+(* Only the error path builds anything: a value that checks allocates
+   nothing (no closure per node, no zipped list per tuple). *)
+let mismatch t v = Error (Format.asprintf "expected %a, got %a" pp t Value.pp v)
+
 let rec check t v =
-  let fail () =
-    Error (Format.asprintf "expected %a, got %a" pp t Value.pp v)
-  in
   match (t, v) with
   | Tany, _ -> Ok ()
   | Tunit, Value.Unit -> Ok ()
@@ -63,19 +64,10 @@ let rec check t v =
   | Tstr, Value.Str _ -> Ok ()
   | Tlist elt, Value.Listv items -> check_all elt items
   | Ttuple ts, Value.Tuple items ->
-      if List.length ts <> List.length items then fail ()
-      else check_pairs (List.combine ts items)
+      if List.compare_lengths ts items <> 0 then mismatch t v else check_pairs ts items
   | Trecord fields, Value.Record vfields ->
-      if List.length fields <> List.length vfields then fail ()
-      else
-        let check_field (name, ft) =
-          match List.assoc_opt name vfields with
-          | None -> Error ("missing field " ^ name)
-          | Some fv -> check ft fv
-        in
-        List.fold_left
-          (fun acc f -> match acc with Error _ -> acc | Ok () -> check_field f)
-          (Ok ()) fields
+      if List.compare_lengths fields vfields <> 0 then mismatch t v
+      else check_fields fields vfields
   | Toption _, Value.Option None -> Ok ()
   | Toption elt, Value.Option (Some v) -> check elt v
   | Tport, Value.Portv _ -> Ok ()
@@ -86,17 +78,25 @@ let rec check t v =
   | ( ( Tunit | Tbool | Tint | Treal | Tstr | Tlist _ | Ttuple _ | Trecord _ | Toption _
       | Tport | Ttoken | Tnamed _ ),
       _ ) ->
-      fail ()
+      mismatch t v
 
-and check_all elt items =
-  List.fold_left
-    (fun acc v -> match acc with Error _ -> acc | Ok () -> check elt v)
-    (Ok ()) items
+and check_all elt = function
+  | [] -> Ok ()
+  | v :: rest -> ( match check elt v with Ok () -> check_all elt rest | err -> err)
 
-and check_pairs pairs =
-  List.fold_left
-    (fun acc (t, v) -> match acc with Error _ -> acc | Ok () -> check t v)
-    (Ok ()) pairs
+(* [ts] and [vs] have the same length. *)
+and check_pairs ts vs =
+  match (ts, vs) with
+  | t :: ts, v :: vs -> ( match check t v with Ok () -> check_pairs ts vs | err -> err)
+  | _, _ -> Ok ()
+
+and check_fields fields vfields =
+  match fields with
+  | [] -> Ok ()
+  | (name, ft) :: rest -> (
+      match List.assoc_opt name vfields with
+      | None -> Error ("missing field " ^ name)
+      | Some fv -> ( match check ft fv with Ok () -> check_fields rest vfields | err -> err))
 
 type reply = { reply_command : string; reply_args : t list }
 type signature = { command : string; args : t list; replies : reply list }

@@ -268,6 +268,126 @@ let test_sync_digest_answers_with_pull () =
   let table = Replica.table_in_store (replica_store world 0) in
   Alcotest.(check bool) "pulled entry applied" true (List.mem_assoc "a" table)
 
+(* Digests an honest sender never produces: entries out of key order, or
+   one key under two stamps.  The receiver sorts and deduplicates them
+   exactly as it always has, so it sends the same deltas and pulls; the
+   expected replies were recorded before honest digests stopped being
+   re-sorted on receipt. *)
+let unsorted_digest_replies =
+  let pushes_d_f = "sync_delta([(\"d\", \"dv\", (2, 0)); (\"f\", \"fv\", (3, 0))])" in
+  [
+    ("out of order", [ pushes_d_f; "sync_pull([\"a\"; \"b\"; \"e\"])" ]);
+    ("duplicate key", [ pushes_d_f; "sync_pull([\"c\"])" ]);
+    ("duplicate key, reversed", [ pushes_d_f; "sync_pull([\"b\"; \"c\"])" ]);
+    ( "adjacent duplicate",
+      [ "sync_delta([(\"d\", \"dv\", (2, 0))])"; "sync_pull([\"a\"; \"b\"])" ] );
+    ("window, unsorted", [ "sync_pull([\"c\"; \"d\"; \"e\"])" ]);
+    ("sorted", [ pushes_d_f; "sync_pull([\"c\"])" ]);
+  ]
+
+let test_unsorted_digest_replies () =
+  let world = make_world () in
+  let replica = List.hd (Replica.create_group world ~nodes:[ 0 ] ~sync_every:(Clock.s 1000) ()) in
+  let replies = ref [] in
+  driver world ~at:0 (fun ctx ->
+      Runtime.sleep ctx (Clock.ms 50);
+      List.iter
+        (fun key ->
+          ignore
+            (Replica.write ctx ~replica ~key ~value:(Value.str (key ^ "v")) ~timeout:(Clock.s 1)))
+        [ "b"; "d"; "f" ];
+      let port = Runtime.new_port ctx Replica.port_type in
+      let entry key c o = Value.tuple [ Value.str key; Value.tuple [ Value.int c; Value.int o ] ] in
+      List.iter
+        (fun (label, lo, hi, entries) ->
+          Runtime.send ctx ~to_:replica ~reply_to:(Port.name port) "sync_digest"
+            [ Value.str lo; Value.option (Option.map Value.str hi); Value.list entries ];
+          let rec collect acc =
+            match Runtime.receive ctx ~timeout:(Clock.ms 200) [ port ] with
+            | `Timeout -> List.rev acc
+            | `Msg (_, msg) ->
+                collect
+                  (Printf.sprintf "%s(%s)" msg.Dcp_core.Message.command
+                     (String.concat ", " (List.map Value.to_string msg.Dcp_core.Message.args))
+                  :: acc)
+          in
+          replies := (label, collect []) :: !replies)
+        [
+          ( "out of order", "", None,
+            [ entry "e" 9 1; entry "a" 1 1; entry "d" 1 1; entry "b" 7 1 ] );
+          ("duplicate key", "", None, [ entry "b" 9 1; entry "c" 1 1; entry "b" 1 0 ]);
+          ("duplicate key, reversed", "", None, [ entry "b" 1 0; entry "c" 1 1; entry "b" 9 1 ]);
+          ( "adjacent duplicate", "", None,
+            [ entry "a" 2 1; entry "b" 1 0; entry "b" 4 2; entry "f" 3 0 ] );
+          ("window, unsorted", "c", Some "f", [ entry "e" 1 1; entry "c" 2 2; entry "d" 50 0 ]);
+          ("sorted", "a", None, [ entry "b" 1 0; entry "c" 1 1; entry "f" 2 0 ]);
+        ]);
+  Runtime.run_for world (Clock.s 10);
+  Alcotest.(check (list (pair string (list string))))
+    "the replies the receiver always sent" unsorted_digest_replies (List.rev !replies)
+
+(* The digest a replica sends describes its table as it is now, however the
+   table last changed.  A test port joined as the replica's only peer
+   receives every digest; after each gossip or sync_delta (winning or not),
+   the next digest must list exactly the mirrored table. *)
+let test_digest_follows_every_apply () =
+  let world = make_world () in
+  let replica = List.hd (Replica.create_group world ~nodes:[ 0 ] ~sync_every:(Clock.ms 100) ()) in
+  let store = replica_store world 0 in
+  let observed = ref [] in
+  driver world ~at:0 (fun ctx ->
+      let port = Runtime.new_port ctx Replica.port_type in
+      ignore
+        (Rpc.call ctx ~to_:replica ~timeout:(Clock.s 1) "join"
+           [ Value.list [ Value.port (Port.name port) ] ]);
+      let rec next_digest () =
+        match Runtime.receive ctx ~timeout:(Clock.s 1) [ port ] with
+        | `Timeout -> None
+        | `Msg (_, msg) -> (
+            match (msg.Dcp_core.Message.command, msg.Dcp_core.Message.args) with
+            | "sync_digest", [ _; _; Value.Listv l ] ->
+                Some (List.filter_map Reconcile.entry_of_value l)
+            | _ -> next_digest ())
+      in
+      let rec drain () =
+        match Runtime.receive ctx ~timeout:0 [ port ] with `Timeout -> () | `Msg _ -> drain ()
+      in
+      let observe label =
+        (* let the apply land, drop digests sent before it, take the next *)
+        Runtime.sleep ctx (Clock.ms 20);
+        drain ();
+        observed := (label, next_digest (), Replica.table_in_store store) :: !observed
+      in
+      let stamp c o = Value.tuple [ Value.int c; Value.int o ] in
+      let gossip key c =
+        Runtime.send ctx ~to_:replica "gossip" [ Value.str key; Value.int c; stamp c 1 ]
+      in
+      let delta entries =
+        let entry (key, c) = Value.tuple [ Value.str key; Value.int c; stamp c 2 ] in
+        Runtime.send ctx ~to_:replica "sync_delta" [ Value.list (List.map entry entries) ]
+      in
+      observe "empty table";
+      gossip "m" 1;
+      observe "gossip adds m";
+      delta [ ("a", 2); ("z", 3) ];
+      observe "delta adds a and z";
+      gossip "m" 5;
+      observe "gossip replaces m";
+      gossip "a" 1;
+      observe "stale gossip changes nothing";
+      delta [ ("b", 4); ("m", 6); ("z", 1) ];
+      observe "delta adds b, replaces m, loses on z");
+  Runtime.run_for world (Clock.s 5);
+  Alcotest.(check int) "a digest after every step" 6 (List.length !observed);
+  Alcotest.(check (list (pair string (pair int int))))
+    "final table"
+    [ ("a", (2, 2)); ("b", (4, 2)); ("m", (6, 2)); ("z", (3, 2)) ]
+    (Replica.table_in_store store);
+  List.iter
+    (fun (label, digest, table) ->
+      Alcotest.(check (option (list (pair string (pair int int))))) label (Some table) digest)
+    (List.rev !observed)
+
 (* Each side misses exactly one gossip (severed link during the writes);
    anti-entropy must reconcile both directions. *)
 let test_drop_one_gossip_each_way_converges () =
@@ -459,6 +579,8 @@ let tests =
     Alcotest.test_case "reconcile byte budgeting" `Quick test_reconcile_budget;
     Alcotest.test_case "reconcile stamps and windows" `Quick test_reconcile_stamps_and_windows;
     Alcotest.test_case "sync_digest answers with pull" `Quick test_sync_digest_answers_with_pull;
+    Alcotest.test_case "unsorted or duplicate digest entries" `Quick test_unsorted_digest_replies;
+    Alcotest.test_case "digest follows every apply" `Quick test_digest_follows_every_apply;
     Alcotest.test_case "drop one gossip each way, still converges" `Quick
       test_drop_one_gossip_each_way_converges;
     Alcotest.test_case "malformed gossip dropped, not fatal" `Quick

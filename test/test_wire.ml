@@ -72,6 +72,59 @@ let test_vtype_named () =
   Alcotest.(check bool) "named rejects other" true
     (Result.is_error (Vtype.check t (Value.Named ("other", Value.unit))))
 
+(* The first error's text surfaces through [check_message]'s callers and
+   [Transmit.check_named], so it is pinned exactly. *)
+let test_vtype_first_error_text () =
+  let error label expected r =
+    Alcotest.(check (result unit string)) label (Error expected) r
+  in
+  let stamp c o = Value.tuple [ Value.int c; Value.int o ] in
+  error "tuple arity" "expected (int, string), got (1)"
+    (Vtype.check (Vtype.Ttuple [ Vtype.Tint; Vtype.Tstr ]) (Value.tuple [ Value.int 1 ]));
+  error "deep list element" "expected int, got \"x\""
+    (Vtype.check
+       (Vtype.Tlist (Vtype.Ttuple [ Vtype.Tstr; Vtype.Ttuple [ Vtype.Tint; Vtype.Tint ] ]))
+       (Value.list
+          [
+            Value.tuple [ Value.str "a"; stamp 1 2 ];
+            Value.tuple [ Value.str "b"; Value.tuple [ Value.int 3; Value.str "x" ] ];
+            Value.tuple [ Value.str "c"; Value.tuple [ Value.str "y"; Value.int 4 ] ];
+          ]));
+  error "record missing a field" "missing field b"
+    (Vtype.check
+       (Vtype.Trecord [ ("a", Vtype.Tint); ("b", Vtype.Tstr) ])
+       (Value.record [ ("a", Value.int 1); ("c", Value.str "x") ]));
+  error "option's inner value" "expected int, got \"2\""
+    (Vtype.check
+       (Vtype.Toption (Vtype.Tlist Vtype.Tint))
+       (Value.option (Some (Value.list [ Value.int 1; Value.str "2" ]))));
+  error "named-type mismatch" "expected abstract type complex, got other"
+    (Vtype.check (Vtype.Tlist (Vtype.Tnamed "complex"))
+       (Value.list [ Value.Named ("complex", Value.unit); Value.Named ("other", Value.unit) ]));
+  let reg = Transmit.registry () in
+  Transmit.register reg ~type_name:"t" ~external_rep:(Vtype.Ttuple [ Vtype.Tint; Vtype.Tstr ]);
+  error "through check_named" "t: external rep mismatch (expected (int, string), got (2))"
+    (Transmit.check_named reg
+       (Value.list
+          [
+            Value.Named ("t", Value.tuple [ Value.int 1; Value.str "ok" ]);
+            Value.Named ("t", Value.tuple [ Value.int 2 ]);
+          ]));
+  let pt =
+    [
+      Vtype.signature "reserve" [ Vtype.Tstr; Vtype.Tint ];
+      Vtype.signature "reserve" [ Vtype.Tstr ];
+    ]
+  in
+  Alcotest.(check (result unit string)) "second overload matches" (Ok ())
+    (Vtype.check_message pt ~command:"reserve" [ Value.str "p" ]);
+  error "no overload matches" "arguments do not match any \"reserve\" signature of the port"
+    (Vtype.check_message pt ~command:"reserve" [ Value.int 0; Value.int 3 ]);
+  error "undeclared command" "port does not accept command \"cancel\""
+    (Vtype.check_message pt ~command:"cancel" []);
+  error "implicit failure signature" "arguments do not match any \"failure\" signature of the port"
+    (Vtype.check_message pt ~command:"failure" [ Value.int 1 ])
+
 let test_check_message () =
   let pt =
     [ Vtype.signature "reserve" [ Vtype.Tstr; Vtype.Tint ] ]
@@ -268,12 +321,69 @@ let prop_codec_roundtrip =
       | Ok s -> (
           match Codec.decode s with Ok v' -> Value.equal v v' | Error _ -> false))
 
-let prop_codec_size_estimate =
-  QCheck2.Test.make ~name:"encoded_size equals encode length" ~count:200 gen_value (fun v ->
-      match (Codec.encoded_size v, Codec.encode v) with
-      | Ok n, Ok s -> n = String.length s
-      | Error _, Error _ -> true
-      | _ -> false)
+(* Values that reach every check the encoder makes: ports and tokens, ints
+   on both sides of the 24-bit bound, strings on both sides of 4 KiB. *)
+let gen_wire_value =
+  QCheck2.Gen.(
+    let bound = 1 lsl 23 in
+    let gen_int =
+      oneof
+        [
+          int_range (-300) 300;
+          int_range (bound - 2) (bound + 2);
+          int_range (-bound - 2) (-bound + 2);
+          int;
+        ]
+    in
+    let gen_str =
+      oneof [ string_size (int_range 0 20); string_size ~gen:printable (int_range 4090 4100) ]
+    in
+    let gen_port =
+      map
+        (fun (node, guardian, index, uid) ->
+          Value.Portv (Port_name.make ~node ~guardian ~index ~uid))
+        (quad gen_int small_nat small_nat gen_int)
+    in
+    let gen_token =
+      map
+        (fun (secret, owner, obj) -> Value.Tokenv (Token.seal ~secret ~owner ~obj))
+        (triple int64 gen_int int)
+    in
+    sized_size (int_range 0 3) (fix (fun self n ->
+        let leaf =
+          oneof
+            [
+              return Value.Unit;
+              map (fun b -> Value.Bool b) bool;
+              map (fun i -> Value.Int i) gen_int;
+              map (fun f -> Value.Real f) float;
+              map (fun s -> Value.Str s) gen_str;
+              return (Value.Option None);
+              gen_port;
+              gen_token;
+            ]
+        in
+        if n = 0 then leaf
+        else
+          oneof
+            [
+              leaf;
+              map (fun l -> Value.Listv l) (list_size (int_range 0 4) (self (n - 1)));
+              map (fun l -> Value.Tuple l) (list_size (int_range 0 4) (self (n - 1)));
+              map
+                (fun l -> Value.Record (List.mapi (fun i v -> ("f" ^ string_of_int i, v)) l))
+                (list_size (int_range 0 4) (self (n - 1)));
+              map (fun v -> Value.Option (Some v)) (self (n - 1));
+              map (fun v -> Value.Named ("abs", v)) (self (n - 1));
+            ])))
+
+(* [encoded_size] walks the value without writing it, so it must agree
+   with [encode] on every outcome: the same size, or the same error from
+   the same node. *)
+let prop_codec_size_matches_encode (name, config) =
+  QCheck2.Test.make ~name ~count:3000 gen_wire_value
+    (fun v ->
+      Codec.encoded_size ~config v = Result.map String.length (Codec.encode ~config v))
 
 (* ---- Token ---- *)
 
@@ -371,6 +481,7 @@ let tests =
     Alcotest.test_case "value depth" `Quick test_value_depth;
     Alcotest.test_case "vtype builtins" `Quick test_vtype_check_builtin;
     Alcotest.test_case "vtype named" `Quick test_vtype_named;
+    Alcotest.test_case "vtype first-error text" `Quick test_vtype_first_error_text;
     Alcotest.test_case "check_message" `Quick test_check_message;
     Alcotest.test_case "wildcard port type" `Quick test_check_message_wildcard;
     Alcotest.test_case "signature pp" `Quick test_signature_pp;
@@ -384,7 +495,16 @@ let tests =
     Alcotest.test_case "codec encoder reuse" `Quick test_codec_encoder_reuse;
     Alcotest.test_case "codec trailing bytes" `Quick test_codec_trailing_bytes;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
-    QCheck_alcotest.to_alcotest prop_codec_size_estimate;
+  ]
+  @ List.map
+      (fun config -> QCheck_alcotest.to_alcotest (prop_codec_size_matches_encode config))
+      [
+        ("encoded_size equals encode length", Codec.default_config);
+        ("encoded_size equals encode, 1979 config", Codec.config_1979);
+        ( "encoded_size equals encode, 2 KB limit",
+          { Codec.default_config with max_message = 2048 } );
+      ]
+  @ [
     Alcotest.test_case "token roundtrip" `Quick test_token_roundtrip;
     Alcotest.test_case "token wrong secret" `Quick test_token_wrong_secret;
     Alcotest.test_case "token wrong owner" `Quick test_token_wrong_owner;
