@@ -165,78 +165,14 @@ let test_rng =
    routing, port machinery and two process switches. *)
 let test_send_path =
   Test.make ~name:"runtime round-trip (+guardian)"
-    (Staged.stage
-       (let world =
-          Runtime.create_world ~seed:1
-            ~topology:(Topology.full_mesh ~n:1 Dcp_net.Link.perfect)
-            ()
-        in
-        Runtime.register_def world (Echo.def "bench_echo");
-        let echo = Runtime.create_guardian world ~at:0 ~def_name:"bench_echo" ~args:[] in
-        let echo_port = List.hd (Runtime.guardian_ports echo) in
-        let client_def =
-          {
-            Runtime.def_name = "bench_client";
-            provides = [];
-            init =
-              (fun ctx _ ->
-                let reply = Runtime.new_port ctx [ Vtype.wildcard ] in
-                Runtime.send ctx ~to_:echo_port ~reply_to:(Dcp_core.Port.name reply) "ping" [];
-                match Runtime.receive ctx ~timeout:(Clock.s 1) [ reply ] with
-                | `Msg _ | `Timeout -> ());
-            recover = None;
-          }
-        in
-        Runtime.register_def world client_def;
-        Runtime.run world;
-        fun () ->
-          ignore (Runtime.create_guardian world ~at:0 ~def_name:"bench_client" ~args:[]);
-          Runtime.run world))
+    (Staged.stage (Echo.round_trip_world ~seed:1 ~idle:0 ~prefix:"bench" ~pings:1))
 
 (* Same round trip against a world that already hosts 1k guardians on the
    node: with any O(#guardians) work left on the delivery path this row
    collapses; with the indexed hot path it tracks the row above. *)
 let test_send_path_1k =
   Test.make ~name:"runtime round-trip @1k guardians"
-    (Staged.stage
-       (let world =
-          Runtime.create_world ~seed:2
-            ~topology:(Topology.full_mesh ~n:1 Dcp_net.Link.perfect)
-            ()
-        in
-        let idle_def =
-          {
-            Runtime.def_name = "bench_idle";
-            provides = [];
-            init = (fun _ _ -> ());
-            recover = None;
-          }
-        in
-        Runtime.register_def world idle_def;
-        Runtime.register_def world (Echo.def "bench_echo");
-        let echo = Runtime.create_guardian world ~at:0 ~def_name:"bench_echo" ~args:[] in
-        let echo_port = List.hd (Runtime.guardian_ports echo) in
-        for _ = 1 to 999 do
-          ignore (Runtime.create_guardian world ~at:0 ~def_name:"bench_idle" ~args:[])
-        done;
-        let client_def =
-          {
-            Runtime.def_name = "bench_client";
-            provides = [];
-            init =
-              (fun ctx _ ->
-                let reply = Runtime.new_port ctx [ Vtype.wildcard ] in
-                Runtime.send ctx ~to_:echo_port ~reply_to:(Dcp_core.Port.name reply) "ping" [];
-                match Runtime.receive ctx ~timeout:(Clock.s 1) [ reply ] with
-                | `Msg _ | `Timeout -> ());
-            recover = None;
-          }
-        in
-        Runtime.register_def world client_def;
-        Runtime.run world;
-        fun () ->
-          ignore (Runtime.create_guardian world ~at:0 ~def_name:"bench_client" ~args:[]);
-          Runtime.run world))
+    (Staged.stage (Echo.round_trip_world ~seed:2 ~idle:999 ~prefix:"bench" ~pings:1))
 
 (* The first of the per-layer rows: one local [Runtime.send] on its own,
    trace on — transmit check, encode, the deferred trace record, store

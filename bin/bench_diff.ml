@@ -1,7 +1,7 @@
 (* Compare two `dcp.bench.micro/v1` JSON files and fail (exit 1) on any
    regressed row:
 
-     bench_diff.exe BASELINE.json CANDIDATE.json [--threshold PCT] [--rows a,b,...]
+     bench_diff.exe BASELINE.json CANDIDATE.json
 
    Rows are classed by the unit suffix in their name:
 
@@ -12,17 +12,19 @@
                update the committed baseline, not slip past the gate);
    - thruput — "(msgs/s)", "(x)": wall-clock throughput, higher is
                better; regressed when the candidate is LOWER than the
-               baseline by more than TWICE the threshold (shared-host
-               interference is one-sided — it only ever slows a run —
-               so downward noise runs hotter than timing jitter);
+               baseline by more than 50% (shared-host interference is
+               one-sided — it only ever slows a run — so downward noise
+               runs hotter than timing jitter);
    - timing  — everything else (ns/op): regressed when HIGHER than the
-               baseline by more than the threshold.
+               baseline by more than 25%.
 
-   `--threshold` (default 25%) applies to the thruput/timing classes
-   only.  `--rows` restricts the gate to the named rows; by default every
-   row present in both files is gated.  Rows with a null estimate on
-   either side are reported but never gated.  A file that does not parse
-   is reported as `PATH: message` with exit 2. *)
+   Every row present in both files is gated.  A baseline row with an
+   estimate fails when the candidate's is null, and an exact baseline row
+   fails when the candidate lacks it, so a candidate that holds only the
+   exact rows (`main.exe replica-rows`) must hold all of them.  A row new
+   in the candidate, or null in the baseline, is reported but not gated.
+   A file that does not parse is reported as `PATH: message` with
+   exit 2. *)
 
 module Json = Dcp_json.Json
 
@@ -64,49 +66,24 @@ let load_rows path =
         rows
   | _ -> fail "missing results array"
 
-let usage () =
-  prerr_endline
-    "usage: bench_diff.exe BASELINE.json CANDIDATE.json [--threshold PCT] [--rows a,b,...]";
-  exit 2
+(* Percent a timing row may rise; a throughput row may fall twice as far. *)
+let threshold = 25.0
 
 let () =
-  let baseline_path = ref None in
-  let candidate_path = ref None in
-  let threshold = ref 25.0 in
-  let only_rows = ref None in
-  let rec parse_args = function
-    | [] -> ()
-    | "--threshold" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some t when t > 0.0 -> threshold := t
-        | _ -> usage ());
-        parse_args rest
-    | "--rows" :: v :: rest ->
-        only_rows := Some (String.split_on_char ',' v);
-        parse_args rest
-    | arg :: rest ->
-        (if String.length arg > 0 && arg.[0] = '-' then usage ()
-         else
-           match (!baseline_path, !candidate_path) with
-           | None, _ -> baseline_path := Some arg
-           | Some _, None -> candidate_path := Some arg
-           | Some _, Some _ -> usage ());
-        parse_args rest
-  in
-  parse_args (List.tl (Array.to_list Sys.argv));
   let baseline_path, candidate_path =
-    match (!baseline_path, !candidate_path) with
-    | Some b, Some c -> (b, c)
-    | _ -> usage ()
+    match Array.to_list Sys.argv with
+    | [ _; b; c ] when not (String.starts_with ~prefix:"-" b || String.starts_with ~prefix:"-" c)
+      ->
+        (b, c)
+    | _ ->
+        prerr_endline "usage: bench_diff.exe BASELINE.json CANDIDATE.json";
+        exit 2
   in
   let baseline, candidate =
     try (load_rows baseline_path, load_rows candidate_path)
     with Failure msg ->
       prerr_endline msg;
       exit 2
-  in
-  let gated name =
-    match !only_rows with None -> true | Some names -> List.mem name names
   in
   (* Gate rows in candidate order so the report matches the bench output. *)
   let regressions = ref [] in
@@ -123,28 +100,25 @@ let () =
           match cand with
           | None ->
               Printf.printf "%-42s %12.1f %12s %9s\n" name base "null" "?";
-              if gated name then missing := name :: !missing
+              missing := name :: !missing
           | Some cand ->
               let delta = if base = 0.0 then 0.0 else (cand -. base) /. base *. 100.0 in
               let regressed =
-                gated name
-                &&
                 match classify name with
                 | Exact -> cand <> base
-                | Throughput -> delta < -2.0 *. !threshold
-                | Timing -> delta > !threshold
+                | Throughput -> delta < -2.0 *. threshold
+                | Timing -> delta > threshold
               in
               Printf.printf "%-42s %12.1f %12.1f %+8.1f%%%s\n" name base cand delta
                 (if regressed then "  << REGRESSION" else "");
               if regressed then regressions := (name, delta) :: !regressions))
     candidate;
-  (match !only_rows with
-  | None -> ()
-  | Some names ->
-      List.iter
-        (fun name ->
-          if not (List.mem_assoc name candidate) then missing := name :: !missing)
-        names);
+  List.iter
+    (fun (name, base) ->
+      match (classify name, base) with
+      | Exact, Some _ when not (List.mem_assoc name candidate) -> missing := name :: !missing
+      | _ -> ())
+    baseline;
   if !missing <> [] then begin
     Printf.printf "\nFAIL: gated row(s) without a candidate estimate: %s\n"
       (String.concat ", " (List.rev !missing));
@@ -152,7 +126,7 @@ let () =
   end;
   if !regressions <> [] then begin
     Printf.printf "\nFAIL: %d row(s) regressed (exact rows pinned at 0%%, others at %.0f%%)\n"
-      (List.length !regressions) !threshold;
+      (List.length !regressions) threshold;
     exit 1
   end;
-  Printf.printf "\nOK: no row regressed (exact rows pinned at 0%%, others at %.0f%%)\n" !threshold
+  Printf.printf "\nOK: no row regressed (exact rows pinned at 0%%, others at %.0f%%)\n" threshold

@@ -131,7 +131,7 @@ let run_bank transfers crash_coordinator seed =
           done;
           Runtime.sleep ctx (Clock.s 10);
           Printf.printf "transfers ok/other: %d/%d\n%!" !ok !failed;
-          (match Dcp_bank.Audit.total_balance ctx ~branches:[ b0; b1 ] () with
+          (match Dcp_bank.Audit.total_balance ctx ~branches:[ b0; b1 ] with
           | Ok total -> Printf.printf "audit total: %d (expected 8000)\n%!" total
           | Error reason -> Printf.printf "audit failed: %s\n%!" reason);
           Printf.printf "incomplete sagas: %d\n%!"

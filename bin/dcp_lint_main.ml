@@ -6,9 +6,10 @@
      dcp_lint.exe --explain RULE
 
    Runs both analysis tiers: the per-file scan (isolation, layer DAG,
-   transmittability, determinism, hygiene) and the whole-program proto
-   tier (message-flow graph, dead letters, reply obligations,
-   interprocedural escapes).
+   transmittability, determinism, hygiene) over --dirs, and the
+   whole-program proto tier (message-flow graph, dead letters, reply
+   obligations, interprocedural escapes, unused exports) over the whole
+   tree.
 
    Exit 0 when every finding is baselined and no baseline entry is stale,
    1 when active findings or stale baseline entries remain, 2 on usage or
@@ -113,7 +114,7 @@ let () =
   let outcome, proto =
     try
       ( Driver.run ~dirs:!dirs ~root:!root ~baseline_path (),
-        Proto_driver.run ~dirs:!dirs ~root:!root ~baseline_path:proto_baseline_path () )
+        Proto_driver.run ~root:!root ~baseline_path:proto_baseline_path () )
     with exn ->
       Printf.eprintf "dcp_lint: %s\n" (Printexc.to_string exn);
       exit 2

@@ -14,7 +14,6 @@ type params = {
   service_time : Clock.time;
   clerks_per_region : int;
   clerk : Workload.config;
-  local_fraction : float;
   inter_node : Link.t;
   centralized : bool;
   processors_per_node : int;
@@ -33,7 +32,6 @@ let default_params =
     service_time = Clock.ms 1;
     clerks_per_region = 2;
     clerk = { Workload.default_config with flights = 16; transactions = 0 };
-    local_fraction = 0.8;
     inter_node = Link.wan;
     centralized = false;
     processors_per_node = 8;
@@ -86,12 +84,14 @@ let build p =
       region_ids
   in
   (* One clerk definition per region, biased towards that region's
-     flights: flight f belongs to region f mod regions. *)
+     flights: flight f belongs to region f mod regions, and 80% of a
+     clerk's requests concern its own region — the locality the Figure 2
+     layout exploits. *)
   List.iteri
     (fun r _ ->
       let total = p.regions * p.flights_per_region in
       let pick rng =
-        if Dcp_rng.Rng.bernoulli rng p.local_fraction then
+        if Dcp_rng.Rng.bernoulli rng 0.8 then
           r + (p.regions * Dcp_rng.Rng.int rng p.flights_per_region)
         else Dcp_rng.Rng.int rng total
       in

@@ -22,9 +22,6 @@ type params = {
   service_time : Clock.time;
   clerks_per_region : int;
   clerk : Workload.config;
-  local_fraction : float;
-      (** probability a clerk's request concerns a flight of its own
-          region — the locality the Figure 2 layout exploits *)
   inter_node : Dcp_net.Link.t;  (** link between airline nodes *)
   centralized : bool;
   processors_per_node : int;  (** CPUs per node ({!Dcp_core.Runtime.compute}) *)

@@ -43,22 +43,6 @@ val def : Dcp_core.Runtime.def
     [\[Int flight_no; Int capacity; Int waitlist_capacity; Str organization;
     Int service_time_ns; Str accounting\]]. *)
 
-val args :
-  flight:Types.flight_no ->
-  capacity:int ->
-  ?waitlist_capacity:int ->
-  ?organization:Types.organization ->
-  ?service_time:Dcp_sim.Clock.time ->
-  ?accounting:Types.accounting ->
-  ?partner_floor:int ->
-  unit ->
-  Value.t list
-(** Build the creation argument list (defaults: waitlist 10, monitor
-    organization, 1 ms service time, idempotent accounting, no partner
-    floor).  [partner_floor] is §2.3's other-airline policy: passengers
-    named ["partner:..."] may not take the last [partner_floor] seats of a
-    date, nor its waitlist. *)
-
 val create_with_admin :
   Dcp_core.Runtime.world ->
   at:Dcp_core.Runtime.node_id ->
@@ -73,7 +57,9 @@ val create_with_admin :
   Port_name.t * Port_name.t
 (** Like {!create} but also returns the privately held admin port
     (stats / list / archive).  Whoever is given this name holds the
-    administrative capability. *)
+    administrative capability.  [partner_floor] (default none) is §2.3's
+    other-airline policy: passengers named ["partner:..."] may not take the
+    last [partner_floor] seats of a date, nor its waitlist. *)
 
 val create :
   Dcp_core.Runtime.world ->
@@ -86,4 +72,6 @@ val create :
   ?accounting:Types.accounting ->
   unit ->
   Port_name.t
-(** Bootstrap helper: create the guardian and return its request port. *)
+(** Bootstrap helper: create the guardian and return its request port.
+    Defaults: waitlist 10, monitor organization, 1 ms service time,
+    idempotent accounting. *)

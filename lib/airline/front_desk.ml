@@ -151,15 +151,16 @@ let def : Runtime.def =
               serve ctx (parse_args (Value.get_list (Codec.decode_exn encoded))));
   }
 
-let args ~regionals ?(request_timeout = Clock.ms 500) ?(idle_timeout = Clock.s 60) () =
-  [
-    Value.list (List.map Value.port regionals);
-    Value.int request_timeout;
-    Value.int idle_timeout;
-  ]
-
-let create world ~at ~regionals ?request_timeout ?idle_timeout () =
+(* The third arg is the idle timeout that ends an abandoned transaction;
+   [parse_args] reads it back from the stored creation record. *)
+let create world ~at ~regionals ?(request_timeout = Clock.ms 500) () =
   if Runtime.find_def world def_name = None then Runtime.register_def world def;
-  let args = args ~regionals ?request_timeout ?idle_timeout () in
+  let args =
+    [
+      Value.list (List.map Value.port regionals);
+      Value.int request_timeout;
+      Value.int (Clock.s 60);
+    ]
+  in
   let g = Runtime.create_guardian world ~at ~def_name ~args in
   List.hd (Runtime.guardian_ports g)

@@ -28,25 +28,14 @@
 
 open Dcp_wire
 
-val def_name : string
-val def : Dcp_core.Runtime.def
-
-val args :
-  regionals:Port_name.t list ->
-  ?request_timeout:Dcp_sim.Clock.time ->
-  ?idle_timeout:Dcp_sim.Clock.time ->
-  unit ->
-  Value.t list
-(** [regionals] is the front desk's routing directory: flight [f] belongs
-    to region [f mod List.length regionals].  [request_timeout] bounds each
-    regional RPC (Figure 5's expression [e]); [idle_timeout] ends abandoned
-    transactions. *)
-
 val create :
   Dcp_core.Runtime.world ->
   at:Dcp_core.Runtime.node_id ->
   regionals:Port_name.t list ->
   ?request_timeout:Dcp_sim.Clock.time ->
-  ?idle_timeout:Dcp_sim.Clock.time ->
   unit ->
   Port_name.t
+(** [regionals] is the front desk's routing directory: flight [f] belongs
+    to region [f mod List.length regionals].  [request_timeout] (default
+    500 ms) bounds each regional RPC (Figure 5's expression [e]); a
+    transaction idle for 60 s is abandoned. *)

@@ -12,19 +12,7 @@
 
 open Dcp_wire
 
-val def_name : string
-val def : Dcp_core.Runtime.def
-
 type flight_config = { flight : Types.flight_no; capacity : int }
-
-val args :
-  flights:flight_config list ->
-  ?waitlist_capacity:int ->
-  ?organization:Types.organization ->
-  ?service_time:Dcp_sim.Clock.time ->
-  ?accounting:Types.accounting ->
-  unit ->
-  Value.t list
 
 val create :
   Dcp_core.Runtime.world ->

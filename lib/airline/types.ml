@@ -15,27 +15,10 @@ let reserve_reply_command = function
   | Pre_reserved -> "pre_reserved"
   | No_such_flight -> "no_such_flight"
 
-let reserve_reply_of_command = function
-  | "ok" -> Some Ok_reserved
-  | "full" -> Some Full
-  | "wait_list" -> Some Wait_listed
-  | "pre_reserved" -> Some Pre_reserved
-  | "no_such_flight" -> Some No_such_flight
-  | _ -> None
-
 let cancel_reply_command = function
   | Canceled -> "canceled"
   | Not_reserved -> "not_reserved"
   | Cancel_no_such_flight -> "no_such_flight"
-
-let cancel_reply_of_command = function
-  | "canceled" -> Some Canceled
-  | "not_reserved" -> Some Not_reserved
-  | "no_such_flight" -> Some Cancel_no_such_flight
-  | _ -> None
-
-let pp_reserve_reply fmt r = Format.pp_print_string fmt (reserve_reply_command r)
-let pp_cancel_reply fmt r = Format.pp_print_string fmt (cancel_reply_command r)
 
 let reserve_replies =
   [

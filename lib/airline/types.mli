@@ -18,12 +18,7 @@ type reserve_reply = Ok_reserved | Full | Wait_listed | Pre_reserved | No_such_f
 type cancel_reply = Canceled | Not_reserved | Cancel_no_such_flight
 
 val reserve_reply_command : reserve_reply -> string
-val reserve_reply_of_command : string -> reserve_reply option
 val cancel_reply_command : cancel_reply -> string
-val cancel_reply_of_command : string -> cancel_reply option
-
-val pp_reserve_reply : Format.formatter -> reserve_reply -> unit
-val pp_cancel_reply : Format.formatter -> cancel_reply -> unit
 
 (** {1 Port types} *)
 

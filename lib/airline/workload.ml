@@ -15,7 +15,6 @@ type config = {
   undo_fraction : float;
   request_timeout : Clock.time;
   attempts : int;
-  zipf_flights : bool;
   flight_picker : (Rng.t -> int) option;
 }
 
@@ -30,7 +29,6 @@ let default_config =
     undo_fraction = 0.05;
     request_timeout = Clock.ms 500;
     attempts = 3;
-    zipf_flights = false;
     flight_picker = None;
   }
 
@@ -49,9 +47,7 @@ let think ctx rng config =
 let pick_flight rng config =
   match config.flight_picker with
   | Some pick -> pick rng
-  | None ->
-      if config.zipf_flights then Rng.zipf rng ~n:config.flights ~s:1.1
-      else Rng.int rng config.flights
+  | None -> Rng.int rng config.flights
 
 (* One transaction session; returns [true] if it ran to a clean finish. *)
 let run_session ctx world rng config ~front_desk ~passenger =

@@ -25,7 +25,6 @@ type config = {
   undo_fraction : float;  (** probability of an undo after a request *)
   request_timeout : Clock.time;
   attempts : int;  (** tries per request (1 = no retry) *)
-  zipf_flights : bool;  (** skewed flight popularity instead of uniform *)
   flight_picker : (Dcp_rng.Rng.t -> int) option;
       (** overrides flight choice entirely — used to give clerks an
           affinity for their own region's flights (Figure 2's locality) *)

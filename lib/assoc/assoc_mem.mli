@@ -44,13 +44,10 @@ val tree_is_balanced : t -> bool
 
 (** {1 Transmission} *)
 
-val type_name : string
-val external_rep : Vtype.t
-(** A list of (key, item) tuples — the paper's "sequence of items with
-    associated keys". *)
-
 val transmit_hash : t Transmit.impl
-(** Node-A implementation: decodes into a hash table. *)
+(** Node-A implementation: decodes into a hash table.  Both
+    implementations share one external rep, a list of (key, item) tuples —
+    the paper's "sequence of items with associated keys". *)
 
 val transmit_tree : t Transmit.impl
 (** Node-B implementation: decodes into an AVL tree. *)

@@ -65,5 +65,3 @@ let transmit_polar : t Transmit.impl =
       let x, y = decode_parts v in
       Polar { modulus = Float.hypot x y; arg = Float.atan2 y x }
   end)
-
-let register registry = Transmit.register registry ~type_name ~external_rep

@@ -18,7 +18,6 @@ val polar : modulus:float -> arg:float -> t
 val re : t -> float
 val im : t -> float
 val modulus : t -> float
-val arg : t -> float
 val add : t -> t -> t
 (** Result uses the left operand's representation. *)
 
@@ -26,11 +25,6 @@ val mul : t -> t -> t
 val approx_equal : ?eps:float -> t -> t -> bool
 val is_cartesian : t -> bool
 
-val type_name : string
-val external_rep : Vtype.t
-
 val transmit_cartesian : t Transmit.impl
 val transmit_polar : t Transmit.impl
 (** Two node-local implementations sharing the cartesian external rep. *)
-
-val register : Transmit.registry -> unit

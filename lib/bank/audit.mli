@@ -6,21 +6,13 @@
     group guards a discernable resource". *)
 
 open Dcp_wire
-module Clock = Dcp_sim.Clock
+
+(** Both helpers make up to three attempts of 500 ms each per branch. *)
 
 val total_balance :
-  Dcp_core.Runtime.ctx ->
-  branches:Port_name.t list ->
-  ?timeout:Clock.time ->
-  unit ->
-  (int, string) result
+  Dcp_core.Runtime.ctx -> branches:Port_name.t list -> (int, string) result
 (** Sum of every branch's account balances, by querying each branch's
     [total()].  [Error] names the first unreachable branch. *)
 
 val balance_of :
-  Dcp_core.Runtime.ctx ->
-  branch:Port_name.t ->
-  account:string ->
-  ?timeout:Clock.time ->
-  unit ->
-  (int, string) result
+  Dcp_core.Runtime.ctx -> branch:Port_name.t -> account:string -> (int, string) result

@@ -17,10 +17,6 @@
 
 open Dcp_wire
 
-val def_name : string
-val port_type : Vtype.port_type
-val def : Dcp_core.Runtime.def
-
 val create :
   Dcp_core.Runtime.world ->
   at:Dcp_core.Runtime.node_id ->

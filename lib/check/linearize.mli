@@ -53,9 +53,6 @@ val check : ?max_states:int -> event list -> (unit, string) result
     world — the same accessor pattern as every other oracle.  Keys must not
     contain spaces, commas or ['=']. *)
 
-val history_prefix : string
-(** ["h:"] *)
-
 val record : Dcp_core.Runtime.ctx -> seq:int -> event -> unit
 
 val encode_event : event -> string

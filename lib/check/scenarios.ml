@@ -437,7 +437,6 @@ module Register = Dcp_primitives.Register
 module Snapshot = Dcp_primitives.Snapshot
 module Scd = Dcp_primitives.Scd
 
-let register_status_every = Clock.ms 100
 let register_op_timeout = Clock.ms 1500
 
 (* Spread [workload] operations over [clients] drivers. *)
@@ -617,8 +616,7 @@ let run_register ~stale_reads =
   run_scd_object ~members:5 ~keys:4 ~clients:4 ~write_pct:55 ~use_snapshots:false
     ~object_def:Register.def_name ~client_def:"scd_register_client"
     ~create_group:(fun world ~nodes ~introduce_at ->
-      Register.create_group world ~nodes ~status_every:register_status_every ~stale_reads
-        ~introduce_at ())
+      Register.create_group world ~nodes ~stale_reads ~introduce_at ())
 
 let register =
   {
@@ -649,7 +647,7 @@ let snapshot =
       run_scd_object ~members:4 ~keys:3 ~clients:3 ~write_pct:60 ~use_snapshots:true
         ~object_def:Snapshot.def_name ~client_def:"scd_snapshot_client"
         ~create_group:(fun world ~nodes ~introduce_at ->
-          Snapshot.create_group world ~nodes ~status_every:register_status_every ~introduce_at ());
+          Snapshot.create_group world ~nodes ~introduce_at ());
   }
 
 let all = [ bank; airline; itinerary; replica; register; snapshot ]

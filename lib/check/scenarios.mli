@@ -35,7 +35,6 @@ val itinerary : Scenario.t
 val replica : Scenario.t
 val register : Scenario.t
 val snapshot : Scenario.t
-val replica_1k : Scenario.t
 val bank_mutated : Scenario.t
 val register_mutated : Scenario.t
 

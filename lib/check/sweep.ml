@@ -14,11 +14,9 @@ type t = {
   wall_s : float;
 }
 
-let run ?horizon ?workload ?(shards = 1) ?(parallel = false) ?progress scenario
-    ~profiles ~seed_base ~seeds =
+let run ?horizon ?workload ?(shards = 1) ?(parallel = false) scenario ~profiles ~seed_base
+    ~seeds =
   let started = Unix.gettimeofday () in
-  let total = List.length profiles * seeds in
-  let done_ = ref 0 in
   let failures = ref [] in
   List.iter
     (fun profile ->
@@ -26,11 +24,9 @@ let run ?horizon ?workload ?(shards = 1) ?(parallel = false) ?progress scenario
         let outcome =
           Scenario.execute scenario ~seed ~profile ?horizon ?workload ~shards ~parallel ()
         in
-        (match Scenario.fail_reason outcome with
+        match Scenario.fail_reason outcome with
         | None -> ()
-        | Some reason -> failures := { profile = profile.Profile.name; seed; reason } :: !failures);
-        incr done_;
-        match progress with None -> () | Some f -> f ~done_:!done_ ~total
+        | Some reason -> failures := { profile = profile.Profile.name; seed; reason } :: !failures
       done)
     profiles;
   {
@@ -38,12 +34,10 @@ let run ?horizon ?workload ?(shards = 1) ?(parallel = false) ?progress scenario
     profiles = List.map (fun p -> p.Profile.name) profiles;
     seed_base;
     seeds;
-    runs = total;
+    runs = List.length profiles * seeds;
     failures = List.rev !failures;
     wall_s = Unix.gettimeofday () -. started;
   }
-
-let failing_seeds t = List.map (fun f -> (f.profile, f.seed)) t.failures
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%s: %d runs (%d seeds from %d x profiles %s): %d failure%s, %.2fs@]"

@@ -26,15 +26,11 @@ val run :
   ?workload:int ->
   ?shards:int ->
   ?parallel:bool ->
-  ?progress:(done_:int -> total:int -> unit) ->
   Scenario.t ->
   profiles:Profile.t list ->
   seed_base:int ->
   seeds:int ->
   t
-
-val failing_seeds : t -> (string * int) list
-(** The (profile, seed) pairs that failed, in run order. *)
 
 val pp : Format.formatter -> t -> unit
 

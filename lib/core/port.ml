@@ -18,9 +18,7 @@ let create ~name ~ptype ~capacity =
 
 let name t = t.pname
 let ptype t = t.ptype
-let capacity t = t.capacity
 let queued t = Queue.length t.queue
-let is_open t = t.is_open
 let waiter_count t = List.length t.waiters
 
 let rec pop_waiter t =

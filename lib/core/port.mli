@@ -20,9 +20,7 @@ val create : name:Port_name.t -> ptype:Vtype.port_type -> capacity:int -> t
 
 val name : t -> Port_name.t
 val ptype : t -> Vtype.port_type
-val capacity : t -> int
 val queued : t -> int
-val is_open : t -> bool
 
 val waiter_count : t -> int
 (** Processes currently registered as blocked receivers on this port.  A

@@ -19,14 +19,9 @@
 
 open Dcp_wire
 
-val port_type : Vtype.port_type
-
-val def : Runtime.def
-(** Register with {!Runtime.register_def} before calling {!install}. *)
-
 val install : Runtime.world -> unit
-(** Register [def] (if not yet registered) and create one primordial
-    guardian on every node that doesn't have one. *)
+(** Register the primordial definition (if not yet registered) and create
+    one primordial guardian on every node that doesn't have one. *)
 
 val port_of : Runtime.world -> Runtime.node_id -> Port_name.t
 (** The primordial port at a node. @raise Not_found if none. *)

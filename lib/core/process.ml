@@ -3,18 +3,12 @@ module Engine = Dcp_sim.Engine
 type state = Created | Running | Blocked | Finished | Dead
 
 type t = {
-  pid : int;
   name : string;
   mutable state : state;
   mutable failure : exn option;
 }
 
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-
-(* Pids are unique across the world but their allocation order carries no
-   meaning (they appear only in log lines and accessors, never in message
-   bytes), so a cross-domain counter is safe here. *)
-let next_pid = Dcp_sim.Exec.counter 0
 
 (* The current-process register is per-domain: each shard's engine resumes
    its own fibers, and shards must not observe each other's scheduler
@@ -24,7 +18,6 @@ let current : t option Dcp_sim.Exec.domain_local =
 
 let self () = Dcp_sim.Exec.local_get current
 
-let pid t = t.pid
 let name t = t.name
 let state t = t.state
 let alive t = match t.state with Created | Running | Blocked -> true | Finished | Dead -> false
@@ -41,7 +34,7 @@ let with_current p f =
   Fun.protect ~finally:(fun () -> Dcp_sim.Exec.local_set current previous) f
 
 let spawn engine ~name body =
-  let p = { pid = Dcp_sim.Exec.fetch_incr next_pid; name; state = Created; failure = None } in
+  let p = { name; state = Created; failure = None } in
   let handler : (unit, unit) Effect.Deep.handler =
     {
       retc = (fun () -> if p.state <> Dead then p.state <- Finished);
@@ -51,7 +44,7 @@ let spawn engine ~name body =
             p.state <- Finished;
             p.failure <- Some e;
             Logs.warn (fun m ->
-                m "process %s#%d died with exception %s" p.name p.pid (Printexc.to_string e))
+                m "process %s died with exception %s" p.name (Printexc.to_string e))
           end);
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -94,5 +87,3 @@ let suspend register = Effect.perform (Suspend register)
 
 let sleep engine d =
   suspend (fun resume -> ignore (Engine.schedule_after engine ~delay:d (fun () -> resume ())))
-
-let yield engine = sleep engine 0

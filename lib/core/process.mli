@@ -28,11 +28,8 @@ val spawn : Dcp_sim.Engine.t -> name:string -> (unit -> unit) -> t
 (** Create a process whose body starts at the current virtual time (as a
     separate engine event, so the spawner continues first). *)
 
-val pid : t -> int
 val name : t -> string
 val state : t -> state
-val alive : t -> bool
-(** [Created || Running || Blocked]. *)
 
 val kill : t -> unit
 (** Idempotent.  A killed process never runs again; its pending resume (if
@@ -51,9 +48,6 @@ val suspend : (('a -> unit) -> unit) -> 'a
 
 val sleep : Dcp_sim.Engine.t -> Dcp_sim.Clock.time -> unit
 (** Block for the given virtual duration. *)
-
-val yield : Dcp_sim.Engine.t -> unit
-(** Reschedule self at the current time, letting other ready events run. *)
 
 val self : unit -> t option
 (** The currently executing process, if any. *)

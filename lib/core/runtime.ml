@@ -15,9 +15,7 @@ type node_id = int
 type config = {
   codec : Codec.config;
   mtu : int;
-  local_delay : Clock.time;
   crash_tear_p : float;
-  default_port_capacity : int;
   processors_per_node : int;
   disk : Disk.spec option;
   checkpoint_every : int option;
@@ -27,13 +25,17 @@ let default_config =
   {
     codec = Codec.default_config;
     mtu = 1024;
-    local_delay = Clock.us 5;
     crash_tear_p = 0.3;
-    default_port_capacity = 64;
     processors_per_node = 8;
     disk = None;
     checkpoint_every = None;
   }
+
+(* Intra-node message latency, the capacity of a port minted without one,
+   and the barrier spacing for cross-shard exchange. *)
+let local_delay = Clock.us 5
+let default_port_capacity = 64
+let epoch = Clock.ms 1
 
 (* Metric handles resolved once at world creation so the per-message path
    (send -> route -> deliver) never does a string-keyed registry lookup. *)
@@ -87,7 +89,6 @@ type world = {
   config : config;
   registry : Transmit.registry;
   shard_count : int;
-  epoch : Clock.time;  (** cross-shard exchange window (barrier spacing) *)
   parallel : bool;  (** run epochs on [shard_count] domains *)
   shards : shard array;
   nodes : (node_id, node) Hashtbl.t;
@@ -161,9 +162,6 @@ let trace w = (shard0 w).strace
 let registry w = w.registry
 let world_rng w = (shard0 w).sworkload_rng
 
-let shard_count w = w.shard_count
-let epoch_length w = w.epoch
-
 let events_executed w =
   Array.fold_left (fun acc s -> acc + Engine.events_executed s.sengine) 0 w.shards
 
@@ -193,11 +191,6 @@ let network_stats w =
       bytes_sent = 0;
     }
     w.shards
-
-let node_shard w node_id =
-  match Hashtbl.find_opt w.nodes node_id with
-  | None -> invalid_arg "Runtime.node_shard: unknown node"
-  | Some node -> node.shard.shard_id
 
 let scount sh name = Metrics.incr (Metrics.counter sh.smetrics name)
 let stracef sh category fmt = Trace.recordf sh.strace ~at:(Engine.now sh.sengine) ~category fmt
@@ -249,7 +242,6 @@ let crash_count w node_id =
 
 let ctx_world c = c.cworld
 let ctx_guardian c = c.cguardian
-let ctx_node c = c.cguardian.home.node_id
 let ctx_shard c = c.cguardian.home.shard
 let ctx_now c = Engine.now (ctx_shard c).sengine
 let ctx_engine c = (ctx_shard c).sengine
@@ -343,7 +335,7 @@ and dispatch w ~from ~target body =
   if target.Port_name.node = from.node_id then begin
     Metrics.incr sh.shot.m_send_local;
     ignore
-      (Engine.schedule_after sh.sengine ~delay:w.config.local_delay (fun () ->
+      (Engine.schedule_after sh.sengine ~delay:local_delay (fun () ->
            deliver_body w sh target.Port_name.node body))
   end
   else begin
@@ -384,13 +376,9 @@ let install_forwarders w node =
             out := (Engine.now src_shard.sengine, node.node_id, body) :: !out))
     w.shards
 
-let default_epoch = Clock.ms 1
-
-let create_world ~seed ~topology ?(config = default_config) ?(shards = 1)
-    ?(epoch = default_epoch) ?(parallel = false) () =
+let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(parallel = false)
+    () =
   if shards < 1 then invalid_arg "Runtime.create_world: shards must be positive";
-  if Clock.compare epoch Clock.zero <= 0 then
-    invalid_arg "Runtime.create_world: epoch must be positive";
   let root = Rng.create ~seed in
   let hot_of metrics =
     {
@@ -444,7 +432,6 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1)
       config;
       registry = Transmit.registry ();
       shard_count = shards;
-      epoch;
       parallel;
       shards = make_shards 0 [];
       nodes = Hashtbl.create 16;
@@ -536,8 +523,8 @@ let any_pending w = Array.exists (fun s -> Engine.pending s.sengine > 0) w.shard
    to reach [t]. *)
 let next_barrier w t =
   let gap = Clock.diff t w.barrier in
-  let steps = Int.max 1 ((gap + w.epoch - 1) / w.epoch) in
-  Clock.add w.barrier (steps * w.epoch)
+  let steps = Int.max 1 ((gap + epoch - 1) / epoch) in
+  Clock.add w.barrier (steps * epoch)
 
 let run_for w d =
   if w.shard_count = 1 then Engine.run_for (shard0 w).sengine d
@@ -827,7 +814,7 @@ let port c index =
 let new_port c ?capacity ptype =
   let w = c.cworld in
   let g = c.cguardian in
-  let capacity = Option.value capacity ~default:w.config.default_port_capacity in
+  let capacity = Option.value capacity ~default:default_port_capacity in
   let index = g.next_port_index in
   g.next_port_index <- index + 1;
   let p = fresh_port w g.home ~gid:g.gid ~index ~ptype ~capacity in

@@ -61,9 +61,7 @@ type def = {
 type config = {
   codec : Codec.config;
   mtu : int;
-  local_delay : Clock.time;  (** intra-node message latency *)
   crash_tear_p : float;  (** probability a crash tears the last WAL record *)
-  default_port_capacity : int;
   processors_per_node : int;
       (** §1.1: "each node consists of one or more processors" — the units
           {!compute} contends for (default 8) *)
@@ -88,15 +86,15 @@ val create_world :
   topology:Dcp_net.Topology.t ->
   ?config:config ->
   ?shards:int ->
-  ?epoch:Clock.time ->
   ?parallel:bool ->
   unit ->
   world
-(** [shards] (default 1) partitions the world; [epoch] (default 1ms) is the
-    barrier spacing for cross-shard exchange; [parallel] (default false)
-    runs each epoch on [shards] domains.  The trace is identical for a
-    fixed (seed, shards) regardless of [parallel].
-    @raise Invalid_argument if [shards < 1] or [epoch <= 0]. *)
+(** [shards] (default 1) partitions the world; shards exchange cross-shard
+    messages at barriers 1 ms of virtual time apart (the epoch);
+    [parallel] (default false) runs each epoch on [shards] domains.  The
+    trace is identical for a fixed (seed, shards) regardless of
+    [parallel].  Messages between guardians on one node take 5 µs.
+    @raise Invalid_argument if [shards < 1]. *)
 
 val engine : world -> Dcp_sim.Engine.t
 (** Shard 0's engine.  With [shards = 1] (the default) this is the world's
@@ -127,12 +125,6 @@ val world_rng : world -> Dcp_rng.Rng.t
 (** A dedicated stream for workload generators, split from the world seed.
     In a sharded world this is shard 0's stream; in-model code should draw
     from {!ctx_rng} so each shard consumes its own stream. *)
-
-val shard_count : world -> int
-val epoch_length : world -> Clock.time
-val node_shard : world -> node_id -> int
-(** Which shard hosts a node: [i mod shards] for the topology's [i]-th
-    node. @raise Invalid_argument on unknown node. *)
 
 val events_executed : world -> int
 (** Total engine events executed, summed across shards. *)
@@ -202,7 +194,6 @@ val crash_count : world -> node_id -> int
 
 val ctx_world : ctx -> world
 val ctx_guardian : ctx -> guardian
-val ctx_node : ctx -> node_id
 val ctx_now : ctx -> Clock.time
 
 val ctx_metrics : ctx -> Dcp_sim.Metrics.registry
@@ -246,9 +237,10 @@ val port : ctx -> int -> Port.t
     @raise Invalid_argument. *)
 
 val new_port : ctx -> ?capacity:int -> Vtype.port_type -> Port.t
-(** Mint a fresh port at runtime — Figure 5's [s: replyport := new port].
-    Port indices are minted from a per-guardian monotonic counter, so a new
-    port never collides with a live port's index even after removals. *)
+(** Mint a fresh port at runtime — Figure 5's [s: replyport := new port],
+    buffering [capacity] messages (default 64).  Port indices are minted
+    from a per-guardian monotonic counter, so a new port never collides
+    with a live port's index even after removals. *)
 
 val remove_port : ctx -> Port.t -> unit
 (** Discard a runtime-minted port (a finished conversation): late messages

@@ -110,5 +110,3 @@ let end_request kl k =
 let with_key kl k f =
   start_request kl k;
   Fun.protect ~finally:(fun () -> end_request kl k) f
-
-let holders kl = List.length kl.held_keys

@@ -65,11 +65,9 @@ type 'k keyed_lock
 
 val keyed_lock : Dcp_sim.Engine.t -> 'k keyed_lock
 
-val start_request : 'k keyed_lock -> 'k -> unit
-(** Block until no other process holds [k]. *)
-
 val end_request : 'k keyed_lock -> 'k -> unit
 (** @raise Invalid_argument if [k] is not held. *)
 
 val with_key : 'k keyed_lock -> 'k -> (unit -> 'a) -> 'a
-val holders : 'k keyed_lock -> int
+(** Block until no other process holds [k], run the body holding it, and
+    release it however the body exits. *)

@@ -5,13 +5,12 @@ let list_dir path =
     Sys.readdir path |> Array.to_list |> List.sort String.compare
   else []
 
-let is_ml name = Filename.check_suffix name ".ml" && name.[0] <> '.'
-
 (* [dirs] entries are root-relative ("lib", "bin", "examples"); under "lib"
    every subdirectory is a library whose modules carry layer restrictions.
    Readdir order is unspecified, so everything is sorted: the scan order —
    and therefore the report — is deterministic. *)
-let ml_files ~root ~dirs =
+let files ~ext ~root ~dirs =
+  let is_src name = Filename.check_suffix name ext && name.[0] <> '.' in
   List.concat_map
     (fun dir ->
       let abs = Filename.concat root dir in
@@ -21,14 +20,17 @@ let ml_files ~root ~dirs =
             if sub.[0] = '.' || not (Sys.is_directory (Filename.concat abs sub)) then []
             else
               list_dir (Filename.concat abs sub)
-              |> List.filter is_ml
+              |> List.filter is_src
               |> List.map (fun name ->
                      { path = String.concat "/" [ dir; sub; name ]; lib_dir = Some sub }))
           (list_dir abs)
       else
-        list_dir abs |> List.filter is_ml
+        list_dir abs |> List.filter is_src
         |> List.map (fun name -> { path = String.concat "/" [ dir; name ]; lib_dir = None }))
     dirs
+
+let ml_files ~root ~dirs = files ~ext:".ml" ~root ~dirs
+let mli_files ~root = files ~ext:".mli" ~root ~dirs:[ "lib" ]
 
 (* Hygiene: every library module declares its interface.  Implementation
    files without an [.mli] leak representation types across guardian

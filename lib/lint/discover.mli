@@ -10,6 +10,9 @@ val ml_files : root:string -> dirs:string list -> src list
     scan (and the report) is deterministic.  Under ["lib"] each
     subdirectory is a library; other directories are flat. *)
 
+val mli_files : root:string -> src list
+(** Every library interface, [lib/<dir>/*.mli], sorted. *)
+
 val missing_mli : root:string -> src list -> Finding.t list
 (** [mli-missing] findings for library modules without an interface. *)
 

@@ -65,6 +65,7 @@ let rules =
     ("proto-unreachable-handler", Protocol);
     ("proto-reply-obligation", Protocol);
     ("proto-escape", Transmittability);
+    ("proto-unused-export", Hygiene);
   ]
 
 (* One paragraph per rule, printed by [dcp_lint --explain <rule>]. *)
@@ -155,6 +156,16 @@ let explanations =
        sees literal constructors in the argument expression; this one uses \
        function summaries, so laundering the allocation through a helper no \
        longer hides it." );
+    ( "proto-unused-export",
+      "A val in a lib/ interface that no other unit in lib/, bin/, bench/, \
+       examples/ or test/ names.  A guardian shows the world only its ports \
+       (paper §2, §3.2); a module's interface should likewise list only what \
+       some other unit uses, so delete the val or drop it from the .mli.  Uses \
+       match on (module, name) after resolving module aliases; opens and \
+       includes count for every name the unit mentions, and functor arguments \
+       and first-class modules for every val, so the rule errs towards \
+       silence.  A val used only from test/ is not reported; the report's \
+       exports block counts it as test_only." );
   ]
 
 let explain rule = List.assoc_opt rule explanations

@@ -14,12 +14,6 @@ type lib = {
   rank : int;  (** canonical layer, [-1] when unknown *)
 }
 
-val ranks : (string * int) list
-(** Canonical layer of every known [lib/] directory. *)
-
-val guardians : string list
-(** The guardian application libraries: isolated from one another. *)
-
 val is_guardian : string -> bool
 
 val rank_of_dir : string -> int option

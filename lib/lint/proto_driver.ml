@@ -1,11 +1,18 @@
 (* Orchestrates the proto tier: extract -> summaries -> sends -> flow /
-   reply checks -> baseline -> report.  [analyze] is pure over in-memory
-   (path, source) pairs so tests can drive it on fixtures without a
-   directory tree; [run] wires it to [Discover] like the per-file tier. *)
+   reply checks -> exports -> baseline -> report.  [analyze] is pure over
+   in-memory (path, source) pairs so tests can drive it on fixtures without
+   a directory tree; [run] wires it to [Discover] like the per-file tier. *)
 
 (* Rules reported but not build-failing: the proto baseline still
    grandfathers them, and unbaselined ones surface as warnings. *)
 let warning_rules = [ "proto-unreachable-handler" ]
+
+(* Read only as sources of uses for the unused-export rule; every other
+   rule keeps to [Driver.default_dirs]. *)
+let use_only_dirs = [ "bench"; "bench/e2e"; "test" ]
+
+let use_only path =
+  List.exists (fun d -> String.starts_with ~prefix:(d ^ "/") path) use_only_dirs
 
 type outcome = {
   findings : Finding.t list;
@@ -21,7 +28,11 @@ type outcome = {
 let is_warning f = List.exists (String.equal f.Finding.rule) warning_rules
 
 let analyze ~root ~units:pairs ~baseline =
-  let units = List.map (fun (path, source) -> Proto_extract.load ~path ~source) pairs in
+  let interfaces, pairs =
+    List.partition (fun (path, _) -> Filename.check_suffix path ".mli") pairs
+  in
+  let loaded = List.map (fun (path, source) -> Proto_extract.load ~path ~source) pairs in
+  let units = List.filter (fun u -> not (use_only u.Proto_extract.u_path)) loaded in
   let env = Proto_summary.build units in
   let resolved = List.map (fun u -> (u, Proto_summary.collect_sends env u)) units in
   let per_unit =
@@ -31,12 +42,13 @@ let analyze ~root ~units:pairs ~baseline =
   let handled = Proto_flow.handled_names units in
   let sent = Proto_flow.sent_names per_unit in
   let obligated = Proto_reply.obligated_names units in
+  let unused_exports, exports = Proto_exports.check ~interfaces ~units:loaded in
   let findings =
     List.sort Finding.order
       (Proto_flow.dead_letters ~handled per_unit
       @ Proto_flow.unreachable ~sent units
       @ List.concat_map (Proto_reply.check env ~obligated) units
-      @ escapes)
+      @ escapes @ unused_exports)
   in
   Baseline.apply baseline findings;
   let stale_baseline = Baseline.stale baseline in
@@ -46,7 +58,8 @@ let analyze ~root ~units:pairs ~baseline =
   let edges = Proto_flow.edges units per_unit in
   let call_graph = Proto_summary.call_edges env in
   let report =
-    Proto_report.build ~root ~units:per_unit ~flow:edges ~call_graph ~findings ~stale_baseline
+    Proto_report.build ~root ~units:per_unit ~flow:edges ~call_graph ~exports ~findings
+      ~stale_baseline
   in
   {
     findings;
@@ -59,8 +72,11 @@ let analyze ~root ~units:pairs ~baseline =
     dot = Proto_flow.dot edges;
   }
 
-let run ?(dirs = Driver.default_dirs) ~root ~baseline_path () =
-  let srcs = Discover.ml_files ~root ~dirs in
+let run ~root ~baseline_path () =
+  let srcs =
+    Discover.ml_files ~root ~dirs:(Driver.default_dirs @ use_only_dirs)
+    @ Discover.mli_files ~root
+  in
   let pairs =
     List.map
       (fun s ->

@@ -1,9 +1,5 @@
 (** Orchestration of the whole-program proto tier. *)
 
-val warning_rules : string list
-(** Rules that report but do not fail the build (currently
-    [proto-unreachable-handler]). *)
-
 type outcome = {
   findings : Finding.t list;  (** all, sorted, baseline-marked *)
   active : Finding.t list;  (** unbaselined, error tier *)
@@ -18,10 +14,13 @@ type outcome = {
 val analyze :
   root:string -> units:(string * string) list -> baseline:Baseline.t -> outcome
 (** Pure entry point over in-memory [(path, source)] pairs — the fixture
-    tests drive this directly. *)
+    tests drive this directly.  [.mli] pairs are the interfaces the
+    unused-export rule checks; [.ml] pairs under [bench/] and [test/] are
+    read only as its sources of uses. *)
 
-val run : ?dirs:string list -> root:string -> baseline_path:string -> unit -> outcome
-(** Discover sources under [dirs] (default {!Driver.default_dirs}) and
-    analyze them against the proto baseline file. *)
+val run : root:string -> baseline_path:string -> unit -> outcome
+(** Discover the whole program — every [.ml] under {!Driver.default_dirs},
+    [bench/], [bench/e2e/] and [test/], and every [.mli] under [lib/] — and
+    analyze it against the proto baseline file. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

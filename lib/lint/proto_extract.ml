@@ -23,8 +23,6 @@ let known l = Known (SSet.of_list l)
 let nunion a b =
   match (a, b) with Dynamic, _ | _, Dynamic -> Dynamic | Known a, Known b -> Known (SSet.union a b)
 
-let nmem name = function Known s -> SSet.mem name s | Dynamic -> false
-
 (* ---- longident / callee helpers ---- *)
 
 let last2 comps =

@@ -13,13 +13,10 @@ type names = Known of SSet.t | Dynamic
 
 val known : string list -> names
 val nunion : names -> names -> names
-val nmem : string -> names -> bool
 
 (** {1 Syntax helpers shared by the later passes} *)
 
-val last2 : string list -> string * string
 val lid_last : Longident.t -> string
-val callee_lid : Parsetree.expression -> Longident.t option
 val callee_pair : Parsetree.expression -> (string * string) option
 val pair_string : string * string -> string
 val line_of : Location.t -> int
@@ -30,7 +27,6 @@ val alternatives : Parsetree.pattern -> Parsetree.pattern list
 val pat_constants : Parsetree.pattern -> string list
 val binding_name : Parsetree.pattern -> string option
 val sub_at : Parsetree.pattern -> idx:int -> ncomps:int -> Parsetree.pattern option
-val is_command_expr : Parsetree.expression -> bool
 val is_reply_source : vars:SSet.t -> Parsetree.expression -> bool
 
 val match_positions :
@@ -86,5 +82,4 @@ type unit_info = {
 }
 
 val module_of_path : string -> string
-val id_of_path : string -> string
 val load : path:string -> source:string -> unit_info

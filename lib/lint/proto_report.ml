@@ -97,9 +97,23 @@ let of_call_graph edges =
        groups)
 
 let proto_rules =
-  [ "proto-dead-letter"; "proto-unreachable-handler"; "proto-reply-obligation"; "proto-escape" ]
+  [
+    "proto-dead-letter";
+    "proto-unreachable-handler";
+    "proto-reply-obligation";
+    "proto-escape";
+    "proto-unused-export";
+  ]
 
-let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline =
+let of_exports ({ declared; unused; test_only } : Proto_exports.counts) =
+  Obj
+    [
+      ("declared", Num (float_of_int declared));
+      ("unused", Num (float_of_int unused));
+      ("test_only", Num (float_of_int test_only));
+    ]
+
+let build ~root ~units ~flow ~call_graph ~exports ~findings ~stale_baseline =
   let rules =
     List.filter (fun (rule, _) -> List.exists (String.equal rule) proto_rules) Finding.rules
   in
@@ -111,6 +125,7 @@ let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline =
       ("units", Arr (List.map of_unit units));
       ("flow", Arr (List.map of_edge flow));
       ("call_graph", of_call_graph call_graph);
+      ("exports", of_exports exports);
       ("findings", Arr (List.map Report.of_finding findings));
       ("stale_baseline", Arr (List.map (fun k -> Str k) stale_baseline));
       ( "summary",

@@ -9,6 +9,7 @@ val build :
   units:Proto_flow.unit_sends list ->
   flow:Proto_flow.edge list ->
   call_graph:(string option * string * string) list ->
+  exports:Proto_exports.counts ->
   findings:Finding.t list ->
   stale_baseline:string list ->
   Dcp_json.Json.t

@@ -33,13 +33,9 @@ type env = {
       (** fns that inspect [reply_to] and reach a transmission sink *)
 }
 
-val resolve : own:string -> string * string -> string
-(** Global summary key for a callee pair, defaulting to the current module. *)
-
 val build : unit_info list -> env
 (** Run all summary fixpoints over the program. *)
 
-val sink_slots : env -> string -> slot list
 val is_replier : env -> own:string -> string * string -> bool
 
 val call_edges : env -> (string option * string * string) list

@@ -87,4 +87,3 @@ let digest_sub b ~pos ~len =
   digest_raw (Bytes.unsafe_to_string b) pos len
 
 let digest_string s = digest_raw s 0 (String.length s)
-let digest_bytes b = digest_raw (Bytes.unsafe_to_string b) 0 (Bytes.length b)

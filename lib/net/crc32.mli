@@ -4,7 +4,6 @@
     detection" (§3.3): every packet carries a CRC over its payload, and a
     corrupted packet is recognised and discarded at the receiver. *)
 
-val digest_bytes : bytes -> int32
 val digest_string : string -> int32
 
 val digest_sub : bytes -> pos:int -> len:int -> int32

@@ -58,21 +58,19 @@ let serialization_time t ~size =
   | None -> 0
   | Some bytes_per_s -> Clock.of_float_s (float_of_int size /. float_of_int bytes_per_s)
 
-let sample_delay t ~serialize rng ~size =
+let sample_delay t rng ~size =
   let jitter =
     if t.jitter = 0 then 0
     else Clock.of_float_s (Rng.exponential rng ~mean:(Clock.to_float_s t.jitter))
   in
-  let serialization = if serialize then serialization_time t ~size else 0 in
-  Clock.add t.base_latency (Clock.add jitter serialization)
+  Clock.add t.base_latency (Clock.add jitter (serialization_time t ~size))
 
-let transmit t ?(include_serialization = true) rng ~size =
-  let serialize = include_serialization in
+let transmit t rng ~size =
   if Rng.bernoulli rng t.loss then Drop
-  else if Rng.bernoulli rng t.corrupt then Corrupt_deliver (sample_delay t ~serialize rng ~size)
+  else if Rng.bernoulli rng t.corrupt then Corrupt_deliver (sample_delay t rng ~size)
   else begin
-    let first = sample_delay t ~serialize rng ~size in
+    let first = sample_delay t rng ~size in
     if Rng.bernoulli rng t.duplicate then
-      Deliver [ first; sample_delay t ~serialize rng ~size ]
+      Deliver [ first; sample_delay t rng ~size ]
     else Deliver [ first ]
   end

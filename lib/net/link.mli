@@ -42,11 +42,7 @@ type verdict =
       (** Deliver after the delay, with a bit flipped in flight. *)
   | Drop
 
-val transmit : t -> ?include_serialization:bool -> Dcp_rng.Rng.t -> size:int -> verdict
-(** Sample the fate of one [size]-byte fragment.  With
-    [include_serialization:false] the delays cover propagation only; the
-    caller accounts for transmission time itself (used by the network's
-    queueing mode, where concurrent fragments share the link capacity). *)
-
-val serialization_time : t -> size:int -> Dcp_sim.Clock.time
-(** Time to clock [size] bytes onto the wire; 0 for infinite bandwidth. *)
+val transmit : t -> Dcp_rng.Rng.t -> size:int -> verdict
+(** Sample the fate of one [size]-byte fragment.  Each delay covers
+    propagation, jitter and the time to clock the fragment onto the
+    wire. *)

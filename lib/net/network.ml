@@ -44,9 +44,6 @@ type t = {
   rng : Rng.t;
   topology : Topology.t;
   mtu : int;
-  queueing : bool;
-  busy_until : (node_id * node_id, Dcp_sim.Clock.time) Hashtbl.t;
-      (** per directed link: when its transmitter frees up (queueing mode) *)
   handlers : (node_id, src:node_id -> string -> unit) Hashtbl.t;
   reassembly : (node_id, Packet.Reassembly.t) Hashtbl.t;
   mutable groups : node_id list list option;
@@ -54,15 +51,13 @@ type t = {
   mutable tallies : tallies;
 }
 
-let create ~engine ~rng ~topology ?(mtu = 1024) ?(queueing = false) () =
+let create ~engine ~rng ~topology ?(mtu = 1024) () =
   if mtu <= 0 then invalid_arg "Network.create: mtu must be positive";
   {
     engine;
     rng;
     topology;
     mtu;
-    queueing;
-    busy_until = Hashtbl.create 16;
     handlers = Hashtbl.create 16;
     reassembly = Hashtbl.create 16;
     groups = None;
@@ -70,7 +65,6 @@ let create ~engine ~rng ~topology ?(mtu = 1024) ?(queueing = false) () =
     tallies = fresh_tallies ();
   }
 
-let engine t = t.engine
 let topology t = t.topology
 let set_handler t node f = Hashtbl.replace t.handlers node f
 let clear_handler t node = Hashtbl.remove t.handlers node
@@ -129,42 +123,23 @@ let send t ~src ~dst body =
     t.next_msg_id <- t.next_msg_id + 1;
     let link = Topology.link t.topology ~src ~dst in
     let fragments = Packet.fragment ~src ~dst ~msg_id ~mtu:t.mtu body in
-    (* In queueing mode the link's transmitter is a FIFO resource: a
-       fragment's departure waits behind everything already clocked onto
-       this directed link. *)
-    let queueing_delay size =
-      if not (t.queueing && link.Link.bandwidth <> None) then 0
-      else begin
-        let key = (src, dst) in
-        let now = Engine.now t.engine in
-        let free_at = Option.value (Hashtbl.find_opt t.busy_until key) ~default:now in
-        let start = Int.max now free_at in
-        let depart = start + Link.serialization_time link ~size in
-        Hashtbl.replace t.busy_until key depart;
-        depart - now
-      end
-    in
-    let include_serialization = not (t.queueing && link.Link.bandwidth <> None) in
     let transmit_one frag =
       let size = Packet.wire_size frag in
       t.tallies.t_fragments_sent <- t.tallies.t_fragments_sent + 1;
       t.tallies.t_bytes_sent <- t.tallies.t_bytes_sent + size;
-      let extra = queueing_delay size in
-      match Link.transmit link ~include_serialization t.rng ~size with
+      match Link.transmit link t.rng ~size with
       | Link.Drop -> t.tallies.t_fragments_lost <- t.tallies.t_fragments_lost + 1
       | Link.Corrupt_deliver delay ->
           let damaged = Packet.corrupt t.rng frag in
           ignore
-            (Engine.schedule_after t.engine ~delay:(delay + extra) (fun () ->
-                 deliver_fragment t damaged))
+            (Engine.schedule_after t.engine ~delay (fun () -> deliver_fragment t damaged))
       | Link.Deliver delays ->
           if List.length delays > 1 then
             t.tallies.t_fragments_duplicated <- t.tallies.t_fragments_duplicated + 1;
           List.iter
             (fun delay ->
               ignore
-                (Engine.schedule_after t.engine ~delay:(delay + extra) (fun () ->
-                     deliver_fragment t frag)))
+                (Engine.schedule_after t.engine ~delay (fun () -> deliver_fragment t frag)))
             delays
     in
     List.iter transmit_one fragments

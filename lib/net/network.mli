@@ -32,16 +32,10 @@ val create :
   rng:Dcp_rng.Rng.t ->
   topology:Topology.t ->
   ?mtu:int ->
-  ?queueing:bool ->
   unit ->
   t
-(** Default MTU is 1024 payload bytes per fragment.  With [queueing:true]
-    (default false), bandwidth-limited links serve fragments FIFO: two
-    simultaneous transfers on one link share its capacity instead of each
-    seeing the full bandwidth — transmission delays then include queueing
-    behind earlier fragments. *)
+(** Default MTU is 1024 payload bytes per fragment. *)
 
-val engine : t -> Dcp_sim.Engine.t
 val topology : t -> Topology.t
 
 val set_handler : t -> node_id -> (src:node_id -> string -> unit) -> unit

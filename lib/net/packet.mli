@@ -17,11 +17,9 @@ type fragment = {
   crc : int32;  (** CRC-32 of [payload] *)
 }
 
-val header_overhead : int
-(** Bytes of header accounting added to each fragment when sizing
-    transmissions. *)
-
 val wire_size : fragment -> int
+(** Payload plus 24 bytes of header accounting, for sizing
+    transmissions. *)
 
 val fragment : src:int -> dst:int -> msg_id:int -> mtu:int -> string -> fragment list
 (** Split a message body into CRC-stamped fragments of at most [mtu] payload

@@ -33,9 +33,6 @@ val equal : t -> t -> bool
 val is_flat : t -> bool
 
 val type_name : string
-val external_rep : Vtype.t
-val transmit_flat : t Transmit.impl
-val transmit_lines : t Transmit.impl
 val register : Transmit.registry -> unit
 
 val to_value : t -> Value.t

@@ -5,7 +5,7 @@ module Clock = Dcp_sim.Clock
 type watcher = { mutable stopped : bool; mutable suspected : bool }
 
 let watch ctx ~peer ~notify ?(period = Clock.ms 500) ?(ping_timeout = Clock.ms 200)
-    ?(misses = 3) ?(command = "ping") () =
+    ?(misses = 3) () =
   if misses <= 0 then invalid_arg "Heartbeat.watch: misses must be positive";
   let w = { stopped = false; suspected = false } in
   ignore
@@ -16,7 +16,7 @@ let watch ctx ~peer ~notify ?(period = Clock.ms 500) ?(ping_timeout = Clock.ms 2
              (* A fresh RPC per ping; any reply — even failure(...) from the
                 peer's node — proves the node is alive and routing. *)
              let answered =
-               match Rpc.call ctx ~to_:peer ~timeout:ping_timeout command [] with
+               match Rpc.call ctx ~to_:peer ~timeout:ping_timeout "ping" [] with
                | Rpc.Reply _ -> true
                | Rpc.Failure_msg _ -> true
                | Rpc.Timeout -> false

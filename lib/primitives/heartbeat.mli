@@ -23,23 +23,6 @@ module Clock = Dcp_sim.Clock
 
 type watcher
 
-val watch :
-  Dcp_core.Runtime.ctx ->
-  peer:Port_name.t ->
-  notify:Port_name.t ->
-  ?period:Clock.time ->
-  ?ping_timeout:Clock.time ->
-  ?misses:int ->
-  ?command:string ->
-  unit ->
-  watcher
-(** Spawn a watcher process in this guardian.  Every [period] (default
-    500 ms) it sends [command] (default ["ping"], RPC convention) to
-    [peer] and waits up to [ping_timeout] (default 200 ms).  After
-    [misses] consecutive silent pings (default 3) it sends
-    [peer_down(misses)] to [notify]; on the first answer afterwards it
-    sends [peer_up()]. *)
-
 val stop : watcher -> unit
 (** The watcher process ends at its next tick. *)
 
@@ -55,4 +38,9 @@ val watch_node :
   ?misses:int ->
   unit ->
   watcher
-(** Watch a whole node through its primordial guardian's ping. *)
+(** Spawn a watcher process in this guardian for a whole node, through its
+    primordial guardian's [ping] (RPC convention).  Every [period] (default
+    500 ms) it pings and waits up to [ping_timeout] (default 200 ms).
+    After [misses] consecutive silent pings (default 3) it sends
+    [peer_down(misses)] to [notify]; on the first answer afterwards it
+    sends [peer_up()]. *)

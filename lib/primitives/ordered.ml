@@ -63,7 +63,6 @@ let rec recv r ?timeout () =
           in
           recv r ?timeout ())
 
-let received_count r = r.delivered
 
 (* ------------------------------------------------------------------ *)
 (* Sender                                                               *)

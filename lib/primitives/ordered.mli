@@ -36,8 +36,6 @@ val recv : receiver -> ?timeout:Clock.time -> unit -> Value.t option
     expires ([None]).  Every payload is delivered exactly once, in send
     order, whatever the link did. *)
 
-val received_count : receiver -> int
-
 (** {1 Sender} *)
 
 type sender

@@ -49,7 +49,6 @@ let entry_compare (k1, _) (k2, _) = String.compare k1 k2
 
 type window = { lo : string; hi : string option }
 
-let everything = { lo = ""; hi = None }
 
 let window_ok { lo; hi } =
   match hi with None -> true | Some hi -> String.compare lo hi < 0

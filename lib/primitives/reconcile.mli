@@ -49,7 +49,6 @@ val entry_compare : string * stamp -> string * stamp -> int
 
 type window = { lo : string; hi : string option }
 
-val everything : window
 val window_ok : window -> bool
 (** Reject adversarial windows with [hi <= lo]. *)
 

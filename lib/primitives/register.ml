@@ -333,9 +333,12 @@ let member_def ~def_name ~port_type : Runtime.def =
     recover = Some recover;
   }
 
-let create_members world ~def_name ~port_type ~args ~nodes ~introduce_at =
+let create_members world ~def_name ~port_type ~mode ~nodes ~introduce_at =
   if Runtime.find_def world def_name = None then
     Runtime.register_def world (member_def ~def_name ~port_type);
+  let args =
+    Value.int Scd.default_config.status_every :: Value.int Scd.default_config.resend_max :: mode
+  in
   let ports =
     List.map
       (fun at ->
@@ -346,11 +349,9 @@ let create_members world ~def_name ~port_type ~args ~nodes ~introduce_at =
   Scd.introduce world ~group:def_name ~at:introduce_at ~members:ports;
   ports
 
-let create_group world ~nodes ?(status_every = Clock.ms 100) ?(resend_max = 32)
-    ?(stale_reads = false) ~introduce_at () =
+let create_group world ~nodes ?(stale_reads = false) ~introduce_at () =
   if nodes = [] then invalid_arg "Register.create_group: need at least one node";
-  create_members world ~def_name ~port_type ~nodes ~introduce_at
-    ~args:[ Value.int status_every; Value.int resend_max; Value.bool stale_reads ]
+  create_members world ~def_name ~port_type ~nodes ~introduce_at ~mode:[ Value.bool stale_reads ]
 
 let write ctx ~register ~key ~value ~timeout =
   match

@@ -47,7 +47,6 @@ module Clock = Dcp_sim.Clock
 val def_name : string
 (** ["scd_register"] *)
 
-val port_type : Vtype.port_type
 val metric_malformed : string
 
 (** The members' durable LWW table: a volatile key → (value, ts) map
@@ -63,7 +62,7 @@ val create_members :
   Runtime.world ->
   def_name:string ->
   port_type:Vtype.port_type ->
-  args:Value.t list ->
+  mode:Value.t list ->
   nodes:Runtime.node_id list ->
   introduce_at:Runtime.node_id ->
   Port_name.t list
@@ -71,15 +70,14 @@ val create_members :
     {!Snapshot.create_group}: one member per node under [def_name] (its
     definition registered on first use) with [port_type] on its request
     port, introduced to each other by a bootstrap guardian at
-    [introduce_at].  [args] is [[status_every; resend_max]], followed for a
-    register by its [stale_reads] flag.  Returns the request ports in
+    [introduce_at].  Each member's args are {!Scd.default_config}'s
+    [[status_every; resend_max]], followed by [mode]: [[stale_reads]] for a
+    register, [[]] for a snapshot object.  Returns the request ports in
     [nodes] order. *)
 
 val create_group :
   Runtime.world ->
   nodes:Runtime.node_id list ->
-  ?status_every:Clock.time ->
-  ?resend_max:int ->
   ?stale_reads:bool ->
   introduce_at:Runtime.node_id ->
   unit ->

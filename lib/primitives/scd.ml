@@ -101,9 +101,6 @@ type t = {
 }
 
 let self t = t.self
-let member_count t = Array.length t.members
-let clock t = t.clock
-let frontier t = t.frontier
 let malformed t = Metrics.incr t.m.malformed
 
 (* ---- persistence ---- *)

@@ -45,6 +45,8 @@ type config = {
 }
 
 val default_config : config
+(** A status round every 100 ms, at most 32 own messages resent per
+    status. *)
 
 type msg_id = { origin : int; seq : int }
 (** Identity of a broadcast: the member index that minted it and its
@@ -89,13 +91,9 @@ val drain : t -> delivery list list
     sorted by {!ts}.  Sets are never re-delivered (the frontier is durable),
     so the caller must apply them to durable state before yielding. *)
 
-val tick : Runtime.ctx -> t -> unit
-(** Send one status round to every other member.  Usually driven by
-    {!spawn_ticker}; exposed for deterministic unit tests. *)
-
 val spawn_ticker : Runtime.ctx -> t -> unit
-(** Periodic {!tick} every [config.status_every], phase-staggered
-    deterministically from the world RNG split. *)
+(** Send a status round to every other member every [config.status_every],
+    phase-staggered deterministically from the world RNG split. *)
 
 val introduce :
   Runtime.world -> group:string -> at:Runtime.node_id -> members:Port_name.t list -> unit
@@ -123,14 +121,6 @@ val parse_members : Value.t list -> Port_name.t list option
 val self : t -> int
 (** This member's origin index. *)
 
-val member_count : t -> int
-val clock : t -> int
-val frontier : t -> int
-(** Largest clock delivered so far. *)
-
 val metric_msgs : string
-val metric_statuses : string
-val metric_resends : string
 val metric_malformed : string
 val metric_sets : string
-val metric_set_msgs : string

@@ -17,11 +17,9 @@ let port_type =
   ]
   @ Scd.signatures
 
-let create_group world ~nodes ?(status_every = Clock.ms 100) ?(resend_max = 32) ~introduce_at
-    () =
+let create_group world ~nodes ~introduce_at () =
   if nodes = [] then invalid_arg "Snapshot.create_group: need at least one node";
-  Register.create_members world ~def_name ~port_type ~nodes ~introduce_at
-    ~args:[ Value.int status_every; Value.int resend_max ]
+  Register.create_members world ~def_name ~port_type ~nodes ~introduce_at ~mode:[]
 
 let update ctx ~snapshot ~key ~value ~timeout =
   match

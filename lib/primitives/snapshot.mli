@@ -26,13 +26,9 @@ module Clock = Dcp_sim.Clock
 val def_name : string
 (** ["scd_snapshot"] *)
 
-val port_type : Vtype.port_type
-
 val create_group :
   Runtime.world ->
   nodes:Runtime.node_id list ->
-  ?status_every:Clock.time ->
-  ?resend_max:int ->
   introduce_at:Runtime.node_id ->
   unit ->
   Port_name.t list

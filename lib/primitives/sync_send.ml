@@ -4,7 +4,6 @@ module Message = Dcp_core.Message
 module Port = Dcp_core.Port
 module Clock = Dcp_sim.Clock
 
-let ack_reply = Vtype.reply "ack" []
 
 type outcome = Received | Failed of string | Timed_out
 

@@ -12,9 +12,6 @@
 open Dcp_wire
 module Clock = Dcp_sim.Clock
 
-val ack_reply : Vtype.reply
-(** The implicit [ack()] reply carried by synchronized sends. *)
-
 type outcome =
   | Received  (** the target process took the message *)
   | Failed of string  (** the system reported the message undeliverable *)

@@ -133,6 +133,11 @@ let announce_round ctx ~reply_port ~txid ~command ~ports ~timeout =
   in
   collect []
 
+(* How long phase 1 waits for every vote, and each announcement round for
+   its acks. *)
+let prepare_timeout = Clock.s 1
+let ack_timeout = Clock.ms 500
+
 (* Announce the decision until every participant acked or we run out of
    rounds; returns true when fully acknowledged. *)
 let announce_until_acked ctx ~reply_port ~txid ~command ~ports ~timeout ~rounds =
@@ -147,8 +152,7 @@ let announce_until_acked ctx ~reply_port ~txid ~command ~ports ~timeout ~rounds 
   in
   go rounds ports
 
-let coordinate ctx ~txid ~participants ?(prepare_timeout = Clock.s 1) ?(ack_timeout = Clock.ms 500)
-    () =
+let coordinate ctx ~txid ~participants =
   let store = Runtime.store ctx in
   let reply_port = Runtime.new_port ctx ~capacity:256 [ Vtype.wildcard ] in
   let ports = List.map fst participants in
@@ -217,7 +221,7 @@ let redeliver_decisions ctx =
     (fun (txid, decision, ports) ->
       let command = match decision with Committed -> "commit" | Aborted _ -> "abort" in
       let all_acked =
-        announce_until_acked ctx ~reply_port ~txid ~command ~ports ~timeout:(Clock.ms 500)
+        announce_until_acked ctx ~reply_port ~txid ~command ~ports ~timeout:ack_timeout
           ~rounds:5
       in
       if all_acked then

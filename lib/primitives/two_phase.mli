@@ -61,14 +61,13 @@ val coordinate :
   Dcp_core.Runtime.ctx ->
   txid:int ->
   participants:(Port_name.t * Value.t) list ->
-  ?prepare_timeout:Clock.time ->
-  ?ack_timeout:Clock.time ->
-  unit ->
   decision
 (** Run one two-phase commit among [participants], each receiving its own
-    payload in phase 1.  Blocks the calling process until the outcome is
-    decided *and* the decision has been logged; announcement acks are
-    awaited for [ack_timeout] but the decision stands regardless.  The
+    payload in phase 1; a participant that has not voted within 1 s aborts
+    the transaction.  Blocks the calling process until the outcome is
+    decided *and* the decision has been logged; each of up to three
+    announcement rounds awaits acks for 500 ms, but the decision stands
+    regardless.  The
     decision is recorded in this guardian's stable store under
     ["2pc:<txid>"] before it is announced, so a recovery process can finish
     announcing after a crash (see {!redeliver_decisions}). *)

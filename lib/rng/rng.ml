@@ -2,7 +2,6 @@ type t = Splitmix.t
 
 let create ~seed = Splitmix.of_int seed
 let split = Splitmix.split
-let copy = Splitmix.copy
 let bits64 = Splitmix.next
 
 let int t n =
@@ -27,8 +26,6 @@ let unit_float t =
   let v = Int64.shift_right_logical (Splitmix.next t) 11 in
   Int64.to_float v *. (1.0 /. 9007199254740992.0)
 
-let float t x = unit_float t *. x
-let bool t = Int64.logand (Splitmix.next t) 1L = 1L
 
 let bernoulli t p =
   if p <= 0.0 then false

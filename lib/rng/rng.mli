@@ -14,8 +14,6 @@ val create : seed:int -> t
 val split : t -> t
 (** [split t] is a new stream independent of [t]'s future output. *)
 
-val copy : t -> t
-
 (** {1 Basic draws} *)
 
 val bits64 : t -> int64
@@ -26,11 +24,6 @@ val int : t -> int -> int
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. Requires [lo <= hi]. *)
-
-val float : t -> float -> float
-(** [float t x] is uniform in [\[0, x)]. *)
-
-val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)

@@ -9,11 +9,8 @@
 
 type t
 
-val create : int64 -> t
-(** [create seed] is a fresh generator seeded with [seed]. *)
-
 val of_int : int -> t
-(** [of_int seed] is [create (Int64.of_int seed)]. *)
+(** [of_int seed] is a fresh generator seeded with [seed]. *)
 
 val copy : t -> t
 (** [copy t] is an independent generator with the same current state. *)

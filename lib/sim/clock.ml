@@ -1,7 +1,6 @@
 type time = int
 
 let zero = 0
-let ns t = t
 let us t = t * 1_000
 let ms t = t * 1_000_000
 let s t = t * 1_000_000_000

@@ -9,7 +9,6 @@ type time = int
 (** Nanoseconds since simulation start. *)
 
 val zero : time
-val ns : int -> time
 val us : int -> time
 val ms : int -> time
 val s : int -> time

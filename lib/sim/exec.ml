@@ -105,10 +105,3 @@ type 'a domain_local = 'a Domain.DLS.key
 let domain_local init = Domain.DLS.new_key init
 let local_get key = Domain.DLS.get key
 let local_set key v = Domain.DLS.set key v
-
-(* ---- shared counters ---- *)
-
-type counter = int Atomic.t
-
-let counter start = Atomic.make start
-let fetch_incr c = Atomic.fetch_and_add c 1

@@ -16,11 +16,8 @@
 
 type pool
 (** [shards - 1] worker domains plus the calling domain, which runs
-    shard 0. *)
-
-val pool : shards:int -> pool
-(** Spawn the worker domains.  [shards = 1] spawns nothing and {!round}
-    degenerates to a direct call. *)
+    shard 0.  [shards = 1] spawns nothing and {!round} degenerates to a
+    direct call. *)
 
 val round : pool -> (int -> unit) -> unit
 (** [round p work] runs [work i] for every shard [i] in [0, shards)] —
@@ -28,11 +25,9 @@ val round : pool -> (int -> unit) -> unit
     returns once all have finished.  [work] must touch only shard-[i]
     state. *)
 
-val shutdown : pool -> unit
-(** Park-free exit: wakes every worker and joins its domain.  Idempotent. *)
-
 val with_pool : shards:int -> (pool -> 'a) -> 'a
-(** Spawn, run, and always shut down (no leaked domains). *)
+(** Spawn the worker domains, run, and always wake and join every worker
+    (no leaked domains). *)
 
 (** {1 Domain-local state}
 
@@ -45,16 +40,3 @@ type 'a domain_local
 val domain_local : (unit -> 'a) -> 'a domain_local
 val local_get : 'a domain_local -> 'a
 val local_set : 'a domain_local -> 'a -> unit
-
-(** {1 Shared counters}
-
-    A monotonic counter safe to bump from any domain.  Use only for values
-    whose {e uniqueness} matters but whose order does not (process ids in
-    log lines); anything that feeds message bytes must come from per-shard
-    deterministic streams instead. *)
-
-type counter
-
-val counter : int -> counter
-val fetch_incr : counter -> int
-(** Returns the pre-increment value. *)

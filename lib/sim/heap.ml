@@ -110,12 +110,6 @@ let filter h keep =
     done
   end
 
-let clear h =
-  h.data <- [||];
-  h.size <- 0
-
-let to_list h = Array.to_list (Array.sub h.data 0 h.size)
-
 let of_list ~cmp l =
   let h = create ~cmp in
   List.iter (push h) l;

@@ -29,11 +29,6 @@ val filter : 'a t -> ('a -> bool) -> unit
 (** [filter h keep] drops every element for which [keep] is false, in
     O(length).  The pop order of the survivors is unchanged. *)
 
-val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** Elements in unspecified order (heap order, not sorted). *)
-
 val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 
 val check_invariant : 'a t -> bool

@@ -90,7 +90,6 @@ let samples h = h.n
 let mean h = if h.n = 0 then 0.0 else h.sum /. float_of_int h.n
 let hist_min h = if h.n = 0 then 0.0 else h.minimum
 let hist_max h = if h.n = 0 then 0.0 else h.maximum
-let hist_sum h = h.sum
 
 let bucket_midpoint h i =
   if i = 0 then 1.0

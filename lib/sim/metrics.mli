@@ -48,8 +48,6 @@ val quantile : histogram -> float -> float
 (** [quantile h q] for [q] in [0,1]; 0. when empty.  Approximate (bucket
     midpoint), with relative error bounded by the bucket width (~5%). *)
 
-val hist_sum : histogram -> float
-
 val merge : registry list -> registry
 (** Merge registries into a fresh snapshot: counters sum, gauges keep the
     maximum, histograms add bucket-wise.  Used by the sharded runtime to
@@ -59,7 +57,6 @@ val merge : registry list -> registry
 (** {1 Reporting} *)
 
 val counters : registry -> (string * int) list
-val gauges : registry -> (string * float) list
 val histograms : registry -> (string * histogram) list
 
 val pp_report : Format.formatter -> registry -> unit

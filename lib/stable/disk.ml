@@ -23,7 +23,6 @@ let pp ppf s =
 type t = { spec : spec; rng : Rng.t }
 
 let create spec rng = { spec; rng }
-let spec t = t.spec
 
 let draw_stall t =
   if t.spec.stall_p > 0. && Rng.bernoulli t.rng t.spec.stall_p then

@@ -60,7 +60,6 @@ type t
     {!Store.create} and lets the store build its injector. *)
 
 val create : spec -> Dcp_rng.Rng.t -> t
-val spec : t -> spec
 
 (** {1 Draws} — each consumes from the handle's private stream only, so
     attaching a disk never perturbs the world's other RNG streams. *)

@@ -277,7 +277,6 @@ and[@tail_mod_cons] decode_fields config r n =
 type encoder = { enc_config : config; scratch : Buffer.t }
 
 let encoder ?(config = default_config) () = { enc_config = config; scratch = Buffer.create 256 }
-let encoder_config enc = enc.enc_config
 
 let encode_with enc v =
   let buf = enc.scratch in

@@ -53,7 +53,6 @@ val decode : ?config:config -> string -> (Value.t, error) result
 type encoder
 
 val encoder : ?config:config -> unit -> encoder
-val encoder_config : encoder -> config
 
 val encode_with : encoder -> Value.t -> (string, error) result
 (** Same contract as {!encode} with the same [config].  Not reentrant:

@@ -22,12 +22,6 @@ let unseal ~secret ~owner t =
 
 let equal a b = a.owner = b.owner && Int64.equal a.body b.body && Int64.equal a.tag b.tag
 
-let compare a b =
-  let c = Int.compare a.owner b.owner in
-  if c <> 0 then c
-  else
-    let c = Int64.compare a.body b.body in
-    if c <> 0 then c else Int64.compare a.tag b.tag
 let pp fmt t = Format.fprintf fmt "token<g%d:%Lx>" t.owner t.tag
 let to_wire t = (t.owner, t.body, t.tag)
 let of_wire (owner, body, tag) = { owner; body; tag }

@@ -24,7 +24,6 @@ val unseal : secret:int64 -> owner:int -> t -> int option
     [owner]/[secret] or was tampered with. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 (** Wire representation (opaque to everyone but the owner). *)

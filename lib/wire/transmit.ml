@@ -55,7 +55,6 @@ let register reg ~type_name ~external_rep =
              "Transmit.register: %s already registered with external rep %s (got %s)" type_name
              (Vtype.to_string existing) (Vtype.to_string external_rep))
 
-let external_rep_of reg name = Hashtbl.find_opt reg name
 
 (* Left to right, stopping at the first error: the walk allocates nothing
    on a value that checks. *)

@@ -31,50 +31,6 @@ let rec equal a b =
       _ ) ->
       false
 
-(* Structural, typed comparison.  Constructor ranks follow declaration
-   order, so the total order agrees with what Stdlib.compare used to give
-   for values of distinct constructors. *)
-let rank = function
-  | Unit -> 0
-  | Bool _ -> 1
-  | Int _ -> 2
-  | Real _ -> 3
-  | Str _ -> 4
-  | Listv _ -> 5
-  | Tuple _ -> 6
-  | Record _ -> 7
-  | Option _ -> 8
-  | Portv _ -> 9
-  | Tokenv _ -> 10
-  | Named _ -> 11
-
-let rec cmp a b =
-  match (a, b) with
-  | Unit, Unit -> 0
-  | Bool x, Bool y -> Bool.compare x y
-  | Int x, Int y -> Int.compare x y
-  | Real x, Real y -> Float.compare x y
-  | Str x, Str y -> String.compare x y
-  | Listv x, Listv y | Tuple x, Tuple y -> List.compare cmp x y
-  | Record x, Record y ->
-      List.compare
-        (fun (n1, v1) (n2, v2) ->
-          let c = String.compare n1 n2 in
-          if c <> 0 then c else cmp v1 v2)
-        x y
-  | Option x, Option y -> Option.compare cmp x y
-  | Portv x, Portv y -> Port_name.compare x y
-  | Tokenv x, Tokenv y -> Token.compare x y
-  | Named (n1, v1), Named (n2, v2) ->
-      let c = String.compare n1 n2 in
-      if c <> 0 then c else cmp v1 v2
-  | ( ( Unit | Bool _ | Int _ | Real _ | Str _ | Listv _ | Tuple _ | Record _ | Option _
-      | Portv _ | Tokenv _ | Named _ ),
-      _ ) ->
-      Int.compare (rank a) (rank b)
-
-let compare = cmp
-
 let rec pp fmt = function
   | Unit -> Format.pp_print_string fmt "()"
   | Bool b -> Format.pp_print_bool fmt b
@@ -137,8 +93,6 @@ let get_int = function Int i -> i | v -> mismatch "int" v
 let get_real = function Real r -> r | v -> mismatch "real" v
 let get_str = function Str s -> s | v -> mismatch "string" v
 let get_list = function Listv l -> l | v -> mismatch "list" v
-let get_tuple = function Tuple l -> l | v -> mismatch "tuple" v
-let get_record = function Record fields -> fields | v -> mismatch "record" v
 let get_option = function Option o -> o | v -> mismatch "option" v
 let get_port = function Portv p -> p | v -> mismatch "port" v
 let get_token = function Tokenv tok -> tok | v -> mismatch "token" v

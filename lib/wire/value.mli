@@ -22,7 +22,6 @@ type t =
   | Named of string * t  (** external rep of abstract type [name] *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
@@ -54,8 +53,6 @@ val get_int : t -> int
 val get_real : t -> float
 val get_str : t -> string
 val get_list : t -> t list
-val get_tuple : t -> t list
-val get_record : t -> (string * t) list
 val get_option : t -> t option
 val get_port : t -> Port_name.t
 val get_token : t -> Token.t

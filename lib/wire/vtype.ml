@@ -106,12 +106,10 @@ let reply reply_command reply_args = { reply_command; reply_args }
 
 type port_type = signature list
 
+(* §3.4: "the message [failure (string)] is automatically and implicitly
+   associated with each port type". *)
 let failure_signature = signature "failure" [ Tstr ]
 let wildcard = signature "*" []
-
-let find_signature pt command =
-  if String.equal command failure_signature.command then Some failure_signature
-  else List.find_opt (fun s -> String.equal s.command command) pt
 
 (* A command may be overloaded (several signatures, e.g. the primordial
    guardian's plain and RPC-style pings): the message is accepted if any

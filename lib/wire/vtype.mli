@@ -23,7 +23,6 @@ type t =
       (** abstract transmittable type, identified by its registered name *)
   | Tany  (** matches any transmittable value; used by generic system ports *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool
 
@@ -57,15 +56,10 @@ val wildcard : signature
     layer's reply ports) whose vocabulary is not fixed at one declaration
     site. *)
 
-val find_signature : port_type -> string -> signature option
-
 val check_message : port_type -> command:string -> Value.t list -> (unit, string) result
 (** Check a (command, args) pair against a port type: the command must be
-    declared and every argument must match. *)
-
-val failure_signature : signature
-(** §3.4: "the message [failure (string)] is automatically and implicitly
-    associated with each port type". *)
+    declared and every argument must match.  §3.4's [failure (string)] is
+    declared implicitly on every port type. *)
 
 val pp_signature : Format.formatter -> signature -> unit
 val pp_port_type : Format.formatter -> port_type -> unit

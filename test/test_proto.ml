@@ -1,7 +1,8 @@
 (* The whole-program proto tier: each fixture trips exactly its rule, the
-   clean fixture is silent, the proto report round-trips through the JSON
-   reader, every committed JSON artifact parses with its schema id, and
-   the real tree is clean modulo the committed proto baseline. *)
+   clean fixture is silent, the unused-export rule sees every way a unit
+   can name a val, the proto report round-trips through the JSON reader,
+   every committed JSON artifact parses with its schema id, and the real
+   tree is clean modulo the committed proto baseline. *)
 
 module Finding = Dcp_lint.Finding
 module Baseline = Dcp_lint.Baseline
@@ -98,6 +99,72 @@ let test_report_roundtrip () =
       | _ -> Alcotest.fail "summary.active missing")
   | None -> Alcotest.fail "summary member missing"
 
+(* The unused-export rule over one in-memory interface and its users. *)
+let shapes_mli =
+  String.concat "\n"
+    [
+      "val area : int -> int";
+      "val perimeter : int -> int";
+      "val scale : int -> int";
+      "module Inner : sig";
+      "  val depth : int";
+      "end";
+      "val checked : int -> bool";
+      "val orphan : int";
+      "";
+    ]
+
+let shapes_ml =
+  "let area x = x * x\nlet perimeter x = 4 * x\nlet scale x = 2 * x\n\
+   module Inner = struct let depth = 1 end\nlet checked x = x > 0\nlet orphan = area 3\n"
+
+let exports_of users =
+  let o =
+    Proto_driver.analyze ~root:"."
+      ~units:([ ("lib/demo/shapes.mli", shapes_mli); ("lib/demo/shapes.ml", shapes_ml) ] @ users)
+      ~baseline:(Baseline.empty ())
+  in
+  let unused =
+    List.filter (fun f -> String.equal f.Finding.rule "proto-unused-export") o.Proto_driver.findings
+  in
+  let count field =
+    match Option.bind (Json.member "exports" o.Proto_driver.report) (Json.member field) with
+    | Some (Json.Num n) -> int_of_float n
+    | _ -> Alcotest.failf "exports.%s missing" field
+  in
+  (List.map (fun f -> f.Finding.token) unused, unused, count)
+
+let users =
+  [
+    ("lib/demo/qualified.ml", "let a = Shapes.area 2\nlet d = Shapes.Inner.depth\n");
+    ("bin/aliased.ml", "module S = Dcp_demo.Shapes\nlet p = S.perimeter 3\n");
+    ("examples/opened.ml", "open Dcp_demo.Shapes\nlet s = scale 4\n");
+    ("test/test_shapes.ml", "let c = Dcp_demo.Shapes.checked 1\n");
+  ]
+
+let test_export_uses () =
+  let tokens, _, _ = exports_of users in
+  Alcotest.(check (list string)) "qualified, aliased, opened and nested uses count" [ "orphan" ]
+    tokens
+
+let test_export_unused () =
+  let _, unused, count = exports_of users in
+  (match unused with
+  | [ f ] ->
+      Alcotest.(check (pair string int)) "reported at the .mli line" ("lib/demo/shapes.mli", 8)
+        (f.Finding.file, f.Finding.line)
+  | _ -> Alcotest.fail "expected exactly the orphan");
+  Alcotest.(check (pair int int)) "declared, unused" (6, 1) (count "declared", count "unused")
+
+let test_export_test_only () =
+  let tokens, _, count = exports_of users in
+  Alcotest.(check bool) "a val named only from test/ is not reported" false
+    (List.mem "checked" tokens);
+  Alcotest.(check int) "counted as test_only" 1 (count "test_only");
+  let tokens, _, _ = exports_of (List.filter (fun (p, _) -> p <> "test/test_shapes.ml") users) in
+  Alcotest.(check (list string)) "without its test user it is unused" [ "checked"; "orphan" ]
+    tokens
+
 (* Walk up from the build sandbox to the real checkout; the in-tree @lint
    alias enforces cleanliness anyway, so skip quietly when not found. *)
 let find_repo_root () =
@@ -167,6 +234,10 @@ let tests =
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Alcotest.test_case "proto report round-trip" `Quick test_report_roundtrip;
     Alcotest.test_case "tree clean modulo proto baseline" `Quick test_tree_clean;
+    Alcotest.test_case "unused export seen through paths aliases opens" `Quick
+      test_export_uses;
+    Alcotest.test_case "unused export reported at its mli line" `Quick test_export_unused;
+    Alcotest.test_case "unused export with test-only users" `Quick test_export_test_only;
   ]
   @ List.map
       (fun ((file, _) as artifact) ->
