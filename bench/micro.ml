@@ -257,8 +257,53 @@ let all_tests =
    Minor-heap words per call of the wire stages a message goes through.
    Unlike host time these are exact functions of the code and the
    compiler, the same on every run, so the bench gate pins them at 0%.  The
-   subject is fixed: the envelope of one 100-entry sync_digest, the
-   message anti-entropy sends most. *)
+   subjects are fixed: the envelope of one 100-entry sync_digest, the
+   message anti-entropy sends most, and one scd_status, the message
+   SCD-broadcast sends most (between every pair of members, ten times a
+   second), as member 2 of 5 sends it. *)
+
+let scd_status_args =
+  let marks base = Value.list (List.init 5 (fun j -> Value.int (base + j))) in
+  [ Value.int 2; Value.int 1234; marks 40; marks 30 ]
+
+(* Two guardians on a 2-node perfect-link world: the receiver loops on a
+   port typed like an SCD member's, the sender is idle.  The returned
+   function is one round trip: a remote send of scd_status from the
+   sender, run until the receiver has taken it off its port. *)
+let scd_status_round_trip () =
+  let module Scd = Dcp_primitives.Scd in
+  let world =
+    Runtime.create_world ~seed:1 ~topology:(Topology.full_mesh ~n:2 Dcp_net.Link.perfect) ()
+  in
+  let sender = ref None in
+  Runtime.register_def world
+    {
+      Runtime.def_name = "status_sender";
+      provides = [];
+      init = (fun ctx _ -> sender := Some ctx);
+      recover = None;
+    };
+  Runtime.register_def world
+    {
+      Runtime.def_name = "status_receiver";
+      provides = [ (Scd.signatures, 64) ];
+      init =
+        (fun ctx _ ->
+          let rec loop () =
+            ignore (Runtime.receive ctx [ Runtime.port ctx 0 ]);
+            loop ()
+          in
+          loop ());
+      recover = None;
+    };
+  let receiver = Runtime.create_guardian world ~at:1 ~def_name:"status_receiver" ~args:[] in
+  ignore (Runtime.create_guardian world ~at:0 ~def_name:"status_sender" ~args:[]);
+  Runtime.run world;
+  let ctx = Option.get !sender and to_ = List.hd (Runtime.guardian_ports receiver) in
+  fun () ->
+    Runtime.send ctx ~to_ "scd_status" scd_status_args;
+    Runtime.run world
+
 let alloc_rows () =
   let module Replica = Dcp_primitives.Replica in
   let module Reconcile = Dcp_primitives.Reconcile in
@@ -274,6 +319,16 @@ let alloc_rows () =
   in
   let encoded = Codec.encode_exn envelope in
   let encoder = Codec.encoder () in
+  let status = Message.make ~sent_at:(Clock.ms 250) "scd_status" scd_status_args in
+  let status_body = Codec.encode_exn (Message.envelope ~target:port status) in
+  let mtu = Runtime.default_config.Runtime.mtu in
+  let reassembly = Packet.Reassembly.create () in
+  let rec offer_intact = function
+    | [] -> ()
+    | f :: rest ->
+        if Packet.intact f then ignore (Packet.Reassembly.offer reassembly ~now:0 f);
+        offer_intact rest
+  in
   let calls = 1000 in
   (* One call first, so a scratch buffer that grows does so untimed. *)
   let words_per_call f =
@@ -294,6 +349,14 @@ let alloc_rows () =
       ( "alloc.vtype.check_message sync_digest",
         words_per_call (fun () ->
             Vtype.check_message Replica.port_type ~command:"sync_digest" args) );
+      ( "alloc.message.encode scd_status",
+        words_per_call (fun () -> Message.to_wire encoder ~target:port status) );
+      ( "alloc.message.decode scd_status",
+        words_per_call (fun () -> Message.of_wire ~config:Codec.default_config status_body) );
+      ( "alloc.packet.fragment+reassemble scd_status",
+        words_per_call (fun () ->
+            offer_intact (Packet.fragment ~src:0 ~dst:1 ~msg_id:0 ~mtu status_body)) );
+      ("alloc.round-trip scd_status", words_per_call (scd_status_round_trip ()));
     ]
   in
   List.map

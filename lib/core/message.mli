@@ -31,8 +31,23 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Wire envelope}
 
-    On the wire a message travels together with its target port name. *)
+    On the wire a message travels together with its target port name, as
+    the record [{target; command; args; reply; sent_at}]. *)
 
 val envelope : target:Port_name.t -> t -> Value.t
 
 val of_envelope : Value.t -> (Port_name.t * t, string) result
+
+val to_wire : Codec.encoder -> target:Port_name.t -> t -> (string, Codec.error) result
+(** The runtime's writer: the same bytes and the same first error as
+    [Codec.encode_with enc (envelope ~target t)], written in place, with
+    no envelope record built. *)
+
+val of_wire :
+  config:Codec.config -> string -> ((Port_name.t * t, string) result, Codec.error) result
+(** The runtime's reader: the same result as
+    [Result.map of_envelope (Codec.decode ~config body)].  A body in the
+    layout {!to_wire} writes is read in place, with the field names
+    matched byte by byte; any other body (another field count, name,
+    order or tag, a bound exceeded, trailing bytes) takes that general
+    path. *)

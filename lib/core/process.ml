@@ -31,7 +31,12 @@ let kill t = if alive t then t.state <- Dead
 let with_current p f =
   let previous = Dcp_sim.Exec.local_get current in
   Dcp_sim.Exec.local_set current (Some p);
-  Fun.protect ~finally:(fun () -> Dcp_sim.Exec.local_set current previous) f
+  match f () with
+  | () -> Dcp_sim.Exec.local_set current previous
+  | exception e ->
+      let trace = Printexc.get_raw_backtrace () in
+      Dcp_sim.Exec.local_set current previous;
+      Printexc.raise_with_backtrace e trace
 
 let spawn engine ~name body =
   let p = { name; state = Created; failure = None } in

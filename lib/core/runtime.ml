@@ -10,6 +10,10 @@ module Store = Dcp_stable.Store
 module Disk = Dcp_stable.Disk
 module Rng = Dcp_rng.Rng
 
+(* The int-keyed delivery tables.  [Int.hash] is the generic hash on an
+   int, so buckets, and any iteration order, are those of [Hashtbl]. *)
+module Int_tbl = Hashtbl.Make (Int)
+
 type node_id = int
 
 type config = {
@@ -91,7 +95,7 @@ type world = {
   shard_count : int;
   parallel : bool;  (** run epochs on [shard_count] domains *)
   shards : shard array;
-  nodes : (node_id, node) Hashtbl.t;
+  nodes : node Int_tbl.t;
   defs : (string, def) Hashtbl.t;
   mutable barrier : Clock.time;  (** last epoch boundary; shard clocks agree here *)
 }
@@ -120,7 +124,7 @@ and node = {
   shard : shard;
   mutable up : bool;
   mutable guardians : guardian list;  (** newest first *)
-  gindex : (int, guardian) Hashtbl.t;  (** gid -> guardian, for delivery *)
+  gindex : guardian Int_tbl.t;  (** gid -> guardian, for delivery *)
   mutable crash_count : int;
   mutable cpus : Sync.semaphore;  (** the node's processors (§1.1) *)
 }
@@ -134,7 +138,7 @@ and guardian = {
   gstore : Store.t;
   mutable galive : bool;
   mutable gports : Port.t list;  (** creation order *)
-  gport_index : (int, Port.t) Hashtbl.t;  (** port uid -> port, for delivery *)
+  gport_index : Port.t Int_tbl.t;  (** port uid -> port, for delivery *)
   mutable next_port_index : int;
       (** monotonic: indices are never reused, even after {!remove_port} *)
   mutable gprocs : Process.t list;
@@ -179,6 +183,7 @@ let network_stats w =
           acc.Network.fragments_duplicated + st.Network.fragments_duplicated;
         partition_drops = acc.Network.partition_drops + st.Network.partition_drops;
         bytes_sent = acc.Network.bytes_sent + st.Network.bytes_sent;
+        partials_expired = acc.Network.partials_expired + st.Network.partials_expired;
       })
     {
       Network.messages_sent = 0;
@@ -189,6 +194,7 @@ let network_stats w =
       fragments_duplicated = 0;
       partition_drops = 0;
       bytes_sent = 0;
+      partials_expired = 0;
     }
     w.shards
 
@@ -208,7 +214,7 @@ let guardian_node g = g.home.node_id
 let guardian_alive g = g.galive
 let guardian_ports g = List.map Port.name g.gports
 let guardians_at w node_id =
-  match Hashtbl.find_opt w.nodes node_id with
+  match Int_tbl.find_opt w.nodes node_id with
   | None -> []
   | Some node -> List.rev node.guardians
 
@@ -231,14 +237,14 @@ let find_guardians w ~def_name =
 
 (* World-level view in creation (gid) order, like [find_guardians]. *)
 let all_guardians w =
-  Hashtbl.fold (fun _ node acc -> List.rev_append node.guardians acc) w.nodes []
+  Int_tbl.fold (fun _ node acc -> List.rev_append node.guardians acc) w.nodes []
   |> List.sort (fun a b -> Int.compare a.gid b.gid)
 
 let node_up w node_id =
-  match Hashtbl.find_opt w.nodes node_id with None -> false | Some n -> n.up
+  match Int_tbl.find_opt w.nodes node_id with None -> false | Some n -> n.up
 
 let crash_count w node_id =
-  match Hashtbl.find_opt w.nodes node_id with None -> 0 | Some n -> n.crash_count
+  match Int_tbl.find_opt w.nodes node_id with None -> 0 | Some n -> n.crash_count
 
 let ctx_world c = c.cworld
 let ctx_guardian c = c.cguardian
@@ -261,16 +267,16 @@ exception Send_failed of string
 (* ------------------------------------------------------------------ *)
 
 let find_port_in g target =
-  match Hashtbl.find_opt g.gport_index target.Port_name.uid with
+  match Int_tbl.find_opt g.gport_index target.Port_name.uid with
   | Some p when Port_name.equal (Port.name p) target -> Some p
   | Some _ | None -> None
 
-let find_guardian_in node gid = Hashtbl.find_opt node.gindex gid
+let find_guardian_in node gid = Int_tbl.find_opt node.gindex gid
 
 (* Encode a message for a target port with the shard's encoder (bounds
    checks apply to system messages too). *)
 let encode sh ~target msg =
-  match Codec.encode_with sh.sencoder (Message.envelope ~target msg) with
+  match Message.to_wire sh.sencoder ~target msg with
   | Error e -> raise (Send_failed (Format.asprintf "%a" Codec.pp_error e))
   | Ok body -> body
 
@@ -311,17 +317,14 @@ and deliver_message w node target msg =
 (* [sh] is the shard whose engine is executing this delivery — the
    destination node's shard, except for the unknown-node tally. *)
 and deliver_body w sh dst_node_id body =
-  match Hashtbl.find_opt w.nodes dst_node_id with
+  match Int_tbl.find_opt w.nodes dst_node_id with
   | None -> Metrics.incr sh.shot.m_deliver_unknown_node
   | Some node ->
       if not node.up then Metrics.incr node.shard.shot.m_deliver_node_down
       else (
-        match Codec.decode ~config:w.config.codec body with
-        | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed
-        | Ok env -> (
-            match Message.of_envelope env with
-            | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed
-            | Ok (target, msg) -> deliver_message w node target msg))
+        match Message.of_wire ~config:w.config.codec body with
+        | Ok (Ok (target, msg)) -> deliver_message w node target msg
+        | Ok (Error _) | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed)
 
 (* Hand an encoded body from a node to its target.  Everything here is
    source-shard state: the engine the local-delivery timer lands on, and
@@ -348,7 +351,7 @@ and route w ~from ~target msg = dispatch w ~from ~target (encode from.shard ~tar
 (* Detail text of a deferred send event, made only when the trace is read:
    the envelope decodes to the target and the message as they were sent. *)
 let render_send config label body =
-  match Result.map Message.of_envelope (Codec.decode ~config body) with
+  match Message.of_wire ~config body with
   | Ok (Ok (target, msg)) ->
       Format.asprintf "%s -> %a: %a" label Port_name.pp target Message.pp msg
   | Ok (Error reason) -> Printf.sprintf "%s -> <malformed envelope: %s>" label reason
@@ -434,7 +437,7 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(para
       shard_count = shards;
       parallel;
       shards = make_shards 0 [];
-      nodes = Hashtbl.create 16;
+      nodes = Int_tbl.create 16;
       defs = Hashtbl.create 16;
       barrier = Clock.zero;
     }
@@ -449,12 +452,12 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(para
           shard;
           up = true;
           guardians = [];
-          gindex = Hashtbl.create 16;
+          gindex = Int_tbl.create 16;
           crash_count = 0;
           cpus = Sync.semaphore shard.sengine config.processors_per_node;
         }
       in
-      Hashtbl.replace w.nodes node_id node;
+      Int_tbl.replace w.nodes node_id node;
       install_handler w node;
       install_forwarders w node)
     (Topology.nodes topology);
@@ -602,7 +605,7 @@ let create_guardian_at w node ~def ~args =
       gstore;
       galive = true;
       gports = [];
-      gport_index = Hashtbl.create 8;
+      gport_index = Int_tbl.create 8;
       next_port_index = 0;
       gprocs = [];
     }
@@ -610,9 +613,9 @@ let create_guardian_at w node ~def ~args =
   let make_port index (ptype, capacity) = fresh_port w node ~gid ~index ~ptype ~capacity in
   g.gports <- List.mapi make_port def.provides;
   g.next_port_index <- List.length g.gports;
-  List.iter (fun p -> Hashtbl.replace g.gport_index (Port.name p).Port_name.uid p) g.gports;
+  List.iter (fun p -> Int_tbl.replace g.gport_index (Port.name p).Port_name.uid p) g.gports;
   node.guardians <- g :: node.guardians;
-  Hashtbl.replace node.gindex gid g;
+  Int_tbl.replace node.gindex gid g;
   (match Hashtbl.find_opt sh.sguardians_by_def def.def_name with
   | Some gs -> gs := g :: !gs
   | None -> Hashtbl.replace sh.sguardians_by_def def.def_name (ref [ g ]));
@@ -624,7 +627,7 @@ let create_guardian_at w node ~def ~args =
 
 let create_guardian w ~at ~def_name ~args =
   let node =
-    match Hashtbl.find_opt w.nodes at with
+    match Int_tbl.find_opt w.nodes at with
     | Some node -> node
     | None -> invalid_arg (Printf.sprintf "Runtime.create_guardian: unknown node %d" at)
   in
@@ -673,7 +676,7 @@ let self_destruct c =
    the outbox and is discarded by [deliver_body] if the node is down at
    injection time. *)
 let crash_node w node_id =
-  match Hashtbl.find_opt w.nodes node_id with
+  match Int_tbl.find_opt w.nodes node_id with
   | None -> invalid_arg "Runtime.crash_node: unknown node"
   | Some node ->
       if node.up then begin
@@ -694,7 +697,7 @@ let crash_node w node_id =
       end
 
 let restart_node w node_id =
-  match Hashtbl.find_opt w.nodes node_id with
+  match Int_tbl.find_opt w.nodes node_id with
   | None -> invalid_arg "Runtime.restart_node: unknown node"
   | Some node ->
       if not node.up then begin
@@ -739,9 +742,9 @@ let restart_node w node_id =
                    failure("target port does not exist"). *)
                 let births = List.length g.gdef.provides in
                 g.gports <- List.filteri (fun i _ -> i < births) g.gports;
-                Hashtbl.reset g.gport_index;
+                Int_tbl.reset g.gport_index;
                 List.iter
-                  (fun p -> Hashtbl.replace g.gport_index (Port.name p).Port_name.uid p)
+                  (fun p -> Int_tbl.replace g.gport_index (Port.name p).Port_name.uid p)
                   g.gports;
                 List.iter Port.reopen g.gports;
                 g.galive <- true;
@@ -757,7 +760,7 @@ let restart_node w node_id =
    the callback runs on the shard that owns the node, so it may touch
    that node's state even in a parallel run. *)
 let schedule_at w ~node ~at f =
-  match Hashtbl.find_opt w.nodes node with
+  match Int_tbl.find_opt w.nodes node with
   | None -> invalid_arg "Runtime.schedule_at: unknown node"
   | Some n -> ignore (Engine.schedule n.shard.sengine ~at (fun () -> f ()))
 
@@ -819,14 +822,14 @@ let new_port c ?capacity ptype =
   g.next_port_index <- index + 1;
   let p = fresh_port w g.home ~gid:g.gid ~index ~ptype ~capacity in
   g.gports <- g.gports @ [ p ];
-  Hashtbl.replace g.gport_index (Port.name p).Port_name.uid p;
+  Int_tbl.replace g.gport_index (Port.name p).Port_name.uid p;
   p
 
 let remove_port c p =
   let g = c.cguardian in
   let uid = (Port.name p).Port_name.uid in
   Port.close p;
-  Hashtbl.remove g.gport_index uid;
+  Int_tbl.remove g.gport_index uid;
   g.gports <- List.filter (fun q -> not (Port_name.equal (Port.name q) (Port.name p))) g.gports
 
 let spawn c ~name body = spawn_in c.cguardian ~name body
@@ -841,7 +844,7 @@ let compute c d =
   Sync.release node.cpus
 
 let idle_processors w node_id =
-  match Hashtbl.find_opt w.nodes node_id with
+  match Int_tbl.find_opt w.nodes node_id with
   | None -> 0
   | Some node -> Sync.available node.cpus
 let store c = c.cguardian.gstore

@@ -32,9 +32,10 @@ let is_sort (m, f) =
 
 (* Hash-table-shaped containers whose iteration order is seed-dependent.
    [Store] is the stable store (hashtable-backed; use [Store.to_alist] for a
-   deterministic order) and [Pair_tbl] is Acl's Hashtbl.Make instance. *)
+   deterministic order), [Pair_tbl] is Acl's Hashtbl.Make instance and
+   [Int_tbl] the runtime's and network's. *)
 let is_unordered (m, f) =
-  (match m with "Hashtbl" | "MoreLabels" | "Store" | "Pair_tbl" -> true | _ -> false)
+  (match m with "Hashtbl" | "MoreLabels" | "Store" | "Pair_tbl" | "Int_tbl" -> true | _ -> false)
   && match f with "fold" | "iter" | "to_seq" | "to_seq_keys" | "to_seq_values" -> true | _ -> false
 
 (* Domain-level concurrency primitives.  The sharded runtime's determinism

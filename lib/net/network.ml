@@ -1,5 +1,9 @@
+module Clock = Dcp_sim.Clock
 module Engine = Dcp_sim.Engine
 module Rng = Dcp_rng.Rng
+
+(* Int-keyed tables with [Hashtbl]'s own hash on ints. *)
+module Int_tbl = Hashtbl.Make (Int)
 
 type node_id = Topology.node_id
 
@@ -12,6 +16,7 @@ type stats = {
   fragments_duplicated : int;
   partition_drops : int;
   bytes_sent : int;
+  partials_expired : int;
 }
 
 (* Internal tallies are mutable fields: the fragment path bumps several per
@@ -25,6 +30,7 @@ type tallies = {
   mutable t_fragments_duplicated : int;
   mutable t_partition_drops : int;
   mutable t_bytes_sent : int;
+  mutable t_partials_expired : int;
 }
 
 let fresh_tallies () =
@@ -37,15 +43,27 @@ let fresh_tallies () =
     t_fragments_duplicated = 0;
     t_partition_drops = 0;
     t_bytes_sent = 0;
+    t_partials_expired = 0;
   }
+
+(* A partial reassembly whose first fragment arrived longer ago than this
+   can no longer complete: every fragment of a message leaves at its send,
+   and no link delays one by nearly this much (exponential jitter tops out
+   near 37 times its mean).  A node's partials are swept for it at most
+   once per [expire_after], from its next offer, so no timer (and no
+   engine event) is involved. *)
+let expire_after = Clock.s 60
+
+(* One node's reassembly buffer and the time its next sweep is due. *)
+type inbox = { partials : Packet.Reassembly.t; mutable next_sweep : Clock.time }
 
 type t = {
   engine : Engine.t;
   rng : Rng.t;
   topology : Topology.t;
   mtu : int;
-  handlers : (node_id, src:node_id -> string -> unit) Hashtbl.t;
-  reassembly : (node_id, Packet.Reassembly.t) Hashtbl.t;
+  handlers : (src:node_id -> string -> unit) Int_tbl.t;
+  reassembly : inbox Int_tbl.t;
   mutable groups : node_id list list option;
   mutable next_msg_id : int;
   mutable tallies : tallies;
@@ -58,16 +76,16 @@ let create ~engine ~rng ~topology ?(mtu = 1024) () =
     rng;
     topology;
     mtu;
-    handlers = Hashtbl.create 16;
-    reassembly = Hashtbl.create 16;
+    handlers = Int_tbl.create 16;
+    reassembly = Int_tbl.create 16;
     groups = None;
     next_msg_id = 0;
     tallies = fresh_tallies ();
   }
 
 let topology t = t.topology
-let set_handler t node f = Hashtbl.replace t.handlers node f
-let clear_handler t node = Hashtbl.remove t.handlers node
+let set_handler t node f = Int_tbl.replace t.handlers node f
+let clear_handler t node = Int_tbl.remove t.handlers node
 
 let partition t groups = t.groups <- Some groups
 let heal t = t.groups <- None
@@ -87,13 +105,22 @@ let partitioned t ~src ~dst =
       | Some a, Some b -> a <> b
       | None, _ | _, None -> src <> dst)
 
-let reassembly_for t node =
-  match Hashtbl.find_opt t.reassembly node with
-  | Some r -> r
+let inbox_for t node =
+  match Int_tbl.find_opt t.reassembly node with
+  | Some inbox -> inbox
   | None ->
-      let r = Packet.Reassembly.create () in
-      Hashtbl.add t.reassembly node r;
-      r
+      let inbox = { partials = Packet.Reassembly.create (); next_sweep = Clock.zero } in
+      Int_tbl.add t.reassembly node inbox;
+      inbox
+
+let sweep t inbox now =
+  if Clock.compare now inbox.next_sweep >= 0 then begin
+    let expired =
+      Packet.Reassembly.drop_older_than inbox.partials ~before:(Clock.diff now expire_after)
+    in
+    t.tallies.t_partials_expired <- t.tallies.t_partials_expired + expired;
+    inbox.next_sweep <- Clock.add now expire_after
+  end
 
 let deliver_fragment t frag =
   (* Re-check the partition at arrival time: packets in flight when a
@@ -103,11 +130,13 @@ let deliver_fragment t frag =
   else if not (Packet.intact frag) then
     t.tallies.t_fragments_corrupted <- t.tallies.t_fragments_corrupted + 1
   else begin
-    let r = reassembly_for t frag.Packet.dst in
-    match Packet.Reassembly.offer r ~now:(Engine.now t.engine) frag with
+    let inbox = inbox_for t frag.Packet.dst in
+    let now = Engine.now t.engine in
+    sweep t inbox now;
+    match Packet.Reassembly.offer inbox.partials ~now frag with
     | None -> ()
     | Some (src, body) -> (
-        match Hashtbl.find_opt t.handlers frag.Packet.dst with
+        match Int_tbl.find_opt t.handlers frag.Packet.dst with
         | None -> ()
         | Some handler ->
             t.tallies.t_messages_delivered <- t.tallies.t_messages_delivered + 1;
@@ -155,6 +184,7 @@ let stats t =
     fragments_duplicated = t.tallies.t_fragments_duplicated;
     partition_drops = t.tallies.t_partition_drops;
     bytes_sent = t.tallies.t_bytes_sent;
+    partials_expired = t.tallies.t_partials_expired;
   }
 
 let reset_stats t = t.tallies <- fresh_tallies ()

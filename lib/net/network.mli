@@ -10,7 +10,10 @@
     duplicated, corrupted or delayed), corrupt fragments are discarded on
     arrival via their CRC, and the destination's handler fires once all
     fragments have been reassembled.  Partitions drop all traffic between
-    separated nodes; a down node receives nothing. *)
+    separated nodes; a down node receives nothing.  A message that loses a
+    fragment leaves a partial reassembly behind; a node's offers sweep
+    its partials over 60 s old, at most once a minute, and count them in
+    {!stats}. *)
 
 type node_id = Topology.node_id
 
@@ -25,6 +28,10 @@ type stats = {
   fragments_duplicated : int;
   partition_drops : int;
   bytes_sent : int;
+  partials_expired : int;
+      (** partial reassemblies dropped because their first fragment arrived
+          over 60 s (virtual) before a later offer at the same node; no
+          fragment of theirs can still be in flight *)
 }
 
 val create :

@@ -18,6 +18,7 @@ val link : t -> src:node_id -> dst:node_id -> Link.t
     link.  @raise Invalid_argument for unknown nodes. *)
 
 val mem : t -> node_id -> bool
+(** Constant time: {!link} asks it twice per remote send. *)
 
 (** {1 Builders} *)
 

@@ -300,16 +300,19 @@ let prune_own ctx t =
     t.own_floor <- !floor
   end
 
+(* Exactly [Array.length into] non-negative ints, written into [into]
+   from slot [i] on. *)
+let rec fill_watermarks into i values =
+  match values with
+  | [] -> i = Array.length into
+  | Value.Int a :: rest when a >= 0 && i < Array.length into ->
+      into.(i) <- a;
+      fill_watermarks into (i + 1) rest
+  | _ :: _ -> false
+
 let parse_watermarks n values =
-  List.fold_left
-    (fun acc v ->
-      match (acc, v) with
-      | Some parsed, Value.Int a when a >= 0 -> Some (a :: parsed)
-      | _, _ -> None)
-    (Some []) values
-  |> Option.map (fun l -> Array.of_list (List.rev l))
-  |> fun parsed ->
-  match parsed with Some a when Array.length a = n -> Some a | Some _ | None -> None
+  let into = Array.make n 0 in
+  if fill_watermarks into 0 values then Some into else None
 
 let receive_status ctx t ~from ~clock acks dacks =
   let n = Array.length t.members in

@@ -65,32 +65,44 @@ let write_int64 buf v =
     Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical v (shift * 8)) land 0xff))
   done
 
+(* The payloads that follow a tag, each with its check; the in-place
+   writer below shares them with [encode_value]. *)
+let write_port buf p =
+  write_varint buf p.Port_name.node;
+  write_varint buf p.Port_name.guardian;
+  write_varint buf p.Port_name.index;
+  write_varint buf p.Port_name.uid
+
+let write_str config buf s =
+  if String.length s > config.max_string then
+    raise (Codec_error (String_too_long (String.length s)));
+  write_uvarint buf (String.length s);
+  Buffer.add_string buf s
+
+let write_int config buf i =
+  if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
+  write_varint buf i
+
 let rec encode_value config buf v =
   match v with
   | Value.Unit -> Buffer.add_char buf (Char.chr tag_unit)
   | Value.Bool false -> Buffer.add_char buf (Char.chr tag_false)
   | Value.Bool true -> Buffer.add_char buf (Char.chr tag_true)
   | Value.Int i ->
-      if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
       Buffer.add_char buf (Char.chr tag_int);
-      write_varint buf i
+      write_int config buf i
   | Value.Real r ->
       Buffer.add_char buf (Char.chr tag_real);
       write_int64 buf (Int64.bits_of_float r)
   | Value.Str s ->
-      if String.length s > config.max_string then
-        raise (Codec_error (String_too_long (String.length s)));
       Buffer.add_char buf (Char.chr tag_str);
-      write_uvarint buf (String.length s);
-      Buffer.add_string buf s
+      write_str config buf s
   | Value.Listv items ->
       Buffer.add_char buf (Char.chr tag_list);
-      write_uvarint buf (List.length items);
-      encode_items config buf items
+      write_items config buf items
   | Value.Tuple items ->
       Buffer.add_char buf (Char.chr tag_tuple);
-      write_uvarint buf (List.length items);
-      encode_items config buf items
+      write_items config buf items
   | Value.Record fields ->
       Buffer.add_char buf (Char.chr tag_record);
       write_uvarint buf (List.length fields);
@@ -101,10 +113,7 @@ let rec encode_value config buf v =
       encode_value config buf inner
   | Value.Portv p ->
       Buffer.add_char buf (Char.chr tag_port);
-      write_varint buf p.Port_name.node;
-      write_varint buf p.Port_name.guardian;
-      write_varint buf p.Port_name.index;
-      write_varint buf p.Port_name.uid
+      write_port buf p
   | Value.Tokenv tok ->
       let owner, body, tag = Token.to_wire tok in
       Buffer.add_char buf (Char.chr tag_token);
@@ -116,6 +125,10 @@ let rec encode_value config buf v =
       write_uvarint buf (String.length name);
       Buffer.add_string buf name;
       encode_value config buf rep
+
+and write_items config buf items =
+  write_uvarint buf (List.length items);
+  encode_items config buf items
 
 and encode_items config buf = function
   | [] -> ()
@@ -174,11 +187,12 @@ and size_fields config acc = function
 
 type reader = { input : string; mutable pos : int }
 
+(* [pos] only grows from 0, so one comparison bounds the load. *)
 let read_byte r =
-  if r.pos >= String.length r.input then raise (Codec_error (Malformed "truncated input"));
-  let c = Char.code r.input.[r.pos] in
-  r.pos <- r.pos + 1;
-  c
+  let pos = r.pos in
+  if pos >= String.length r.input then raise (Codec_error (Malformed "truncated input"));
+  r.pos <- pos + 1;
+  Char.code (String.unsafe_get r.input pos)
 
 let rec read_uvarint_from r shift acc =
   if shift > 62 then raise (Codec_error (Malformed "varint too long"));
@@ -186,7 +200,10 @@ let rec read_uvarint_from r shift acc =
   let acc = acc lor ((b land 0x7f) lsl shift) in
   if b land 0x80 = 0 then acc else read_uvarint_from r (shift + 7) acc
 
-let read_uvarint r = read_uvarint_from r 0 0
+(* Most varints (counts, lengths, small ints) are one byte. *)
+let read_uvarint r =
+  let b = read_byte r in
+  if b land 0x80 = 0 then b else read_uvarint_from r 7 (b land 0x7f)
 
 let read_varint r = unzigzag (read_uvarint r)
 
@@ -214,35 +231,40 @@ let read_count r =
   if n < 0 then raise (Codec_error (Malformed "negative length"));
   n
 
+(* The payloads that follow a tag, each with its check; the in-place
+   reader shares them with [decode_value]. *)
+let read_port r =
+  let node = read_varint r in
+  let guardian = read_varint r in
+  let index = read_varint r in
+  let uid = read_varint r in
+  Port_name.make ~node ~guardian ~index ~uid
+
+let read_str config r =
+  let s = read_string r in
+  if String.length s > config.max_string then
+    raise (Codec_error (String_too_long (String.length s)));
+  s
+
+let read_int config r =
+  let i = read_varint r in
+  if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
+  i
+
 let rec decode_value config r =
   let tag = read_byte r in
   if tag = tag_unit then Value.Unit
   else if tag = tag_false then Value.Bool false
   else if tag = tag_true then Value.Bool true
-  else if tag = tag_int then begin
-    let i = read_varint r in
-    if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
-    Value.Int i
-  end
+  else if tag = tag_int then Value.Int (read_int config r)
   else if tag = tag_real then Value.Real (Int64.float_of_bits (read_int64 r))
-  else if tag = tag_str then begin
-    let s = read_string r in
-    if String.length s > config.max_string then
-      raise (Codec_error (String_too_long (String.length s)));
-    Value.Str s
-  end
-  else if tag = tag_list then Value.Listv (decode_items config r (read_count r))
-  else if tag = tag_tuple then Value.Tuple (decode_items config r (read_count r))
+  else if tag = tag_str then Value.Str (read_str config r)
+  else if tag = tag_list then Value.Listv (read_items config r)
+  else if tag = tag_tuple then Value.Tuple (read_items config r)
   else if tag = tag_record then Value.Record (decode_fields config r (read_count r))
   else if tag = tag_none then Value.Option None
   else if tag = tag_some then Value.Option (Some (decode_value config r))
-  else if tag = tag_port then begin
-    let node = read_varint r in
-    let guardian = read_varint r in
-    let index = read_varint r in
-    let uid = read_varint r in
-    Value.Portv (Port_name.make ~node ~guardian ~index ~uid)
-  end
+  else if tag = tag_port then Value.Portv (read_port r)
   else if tag = tag_token then begin
     let owner = read_varint r in
     let body = read_int64 r in
@@ -254,6 +276,8 @@ let rec decode_value config r =
     Value.Named (name, decode_value config r)
   end
   else raise (Codec_error (Malformed (Printf.sprintf "unknown tag %d" tag)))
+
+and read_items config r = decode_items config r (read_count r)
 
 (* Lists and records are built in order, in constant stack (tail modulo
    cons): a list is as long as the input admits, one byte per element. *)
@@ -270,22 +294,50 @@ and[@tail_mod_cons] decode_fields config r n =
     let field = (name, decode_value config r) in
     field :: decode_fields config r (n - 1)
 
+let reader config input =
+  if String.length input > config.max_message then
+    raise (Codec_error (Message_too_long (String.length input)));
+  { input; pos = 0 }
+
+let at_end r = r.pos = String.length r.input
+
+let rec matches_at input pos run i =
+  i = String.length run
+  || Char.equal (String.unsafe_get input (pos + i)) (String.unsafe_get run i)
+     && matches_at input pos run (i + 1)
+
+let skip_run r run =
+  let n = String.length run in
+  if n <= String.length r.input - r.pos && matches_at r.input r.pos run 0 then begin
+    r.pos <- r.pos + n;
+    true
+  end
+  else false
+
 (* An encoder owns a scratch buffer reused across calls, so hot senders
-   (Runtime.route encodes every message in the world) stop allocating and
+   (the runtime encodes every message in the world) stop allocating and
    growing a fresh Buffer per message; only the final output string is
    allocated. *)
 type encoder = { enc_config : config; scratch : Buffer.t }
 
 let encoder ?(config = default_config) () = { enc_config = config; scratch = Buffer.create 256 }
+let start enc = Buffer.clear enc.scratch
+let add_run enc run = Buffer.add_string enc.scratch run
+let add_port enc p = write_port enc.scratch p
+let add_str enc s = write_str enc.enc_config enc.scratch s
+let add_int enc i = write_int enc.enc_config enc.scratch i
+let add_items enc items = write_items enc.enc_config enc.scratch items
+
+let finish enc =
+  let buf = enc.scratch in
+  if Buffer.length buf > enc.enc_config.max_message then
+    Error (Message_too_long (Buffer.length buf))
+  else Ok (Buffer.contents buf)
 
 let encode_with enc v =
-  let buf = enc.scratch in
-  Buffer.clear buf;
-  match encode_value enc.enc_config buf v with
-  | () ->
-      if Buffer.length buf > enc.enc_config.max_message then
-        Error (Message_too_long (Buffer.length buf))
-      else Ok (Buffer.contents buf)
+  start enc;
+  match encode_value enc.enc_config enc.scratch v with
+  | () -> finish enc
   | exception Codec_error e -> Error e
 
 let encode_with_exn enc v =
@@ -294,12 +346,34 @@ let encode_with_exn enc v =
 let encode ?config v = encode_with (encoder ?config ()) v
 
 let decode ?(config = default_config) s =
-  if String.length s > config.max_message then Error (Message_too_long (String.length s))
-  else
-    let r = { input = s; pos = 0 } in
-    match decode_value config r with
-    | v -> if r.pos <> String.length s then Error (Malformed "trailing bytes") else Ok v
-    | exception Codec_error e -> Error e
+  match
+    let r = reader config s in
+    let v = decode_value config r in
+    if not (at_end r) then raise (Codec_error (Malformed "trailing bytes"));
+    v
+  with
+  | v -> Ok v
+  | exception Codec_error e -> Error e
+
+let record_head fields =
+  let buf = Buffer.create 4 in
+  Buffer.add_char buf (Char.chr tag_record);
+  write_uvarint buf fields;
+  Buffer.contents buf
+
+(* A value's tag is the first byte [encode_value] writes for it. *)
+let field_head name v =
+  let buf = Buffer.create 16 in
+  write_uvarint buf (String.length name);
+  Buffer.add_string buf name;
+  let rec tags v =
+    let one = Buffer.create 16 in
+    encode_value default_config one v;
+    Buffer.add_char buf (Buffer.nth one 0);
+    match v with Value.Option (Some inner) -> tags inner | _ -> ()
+  in
+  tags v;
+  Buffer.contents buf
 
 let encode_exn ?config v =
   match encode ?config v with Ok s -> s | Error e -> raise (Codec_error e)

@@ -72,3 +72,53 @@ val encoded_size : ?config:config -> Value.t -> (int, error) result
 (** Size of the encoding without materialising it: the same result as
     [Result.map String.length (encode ?config v)], errors included, from a
     walk that writes nothing and allocates only its result. *)
+
+(** {2 Writing and reading in place}
+
+    A caller that knows a value's layout ahead of time can write and read
+    its encoding without building the {!Value.t}, as the runtime does for
+    every message envelope ({!Dcp_core.Message.to_wire} and [of_wire]).
+    The layout's constant runs (a record header, a field name and the
+    tags up to the next payload) come from {!record_head} and
+    {!field_head}; each is written as one string and matched byte by
+    byte.  Between the runs go the payloads, written and read by the
+    codec's own steps with the checks {!encode_with} and {!decode} make
+    there; where those return an error, these raise {!Codec_error} with
+    it. *)
+
+val record_head : int -> string
+(** [record_head n]: the bytes that open a record of [n] fields. *)
+
+val field_head : string -> Value.t -> string
+(** [field_head name v]: the bytes of field [name] holding [v] up to
+    [v]'s payload: the name, then [v]'s tag, and for [Option (Some x)]
+    also [x]'s.  Only [v]'s outer constructors matter. *)
+
+val start : encoder -> unit
+(** Begin a new output in the encoder's scratch buffer; [add_*] append
+    to it: [add_run] constant bytes, the others one payload. *)
+
+val add_run : encoder -> string -> unit
+val add_port : encoder -> Port_name.t -> unit
+val add_str : encoder -> string -> unit
+val add_int : encoder -> int -> unit
+val add_items : encoder -> Value.t list -> unit
+
+val finish : encoder -> (string, error) result
+(** The output since {!start}, or [Message_too_long] past
+    [max_message]. *)
+
+type reader
+
+val reader : config -> string -> reader
+(** Raises where {!decode} fails on the length alone. *)
+
+val skip_run : reader -> string -> bool
+(** Step over the given bytes if the input continues with them; [false]
+    (and no step) otherwise. *)
+
+val read_port : reader -> Port_name.t
+val read_str : config -> reader -> string
+val read_int : config -> reader -> int
+val read_items : config -> reader -> Value.t list
+val at_end : reader -> bool

@@ -111,26 +111,40 @@ type port_type = signature list
 let failure_signature = signature "failure" [ Tstr ]
 let wildcard = signature "*" []
 
+(* Does every argument check against its type, with none left over on
+   either side? *)
+let rec args_match ts vs =
+  match (ts, vs) with
+  | [], [] -> true
+  | t :: ts, v :: vs -> Result.is_ok (check t v) && args_match ts vs
+  | _ :: _, [] | [], _ :: _ -> false
+
+let no_match command =
+  Error (Format.asprintf "arguments do not match any %S signature of the port" command)
+
+(* One pass over the port type, remembering whether the command was
+   declared at all and whether a wildcard was seen. *)
+let rec scan pt ~command args ~declared ~wildcard_seen =
+  match pt with
+  | s :: rest ->
+      if String.equal s.command command then
+        if args_match s.args args then Ok ()
+        else scan rest ~command args ~declared:true ~wildcard_seen
+      else
+        scan rest ~command args ~declared
+          ~wildcard_seen:(wildcard_seen || String.equal s.command wildcard.command)
+  | [] ->
+      if declared then no_match command
+      else if wildcard_seen then Ok ()
+      else Error (Format.asprintf "port does not accept command %S" command)
+
 (* A command may be overloaded (several signatures, e.g. the primordial
    guardian's plain and RPC-style pings): the message is accepted if any
    signature for its command matches. *)
 let check_message pt ~command args =
-  let candidates =
-    if String.equal command failure_signature.command then [ failure_signature ]
-    else List.filter (fun s -> String.equal s.command command) pt
-  in
-  if candidates = [] then
-    if List.exists (fun s -> String.equal s.command "*") pt then Ok ()
-    else Error (Format.asprintf "port does not accept command %S" command)
-  else
-    let matches s =
-      List.length s.args = List.length args
-      && List.for_all2 (fun t v -> Result.is_ok (check t v)) s.args args
-    in
-    if List.exists matches candidates then Ok ()
-    else
-      Error
-        (Format.asprintf "arguments do not match any %S signature of the port" command)
+  if String.equal command failure_signature.command then
+    if args_match failure_signature.args args then Ok () else no_match command
+  else scan pt ~command args ~declared:false ~wildcard_seen:false
 
 let pp_signature fmt s =
   let pp_args = Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ") pp in

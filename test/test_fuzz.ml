@@ -122,6 +122,48 @@ let test_runtime_survives_garbage_on_the_wire () =
     (Printf.sprintf "garbage counted as malformed (%d)" malformed)
     true (malformed > 0)
 
+(* The same world fed a fixed corpus: random bytes, and a real envelope
+   for the guardian's port with each byte flipped and truncated at each
+   length.  Bodies near the envelope's layout are where the runtime's
+   in-place reader must fall back to the general decoder; the malformed
+   tally is pinned to the count the general decoder alone gave. *)
+let test_garbage_malformed_count () =
+  let world =
+    Runtime.create_world ~seed:5 ~topology:(Topology.full_mesh ~n:2 Link.perfect) ()
+  in
+  Runtime.register_def world
+    {
+      Runtime.def_name = "garbage_sink";
+      provides = [ ([ Vtype.wildcard ], 4096) ];
+      init = (fun _ _ -> ());
+      recover = None;
+    };
+  let g = Runtime.create_guardian world ~at:1 ~def_name:"garbage_sink" ~args:[] in
+  let target = List.hd (Runtime.guardian_ports g) in
+  let envelope =
+    Codec.encode_exn
+      (Dcp_core.Message.envelope ~target
+         (Dcp_core.Message.make ~sent_at:0 "scd_status"
+            [ Value.int 2; Value.int 7; Value.list [ Value.int 1; Value.int 2 ] ]))
+  in
+  let rng = Rng.create ~seed:41 in
+  let network = Runtime.network world in
+  let send body = Network.send network ~src:0 ~dst:1 body in
+  for _ = 1 to 1_000 do
+    send (String.init (Rng.int rng 120) (fun _ -> Char.chr (Rng.int rng 256)))
+  done;
+  String.iteri
+    (fun i c ->
+      send (String.mapi (fun j d -> if i = j then Char.chr (Char.code c lxor 0x5a) else d) envelope);
+      send (String.sub envelope 0 i))
+    envelope;
+  Runtime.run_for world (Clock.s 1);
+  let counter name =
+    Option.value (List.assoc_opt name (Metrics.counters (Runtime.metrics world))) ~default:0
+  in
+  Alcotest.(check int) "malformed, as the general decoder counts them" 1117
+    (counter "deliver.malformed")
+
 (* ---- random guardians, ports and sends (API-level storm) ---- *)
 
 let test_api_storm () =
@@ -193,5 +235,6 @@ let tests =
     Alcotest.test_case "codec fuzz: truncations" `Quick test_codec_fuzz_truncations;
     Alcotest.test_case "codec fuzz: bit flips" `Slow test_codec_fuzz_bitflips;
     Alcotest.test_case "garbage on the wire" `Quick test_runtime_survives_garbage_on_the_wire;
+    Alcotest.test_case "garbage on the wire: malformed count" `Quick test_garbage_malformed_count;
     Alcotest.test_case "API storm with crashes" `Slow test_api_storm;
   ]

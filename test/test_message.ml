@@ -68,6 +68,140 @@ let prop_envelope_roundtrip =
           && List.equal Value.equal m'.Message.args args
       | Error _ -> false)
 
+(* ---- the runtime's writer and reader against the Record path ---- *)
+
+(* Ints near the 24-bit bound, strings near 4 KiB (config_1979's
+   max_string), commands of both kinds, nested values, ports and tokens. *)
+let gen_message ~args_gen ~str_gen =
+  QCheck2.Gen.(
+    let bound = 1 lsl 23 in
+    let gen_int =
+      oneof [ int_range (-300) 300; int_range (bound - 2) (bound + 2); int_range (-bound - 2) (-bound + 2); int ]
+    in
+    let gen_port =
+      map
+        (fun (node, guardian, index, uid) -> Port_name.make ~node ~guardian ~index ~uid)
+        (quad gen_int small_nat small_nat gen_int)
+    in
+    map
+      (fun ((target, command), (reply_to, sent_at, args)) ->
+        (target, Message.make ?reply_to ~sent_at command args))
+      (pair (pair gen_port str_gen)
+         (triple (option gen_port) gen_int (list_size (int_range 0 5) args_gen))))
+
+let gen_full =
+  gen_message ~args_gen:Test_wire.gen_wire_value
+    ~str_gen:
+      QCheck2.Gen.(
+        oneof [ string_size (int_range 0 12); string_size ~gen:printable (int_range 4090 4100) ])
+
+(* Small bodies, for the mutations at every offset. *)
+let gen_small =
+  gen_message
+    ~args_gen:
+      QCheck2.Gen.(
+        oneof
+          [
+            Test_wire.gen_value;
+            return (Value.port port_a);
+            return (Value.token (Token.seal ~secret:5L ~owner:2 ~obj:9));
+          ])
+    ~str_gen:QCheck2.Gen.(string_size (int_range 0 12))
+
+let wire_configs =
+  [
+    ("default", Codec.default_config);
+    ("1979", Codec.config_1979);
+    ("256-byte messages", { Codec.default_config with max_message = 256 });
+  ]
+
+let prop_writer_matches_record_path (name, config) =
+  let enc = Codec.encoder ~config () and record_enc = Codec.encoder ~config () in
+  QCheck2.Test.make ~name:("to_wire = encode_with envelope, " ^ name) ~count:500 gen_full
+    (fun (target, msg) ->
+      Message.to_wire enc ~target msg
+      = Codec.encode_with record_enc (Message.envelope ~target msg))
+
+(* The reader's results compared field by field, so a NaN argument
+   equals itself. *)
+let same_read a b =
+  match (a, b) with
+  | Ok (Ok (t, m)), Ok (Ok (t', m')) ->
+      Port_name.equal t t'
+      && String.equal m.Message.command m'.Message.command
+      && List.equal Value.equal m.Message.args m'.Message.args
+      && Option.equal Port_name.equal m.Message.reply_to m'.Message.reply_to
+      && Int.equal m.Message.sent_at m'.Message.sent_at
+  | Ok (Error r), Ok (Error r') -> String.equal r r'
+  | Error e, Error e' -> e = e'
+  | (Ok _ | Error _), _ -> false
+
+let reads_like_record_path ~config body =
+  same_read
+    (Message.of_wire ~config body)
+    (Result.map Message.of_envelope (Codec.decode ~config body))
+
+let record_body (target, msg) = Codec.encode_exn (Message.envelope ~target msg)
+
+let prop_reader_matches_record_path (name, config) =
+  QCheck2.Test.make ~name:("of_wire = decode + of_envelope, " ^ name) ~count:500 gen_full
+    (fun m -> reads_like_record_path ~config (record_body m))
+
+(* Every single-byte change, every truncation and a trailing byte. *)
+let prop_reader_matches_on_mutations =
+  QCheck2.Test.make ~name:"of_wire = decode + of_envelope on mutated bodies" ~count:300
+    QCheck2.Gen.(pair gen_small (int_range 1 255))
+    (fun (m, mask) ->
+      let body = record_body m in
+      let config = Codec.config_1979 in
+      let flipped i =
+        String.mapi (fun j c -> if i = j then Char.chr (Char.code c lxor mask) else c) body
+      in
+      List.for_all
+        (fun i ->
+          reads_like_record_path ~config (flipped i)
+          && reads_like_record_path ~config (String.sub body 0 i))
+        (List.init (String.length body) Fun.id)
+      && reads_like_record_path ~config (body ^ "\000"))
+
+let test_reader_off_layout () =
+  let target = port_a in
+  let msg = Message.make ~reply_to:port_b ~sent_at:7 "op" [ Value.int 1; Value.str "x" ] in
+  let fields =
+    match Message.envelope ~target msg with Value.Record f -> f | _ -> assert false
+  in
+  let check what config v =
+    let body = Codec.encode_exn v in
+    Alcotest.(check bool) what true (reads_like_record_path ~config body)
+  in
+  let default = Codec.default_config in
+  check "canonical" default (Value.record fields);
+  check "reordered fields" default (Value.record (List.rev fields));
+  check "a sixth field" default (Value.record (fields @ [ ("extra", Value.unit) ]));
+  check "a field renamed" default
+    (Value.record (List.map (fun (n, v) -> ((if n = "args" then "argz" else n), v)) fields));
+  check "a non-port reply" default
+    (Value.record
+       (List.map (fun (n, v) -> (n, if n = "reply" then Value.option (Some (Value.int 3)) else v)) fields));
+  check "a string where the args go" default
+    (Value.record (List.map (fun (n, v) -> (n, if n = "args" then Value.str "no" else v)) fields));
+  check "sent_at past the 24-bit bound" Codec.config_1979
+    (Message.envelope ~target { msg with Message.sent_at = 1 lsl 23 });
+  check "a command past max_string" Codec.config_1979
+    (Message.envelope ~target { msg with Message.command = String.make 4097 'c' });
+  check "not a record" default (Value.list (List.map snd fields));
+  let body = Codec.encode_exn (Value.record fields) in
+  Alcotest.(check bool) "trailing bytes" true (reads_like_record_path ~config:default (body ^ "x"));
+  Alcotest.(check bool) "past max_message" true
+    (reads_like_record_path ~config:{ default with max_message = String.length body - 1 } body);
+  match Message.of_wire ~config:default body with
+  | Ok (Ok (t, m)) ->
+      Alcotest.(check bool) "target" true (Port_name.equal t target);
+      Alcotest.(check string) "command" "op" m.Message.command;
+      Alcotest.(check bool) "reply" true (m.Message.reply_to = Some port_b)
+  | Ok (Error e) -> Alcotest.fail e
+  | Error e -> Alcotest.failf "%a" Codec.pp_error e
+
 let tests =
   [
     Alcotest.test_case "make + fields" `Quick test_make_and_fields;
@@ -77,4 +211,13 @@ let tests =
     Alcotest.test_case "envelope malformed" `Quick test_envelope_malformed;
     Alcotest.test_case "pp" `Quick test_pp;
     QCheck_alcotest.to_alcotest prop_envelope_roundtrip;
+    Alcotest.test_case "reader off the envelope layout" `Quick test_reader_off_layout;
+    QCheck_alcotest.to_alcotest prop_reader_matches_on_mutations;
   ]
+  @ List.concat_map
+      (fun config ->
+        [
+          QCheck_alcotest.to_alcotest (prop_writer_matches_record_path config);
+          QCheck_alcotest.to_alcotest (prop_reader_matches_record_path config);
+        ])
+      wire_configs

@@ -55,6 +55,22 @@ let test_crc_substring () =
   Alcotest.check_raises "out of bounds" (Invalid_argument "Crc32.digest_substring") (fun () ->
       ignore (Crc32.digest_substring s ~pos:5 ~len:5))
 
+(* Slices at every start and every length up to 40 of random strings: the
+   fragment CRC runs on slices of the body, at both ends of the wire. *)
+let test_crc_substring_every_slice () =
+  let rng = Rng.create ~seed:11 in
+  for _ = 1 to 4 do
+    let s = String.init 56 (fun _ -> Char.chr (Rng.int rng 256)) in
+    for pos = 0 to String.length s do
+      for len = 0 to Int.min 40 (String.length s - pos) do
+        Alcotest.(check int32)
+          (Printf.sprintf "pos=%d len=%d" pos len)
+          (crc32_reference (String.sub s pos len))
+          (Crc32.digest_substring s ~pos ~len)
+      done
+    done
+  done
+
 let test_crc_incremental_matches () =
   let s = "the quick brown fox" in
   let incremental =
@@ -126,6 +142,48 @@ let test_corruption_detected () =
   Alcotest.(check bool) "starts intact" true (Packet.intact frag);
   let damaged = Packet.corrupt rng frag in
   Alcotest.(check bool) "corruption detected" false (Packet.intact damaged)
+
+let offer_all r frags =
+  List.fold_left
+    (fun acc f -> match Packet.Reassembly.offer r ~now:0 f with Some (_, b) -> Some b | None -> acc)
+    None frags
+
+(* Fragments are slices of the body, so a message whose fragments all
+   arrive intact reassembles to the very string that was sent. *)
+let test_reassembly_returns_sent_body () =
+  List.iter
+    (fun count ->
+      let body = String.init ((100 * (count - 1)) + 37) (fun i -> Char.chr (i mod 256)) in
+      let frags = Packet.fragment ~src:0 ~dst:1 ~msg_id:count ~mtu:100 body in
+      Alcotest.(check int) "fragments" count (List.length frags);
+      let r = Packet.Reassembly.create () in
+      match offer_all r (List.rev frags) with
+      | Some b -> Alcotest.(check bool) (Printf.sprintf "%d: the sent string" count) true (b == body)
+      | None -> Alcotest.fail "never completed")
+    [ 1; 2; 3 ]
+
+let test_corrupt_then_intact_duplicate () =
+  let body = String.init 250 (fun i -> Char.chr (i mod 256)) in
+  let frags = Packet.fragment ~src:0 ~dst:1 ~msg_id:4 ~mtu:100 body in
+  let damaged = Packet.corrupt (Rng.create ~seed:9) (List.nth frags 1) in
+  Alcotest.(check bool) "damaged fails its CRC" false (Packet.intact damaged);
+  Alcotest.(check bool) "the sent body is untouched" true
+    (String.equal body (String.init 250 (fun i -> Char.chr (i mod 256))));
+  let r = Packet.Reassembly.create () in
+  Alcotest.(check bool) "without the middle fragment" true
+    (offer_all r [ List.nth frags 0; List.nth frags 2 ] = None);
+  match offer_all r [ List.nth frags 1 ] with
+  | Some b -> Alcotest.(check bool) "the intact duplicate completes it" true (b == body)
+  | None -> Alcotest.fail "never completed"
+
+let test_one_fragment_duplicate_twice () =
+  let r = Packet.Reassembly.create () in
+  let f = List.hd (Packet.fragment ~src:2 ~dst:1 ~msg_id:6 ~mtu:64 "hello") in
+  Alcotest.(check (option (pair int string))) "first copy" (Some (2, "hello"))
+    (Packet.Reassembly.offer r ~now:0 f);
+  Alcotest.(check (option (pair int string))) "second copy" (Some (2, "hello"))
+    (Packet.Reassembly.offer r ~now:0 f);
+  Alcotest.(check int) "nothing buffered" 0 (Packet.Reassembly.pending r)
 
 let test_reassembly_gc () =
   let body = String.make 3000 'x' in
@@ -361,6 +419,39 @@ let test_network_jitter_reorders () =
   let in_order = List.sort compare arrived = arrived in
   Alcotest.(check bool) "jitter reordered something" false in_order
 
+(* A partial reassembly is stranded by a partition: at 1 byte/s the
+   3-byte body's short second fragment lands 1 s before its first, which
+   the partition drops.  Partials whose first fragment is over 60 s old
+   are swept by a later offer at the same node, at most once a minute;
+   a younger one stays. *)
+let test_network_expires_stranded_partials () =
+  let slow = { Link.perfect with Link.bandwidth = Some 1 } in
+  let engine, net = make_net ~mtu:2 ~link:slow ~n:2 () in
+  let delivered = ref 0 in
+  Network.set_handler net 1 (fun ~src:_ _ -> incr delivered);
+  let at t f = ignore (Engine.schedule engine ~at:(Clock.ms t) f) in
+  let strand t =
+    at t (fun () -> Network.send net ~src:0 ~dst:1 "abc");
+    at (t + 25_500) (fun () -> Network.partition net [ [ 0 ]; [ 1 ] ]);
+    at (t + 26_500) (fun () -> Network.heal net)
+  in
+  let expired () = (Network.stats net).Network.partials_expired in
+  strand 0;
+  (* first fragment at 25 s: the node's first sweep, due again at 85 s *)
+  strand 40_000;
+  (* first fragment at 65 s *)
+  at 70_000 (fun () -> Network.send net ~src:0 ~dst:1 "d");
+  (* a one-fragment message lands at 95 s *)
+  Engine.run_until engine (Clock.s 94);
+  Alcotest.(check int) "nothing swept yet" 0 (expired ());
+  Engine.run_until engine (Clock.s 96);
+  Alcotest.(check int) "the 70 s-old partial is gone" 1 (expired ());
+  Alcotest.(check int) "the message arrived" 1 !delivered;
+  at 140_000 (fun () -> Network.send net ~src:0 ~dst:1 "e");
+  Engine.run engine;
+  Alcotest.(check int) "the younger one goes at the next sweep" 2 (expired ());
+  Alcotest.(check int) "both messages arrived" 2 !delivered
+
 let tests =
   [
     Alcotest.test_case "CRC known vectors" `Quick test_crc_known_vectors;
@@ -369,11 +460,15 @@ let tests =
     Alcotest.test_case "CRC incremental" `Quick test_crc_incremental_matches;
     Alcotest.test_case "CRC slice" `Quick test_crc_sub;
     Alcotest.test_case "CRC substring" `Quick test_crc_substring;
+    Alcotest.test_case "CRC every slice vs reference" `Quick test_crc_substring_every_slice;
     QCheck_alcotest.to_alcotest prop_crc_detects_single_bitflip;
     Alcotest.test_case "fragment roundtrip" `Quick test_fragment_roundtrip;
     Alcotest.test_case "empty body" `Quick test_fragment_empty_body;
     Alcotest.test_case "out of order + dupes" `Quick test_fragment_out_of_order_and_dupes;
     Alcotest.test_case "corruption detected" `Quick test_corruption_detected;
+    Alcotest.test_case "reassembly returns the sent body" `Quick test_reassembly_returns_sent_body;
+    Alcotest.test_case "corrupt fragment, intact duplicate" `Quick test_corrupt_then_intact_duplicate;
+    Alcotest.test_case "one-fragment duplicate twice" `Quick test_one_fragment_duplicate_twice;
     Alcotest.test_case "reassembly GC" `Quick test_reassembly_gc;
     Alcotest.test_case "reassembly count mismatch" `Quick test_reassembly_rejects_count_mismatch;
     Alcotest.test_case "reassembly bad geometry" `Quick test_reassembly_rejects_bad_geometry;
@@ -395,4 +490,5 @@ let tests =
     Alcotest.test_case "corruption dropped" `Quick test_network_corruption_dropped;
     Alcotest.test_case "fragment duplication re-delivers" `Quick test_network_duplicates_deliver_twice;
     Alcotest.test_case "jitter reorders" `Quick test_network_jitter_reorders;
+    Alcotest.test_case "stranded partials expire" `Quick test_network_expires_stranded_partials;
   ]
