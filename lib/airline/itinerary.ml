@@ -94,32 +94,52 @@ let book_naive ctx directory ~passenger legs =
    participant prepared — holding seats — until somebody re-announces.
    Recovery covers the crash case; this covers the no-crash case: whenever
    the intake loop idles, re-announce any still-unacked decisions from a
-   side process so prepared participants are eventually released. *)
-let redeliver_when_idle ctx redelivering =
-  if (not !redelivering) && Two_phase.pending_decisions (Runtime.store ctx) > 0 then begin
-    redelivering := true;
-    ignore
-      (Runtime.spawn ctx ~name:"redeliver" (fun () ->
-           ignore (Two_phase.redeliver_decisions ctx);
-           redelivering := false))
+   side process so prepared participants are eventually released.
+
+   Looking for such decisions sorts and decodes the whole store, so the
+   loop looks only when the answer can differ from its last look: while a
+   2PC trip is in flight (its coordinator writes decision records), or
+   once a trip or a redelivery has finished.  The look has no side
+   effects, so skipping one that would repeat the last answer changes
+   nothing.  A fresh [serve] (after recovery, too) starts [stale]. *)
+type idle = {
+  mutable trips : int;  (** 2PC bookings in flight *)
+  mutable stale : bool;  (** a decision may have changed since the last look *)
+  mutable redelivering : bool;
+}
+
+let redeliver_when_idle ctx idle =
+  if (not idle.redelivering) && (idle.trips > 0 || idle.stale) then begin
+    idle.stale <- false;
+    if Two_phase.pending_decisions (Runtime.store ctx) > 0 then begin
+      idle.redelivering <- true;
+      ignore
+        (Runtime.spawn ctx ~name:"redeliver" (fun () ->
+             ignore (Two_phase.redeliver_decisions ctx);
+             idle.redelivering <- false;
+             idle.stale <- true))
+    end
   end
 
 let serve ctx directory =
   let request_port = Runtime.port ctx 0 in
-  let redelivering = ref false in
+  let idle = { trips = 0; stale = true; redelivering = false } in
   let rec loop () =
     (match Runtime.receive ctx ~timeout:(Clock.s 2) [ request_port ] with
-    | `Timeout -> redeliver_when_idle ctx redelivering
+    | `Timeout -> redeliver_when_idle ctx idle
     | `Msg (_, msg) -> (
         match (msg.Message.command, msg.Message.args, msg.Message.reply_to) with
         | "book_trip", [ Value.Int id; Value.Str passenger; Value.Listv legs ], reply ->
             (* Each booking runs in its own process so slow prepares don't
                block the intake loop (Fig. 1c style). *)
+            idle.trips <- idle.trips + 1;
             ignore
               (Runtime.spawn ctx ~name:(Printf.sprintf "trip.%d" id) (fun () ->
                    let command, args =
                      book_trip ctx directory ~txid:id ~passenger (parse_legs legs)
                    in
+                   idle.trips <- idle.trips - 1;
+                   idle.stale <- true;
                    match reply with
                    | Some reply -> Runtime.send ctx ~to_:reply command (Value.int id :: args)
                    | None -> ()))

@@ -9,6 +9,20 @@ let driver world ~at ~name body =
   Runtime.register_def world def;
   ignore (Runtime.create_guardian world ~at ~def_name:name ~args:[])
 
+(* The restore sweep runs 1 s past the horizon's last outage.  A planned
+   crash fires before [horizon + jitter] (jitter is half the crash period)
+   and its restart one outage later, so the sweep is the plan's last event
+   unless [Profile.scale] stretched the period past 2 s; the bound covers
+   that case too. *)
+let restore_delay = Clock.s 1
+let jitter_of every = Int.max 1 (every / 2)
+
+let faults_end ~profile ~horizon =
+  match profile.Profile.crash_every with
+  | None -> horizon
+  | Some every ->
+      horizon + profile.Profile.crash_outage + Int.max restore_delay (jitter_of every)
+
 (* Schedule random crash/restart cycles on the given nodes over a horizon;
    outages last [crash_outage].  How many nodes may be down at once is the
    profile's [max_concurrent_crashes]: at the default 1 a crash only
@@ -26,7 +40,7 @@ let schedule_crashes world ~rng ~profile ~nodes ~horizon =
   | None, _ | _, [] -> ()
   | Some every, _ :: _ ->
       let outage = profile.Profile.crash_outage in
-      let jitter = Int.max 1 (every / 2) in
+      let jitter = jitter_of every in
       let may_crash victim =
         Runtime.node_up world victim
         && (profile.Profile.max_concurrent_crashes <= 1
@@ -52,6 +66,6 @@ let schedule_crashes world ~rng ~profile ~nodes ~horizon =
       List.iter
         (fun node ->
           Runtime.schedule_at world ~node
-            ~at:(horizon + outage + Clock.s 1)
+            ~at:(horizon + outage + restore_delay)
             (fun () -> if not (Runtime.node_up world node) then Runtime.restart_node world node))
         nodes

@@ -27,3 +27,11 @@ val schedule_crashes :
     shortly after [horizon] restarts anything still down, so
     quiescent-point oracles always see a live system.  The plan is drawn
     from [rng] up front, the same way at every shard count. *)
+
+val faults_end : profile:Profile.t -> horizon:Clock.time -> Clock.time
+(** The instant by which {!schedule_crashes} over [horizon] has fired its
+    last event: the restore sweep at [horizon + crash_outage + 1 s] (or
+    later, should a period stretched by {!Profile.scale} let a planned
+    restart run past it), and [horizon] itself when the profile has no
+    crash schedule.  From then on the plan crashes and restarts nothing, so
+    a runner may stop a world there once its own work is done. *)

@@ -7,6 +7,7 @@ module Flight = Dcp_airline.Flight
 module Replica = Dcp_primitives.Replica
 module Reconcile = Dcp_primitives.Reconcile
 module Register = Dcp_primitives.Register
+module Scd = Dcp_primitives.Scd
 
 type t = {
   name : string;
@@ -14,15 +15,15 @@ type t = {
 }
 
 let check_all oracles world =
-  List.fold_left
-    (fun acc oracle ->
-      match acc with
-      | Error _ -> acc
-      | Ok () -> (
-          match oracle.check world with
-          | Ok () -> Ok ()
-          | Error reason -> Error (Printf.sprintf "%s: %s" oracle.name reason)))
-    (Ok ()) oracles
+  let failures =
+    List.filter_map
+      (fun oracle ->
+        match oracle.check world with
+        | Ok () -> None
+        | Error reason -> Some (Printf.sprintf "%s: %s" oracle.name reason))
+      oracles
+  in
+  if failures = [] then Ok () else Error (String.concat "; " failures)
 
 let ( let* ) = Result.bind
 
@@ -268,6 +269,44 @@ let table_convergence ~def_name =
       (fun world ->
         let* stores = live_stores world ~def_name in
         tables_equal ~copy:"member" (List.map Register.Table.in_store stores));
+  }
+
+(* SCD's Termination property over durable state: origin j's last
+   broadcast is its own [broadcast] count, and every member must have
+   delivered exactly that far.  Members are checked in origin order, each
+   origin in turn, so the first failing pair is the same on every run. *)
+let scd_termination ~def_name =
+  {
+    name = "scd_termination";
+    check =
+      (fun world ->
+        let* _ = live_stores world ~def_name in
+        let* members =
+          List.fold_left
+            (fun acc g ->
+              let* members = acc in
+              let port = List.hd (Runtime.guardian_ports g) in
+              match Scd.progress_in_store (Runtime.guardian_store g) ~port with
+              | Some p -> Ok (p :: members)
+              | None ->
+                  Error (Printf.sprintf "guardian %d has not joined its group" (Runtime.guardian_id g)))
+            (Ok []) (Runtime.find_guardians world ~def_name)
+        in
+        let members = List.sort (fun a b -> Int.compare a.Scd.origin b.Scd.origin) members in
+        let last = Array.of_list (List.map (fun p -> p.Scd.broadcast) members) in
+        List.fold_left
+          (fun acc p ->
+            let* () = acc in
+            let rec origin j =
+              if j = Array.length last then Ok ()
+              else if p.Scd.delivered.(j) = last.(j) then origin (j + 1)
+              else
+                Error
+                  (Printf.sprintf "member %d has delivered %d of origin %d's %d broadcasts"
+                     p.Scd.origin p.Scd.delivered.(j) j last.(j))
+            in
+            origin 0)
+          (Ok ()) members);
   }
 
 (* ---- airline ---- *)

@@ -16,8 +16,10 @@ type t = {
 }
 
 val check_all : t list -> Runtime.world -> (unit, string) result
-(** First failing oracle wins; its reason is prefixed with the oracle
-    name. *)
+(** Every oracle runs.  Each failing one reports its reason prefixed with
+    its name, and the failures join in list order as
+    ["name: reason; name: reason"]; a single failure reads
+    ["name: reason"]. *)
 
 (** {1 Stable-storage oracles} *)
 
@@ -98,6 +100,17 @@ val table_convergence : def_name:string -> t
     ({!Dcp_primitives.Register.Table.in_store}) at quiescence — the
     {!replica_convergence} comparison, with the same failure text but
     "member" for "replica". *)
+
+val scd_termination : def_name:string -> t
+(** SCD-broadcast's Termination property ({!Dcp_primitives.Scd}), read from
+    the members' stores ({!Dcp_primitives.Scd.progress_in_store}): every
+    member of the [def_name] group is live and, for every origin [j], has
+    durably delivered exactly origin [j]'s last broadcast seq.  Otherwise
+    the reason names the first failing (member, origin) pair, members and
+    origins in index order, with the delivered and broadcast seqs; a
+    crashed or not-yet-joined member fails it too.  Together with
+    {!table_convergence} and finished drivers it is the SCD runner's proof
+    of quiescence: no message is left to deliver, so no table can change. *)
 
 (** {1 Airline oracles} *)
 

@@ -325,16 +325,15 @@ let replica_fanout = 2
    the sweep exercises cursor continuation, not just single-window sync. *)
 let replica_budget = 2048
 
-(* Quiescence probe: step virtual time until [oracle] (a table
-   convergence oracle) holds.  The virtual time elapsed past the fault
-   horizon when it first holds is the convergence-time measurement, -1 if
-   it never does within [max_steps]; LWW tables are monotone in stamp
-   order and the workload has stopped, so once equal they stay equal. *)
-let probe_convergence world ~oracle ~max_steps ~horizon =
+(* Quiescence probe: step virtual time in 250 ms steps until [ready]
+   holds.  The virtual time elapsed past the fault horizon when it first
+   holds is the convergence-time measurement, -1 if it never does within
+   [max_steps].  Only a yes/no is needed, so [ready] may stop at its first
+   failing condition. *)
+let probe_convergence world ~ready ~max_steps ~horizon =
   let step = Clock.ms 250 in
   let rec probe i =
-    if Result.is_ok (Oracle.check_all [ oracle ] world) then
-      (Runtime.now world - horizon) / Clock.ms 1
+    if ready () then (Runtime.now world - horizon) / Clock.ms 1
     else if i >= max_steps then -1
     else begin
       Runtime.run_for world step;
@@ -372,9 +371,11 @@ let run_replica ~replicas:n (params : Scenario.params) =
   Chaos.schedule_crashes world ~rng:(chaos_rng params.seed) ~profile ~nodes
     ~horizon:params.horizon;
   Runtime.run_for world (params.horizon + Clock.s 5);
+  (* LWW tables are monotone in stamp order and the workload has stopped,
+     so once equal they stay equal. *)
   let convergence_ms =
-    probe_convergence world ~oracle:Oracle.replica_convergence ~max_steps:400
-      ~horizon:params.horizon
+    probe_convergence world ~max_steps:400 ~horizon:params.horizon ~ready:(fun () ->
+        Result.is_ok (Oracle.replica_convergence.Oracle.check world))
   in
   let keys =
     match Runtime.find_guardians world ~def_name:Replica.def_name with
@@ -545,36 +546,65 @@ let install_clients world ~def_name ~at ~ports ~keys ~write_pct ~use_snapshots ~
            ~args:[ Value.int idx; Value.int count ]))
     (split_workload ~clients workload)
 
-(* One runner for both SCD objects: they differ only in their group, its
-   size and the client mix. *)
-let run_scd_object ~members ~keys ~clients ~write_pct ~use_snapshots ~object_def ~client_def
-    ~create_group (params : Scenario.params) =
+(* The two SCD objects differ only in their group, its size and the
+   client mix. *)
+type scd_object = {
+  members : int;
+  keys : int;
+  clients : int;
+  write_pct : int;
+  use_snapshots : bool;
+  object_def : string;
+  client_def : string;
+  create_group :
+    Runtime.world -> nodes:Runtime.node_id list -> introduce_at:Runtime.node_id ->
+    Port_name.t list;
+}
+
+(* Build an SCD object's world and run it to its stop point: the first
+   probe that proves quiescence.  Then the drivers are done, the crash plan
+   has fired its last event, every broadcast is delivered everywhere (SCD's
+   Termination) and the tables agree.  From there no table can change:
+   statuses carry no payload, a duplicated client request is answered from
+   its durable rid record, and there is nothing left to deliver.  Each op
+   blocks at most one 1.5 s timeout plus pacing, so 60 s of virtual time
+   past the horizon is a generous limit; a run that hits it goes on to the
+   verdict, where scd_termination fails an undelivered broadcast. *)
+let scd_object_at_stop obj (params : Scenario.params) =
   let profile = params.profile in
   let config = scenario_config profile in
   let world =
     Runtime.create_world ~seed:params.seed
-      ~topology:(Topology.full_mesh ~n:(members + 1) profile.Profile.link)
+      ~topology:(Topology.full_mesh ~n:(obj.members + 1) profile.Profile.link)
       ~config ~shards:params.shards ~parallel:params.parallel ()
   in
-  let nodes = List.init members Fun.id in
-  let ports = Array.of_list (create_group world ~nodes ~introduce_at:members) in
+  let nodes = List.init obj.members Fun.id in
+  let ports = Array.of_list (obj.create_group world ~nodes ~introduce_at:obj.members) in
   let counts = { ok = 0; unknown = 0; no_effect = 0 } in
-  install_clients world ~def_name:client_def ~at:members ~ports ~keys ~write_pct ~use_snapshots
-    ~counts ~workload:params.workload ~clients ~horizon:params.horizon;
+  install_clients world ~def_name:obj.client_def ~at:obj.members ~ports ~keys:obj.keys
+    ~write_pct:obj.write_pct ~use_snapshots:obj.use_snapshots ~counts
+    ~workload:params.workload ~clients:obj.clients ~horizon:params.horizon;
   Chaos.schedule_crashes world ~rng:(chaos_rng params.seed) ~profile ~nodes
     ~horizon:params.horizon;
-  (* Settle bound: each op blocks at most one 1.5 s timeout plus pacing,
-     drivers run concurrently, and the last delivery needs a status round
-     past the last crash; virtual time is free. *)
-  Runtime.run_for world (params.horizon + Clock.s 60);
-  let issued = counts.ok + counts.unknown + counts.no_effect in
+  Runtime.run_for world params.horizon;
+  let faults_end = Chaos.faults_end ~profile ~horizon:params.horizon in
+  let termination = Oracle.scd_termination ~def_name:obj.object_def in
+  let convergence = Oracle.table_convergence ~def_name:obj.object_def in
+  let holds (oracle : Oracle.t) = Result.is_ok (oracle.check world) in
   let convergence_ms =
-    probe_convergence world ~oracle:(Oracle.table_convergence ~def_name:object_def)
-      ~max_steps:200 ~horizon:params.horizon
+    probe_convergence world ~max_steps:240 ~horizon:params.horizon ~ready:(fun () ->
+        counts.ok + counts.unknown + counts.no_effect = params.workload
+        && Runtime.now world >= faults_end
+        && holds termination && holds convergence)
   in
+  (world, counts, convergence_ms)
+
+let run_scd_object obj (params : Scenario.params) =
+  let world, counts, convergence_ms = scd_object_at_stop obj params in
+  let issued = counts.ok + counts.unknown + counts.no_effect in
   let metric name = Metrics.count (Metrics.counter (Runtime.metrics world) name) in
   let stored_keys =
-    match Runtime.find_guardians world ~def_name:object_def with
+    match Runtime.find_guardians world ~def_name:obj.object_def with
     | [] -> 0
     | g :: _ -> List.length (Register.Table.in_store (Runtime.guardian_store g))
   in
@@ -585,8 +615,9 @@ let run_scd_object ~members ~keys ~clients ~write_pct ~use_snapshots ~object_def
     else
       verdict_of
         [
-          Oracle.linearizable ~clients:client_def ();
-          Oracle.table_convergence ~def_name:object_def;
+          Oracle.linearizable ~clients:obj.client_def ();
+          Oracle.table_convergence ~def_name:obj.object_def;
+          Oracle.scd_termination ~def_name:obj.object_def;
           Oracle.stable_durability;
         ]
         world
@@ -612,11 +643,25 @@ let run_scd_object ~members ~keys ~clients ~write_pct ~use_snapshots ~object_def
       @ stable_stats world;
   }
 
-let run_register ~stale_reads =
-  run_scd_object ~members:5 ~keys:4 ~clients:4 ~write_pct:55 ~use_snapshots:false
-    ~object_def:Register.def_name ~client_def:"scd_register_client"
-    ~create_group:(fun world ~nodes ~introduce_at ->
-      Register.create_group world ~nodes ~stale_reads ~introduce_at ())
+let register_object ~stale_reads =
+  {
+    members = 5;
+    keys = 4;
+    clients = 4;
+    write_pct = 55;
+    use_snapshots = false;
+    object_def = Register.def_name;
+    client_def = "scd_register_client";
+    create_group =
+      (fun world ~nodes ~introduce_at ->
+        Register.create_group world ~nodes ~stale_reads ~introduce_at ());
+  }
+
+let register_at_stop params =
+  let world, _, _ = scd_object_at_stop (register_object ~stale_reads:false) params in
+  world
+
+let run_register ~stale_reads = run_scd_object (register_object ~stale_reads)
 
 let register =
   {
@@ -644,10 +689,18 @@ let snapshot =
     default_horizon = Clock.s 4;
     default_workload = 24;
     run =
-      run_scd_object ~members:4 ~keys:3 ~clients:3 ~write_pct:60 ~use_snapshots:true
-        ~object_def:Snapshot.def_name ~client_def:"scd_snapshot_client"
-        ~create_group:(fun world ~nodes ~introduce_at ->
-          Snapshot.create_group world ~nodes ~introduce_at ());
+      run_scd_object
+        {
+          members = 4;
+          keys = 3;
+          clients = 3;
+          write_pct = 60;
+          use_snapshots = true;
+          object_def = Snapshot.def_name;
+          client_def = "scd_snapshot_client";
+          create_group =
+            (fun world ~nodes ~introduce_at -> Snapshot.create_group world ~nodes ~introduce_at ());
+        };
   }
 
 let all = [ bank; airline; itinerary; replica; register; snapshot ]

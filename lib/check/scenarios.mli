@@ -16,8 +16,10 @@
     - [replica_1k]: the same protocol at 1000 replicas — a scale probe
       runnable by name but kept out of the default sweep.
     - [register]: SCD-broadcast atomic registers (5 members) under client
-      load and churn; the recorded per-client histories must linearize and
-      every member's durable table must converge.
+      load and churn; the recorded per-client histories must linearize,
+      every member's durable table must converge, and every broadcast must
+      be delivered everywhere (SCD's Termination).  The run stops at the
+      first probe that proves quiescence rather than after a fixed settle.
     - [snapshot]: the SCD snapshot object (4 members); same oracles, with
       whole-state snapshot views in the histories.
     - [bank_mutated]: [bank] with a reference model that deliberately
@@ -37,6 +39,14 @@ val register : Scenario.t
 val snapshot : Scenario.t
 val bank_mutated : Scenario.t
 val register_mutated : Scenario.t
+
+val register_at_stop : Scenario.params -> Dcp_core.Runtime.world
+(** The [register] scenario's world where its runner stops and judges:
+    the first 250 ms probe past the horizon at which every driver has
+    finished, the crash plan's last event ({!Chaos.faults_end}) has fired,
+    and {!Oracle.scd_termination} and {!Oracle.table_convergence} hold —
+    or the horizon plus 60 s when none does.  For tests of that stop
+    rule. *)
 
 val all : Scenario.t list
 (** The honest default-sweep scenarios (excludes [bank_mutated] and

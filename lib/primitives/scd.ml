@@ -390,12 +390,17 @@ let make ctx ~config ~members ~self =
     m = meters_of ctx;
   }
 
-let self_index ctx members =
-  let own = Dcp_core.Port.name (Runtime.port ctx 0) in
+(* A member's origin index is its port's place in the sorted member list;
+   -1 when absent. *)
+let index_of members port =
   let found = ref (-1) in
-  Array.iteri (fun i p -> if Port_name.equal p own then found := i) members;
-  if !found < 0 then invalid_arg "Scd.create: own port 0 not among the members";
+  Array.iteri (fun i p -> if Port_name.equal p port then found := i) members;
   !found
+
+let self_index ctx members =
+  let found = index_of members (Dcp_core.Port.name (Runtime.port ctx 0)) in
+  if found < 0 then invalid_arg "Scd.create: own port 0 not among the members";
+  found
 
 let create ctx ?(config = default_config) ~members () =
   if config.status_every <= 0 then invalid_arg "Scd.create: status_every must be positive";
@@ -427,6 +432,24 @@ let members_in_store store =
           in
           Option.map List.rev parsed
       | Ok _ | Error _ -> None)
+
+type progress = { origin : int; broadcast : int; delivered : int array }
+
+let progress_in_store store ~port =
+  match members_in_store store with
+  | None -> None
+  | Some members ->
+      let members = Array.of_list members in
+      let origin = index_of members port in
+      if origin < 0 then None
+      else
+        Some
+          {
+            origin;
+            broadcast = int_in_store store seq_key;
+            delivered =
+              Array.init (Array.length members) (fun j -> int_in_store store (dseq_key j));
+          }
 
 let recover ctx =
   let store = Runtime.store ctx in

@@ -116,6 +116,24 @@ val config_in_store : Dcp_stable.Store.t -> config
 val parse_members : Value.t list -> Port_name.t list option
 (** Strict parse of the ["members"] request's port-list argument. *)
 
+(** {1 Durable progress} *)
+
+type progress = {
+  origin : int;  (** the member's origin index in its group *)
+  broadcast : int;  (** how many messages it has broadcast: its last own seq *)
+  delivered : int array;
+      (** per origin, the highest seq it has durably delivered (its
+          delivery watermark), indexed by origin *)
+}
+
+val progress_in_store : Dcp_stable.Store.t -> port:Port_name.t -> progress option
+(** A member's durable progress as its store records it, for the
+    termination oracle: Termination holds once, for every origin [j],
+    every member's [delivered.(j)] equals member [j]'s [broadcast].
+    [port] is the member's request port (its port 0), which fixes its
+    origin index.  [None] before the member joined a group.  The store must
+    be live. *)
+
 (** {1 Observability} *)
 
 val self : t -> int

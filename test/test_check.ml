@@ -101,6 +101,24 @@ let test_replica_fingerprint_deterministic () =
   Alcotest.(check bool) "convergence was measured" true
     (Check.Scenario.stat a "convergence_ms" >= 0)
 
+(* Every failing oracle is reported, so a run that breaks two invariants
+   says so; one failure reads exactly as it always has. *)
+let test_check_all_reports_every_failure () =
+  let world =
+    Dcp_core.Runtime.create_world ~seed:1
+      ~topology:(Dcp_net.Topology.full_mesh ~n:1 Dcp_net.Link.perfect)
+      ()
+  in
+  let oracle name result = { Check.Oracle.name; check = (fun _ -> result) } in
+  let verdict = Alcotest.(result unit string) in
+  Alcotest.check verdict "both failures, in list order" (Error "a: first; c: third")
+    (Check.Oracle.check_all
+       [ oracle "a" (Error "first"); oracle "b" (Ok ()); oracle "c" (Error "third") ]
+       world);
+  Alcotest.check verdict "one failure" (Error "c: third")
+    (Check.Oracle.check_all [ oracle "b" (Ok ()); oracle "c" (Error "third") ] world);
+  Alcotest.check verdict "no failure" (Ok ()) (Check.Oracle.check_all [ oracle "b" (Ok ()) ] world)
+
 let tests =
   [
     Alcotest.test_case "mutated model is detected" `Quick test_mutation_detected;
@@ -111,4 +129,6 @@ let tests =
       test_outcome_fingerprint_deterministic;
     Alcotest.test_case "replica fingerprint is deterministic" `Slow
       test_replica_fingerprint_deterministic;
+    Alcotest.test_case "check_all reports every failing oracle" `Quick
+      test_check_all_reports_every_failure;
   ]

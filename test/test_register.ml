@@ -270,6 +270,80 @@ let test_register_mutation_shrinks () =
         "replay hint names the scenario" true
         (contains ~affix:"register_mutated" (Check.Shrink.replay_hint cx))
 
+(* ---- SCD Termination, read from the members' durable progress ---- *)
+
+let termination = Check.Oracle.scd_termination ~def_name:Register.def_name
+
+let termination_verdict world =
+  match termination.Check.Oracle.check world with Ok () -> "ok" | Error reason -> reason
+
+(* Whether each member's durable table holds [key], in member order. *)
+let holders world key =
+  Runtime.find_guardians world ~def_name:Register.def_name
+  |> List.map (fun g -> List.mem_assoc key (Register.Table.in_store (Runtime.guardian_store g)))
+
+let test_scd_termination () =
+  (* At 20% loss members deliver at different times: in this world, at
+     750 ms the write below is delivered at two members and not yet at
+     the third. *)
+  let world =
+    Runtime.create_world ~seed:3
+      ~topology:(Topology.full_mesh ~n:(members + 1) (Link.lossy 0.2))
+      ()
+  in
+  let ports = make_group world in
+  driver world ~at:members (fun ctx ->
+      Runtime.sleep ctx (Clock.ms 300);
+      ignore (Register.write ctx ~register:ports.(0) ~key:"t" ~value:(Value.int 1) ~timeout));
+  Runtime.run_for world (Clock.ms 750);
+  Alcotest.(check (list bool)) "delivered at two members of three" [ true; true; false ]
+    (holders world "t");
+  Alcotest.(check string) "the lagging member fails termination"
+    "member 2 has delivered 0 of origin 0's 1 broadcasts" (termination_verdict world);
+  Runtime.run_for world (Clock.s 2);
+  Alcotest.(check (list bool)) "delivered everywhere" [ true; true; true ] (holders world "t");
+  Alcotest.(check string) "termination holds" "ok" (termination_verdict world);
+  Runtime.crash_node world 1;
+  Alcotest.(check string) "a member that is down fails termination"
+    "a scd_register store is still crashed at check time" (termination_verdict world);
+  Runtime.restart_node world 1;
+  Runtime.run_for world (Clock.s 1);
+  Alcotest.(check string) "termination holds once the member is back" "ok"
+    (termination_verdict world)
+
+(* The register runner's stop rule is sound: from the stop point, 60 s
+   more of virtual time under the same (finished) crash plan changes no
+   member's table and no verdict. *)
+let test_nothing_changes_after_stop (profile_name, seed) () =
+  let horizon = Clock.s 4 in
+  let world =
+    Scenarios.register_at_stop
+      { Scenario.seed; profile = profile profile_name; horizon; workload = 48; shards = 1;
+        parallel = false }
+  in
+  Alcotest.(check bool) "stopped before the 60 s limit" true
+    (Runtime.now world < horizon + Clock.s 60);
+  let oracles =
+    [
+      Check.Oracle.linearizable ~clients:"scd_register_client" ();
+      Check.Oracle.table_convergence ~def_name:Register.def_name;
+      termination;
+      Check.Oracle.stable_durability;
+    ]
+  in
+  let observe () =
+    ( Runtime.find_guardians world ~def_name:Register.def_name
+      |> List.map (fun g -> Register.Table.in_store (Runtime.guardian_store g)),
+      List.map (fun (o : Check.Oracle.t) -> (o.name, o.check world)) oracles )
+  in
+  let tables, verdicts = observe () in
+  Runtime.run_for world (Clock.s 60);
+  let tables_after, verdicts_after = observe () in
+  Alcotest.(check (list (list (pair string (pair int int))))) "member tables unchanged" tables
+    tables_after;
+  Alcotest.(check (list (pair string (result unit string)))) "verdicts unchanged" verdicts
+    verdicts_after
+
 let tests =
   [
     Alcotest.test_case "write then cross-member read" `Quick test_write_then_read_cross_member;
@@ -284,4 +358,9 @@ let tests =
     Alcotest.test_case "barrier-free register is detected" `Slow test_register_mutation_detected;
     Alcotest.test_case "honest register twin passes" `Slow test_register_honest_twin_passes;
     Alcotest.test_case "register mutation shrinks" `Slow test_register_mutation_shrinks;
+    Alcotest.test_case "scd_termination over a lossy group" `Quick test_scd_termination;
+    Alcotest.test_case "nothing changes after the stop (wan+lossy+crash)" `Slow
+      (test_nothing_changes_after_stop ("wan+lossy+crash", 3));
+    Alcotest.test_case "nothing changes after the stop (wan+lossy+crash+disk)" `Slow
+      (test_nothing_changes_after_stop ("wan+lossy+crash+disk", 13));
   ]
