@@ -16,8 +16,8 @@ module Cluster = Dcp_airline.Cluster
 module Workload = Dcp_airline.Workload
 module Assoc_mem = Dcp_assoc.Assoc_mem
 module Store = Dcp_stable.Store
+module Disk = Dcp_stable.Disk
 module Clock = Dcp_sim.Clock
-module Engine = Dcp_sim.Engine
 module Metrics = Dcp_sim.Metrics
 module Topology = Dcp_net.Topology
 module Network = Dcp_net.Network
@@ -162,7 +162,7 @@ let e2b_run ~centralized =
       service_time = Clock.ms 10;
       clerks_per_region = 8;
       centralized;
-      processors_per_node = 4;
+      config = { Runtime.default_config with processors_per_node = 4 };
       clerk =
         {
           Workload.default_config with
@@ -272,21 +272,19 @@ let e4_crashes () =
     in
     let cluster = Cluster.build params in
     let world = cluster.Cluster.world in
-    let engine = Runtime.engine world in
     (match crash_period_s with
     | None -> ()
     | Some period ->
         let rng = Rng.split (Runtime.world_rng world) in
         let rec schedule_crash at =
-          if at < 60 then
-            ignore
-              (Engine.schedule engine ~at:(Clock.s at) (fun () ->
-                   let victim = Rng.int rng params.Cluster.regions in
-                   Runtime.crash_node world victim;
-                   ignore
-                     (Engine.schedule_after engine ~delay:(Clock.s 2) (fun () ->
-                          Runtime.restart_node world victim));
-                   schedule_crash (at + period)))
+          if at < 60 then begin
+            let victim = Rng.int rng params.Cluster.regions in
+            Runtime.schedule_at world ~node:victim ~at:(Clock.s at) (fun () ->
+                Runtime.crash_node world victim;
+                Runtime.schedule_at world ~node:victim ~at:(Clock.s (at + 2)) (fun () ->
+                    Runtime.restart_node world victim);
+                schedule_crash (at + period))
+          end
         in
         schedule_crash period);
     Cluster.run cluster ~duration:(Clock.s 60)
@@ -601,8 +599,8 @@ let e6 () =
 (* E7 — §2.2: permanence of effect across crashes                      *)
 (* ------------------------------------------------------------------ *)
 
-let e7_run ~tear_p =
-  let config = { Runtime.default_config with crash_tear_p = tear_p } in
+let e7_run ~disk =
+  let config = { Runtime.default_config with disk } in
   let world =
     Runtime.create_world ~seed:107 ~topology:(Topology.full_mesh ~n:2 Link.perfect) ~config ()
   in
@@ -639,27 +637,29 @@ let e7_run ~tear_p =
   in
   let acked_list = !acked in
   let lost = List.filter (fun entry -> not (survived entry)) acked_list in
-  (List.length acked_list, List.length lost)
+  let count name = Metrics.count (Metrics.counter (Runtime.metrics world) name) in
+  (List.length acked_list, List.length lost, count "stable.salvaged", count "stable.corrupt")
 
 let e7 () =
   let rows =
     List.map
-      (fun tear_p ->
-        let acked, lost = e7_run ~tear_p in
+      (fun (label, disk) ->
+        let acked, lost, salvaged, quarantined = e7_run ~disk in
         [
-          Tables.f2 tear_p;
+          label;
           Tables.i acked;
           Tables.i (acked - lost);
           Tables.i lost;
-          Tables.i 5;
+          Tables.i salvaged;
+          Tables.i quarantined;
         ])
-      [ 0.0; 0.5; 1.0 ]
+      [ ("perfect", None); ("flaky", Some Disk.flaky); ("hostile", Some Disk.hostile) ]
   in
   Tables.print
     ~title:
-      "E7  §2.2 permanence of effect: 50 acknowledged reserves across 5 node crashes; a torn \
-       final log record can lose at most the last write per crash"
-    ~header:[ "tear prob"; "acked"; "survived"; "acked lost"; "crashes" ]
+      "E7  §2.2 permanence of effect: 50 acknowledged reserves across 5 node crashes; only rot \
+       that takes a record and its mirror together can lose an acknowledged write"
+    ~header:[ "disk"; "acked"; "survived"; "acked lost"; "salvaged"; "quarantined" ]
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -757,10 +757,7 @@ let e8 () =
    is full only afterwards, stranding the passenger with half a trip.  The
    two-phase itinerary aborts cleanly and releases the hold. *)
 let e9_run ~atomic ~passengers =
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  let world =
-    Runtime.create_world ~seed:109 ~topology:(Topology.full_mesh ~n:4 Link.perfect) ~config ()
-  in
+  let world = Runtime.create_world ~seed:109 ~topology:(Topology.full_mesh ~n:4 Link.perfect) () in
   let scarce = 10 in
   let f1 =
     Flight.create world ~at:0 ~flight:1 ~capacity:(2 * scarce) ~waitlist_capacity:0

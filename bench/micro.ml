@@ -124,7 +124,7 @@ let recover_bench entries =
     Dcp_stable.Store.flush store
   in
   fun () ->
-    Dcp_stable.Store.crash store ();
+    Dcp_stable.Store.crash store;
     ignore (Dcp_stable.Store.recover store)
 
 let test_wal_recover_1k =

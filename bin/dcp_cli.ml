@@ -21,7 +21,6 @@ module Cluster = Dcp_airline.Cluster
 module Workload = Dcp_airline.Workload
 module Types = Dcp_airline.Types
 module Clock = Dcp_sim.Clock
-module Engine = Dcp_sim.Engine
 
 (* ---- airline ---- *)
 
@@ -49,15 +48,12 @@ let run_airline regions flights capacity org centralized clerks duration crash_a
   (match crash_at with
   | None -> ()
   | Some at ->
-      let engine = Runtime.engine world in
-      ignore
-        (Engine.schedule engine ~at:(Clock.s at) (fun () ->
-             Printf.printf "[%ds] crashing node 0\n%!" at;
-             Runtime.crash_node world 0));
-      ignore
-        (Engine.schedule engine ~at:(Clock.s (at + 5)) (fun () ->
-             Printf.printf "[%ds] restarting node 0\n%!" (at + 5);
-             Runtime.restart_node world 0)));
+      Runtime.schedule_at world ~node:0 ~at:(Clock.s at) (fun () ->
+          Printf.printf "[%ds] crashing node 0\n%!" at;
+          Runtime.crash_node world 0);
+      Runtime.schedule_at world ~node:0 ~at:(Clock.s (at + 5)) (fun () ->
+          Printf.printf "[%ds] restarting node 0\n%!" (at + 5);
+          Runtime.restart_node world 0));
   let report = Cluster.run cluster ~duration:(Clock.s duration) in
   Format.printf "%a@." Cluster.pp_report report;
   `Ok ()
@@ -100,8 +96,7 @@ let airline_cmd =
 let run_bank transfers crash_coordinator seed =
   let open Dcp_wire in
   let topology = Dcp_net.Topology.full_mesh ~n:4 Dcp_net.Link.lan in
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  let world = Runtime.create_world ~seed ~topology ~config () in
+  let world = Runtime.create_world ~seed ~topology () in
   let accounts prefix = List.init 4 (fun i -> (Printf.sprintf "%s%d" prefix i, 1000)) in
   let b0 = Dcp_bank.Branch.create world ~at:0 ~accounts:(accounts "a") () in
   let b1 = Dcp_bank.Branch.create world ~at:1 ~accounts:(accounts "b") () in
@@ -142,15 +137,12 @@ let run_bank transfers crash_coordinator seed =
   Runtime.register_def world teller;
   ignore (Runtime.create_guardian world ~at:3 ~def_name:"teller" ~args:[]);
   if crash_coordinator then begin
-    let engine = Runtime.engine world in
-    ignore
-      (Engine.schedule engine ~at:(Clock.ms 300) (fun () ->
-           Printf.printf "[0.3s] crashing coordinator\n%!";
-           Runtime.crash_node world 2));
-    ignore
-      (Engine.schedule engine ~at:(Clock.ms 800) (fun () ->
-           Printf.printf "[0.8s] restarting coordinator\n%!";
-           Runtime.restart_node world 2))
+    Runtime.schedule_at world ~node:2 ~at:(Clock.ms 300) (fun () ->
+        Printf.printf "[0.3s] crashing coordinator\n%!";
+        Runtime.crash_node world 2);
+    Runtime.schedule_at world ~node:2 ~at:(Clock.ms 800) (fun () ->
+        Printf.printf "[0.8s] restarting coordinator\n%!";
+        Runtime.restart_node world 2)
   end;
   Runtime.run_for world (Clock.s 120);
   `Ok ()

@@ -11,7 +11,6 @@ module Cluster = Dcp_airline.Cluster
 module Workload = Dcp_airline.Workload
 module Types = Dcp_airline.Types
 module Clock = Dcp_sim.Clock
-module Engine = Dcp_sim.Engine
 
 let () =
   let params =
@@ -44,16 +43,13 @@ let () =
 
   (* Crash region 2's node a third of the way through the day, bring it
      back a while later — the paper's §3.5 failure scenario. *)
-  let engine = Runtime.engine world in
-  ignore
-    (Engine.schedule engine ~at:(Clock.s 20) (fun () ->
-         Format.printf "[%a] *** node 2 crashes ***@." Clock.pp (Engine.now engine);
-         Runtime.crash_node world 2));
-  ignore
-    (Engine.schedule engine ~at:(Clock.s 30) (fun () ->
-         Format.printf "[%a] *** node 2 restarts; guardians recover ***@." Clock.pp
-           (Engine.now engine);
-         Runtime.restart_node world 2));
+  Runtime.schedule_at world ~node:2 ~at:(Clock.s 20) (fun () ->
+      Format.printf "[%a] *** node 2 crashes ***@." Clock.pp (Runtime.now world);
+      Runtime.crash_node world 2);
+  Runtime.schedule_at world ~node:2 ~at:(Clock.s 30) (fun () ->
+      Format.printf "[%a] *** node 2 restarts; guardians recover ***@." Clock.pp
+        (Runtime.now world);
+      Runtime.restart_node world 2);
 
   let report = Cluster.run cluster ~duration:(Clock.s 60) in
   Format.printf "@.=== day report (60 virtual seconds) ===@.%a@." Cluster.pp_report report;

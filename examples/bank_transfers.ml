@@ -14,14 +14,12 @@ module Transfer = Dcp_bank.Transfer
 module Audit = Dcp_bank.Audit
 module Rpc = Dcp_primitives.Rpc
 module Clock = Dcp_sim.Clock
-module Engine = Dcp_sim.Engine
 module Topology = Dcp_net.Topology
 module Link = Dcp_net.Link
 
 let () =
   let topology = Topology.full_mesh ~n:4 Link.lan in
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  let world = Runtime.create_world ~seed:5 ~topology ~config () in
+  let world = Runtime.create_world ~seed:5 ~topology () in
 
   let accounts prefix =
     List.init 4 (fun i -> (Printf.sprintf "%s%d" prefix i, 1000))
@@ -81,16 +79,13 @@ let () =
 
   (* Crash the coordinator in the middle of the stream; its recovery
      process re-drives in-flight transfers from the logged saga records. *)
-  let engine = Runtime.engine world in
-  ignore
-    (Engine.schedule engine ~at:(Clock.ms 450) (fun () ->
-         Format.printf "[%a] *** coordinator node crashes ***@." Clock.pp (Engine.now engine);
-         Runtime.crash_node world 2));
-  ignore
-    (Engine.schedule engine ~at:(Clock.ms 900) (fun () ->
-         Format.printf "[%a] *** coordinator restarts, recovery re-drives sagas ***@."
-           Clock.pp (Engine.now engine);
-         Runtime.restart_node world 2));
+  Runtime.schedule_at world ~node:2 ~at:(Clock.ms 450) (fun () ->
+      Format.printf "[%a] *** coordinator node crashes ***@." Clock.pp (Runtime.now world);
+      Runtime.crash_node world 2);
+  Runtime.schedule_at world ~node:2 ~at:(Clock.ms 900) (fun () ->
+      Format.printf "[%a] *** coordinator restarts, recovery re-drives sagas ***@." Clock.pp
+        (Runtime.now world);
+      Runtime.restart_node world 2);
 
   Runtime.run_for world (Clock.s 60);
   Format.printf "done at %a@." Clock.pp (Runtime.now world)

@@ -23,12 +23,7 @@ module Topology = Dcp_net.Topology
 module Link = Dcp_net.Link
 
 let () =
-  let world =
-    Runtime.create_world ~seed:12
-      ~topology:(Topology.full_mesh ~n:3 Link.lan)
-      ~config:{ Runtime.default_config with crash_tear_p = 0.0 }
-      ()
-  in
+  let world = Runtime.create_world ~seed:12 ~topology:(Topology.full_mesh ~n:3 Link.lan) () in
   let directory = Directory.create world ~at:0 () in
   let printer = Printer.create world ~at:0 ~line_time:(Clock.ms 20) () in
   let ann_delivery, ann_owner = Mailbox.create world ~at:1 ~owner:"ann" () in
@@ -110,17 +105,13 @@ let () =
   ignore (Runtime.create_guardian world ~at:1 ~def_name:"ann" ~args:[]);
 
   (* The records node has a bad afternoon. *)
-  let engine = Runtime.engine world in
-  ignore
-    (Dcp_sim.Engine.schedule engine ~at:(Clock.s 2) (fun () ->
-         Format.printf "[%a] *** records node crashes ***@." Clock.pp
-           (Dcp_sim.Engine.now engine);
-         Runtime.crash_node world 0));
-  ignore
-    (Dcp_sim.Engine.schedule engine ~at:(Clock.s 3) (fun () ->
-         Format.printf "[%a] *** records node back; directory recovered ***@." Clock.pp
-           (Dcp_sim.Engine.now engine);
-         Runtime.restart_node world 0));
+  Runtime.schedule_at world ~node:0 ~at:(Clock.s 2) (fun () ->
+      Format.printf "[%a] *** records node crashes ***@." Clock.pp (Runtime.now world);
+      Runtime.crash_node world 0);
+  Runtime.schedule_at world ~node:0 ~at:(Clock.s 3) (fun () ->
+      Format.printf "[%a] *** records node back; directory recovered ***@." Clock.pp
+        (Runtime.now world);
+      Runtime.restart_node world 0);
 
   Runtime.run_for world (Clock.s 5);
   (* The directory survived the crash — look bob up again from ann's node. *)

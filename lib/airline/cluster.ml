@@ -16,9 +16,7 @@ type params = {
   clerk : Workload.config;
   inter_node : Link.t;
   centralized : bool;
-  processors_per_node : int;
-  disk : Dcp_stable.Disk.spec option;
-  checkpoint_every : int option;
+  config : Runtime.config;
   seed : int;
 }
 
@@ -34,9 +32,7 @@ let default_params =
     clerk = { Workload.default_config with flights = 16; transactions = 0 };
     inter_node = Link.wan;
     centralized = false;
-    processors_per_node = 8;
-    disk = None;
-    checkpoint_every = None;
+    config = Runtime.default_config;
     seed = 7;
   }
 
@@ -56,15 +52,7 @@ let flights_of_region p r =
 let build p =
   if p.regions <= 0 then invalid_arg "Cluster.build: need at least one region";
   let topology = Topology.full_mesh ~n:p.regions p.inter_node in
-  let config =
-    {
-      Runtime.default_config with
-      processors_per_node = p.processors_per_node;
-      disk = p.disk;
-      checkpoint_every = p.checkpoint_every;
-    }
-  in
-  let world = Runtime.create_world ~seed:p.seed ~topology ~config () in
+  let world = Runtime.create_world ~seed:p.seed ~topology ~config:p.config () in
   Dcp_core.Primordial.install world;
   let region_ids = List.init p.regions Fun.id in
   let regionals =

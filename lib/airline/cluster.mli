@@ -24,11 +24,9 @@ type params = {
   clerk : Workload.config;
   inter_node : Dcp_net.Link.t;  (** link between airline nodes *)
   centralized : bool;
-  processors_per_node : int;  (** CPUs per node ({!Dcp_core.Runtime.compute}) *)
-  disk : Dcp_stable.Disk.spec option;
-      (** disk-fault injector attached to every guardian store; [None] =
-          perfect disks *)
-  checkpoint_every : int option;  (** WAL auto-checkpoint period, in appends *)
+  config : Dcp_core.Runtime.config;
+      (** the world's config: processors per node, disk faults,
+          checkpointing (default {!Dcp_core.Runtime.default_config}) *)
   seed : int;
 }
 

@@ -18,17 +18,16 @@ module Rng = Dcp_rng.Rng
    pure function of the seed. *)
 let chaos_rng seed = Rng.create ~seed:(seed lxor 0x2545F4914F6CDD1D)
 
-(* Shared world config: the checker injects damage through the profile's
-   disk axis, never through the legacy crash_tear_p knob (the two would
-   double-count tears).  Checkpointing is only enabled alongside the disk
-   injector — on perfect disks it would change store internals without
-   changing behaviour, perturbing nothing but costing time. *)
+(* Shared world config, for every scenario: the checker injects damage
+   through the profile's disk axis.  Checkpointing is only enabled
+   alongside the disk injector — on perfect disks it would change store
+   internals without changing behaviour, perturbing nothing but costing
+   time. *)
 let checkpoint_every = 100
 
 let scenario_config (profile : Profile.t) =
   {
     Runtime.default_config with
-    crash_tear_p = 0.0;
     disk = profile.Profile.disk;
     checkpoint_every =
       (if Option.is_none profile.Profile.disk then None else Some checkpoint_every);
@@ -184,9 +183,7 @@ let run_airline (params : Scenario.params) =
       clerks_per_region = Int.max 1 params.workload;
       seed = params.seed;
       inter_node = profile.Profile.link;
-      disk = profile.Profile.disk;
-      checkpoint_every =
-        (if Option.is_none profile.Profile.disk then None else Some checkpoint_every);
+      config = scenario_config profile;
       clerk =
         {
           Workload.default_config with

@@ -19,7 +19,6 @@ type node_id = int
 type config = {
   codec : Codec.config;
   mtu : int;
-  crash_tear_p : float;
   processors_per_node : int;
   disk : Disk.spec option;
   checkpoint_every : int option;
@@ -29,7 +28,6 @@ let default_config =
   {
     codec = Codec.default_config;
     mtu = 1024;
-    crash_tear_p = 0.3;
     processors_per_node = 8;
     disk = None;
     checkpoint_every = None;
@@ -108,7 +106,7 @@ and shard = {
   shot : hot_metrics;
   sencoder : Codec.encoder;  (** scratch-buffer encoder for this shard's send path *)
   strace : Trace.t;
-  ssys_rng : Rng.t;  (** secrets, crash tears *)
+  ssys_rng : Rng.t;  (** secrets, disk-injector streams *)
   sworkload_rng : Rng.t;  (** handed to user workload generators *)
   sguardians_by_def : (string, guardian list ref) Hashtbl.t;  (** newest first *)
   mutable snext_guardian_id : int;  (** strided: shard_id + k * shard_count *)
@@ -154,7 +152,6 @@ and def = {
 and ctx = { cworld : world; cguardian : guardian }
 
 let shard0 w = w.shards.(0)
-let engine w = (shard0 w).sengine
 let network w = (shard0 w).snetwork
 let now w = Engine.now (shard0 w).sengine
 
@@ -689,8 +686,8 @@ let crash_node w node_id =
             let was_alive = g.galive in
             kill_guardian_volatile g;
             (* Only recoverable guardians will come back; their stable
-               stores survive the crash, possibly with a torn tail. *)
-            if was_alive then Store.crash g.gstore ~tear:(sh.ssys_rng, w.config.crash_tear_p) ())
+               stores survive the crash, damaged only by their disks. *)
+            if was_alive then Store.crash g.gstore)
           node.guardians;
         scount sh "node.crashed";
         stracef sh "crash" "node %d crashed" node_id

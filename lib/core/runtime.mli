@@ -61,18 +61,19 @@ type def = {
 type config = {
   codec : Codec.config;
   mtu : int;
-  crash_tear_p : float;  (** probability a crash tears the last WAL record *)
   processors_per_node : int;
       (** §1.1: "each node consists of one or more processors" — the units
           {!compute} contends for (default 8) *)
   disk : Dcp_stable.Disk.spec option;
       (** attach a disk-fault injector to every guardian store (default
-          [None]: perfect disks).  Each store gets its own RNG stream split
-          from its shard's system stream; appends may stall, crashes may
-          tear/drop un-flushed records and rot flushed state.  The runtime
-          flushes a guardian's store before any of its messages leaves the
-          node, so acknowledged state survives every non-rot fault, and rot
-          is salvaged or quarantined at recovery ([stable.*] metrics). *)
+          [None]: perfect disks, on which a crash loses nothing a guardian
+          logged).  The injector is the only way a crash damages a store.
+          Each store gets its own RNG stream split from its shard's system
+          stream; appends may stall, crashes may tear/drop un-flushed
+          records and rot flushed state.  The runtime flushes a guardian's
+          store before any of its messages leaves the node, so acknowledged
+          state survives every non-rot fault, and rot is salvaged or
+          quarantined at recovery ([stable.*] metrics). *)
   checkpoint_every : int option;
       (** auto-checkpoint a guardian store after this many mutations
           (default [None]: only explicit {!Dcp_stable.Store.checkpoint}
@@ -95,12 +96,6 @@ val create_world :
     trace is identical for a fixed (seed, shards) regardless of
     [parallel].  Messages between guardians on one node take 5 µs.
     @raise Invalid_argument if [shards < 1]. *)
-
-val engine : world -> Dcp_sim.Engine.t
-(** Shard 0's engine.  With [shards = 1] (the default) this is the world's
-    only engine and behaves exactly as before sharding.  Multi-shard
-    harness code should prefer the aggregates ({!events_executed},
-    {!network_stats}) and {!schedule_at}. *)
 
 val network : world -> Dcp_net.Network.t
 (** Shard 0's network instance (all shards share the topology; loss/delay
@@ -135,9 +130,9 @@ val network_stats : world -> Dcp_net.Network.stats
 val schedule_at : world -> node:node_id -> at:Clock.time -> (unit -> unit) -> unit
 (** Host-side scheduling pinned to the shard owning [node]: the callback
     runs on that shard's engine, so it may touch the node (crash it,
-    restart it, read its state) even in a parallel run.  Fault injectors
-    and workload drivers targeting a node must use this rather than
-    scheduling on {!engine}. @raise Invalid_argument on unknown node. *)
+    restart it, read its state) even in a parallel run.  It is the one
+    way fault injectors and workload drivers outside the model schedule
+    work. @raise Invalid_argument on unknown node. *)
 
 val register_def : world -> def -> unit
 (** Add a guardian definition to the system library (compile-time library of

@@ -282,7 +282,7 @@ let await_members ctx ~config ~stale_reads =
     | `Msg (_, msg) -> (
         match (msg.Message.command, msg.Message.args, msg.Message.reply_to) with
         | "members", [ Value.Int rid; members_arg ], Some reply -> (
-            match Scd.parse_members [ members_arg ] with
+            match Scd.parse_members members_arg with
             | Some members when members <> [] ->
                 let scd = Scd.create ctx ~config ~members () in
                 let st =

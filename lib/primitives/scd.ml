@@ -416,22 +416,27 @@ let create ctx ?(config = default_config) ~members () =
   persist_int ctx frontier_key 0;
   t
 
+(* A member list, as the ["members"] request carries it and as the store
+   keeps it: a [Listv] of [Portv]s, anything else rejected. *)
+let parse_members value =
+  match value with
+  | Value.Listv ports ->
+      let parsed =
+        List.fold_left
+          (fun acc v ->
+            match (acc, v) with
+            | Some parsed, Value.Portv p -> Some (p :: parsed)
+            | _, _ -> None)
+          (Some []) ports
+      in
+      Option.map List.rev parsed
+  | _ -> None
+
 let members_in_store store =
   match Store.get store ~key:members_key with
   | None -> None
   | Some encoded -> (
-      match Codec.decode encoded with
-      | Ok (Value.Listv ports) ->
-          let parsed =
-            List.fold_left
-              (fun acc v ->
-                match (acc, v) with
-                | Some parsed, Value.Portv p -> Some (p :: parsed)
-                | _, _ -> None)
-              (Some []) ports
-          in
-          Option.map List.rev parsed
-      | Ok _ | Error _ -> None)
+      match Codec.decode encoded with Ok v -> parse_members v | Error _ -> None)
 
 type progress = { origin : int; broadcast : int; delivered : int array }
 
@@ -496,20 +501,6 @@ let recover ctx =
       Some t
 
 (* ---- membership bootstrap ---- *)
-
-let parse_members values =
-  match values with
-  | [ Value.Listv ports ] ->
-      let parsed =
-        List.fold_left
-          (fun acc v ->
-            match (acc, v) with
-            | Some parsed, Value.Portv p -> Some (p :: parsed)
-            | _, _ -> None)
-          (Some []) ports
-      in
-      Option.map List.rev parsed
-  | _ -> None
 
 (* The bootstrap keeps offering the member list until every member has
    acknowledged: a member crashed through one round joins in a later one

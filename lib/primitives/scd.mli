@@ -113,8 +113,9 @@ val persist_group_config : Runtime.ctx -> config -> unit
 val config_in_store : Dcp_stable.Store.t -> config
 (** The persisted config, or {!default_config} when absent/garbled. *)
 
-val parse_members : Value.t list -> Port_name.t list option
-(** Strict parse of the ["members"] request's port-list argument. *)
+val parse_members : Value.t -> Port_name.t list option
+(** Strict parse of a member list — the ["members"] request's argument, as
+    the store also keeps it: a port list, or [None]. *)
 
 (** {1 Durable progress} *)
 

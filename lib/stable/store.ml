@@ -136,10 +136,7 @@ let rot_blob d blob =
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
   Bytes.to_string b
 
-let crash t ?tear () =
-  (match tear with
-  | None -> ()
-  | Some (rng, p) -> ignore (Wal.tear_tail t.wal rng ~p));
+let crash t =
   (match t.disk with
   | None -> ()
   | Some d ->

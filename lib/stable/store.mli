@@ -56,12 +56,11 @@ val log_length : t -> int
 val checkpoint_count : t -> int
 (** Retained checkpoint generations (0, 1 or 2). *)
 
-val crash : t -> ?tear:(Dcp_rng.Rng.t * float) -> unit -> unit
+val crash : t -> unit
 (** Simulate the node crash: the volatile table is lost; checkpoints and
-    log survive, modulo damage — the legacy [?tear] draw (see
-    {!Wal.tear_tail}) plus, when a disk injector is attached, its
-    crash-time tear/drop/rot faults.  The store is unusable until
-    {!recover}. *)
+    log survive.  Only an attached disk injector damages them: it may tear
+    or drop un-flushed records and rot flushed state.  A store without one
+    loses nothing it logged.  The store is unusable until {!recover}. *)
 
 type recover_report = {
   replayed : int;  (** log records applied on top of the checkpoint *)

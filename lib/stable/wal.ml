@@ -167,17 +167,6 @@ let scrub t =
   t.flushed <- !kept_flushed;
   { salvaged = !salvaged; quarantined = !quarantined }
 
-let tear_tail t rng ~p =
-  if t.len = 0 then false
-  else if Dcp_rng.Rng.bernoulli rng p then begin
-    let last = t.len - 1 in
-    let r = t.entries.(last) in
-    r.crc <- Int32.lognot r.crc;
-    t.verified <- Int.min t.verified last;
-    true
-  end
-  else false
-
 let tear_unflushed t =
   if t.len > t.flushed then begin
     let last = t.len - 1 in

@@ -74,13 +74,7 @@ val scrub : t -> scrub_report
     raises; afterwards the log verifies end to end. *)
 
 (** {1 Crash-time damage} — called by {!Store.crash}, driven by {!Disk}
-    draws or the legacy tear probability. *)
-
-val tear_tail : t -> Dcp_rng.Rng.t -> p:float -> bool
-(** Legacy damage model: with probability [p], corrupt the final record
-    (as if the crash interrupted its write).  Returns whether a tear
-    happened.  Draws once whenever the log is non-empty, flushed or not —
-    pinned fingerprints depend on that draw count. *)
+    draws.  Flushed records are never torn or dropped. *)
 
 val tear_unflushed : t -> bool
 (** Corrupt the last record iff it is un-flushed (a torn in-flight write).

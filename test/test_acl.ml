@@ -72,8 +72,7 @@ let prop_acl_grant_check =
 (* ---- the admin port as a capability ---- *)
 
 let make_world () =
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  Runtime.create_world ~seed:61 ~topology:(Topology.full_mesh ~n:2 Link.perfect) ~config ()
+  Runtime.create_world ~seed:61 ~topology:(Topology.full_mesh ~n:2 Link.perfect) ()
 
 let fresh_driver_name =
   let i = ref 0 in

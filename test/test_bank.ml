@@ -12,8 +12,7 @@ module Topology = Dcp_net.Topology
 module Link = Dcp_net.Link
 
 let make_world ?(n = 3) ?(link = Link.perfect) () =
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  Runtime.create_world ~seed:31 ~topology:(Topology.full_mesh ~n link) ~config ()
+  Runtime.create_world ~seed:31 ~topology:(Topology.full_mesh ~n link) ()
 
 let fresh_driver_name =
   let i = ref 0 in
@@ -202,7 +201,7 @@ let test_conservation_with_coordinator_crash () =
              ~to_account:"b0" ~amount:50)
       done);
   (* Crash while sagas may be between withdraw and deposit. *)
-  Dcp_sim.Engine.run_until (Runtime.engine world) (Clock.ms 1);
+  Runtime.run_for world (Clock.ms 1);
   Runtime.crash_node world 2;
   Runtime.restart_node world 2;
   Runtime.run_for world (Clock.s 30);
@@ -222,11 +221,9 @@ let test_conservation_with_branch_crash () =
       done);
   (* The destination branch dies while deposits are in flight; the saga
      parks and retries until the branch recovers. *)
-  Dcp_sim.Engine.run_until (Runtime.engine world) (Clock.ms 1);
+  Runtime.run_for world (Clock.ms 1);
   Runtime.crash_node world 1;
-  ignore
-    (Dcp_sim.Engine.schedule (Runtime.engine world) ~at:(Clock.s 3) (fun () ->
-         Runtime.restart_node world 1));
+  Runtime.schedule_at world ~node:1 ~at:(Clock.s 3) (fun () -> Runtime.restart_node world 1);
   Runtime.run_for world (Clock.s 60);
   Alcotest.(check int) "sagas settled" 0 (Transfer.incomplete_transfers world);
   match total_money world ~branches:[ b0; b1 ] with

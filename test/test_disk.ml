@@ -96,7 +96,7 @@ let test_drop_loses_unflushed_only () =
   Store.flush s;
   Store.set s ~key:"lost1" "x";
   Store.set s ~key:"lost2" "y";
-  Store.crash s ();
+  Store.crash s;
   let r = Store.recover_report s in
   Alcotest.(check int) "both unflushed dropped" 2 r.Store.dropped_unflushed;
   Alcotest.(check (list (pair string string))) "flushed prefix intact" [ ("old", "1") ] (dump s)
@@ -107,7 +107,7 @@ let test_tear_loses_last_unflushed_only () =
   Store.flush s;
   Store.set s ~key:"kept" "x";
   Store.set s ~key:"torn" "y";
-  Store.crash s ();
+  Store.crash s;
   let r = Store.recover_report s in
   Alcotest.(check int) "torn record quarantined" 1 r.Store.quarantined;
   Alcotest.(check (list (pair string string)))
@@ -120,7 +120,7 @@ let test_rot_salvaged_from_mirror () =
   Store.set s ~key:"a" "1";
   Store.set s ~key:"b" "2";
   Store.flush s;
-  Store.crash s ();
+  Store.crash s;
   let r = Store.recover_report s in
   Alcotest.(check int) "rot healed from the mirror" 1 r.Store.salvaged;
   Alcotest.(check int) "nothing quarantined" 0 r.Store.quarantined;
@@ -133,7 +133,7 @@ let test_sector_rot_quarantined () =
   Store.set s ~key:"a" "1";
   Store.set s ~key:"b" "2";
   Store.flush s;
-  Store.crash s ();
+  Store.crash s;
   let r = Store.recover_report s in
   Alcotest.(check int) "beyond salvage" 1 r.Store.quarantined;
   Alcotest.(check int) "exactly one key lost" 1 (Store.size s);
@@ -163,7 +163,7 @@ let test_checkpoint_damage_falls_back () =
   Store.set s ~key:"c" "3";
   Alcotest.(check int) "two generations retained" 2 (Store.checkpoint_count s);
   Alcotest.(check bool) "newest generation damaged" true (Store.damage_newest_checkpoint s);
-  Store.crash s ();
+  Store.crash s;
   let r = Store.recover_report s in
   Alcotest.(check int) "one generation fell back" 1 r.Store.checkpoint_fallbacks;
   Alcotest.(check (list (pair string string)))
@@ -182,7 +182,7 @@ let test_first_checkpoint_damage_harmless () =
   Store.set s ~key:"b" "2";
   Store.checkpoint s;
   Alcotest.(check bool) "only generation damaged" true (Store.damage_newest_checkpoint s);
-  Store.crash s ();
+  Store.crash s;
   let r = Store.recover_report s in
   Alcotest.(check int) "fallback counted" 1 r.Store.checkpoint_fallbacks;
   Alcotest.(check (list (pair string string)))
@@ -203,7 +203,7 @@ let test_recovery_is_o_suffix () =
       Store.set s ~key:(string_of_int (i mod 250)) (string_of_int i)
     done;
     Store.flush s;
-    Store.crash s ();
+    Store.crash s;
     let r = Store.recover_report s in
     Alcotest.(check (result unit string)) "consistent after recovery" (Ok ())
       (Result.map_error (fun _ -> "durability_check failed") (Store.durability_check s));
@@ -232,7 +232,7 @@ let apply_ops store ops =
       | `Remove k -> Store.remove store ~key:k
       | `Checkpoint -> Store.checkpoint store
       | `Crash_recover ->
-          Store.crash store ();
+          Store.crash store;
           ignore (Store.recover store))
     ops
 
@@ -247,9 +247,9 @@ let prop_compaction_equivalence =
       let plain = Store.create () in
       apply_ops compacting ops;
       apply_ops plain ops;
-      Store.crash compacting ();
+      Store.crash compacting;
       ignore (Store.recover compacting);
-      Store.crash plain ();
+      Store.crash plain;
       ignore (Store.recover plain);
       dump compacting = dump plain)
 
@@ -264,7 +264,7 @@ let prop_salvage_keeps_flushed =
       apply_ops s ops;
       Store.flush s;
       let before = dump s in
-      Store.crash s ();
+      Store.crash s;
       ignore (Store.recover s);
       dump s = before)
 
@@ -277,12 +277,12 @@ let prop_recovery_idempotent =
     (fun (seed, ops) ->
       let s = Store.create ~disk:(Disk.flaky, Rng.create ~seed) ~checkpoint_every:11 () in
       apply_ops s ops;
-      Store.crash s ();
+      Store.crash s;
       ignore (Store.recover s);
       let first = dump s in
       let stable = ref true in
       for _ = 1 to 3 do
-        Store.crash s ();
+        Store.crash s;
         let r = Store.recover_report s in
         stable :=
           !stable && dump s = first && r.Store.dropped_unflushed = 0

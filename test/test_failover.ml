@@ -67,9 +67,7 @@ let test_failover_keeps_service_alive () =
   Runtime.register_def world client;
   ignore (Runtime.create_guardian world ~at:2 ~def_name:"failover_client" ~args:[]);
   (* The primary's node dies mid-run and never comes back. *)
-  ignore
-    (Dcp_sim.Engine.schedule (Runtime.engine world) ~at:(Clock.ms 800) (fun () ->
-         Runtime.crash_node world 0));
+  Runtime.schedule_at world ~node:0 ~at:(Clock.ms 800) (fun () -> Runtime.crash_node world 0);
   Runtime.run_for world (Clock.s 30);
   Alcotest.(check bool)
     (Printf.sprintf "switched to the backup (at %s)"

@@ -211,21 +211,18 @@ let test_api_storm () =
     :: Port_name.make ~node:0 ~guardian:0 ~index:9 ~uid:99999
     :: !all_ports;
   (* Random crashes in the middle. *)
-  let engine = Runtime.engine world in
   for t = 1 to 3 do
     let node = Rng.int rng 3 in
-    ignore
-      (Dcp_sim.Engine.schedule engine ~at:(Clock.s t) (fun () ->
-           if Runtime.node_up world node then Runtime.crash_node world node));
-    ignore
-      (Dcp_sim.Engine.schedule engine
-         ~at:(Clock.s t + Clock.ms 300)
-         (fun () -> if not (Runtime.node_up world node) then Runtime.restart_node world node))
+    Runtime.schedule_at world ~node ~at:(Clock.s t) (fun () ->
+        if Runtime.node_up world node then Runtime.crash_node world node);
+    Runtime.schedule_at world ~node
+      ~at:(Clock.s t + Clock.ms 300)
+      (fun () -> if not (Runtime.node_up world node) then Runtime.restart_node world node)
   done;
   (* If anything deadlocks or throws, this run_for never returns cleanly or
      the test harness reports the exception. *)
   Runtime.run_for world (Clock.s 5);
-  Alcotest.(check bool) "storm survived" true (Dcp_sim.Engine.events_executed engine > 1000)
+  Alcotest.(check bool) "storm survived" true (Runtime.events_executed world > 1000)
 
 let tests =
   [

@@ -14,8 +14,7 @@ module Topology = Dcp_net.Topology
 module Link = Dcp_net.Link
 
 let make_world ?(n = 3) () =
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  Runtime.create_world ~seed:71 ~topology:(Topology.full_mesh ~n Link.perfect) ~config ()
+  Runtime.create_world ~seed:71 ~topology:(Topology.full_mesh ~n Link.perfect) ()
 
 let fresh_driver_name =
   let i = ref 0 in

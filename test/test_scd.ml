@@ -86,7 +86,7 @@ let probe_def : Runtime.def =
           | `Msg (_, msg) -> (
               match (msg.Message.command, msg.Message.args, msg.Message.reply_to) with
               | "members", [ Value.Int rid; members_arg ], Some reply -> (
-                  match Scd.parse_members [ members_arg ] with
+                  match Scd.parse_members members_arg with
                   | Some members when members <> [] ->
                       let scd =
                         Scd.create ctx

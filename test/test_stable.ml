@@ -2,6 +2,7 @@
 
 module Wal = Dcp_stable.Wal
 module Store = Dcp_stable.Store
+module Disk = Dcp_stable.Disk
 module Rng = Dcp_rng.Rng
 
 (* ---- WAL ---- *)
@@ -34,38 +35,35 @@ let test_wal_truncate () =
   Alcotest.(check int) "first lsn" 3 (Wal.first_lsn wal);
   Alcotest.(check int) "next lsn unchanged" 5 (Wal.next_lsn wal)
 
-let test_wal_tear_tail () =
+let test_wal_tear_unflushed_tail () =
   let wal = Wal.create () in
   ignore (Wal.append wal "safe");
   ignore (Wal.append wal "doomed");
-  let rng = Rng.create ~seed:1 in
-  let torn = Wal.tear_tail wal rng ~p:1.0 in
+  let torn = Wal.tear_unflushed wal in
   Alcotest.(check bool) "tear happened" true torn;
   Alcotest.(check (list string)) "tail dropped by replay" [ "safe" ] (Wal.records wal)
 
 let test_wal_tear_never () =
   let wal = Wal.create () in
   ignore (Wal.append wal "x");
-  let rng = Rng.create ~seed:1 in
-  Alcotest.(check bool) "p=0 never tears" false (Wal.tear_tail wal rng ~p:0.0);
+  Wal.flush wal;
+  Alcotest.(check bool) "a flushed record never tears" false (Wal.tear_unflushed wal);
   Alcotest.(check int) "intact" 1 (Wal.length wal)
 
 let test_wal_tear_empty () =
   let wal = Wal.create () in
-  let rng = Rng.create ~seed:1 in
-  Alcotest.(check bool) "empty log cannot tear" false (Wal.tear_tail wal rng ~p:1.0)
+  Alcotest.(check bool) "empty log cannot tear" false (Wal.tear_unflushed wal)
 
 (* The verified-prefix cache must never outlive the facts it caches: a
-   read primes it, tear_tail damages the newest record behind it, and
-   every subsequent read has to quarantine the damaged record. *)
+   read primes it, a tear damages the newest record behind it, and every
+   subsequent read has to quarantine the damaged record. *)
 let test_wal_cache_invalidated_by_tear () =
   let wal = Wal.create () in
   ignore (Wal.append wal "a");
   ignore (Wal.append wal "b");
   ignore (Wal.append wal "c");
   Alcotest.(check int) "cache primed" 3 (Wal.length wal);
-  let rng = Rng.create ~seed:2 in
-  Alcotest.(check bool) "tear happened" true (Wal.tear_tail wal rng ~p:1.0);
+  Alcotest.(check bool) "tear happened" true (Wal.tear_unflushed wal);
   Alcotest.(check int) "cached prefix pulled back" 2 (Wal.length wal);
   ignore (Wal.append wal "d");
   Alcotest.(check (list string))
@@ -85,8 +83,7 @@ let test_wal_truncate_after_verify () =
   Wal.truncate_prefix wal ~upto:3;
   Alcotest.(check (list string)) "tail survives the shift" [ "3"; "4" ] (Wal.records wal);
   Alcotest.(check int) "length after shift" 2 (Wal.length wal);
-  let rng = Rng.create ~seed:3 in
-  ignore (Wal.tear_tail wal rng ~p:1.0);
+  ignore (Wal.tear_unflushed wal);
   Alcotest.(check (list string)) "tear still lands on the newest" [ "3" ] (Wal.records wal)
 
 let test_wal_storage_bytes_accounting () =
@@ -95,8 +92,7 @@ let test_wal_storage_bytes_accounting () =
   ignore (Wal.append wal "ef") ;
   (* 12 bytes of header accounting per record, damaged or not *)
   Alcotest.(check int) "two records" (4 + 2 + 24) (Wal.storage_bytes wal);
-  let rng = Rng.create ~seed:4 in
-  ignore (Wal.tear_tail wal rng ~p:1.0);
+  ignore (Wal.tear_unflushed wal);
   Alcotest.(check int) "tear does not change accounting" (4 + 2 + 24) (Wal.storage_bytes wal);
   ignore (Wal.scrub wal);
   Alcotest.(check int) "scrub reclaims the quarantined tail" (4 + 12) (Wal.storage_bytes wal);
@@ -136,7 +132,7 @@ let test_store_fold () =
 let test_store_crash_recover () =
   let s = Store.create () in
   Store.set s ~key:"k" "before";
-  Store.crash s ();
+  Store.crash s;
   Alcotest.(check bool) "crashed" true (Store.is_crashed s);
   Alcotest.check_raises "access while crashed"
     (Invalid_argument "Store: node is crashed; recover first") (fun () ->
@@ -150,7 +146,7 @@ let test_store_recover_with_removes () =
   Store.set s ~key:"a" "1";
   Store.set s ~key:"b" "2";
   Store.remove s ~key:"a";
-  Store.crash s ();
+  Store.crash s;
   ignore (Store.recover s);
   Alcotest.(check (option string)) "removed stays removed" None (Store.get s ~key:"a");
   Alcotest.(check (option string)) "kept" (Some "2") (Store.get s ~key:"b")
@@ -169,17 +165,16 @@ let test_store_checkpoint_shrinks_log () =
   Store.set s ~key:"9" "99";
   Store.checkpoint s;
   Alcotest.(check int) "second checkpoint compacts the prefix" 1 (Store.log_length s);
-  Store.crash s ();
+  Store.crash s;
   ignore (Store.recover s);
   Alcotest.(check int) "table rebuilt from snapshot" 10 (Store.size s);
   Alcotest.(check (option string)) "latest values" (Some "99") (Store.get s ~key:"9")
 
 let test_store_torn_tail_loses_last_write_only () =
-  let s = Store.create () in
+  let s = Store.create ~disk:({ Disk.none with tear_p = 1.0 }, Rng.create ~seed:1) () in
   Store.set s ~key:"a" "1";
   Store.set s ~key:"b" "2";
-  let rng = Rng.create ~seed:1 in
-  Store.crash s ~tear:(rng, 1.0) ();
+  Store.crash s;
   ignore (Store.recover s);
   Alcotest.(check (option string)) "first write safe" (Some "1") (Store.get s ~key:"a");
   Alcotest.(check (option string)) "torn write gone" None (Store.get s ~key:"b")
@@ -192,11 +187,11 @@ let test_store_recover_idempotent () =
 let test_store_double_crash_cycle () =
   let s = Store.create () in
   Store.set s ~key:"k" "v1";
-  Store.crash s ();
+  Store.crash s;
   ignore (Store.recover s);
   Store.set s ~key:"k" "v2";
   Store.checkpoint s;
-  Store.crash s ();
+  Store.crash s;
   ignore (Store.recover s);
   Alcotest.(check (option string)) "second cycle" (Some "v2") (Store.get s ~key:"k")
 
@@ -228,7 +223,7 @@ let prop_store_matches_model =
               Hashtbl.remove model k
           | `Checkpoint -> Store.checkpoint s
           | `Crash_recover ->
-              Store.crash s ();
+              Store.crash s;
               ignore (Store.recover s))
         ops;
       Hashtbl.fold (fun k v acc -> acc && Store.get s ~key:k = Some v) model (Store.size s = Hashtbl.length model))
@@ -238,7 +233,7 @@ let tests =
     Alcotest.test_case "wal append/replay" `Quick test_wal_append_replay;
     Alcotest.test_case "wal records" `Quick test_wal_records;
     Alcotest.test_case "wal truncate" `Quick test_wal_truncate;
-    Alcotest.test_case "wal tear tail" `Quick test_wal_tear_tail;
+    Alcotest.test_case "wal tear tail" `Quick test_wal_tear_unflushed_tail;
     Alcotest.test_case "wal tear p=0" `Quick test_wal_tear_never;
     Alcotest.test_case "wal tear empty" `Quick test_wal_tear_empty;
     Alcotest.test_case "wal verified cache vs tear" `Quick test_wal_cache_invalidated_by_tear;

@@ -12,8 +12,7 @@ module Topology = Dcp_net.Topology
 module Link = Dcp_net.Link
 
 let make_world ?(n = 4) ?(link = Link.perfect) () =
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  Runtime.create_world ~seed:51 ~topology:(Topology.full_mesh ~n link) ~config ()
+  Runtime.create_world ~seed:51 ~topology:(Topology.full_mesh ~n link) ()
 
 let fresh_driver_name =
   let i = ref 0 in

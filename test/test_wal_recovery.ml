@@ -5,7 +5,11 @@
 
 module Wal = Dcp_stable.Wal
 module Store = Dcp_stable.Store
+module Disk = Dcp_stable.Disk
 module Rng = Dcp_rng.Rng
+
+(* A disk whose only fault is a certain tear of the in-flight record. *)
+let tearing_store () = Store.create ~disk:({ Disk.none with tear_p = 1.0 }, Rng.create ~seed:7) ()
 
 let dump store =
   List.sort compare (Store.fold store ~init:[] ~f:(fun ~key value acc -> (key, value) :: acc))
@@ -19,14 +23,14 @@ let test_recover_idempotent () =
   Store.remove store ~key:"a";
   Store.set store ~key:"a" "3";
   let before = dump store in
-  Store.crash store ();
+  Store.crash store;
   let replayed = Store.recover store in
   Alcotest.(check int) "every mutation replayed" 4 replayed;
   Alcotest.(check (list (pair string string))) "first recovery" before (dump store);
   (* Crash/recover again without new writes: same log, same table, same
      replay count — replay is a pure function of the log. *)
   for round = 1 to 3 do
-    Store.crash store ();
+    Store.crash store;
     let again = Store.recover store in
     Alcotest.(check int) (Printf.sprintf "round %d replay count" round) replayed again;
     Alcotest.(check (list (pair string string)))
@@ -49,7 +53,7 @@ let test_recover_idempotent_across_checkpoint () =
   Store.remove store ~key:"gone";
   let before = dump store in
   for round = 1 to 2 do
-    Store.crash store ();
+    Store.crash store;
     Alcotest.(check int)
       (Printf.sprintf "round %d: only post-checkpoint tail replays" round)
       2 (Store.recover store);
@@ -61,13 +65,12 @@ let test_recover_idempotent_across_checkpoint () =
 (* ---- torn tail: the partial write ---- *)
 
 let test_torn_tail_loses_only_last_record () =
-  let store = Store.create () in
+  let store = tearing_store () in
   Store.set store ~key:"a" "1";
   Store.set store ~key:"b" "2";
   Store.set store ~key:"c" "3";
-  let rng = Rng.create ~seed:7 in
-  (* p=1.0: the newest record's CRC is certainly damaged mid-write. *)
-  Store.crash store ~tear:(rng, 1.0) ();
+  (* tear_p = 1.0: the newest record's CRC is certainly damaged mid-write. *)
+  Store.crash store;
   let replayed = Store.recover store in
   Alcotest.(check int) "torn record not replayed" 2 replayed;
   Alcotest.(check (list (pair string string)))
@@ -76,18 +79,18 @@ let test_torn_tail_loses_only_last_record () =
     (dump store)
 
 let test_torn_tail_then_new_writes_survive () =
-  let store = Store.create () in
+  let store = tearing_store () in
   Store.set store ~key:"a" "1";
   Store.set store ~key:"doomed" "x";
-  let rng = Rng.create ~seed:7 in
-  Store.crash store ~tear:(rng, 1.0) ();
+  Store.crash store;
   ignore (Store.recover store);
   Alcotest.(check (option string)) "torn write lost" None (Store.get store ~key:"doomed");
   (* recover must have repaired (physically dropped) the torn record:
      otherwise this append would sit behind a bad-CRC barrier and silently
      vanish on the next replay. *)
   Store.set store ~key:"after" "2";
-  Store.crash store ();
+  Store.flush store;
+  Store.crash store;
   ignore (Store.recover store);
   Alcotest.(check (list (pair string string)))
     "post-repair appends durable"
@@ -95,12 +98,11 @@ let test_torn_tail_then_new_writes_survive () =
     (dump store)
 
 let test_torn_tail_after_checkpoint () =
-  let store = Store.create () in
+  let store = tearing_store () in
   Store.set store ~key:"safe" "1";
   Store.checkpoint store;
   Store.set store ~key:"tail" "2";
-  let rng = Rng.create ~seed:7 in
-  Store.crash store ~tear:(rng, 1.0) ();
+  Store.crash store;
   Alcotest.(check int) "torn tail leaves nothing to replay" 0 (Store.recover store);
   Alcotest.(check (list (pair string string)))
     "checkpointed data immune to the tear"
@@ -113,8 +115,7 @@ let test_wal_bad_crc_quarantined () =
   let wal = Wal.create () in
   ignore (Wal.append wal "a");
   ignore (Wal.append wal "b");
-  let rng = Rng.create ~seed:3 in
-  ignore (Wal.tear_tail wal rng ~p:1.0);
+  ignore (Wal.tear_unflushed wal);
   (* Appending past an unscrubbed tear: the damaged record is skipped but
      must never hide the intact suffix behind it. *)
   ignore (Wal.append wal "c");
@@ -134,8 +135,7 @@ let test_long_log_torn_tail () =
     ignore (Wal.append wal (string_of_int i))
   done;
   Alcotest.(check int) "all intact" 1000 (Wal.length wal);
-  let rng = Rng.create ~seed:11 in
-  ignore (Wal.tear_tail wal rng ~p:1.0);
+  ignore (Wal.tear_unflushed wal);
   Alcotest.(check int) "exactly the newest lost" 999 (Wal.length wal);
   let count () =
     let n = ref 0 in
