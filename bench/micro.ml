@@ -258,9 +258,9 @@ let all_tests =
    Unlike host time these are exact functions of the code and the
    compiler, the same on every run, so the bench gate pins them at 0%.  The
    subjects are fixed: the envelope of one 100-entry sync_digest, the
-   message anti-entropy sends most, and one scd_status, the message
-   SCD-broadcast sends most (between every pair of members, ten times a
-   second), as member 2 of 5 sends it. *)
+   message anti-entropy sends most, and one scd_status, the answer to
+   every ask SCD-broadcast sends (an scd_ask carries the same arguments,
+   so these rows cost both), as member 2 of 5 sends it. *)
 
 let scd_status_args =
   let marks base = Value.list (List.init 5 (fun j -> Value.int (base + j))) in

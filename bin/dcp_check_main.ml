@@ -2,7 +2,8 @@
 
    Subcommands:
      list     show the scenario library and the fault-profile matrix
-     run      replay one (scenario, seed, profile) and report its verdict
+     run      replay one (scenario, seed, profile); print its verdict,
+              fingerprint and stats
      sweep    run many seeds per profile; write CHECK_sweep.json
      shrink   minimise a failing (seed, profile) to the smallest repro
 
@@ -107,6 +108,11 @@ let run_run scenario_name seed profile_name horizon_ms workload intensity shards
       in
       Format.printf "%s seed=%d profile=%s: %a@." scenario_name seed profile_name
         Check.Scenario.pp_outcome outcome;
+      print_endline
+        (String.concat " "
+           (List.map
+              (fun (name, value) -> Printf.sprintf "%s=%d" name value)
+              outcome.Check.Scenario.stats));
       (match outcome.Check.Scenario.verdict with
       | Check.Scenario.Pass -> `Ok ()
       | Check.Scenario.Fail _ -> `Error (false, "scenario failed"))

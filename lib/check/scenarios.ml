@@ -634,6 +634,7 @@ let run_scd_object obj (params : Scenario.params) =
         ("convergence_ms", convergence_ms);
         ("scd_msgs", metric Scd.metric_msgs);
         ("scd_sets", metric Scd.metric_sets);
+        ("scd_statuses", metric Scd.metric_statuses);
         ("malformed", metric Scd.metric_malformed + metric Register.metric_malformed);
         ("events", Runtime.events_executed world);
       ]

@@ -117,9 +117,11 @@ type fn = {
   fn_line : int;
 }
 
-(* Walk a [fun]-chain down to the first non-fun body.  A bare [function]
-   keeps its cases as the body: the later tail analyses flatten through
-   it, which is what a one-argument dispatch function wants. *)
+(* Walk a [fun]-chain down to the first non-fun body.  A [function] is
+   one more positional parameter whose body is the [function] itself, so
+   [let f = function ...] is a one-parameter function; its cases stay the
+   body, and the later tail analyses flatten through them, which is what
+   a one-argument dispatch function wants. *)
 let decompose_fun e =
   let rec go pos acc e =
     match e.pexp_desc with
@@ -142,6 +144,9 @@ let decompose_fun e =
         in
         go (if String.equal label "" then pos + 1 else pos) (p :: acc) body
     | Pexp_newtype (_, body) -> go pos acc body
+    | Pexp_function _ ->
+        let p = { p_label = ""; p_name = "_"; p_pos = pos; p_default = None } in
+        (List.rev (p :: acc), e)
     | _ -> (List.rev acc, e)
   in
   go 0 [] e

@@ -19,14 +19,17 @@ let ts_compare (c1, o1) (c2, o2) =
 
 type delivery = { id : msg_id; ts : ts; payload : Value.t }
 
+let status_fields = [ Vtype.Tint; Vtype.Tint; Vtype.Tlist Vtype.Tint; Vtype.Tlist Vtype.Tint ]
+
 let signatures =
   [
     (* scd_msg(origin, seq, clock, payload) *)
     Vtype.signature "scd_msg" [ Vtype.Tint; Vtype.Tint; Vtype.Tint; Vtype.Tany ];
     (* scd_status(from, clock, per-origin contiguous-receive watermarks,
        per-origin durable delivered watermarks) *)
-    Vtype.signature "scd_status"
-      [ Vtype.Tint; Vtype.Tint; Vtype.Tlist Vtype.Tint; Vtype.Tlist Vtype.Tint ];
+    Vtype.signature "scd_status" status_fields;
+    (* scd_ask: a status that asks for one back *)
+    Vtype.signature "scd_ask" status_fields;
   ]
 
 let members_signature =
@@ -70,7 +73,9 @@ let meters_of ctx =
    clock-sorted, so frontier delivery only ever pops the front.  [ooo] is
    the out-of-order reorder buffer (a gap below it is still in flight or
    lost).  Both are volatile: after a crash they refill through origin
-   resends triggered by our statuses. *)
+   resends triggered by our statuses.  [heard], [their_seq] and
+   [acked_mine] are what the peer's last status said, volatile too: they
+   only decide whom the ticker asks. *)
 type origin_state = {
   mutable next_seq : int;  (** all seqs below are received or delivered *)
   mutable delivered_seq : int;  (** durable: highest seq delivered *)
@@ -83,6 +88,9 @@ type origin_state = {
           watermark, which regresses when a crash wipes its reorder state.
           Pruning the own-log must key on this one: a pruned entry can
           never be resent. *)
+  mutable heard : bool;  (** a status came from this member since we (re)started *)
+  mutable their_seq : int;  (** its own last seq, as it last reported *)
+  mutable acked_mine : int;  (** its contiguous receive seq for us, as it last reported *)
 }
 
 type t = {
@@ -97,6 +105,8 @@ type t = {
   mutable frontier : int;
   delivered : delivery list Queue.t;  (** complete sets awaiting {!drain} *)
   rng : Rng.t;  (** ticker phase stagger, split from the world RNG *)
+  mutable first_tick : Clock.time;  (** the ticker ticks at [first_tick + k * status_every] *)
+  mutable parked : (unit -> unit) option;  (** resumes the ticker parked for want of a need *)
   m : meters;
 }
 
@@ -205,6 +215,57 @@ let drain t =
   in
   take []
 
+(* ---- the ask rule ---- *)
+
+(* A member sends statuses only where one is needed (DESIGN.md §12): on
+   its ticker phase it asks each peer it needs something from, and every
+   ask is answered at once.  It needs something from peer j while
+
+   1. it has not heard from j since it (re)started;
+   2. j has broadcast messages it lacks, or j's reorder buffer here is not
+      empty;
+   3. j lacks some of its messages;
+   4. it holds an undelivered message stamped above j's trusted clock, so
+      j blocks its frontier.
+
+   A broadcaster holds its own message undelivered, so 3 and 4 keep it
+   asking until every peer holds the message and is trusted past it. *)
+
+let status_args t =
+  let n = Array.length t.members in
+  let acks = List.init n (fun j -> Value.int (t.origins.(j).next_seq - 1)) in
+  let dacks = List.init n (fun j -> Value.int t.origins.(j).delivered_seq) in
+  [ Value.int t.self; Value.int t.clock; Value.list acks; Value.list dacks ]
+
+(* The highest clock among held, undelivered messages; 0 when none. *)
+let undelivered_clock t =
+  Array.fold_left
+    (fun acc o -> Queue.fold (fun acc (_, clock, _) -> Int.max acc clock) acc o.queue)
+    0 t.origins
+
+(* The peers this member needs something from, by the four rules. *)
+let needed t =
+  let undelivered = undelivered_clock t in
+  List.filter
+    (fun j ->
+      let o = t.origins.(j) in
+      j <> t.self
+      && ((not o.heard)
+         || o.next_seq - 1 < o.their_seq
+         || Hashtbl.length o.ooo > 0
+         || o.acked_mine < t.seq
+         || undelivered > o.safe_clock))
+    (List.init (Array.length t.members) Fun.id)
+
+(* Called after every broadcast and receipt: a parked ticker that now has
+   a need resumes, and sleeps to its next phase instant before asking. *)
+let wake t =
+  match t.parked with
+  | Some resume when needed t <> [] ->
+      t.parked <- None;
+      resume ()
+  | Some _ | None -> ()
+
 (* ---- outbound ---- *)
 
 let observe_clock ctx t c =
@@ -228,26 +289,35 @@ let broadcast ctx t payload =
     (fun j port -> if j <> t.self then Runtime.send ctx ~to_:port "scd_msg" args)
     t.members;
   try_deliver ctx t;
+  wake t;
   { origin = t.self; seq = t.seq }
 
+(* Ask every peer this member needs something from; false when it needs
+   nothing from anyone. *)
 let tick ctx t =
-  let n = Array.length t.members in
-  if n > 1 then begin
-    let acks = List.init n (fun j -> Value.int (t.origins.(j).next_seq - 1)) in
-    let dacks = List.init n (fun j -> Value.int (t.origins.(j).delivered_seq)) in
-    let args = [ Value.int t.self; Value.int t.clock; Value.list acks; Value.list dacks ] in
-    Array.iteri
-      (fun j port -> if j <> t.self then Runtime.send ctx ~to_:port "scd_status" args)
-      t.members
-  end
+  match needed t with
+  | [] -> false
+  | peers ->
+      let args = status_args t in
+      List.iter (fun j -> Runtime.send ctx ~to_:t.members.(j) "scd_ask" args) peers;
+      true
 
+(* The ticker parks when a tick asks nobody.  {!wake} resumes it inside
+   the caller's event, and it sleeps from there to its next phase
+   instant: it ticks only where an always-on ticker would. *)
 let spawn_ticker ctx t =
+  let period = t.config.status_every in
   ignore
     (Runtime.spawn ctx ~name:"scd.ticker" (fun () ->
-         Runtime.sleep ctx (Rng.int t.rng (Int.max 1 t.config.status_every));
+         Runtime.sleep ctx (Rng.int t.rng (Int.max 1 period));
+         t.first_tick <- Runtime.ctx_now ctx;
          let rec loop () =
-           tick ctx t;
-           Runtime.sleep ctx t.config.status_every;
+           if tick ctx t then Runtime.sleep ctx period
+           else begin
+             Dcp_core.Process.suspend (fun resume -> t.parked <- Some resume);
+             let since = Runtime.ctx_now ctx - t.first_tick in
+             Runtime.sleep ctx (period - (since mod period))
+           end;
            loop ()
          in
          loop ()))
@@ -314,13 +384,18 @@ let parse_watermarks n values =
   let into = Array.make n 0 in
   if fill_watermarks into 0 values then Some into else None
 
-let receive_status ctx t ~from ~clock acks dacks =
+(* Asks and answers share this path; only an ask is answered, with the
+   status as it stands once the ask is taken in. *)
+let receive_status ctx t ~ask ~from ~clock acks dacks =
   let n = Array.length t.members in
   match (parse_watermarks n acks, parse_watermarks n dacks) with
   | Some acks, Some dacks when from >= 0 && from < n && from <> t.self && clock >= 0 -> begin
       Metrics.incr t.m.statuses;
       observe_clock ctx t clock;
       let o = t.origins.(from) in
+      o.heard <- true;
+      o.their_seq <- acks.(from);
+      o.acked_mine <- acks.(t.self);
       (* Safe only if we hold everything the sender itself had broadcast by
          this status: its announced clock then bounds all its in-flight
          messages we have yet to see. *)
@@ -342,7 +417,8 @@ let receive_status ctx t ~from ~clock acks dacks =
         done
       end;
       prune_own ctx t;
-      try_deliver ctx t
+      try_deliver ctx t;
+      if ask then Runtime.send ctx ~to_:t.members.(from) "scd_status" (status_args t)
     end
   | _, _ -> malformed t
 
@@ -350,14 +426,14 @@ let handle ctx t (msg : Message.t) =
   match (msg.Message.command, msg.Message.args) with
   | "scd_msg", [ Value.Int origin; Value.Int seq; Value.Int clock; payload ] ->
       receive_msg ctx t ~origin ~seq ~clock payload;
+      wake t;
       `Handled
-  | "scd_msg", _ ->
-      malformed t;
+  | (("scd_status" | "scd_ask") as command),
+    [ Value.Int from; Value.Int clock; Value.Listv acks; Value.Listv dacks ] ->
+      receive_status ctx t ~ask:(String.equal command "scd_ask") ~from ~clock acks dacks;
+      wake t;
       `Handled
-  | "scd_status", [ Value.Int from; Value.Int clock; Value.Listv acks; Value.Listv dacks ] ->
-      receive_status ctx t ~from ~clock acks dacks;
-      `Handled
-  | "scd_status", _ ->
+  | ("scd_msg" | "scd_status" | "scd_ask"), _ ->
       malformed t;
       `Handled
   | _ -> `Unrelated
@@ -372,6 +448,9 @@ let fresh_origin () =
     ooo = Hashtbl.create 8;
     safe_clock = 0;
     delivered_mine = 0;
+    heard = false;
+    their_seq = 0;
+    acked_mine = 0;
   }
 
 let make ctx ~config ~members ~self =
@@ -387,6 +466,8 @@ let make ctx ~config ~members ~self =
     frontier = 0;
     delivered = Queue.create ();
     rng = Rng.split (Runtime.ctx_rng ctx);
+    first_tick = 0;
+    parked = None;
     m = meters_of ctx;
   }
 

@@ -13,18 +13,26 @@
       is delivered at every member.
 
     The implementation is a Lamport-frontier construction: every message
-    carries a (clock, origin) timestamp, members exchange periodic status
-    messages announcing their clock and per-origin contiguous-receive and
-    durable delivered watermarks, and a member delivers — as one set —
-    everything up to the minimum clock all members have announced safe.
-    Receive watermarks drive origin resends; the delivered watermarks —
-    monotone across the announcer's crashes — bound own-log pruning, so a
+    carries a (clock, origin) timestamp, members exchange status messages
+    announcing their clock and per-origin contiguous-receive and durable
+    delivered watermarks, and a member delivers — as one set — everything
+    up to the minimum clock all members have announced safe.  Receive
+    watermarks drive origin resends; the delivered watermarks — monotone
+    across the announcer's crashes — bound own-log pruning, so a
     recovering member can always be refilled.  This actually yields
     totally ordered sets (stronger than SCD requires), which is what the
     register layer above exploits; lost messages are recovered by their
     origin resending on status evidence, so termination holds under the
     crash-{e recovery} model (a member that crashes forever can block the
     frontier — the same liveness caveat as two-phase commit in §3.5).
+
+    Statuses are sent only where a peer needs one.  A member asks a peer
+    ([scd_ask], a status that wants one back) while it has not heard from
+    the peer since it (re)started, while the peer has broadcast messages
+    it lacks, while the peer lacks some of its messages, or while it holds
+    an undelivered message stamped above the peer's trusted clock.  The
+    peer answers at once with an [scd_status]; a status is never
+    answered.  A group with nothing left to deliver sends nothing.
 
     An [Scd.t] is embedded inside a guardian: the guardian splices
     {!signatures} into its port type, feeds every received message through
@@ -40,13 +48,13 @@ module Runtime = Dcp_core.Runtime
 module Clock = Dcp_sim.Clock
 
 type config = {
-  status_every : Clock.time;  (** status gossip period *)
+  status_every : Clock.time;  (** ask period: how often a member asks a peer it needs *)
   resend_max : int;  (** max own messages resent per received status *)
 }
 
 val default_config : config
-(** A status round every 100 ms, at most 32 own messages resent per
-    status. *)
+(** An ask every 100 ms to each peer a member needs something from, at
+    most 32 own messages resent per received status. *)
 
 type msg_id = { origin : int; seq : int }
 (** Identity of a broadcast: the member index that minted it and its
@@ -63,8 +71,9 @@ type delivery = { id : msg_id; ts : ts; payload : Value.t }
 type t
 
 val signatures : Vtype.signature list
-(** The [scd_msg] and [scd_status] signatures to splice into the embedding
-    guardian's port type. *)
+(** The [scd_msg], [scd_status] and [scd_ask] signatures to splice into
+    the embedding guardian's port type.  [scd_ask] carries exactly
+    [scd_status]'s arguments. *)
 
 val create : Runtime.ctx -> ?config:config -> members:Port_name.t list -> unit -> t
 (** Join a group: [members] are the request ports of every member
@@ -82,9 +91,10 @@ val broadcast : Runtime.ctx -> t -> Value.t -> msg_id
     including self-delivery — is only ever observed through {!drain}. *)
 
 val handle : Runtime.ctx -> t -> Dcp_core.Message.t -> [ `Handled | `Unrelated ]
-(** Feed one received message through the protocol.  [`Unrelated] means the
-    command is not an SCD message and the caller should interpret it.
-    Malformed SCD messages are dropped and counted, never raised. *)
+(** Feed one received message through the protocol; an [scd_ask] is
+    answered from here.  [`Unrelated] means the command is not an SCD
+    message and the caller should interpret it.  Malformed SCD messages
+    are dropped and counted, never raised. *)
 
 val drain : t -> delivery list list
 (** Newly delivered sets since the last drain, oldest first; each set is
@@ -92,8 +102,12 @@ val drain : t -> delivery list list
     so the caller must apply them to durable state before yielding. *)
 
 val spawn_ticker : Runtime.ctx -> t -> unit
-(** Send a status round to every other member every [config.status_every],
-    phase-staggered deterministically from the world RNG split. *)
+(** Start the ticker that sends the asks.  Its phase is drawn once from
+    the world RNG split; from then on it ticks every
+    [config.status_every] and asks each peer this member needs something
+    from.  When a tick asks nobody it parks; the next broadcast or receipt
+    that creates a need wakes it at its next phase instant, so it ticks
+    only where an always-on ticker would and draws no more RNG. *)
 
 val introduce :
   Runtime.world -> group:string -> at:Runtime.node_id -> members:Port_name.t list -> unit
@@ -141,5 +155,9 @@ val self : t -> int
 (** This member's origin index. *)
 
 val metric_msgs : string
+
+val metric_statuses : string
+(** Asks and answers received. *)
+
 val metric_malformed : string
 val metric_sets : string

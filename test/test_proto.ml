@@ -69,6 +69,18 @@ let test_clean () =
   Alcotest.(check (list string)) "zero warnings" []
     (List.map Finding.to_string o.Proto_driver.warnings)
 
+let test_function_binding () =
+  let o = analyze [ ("lib/demo/proto_function_binding.ml", "proto_function_binding.ml") ] in
+  let carried =
+    List.concat_map
+      (fun e -> Dcp_lint.Proto_extract.SSet.elements e.Dcp_lint.Proto_flow.e_msgs)
+      o.Proto_driver.edges
+  in
+  Alcotest.(check (list string)) "names returned by a bare function reach the edge"
+    [ "probe"; "report" ] carried;
+  Alcotest.(check (list string)) "zero findings" []
+    (List.map Finding.to_string o.Proto_driver.findings)
+
 let test_dot_export () =
   let o = analyze [ ("lib/demo/proto_clean.ml", "proto_clean.ml") ] in
   let dot = o.Proto_driver.dot in
@@ -231,6 +243,7 @@ let tests =
     Alcotest.test_case "missing-reply fixture" `Quick test_missing_reply;
     Alcotest.test_case "escape-through-helper fixture" `Quick test_escape_helper;
     Alcotest.test_case "clean fixture" `Quick test_clean;
+    Alcotest.test_case "function-binding fixture" `Quick test_function_binding;
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Alcotest.test_case "proto report round-trip" `Quick test_report_roundtrip;
     Alcotest.test_case "tree clean modulo proto baseline" `Quick test_tree_clean;

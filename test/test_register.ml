@@ -12,6 +12,7 @@ module Scd = Dcp_primitives.Scd
 module Rpc = Dcp_primitives.Rpc
 module Clock = Dcp_sim.Clock
 module Metrics = Dcp_sim.Metrics
+module Trace = Dcp_sim.Trace
 module Topology = Dcp_net.Topology
 module Link = Dcp_net.Link
 module Store = Dcp_stable.Store
@@ -311,6 +312,130 @@ let test_scd_termination () =
   Alcotest.(check string) "termination holds once the member is back" "ok"
     (termination_verdict world)
 
+(* ---- statuses only where a peer needs one ---- *)
+
+(* Member i sits at node i, so its origin index is i. *)
+let lossless_world ?(latency = 0) seed =
+  Runtime.create_world ~seed
+    ~topology:
+      (Topology.full_mesh ~n:(members + 1) { Link.perfect with Link.base_latency = latency })
+    ()
+
+(* Asks and answers the members sent at or after [since]. *)
+let statuses_sent world ~since =
+  Trace.find (Runtime.trace world) ~category:"send"
+  |> List.filter (fun (e : Trace.event) ->
+         e.Trace.at >= since
+         && String.starts_with ~prefix:(Register.def_name ^ "#") e.Trace.detail
+         && (contains ~affix:": scd_ask(" e.Trace.detail
+            || contains ~affix:": scd_status(" e.Trace.detail))
+  |> List.length
+
+(* Write key "k<i>" through member i, for every member in turn, each
+   write retried until acknowledged, so every member broadcasts however
+   many client messages the link drops. *)
+let write_each ctx ports =
+  Runtime.sleep ctx (Clock.ms 300);
+  Array.iteri
+    (fun i register ->
+      let key = Printf.sprintf "k%d" i in
+      while not (Register.write ctx ~register ~key ~value:(Value.int i) ~timeout) do
+        ()
+      done)
+    ports
+
+let check_silent_for_10s world =
+  let since = Runtime.now world in
+  Runtime.run_for world (Clock.s 10);
+  Alcotest.(check int) "no ask or status for 10 s" 0 (statuses_sent world ~since)
+
+let test_idle_group_is_silent () =
+  let world = lossless_world 91 in
+  let ports = make_group world in
+  driver world ~at:members (fun ctx -> write_each ctx ports);
+  Runtime.run_for world (Clock.s 3);
+  Alcotest.(check (list bool)) "every write delivered everywhere" [ true; true; true ]
+    (holders world "k2");
+  Alcotest.(check string) "termination holds" "ok" (termination_verdict world);
+  Alcotest.(check bool) "the group did exchange statuses" true (statuses_sent world ~since:0 > 0);
+  check_silent_for_10s world
+
+(* Member 2 crashes after members 0 and 1 delivered a write on its say-so
+   but before it delivered the write itself: the write is lost from its
+   volatile queue, and no peer needs anything from it any more.  Only
+   asking everyone after its restart tells it what it lacks. *)
+let test_restarted_member_catches_up () =
+  let world = lossless_world ~latency:(Clock.ms 5) 8 in
+  let ports = make_group world in
+  driver world ~at:members (fun ctx ->
+      Runtime.sleep ctx (Clock.ms 300);
+      ignore (Register.write ctx ~register:ports.(0) ~key:"k" ~value:(Value.int 1) ~timeout));
+  let rec until_window steps =
+    if holders world "k" = [ true; true; false ] then ()
+    else if steps = 0 then Alcotest.fail "member 2 never lagged behind members 0 and 1"
+    else begin
+      Runtime.run_for world (Clock.ms 1);
+      until_window (steps - 1)
+    end
+  in
+  until_window 2000;
+  Runtime.crash_node world 2;
+  let down_from = Runtime.now world in
+  Runtime.run_for world (Clock.s 2);
+  Alcotest.(check int) "nobody asks the crashed member" 0 (statuses_sent world ~since:down_from);
+  Runtime.restart_node world 2;
+  Runtime.run_for world (Clock.s 2);
+  Alcotest.(check (list bool)) "the restarted member caught up" [ true; true; true ]
+    (holders world "k");
+  Alcotest.(check string) "termination holds" "ok" (termination_verdict world);
+  check_silent_for_10s world
+
+let test_termination_under_loss () =
+  let world =
+    Runtime.create_world ~seed:1
+      ~topology:(Topology.full_mesh ~n:(members + 1) (Link.lossy 0.2))
+      ()
+  in
+  let ports = make_group world in
+  driver world ~at:members (fun ctx -> write_each ctx ports);
+  Runtime.run_for world (Clock.s 20);
+  List.iter
+    (fun key ->
+      Alcotest.(check (list bool)) (key ^ " delivered everywhere") [ true; true; true ]
+        (holders world key))
+    [ "k0"; "k1"; "k2" ];
+  Alcotest.(check string) "termination holds" "ok" (termination_verdict world)
+
+(* An ask is answered with one status; a status is never answered.  The
+   injected status is member 1's own, as it stands, so it gives member 0
+   no need of its own.  The links take 5 ms, so statuses answering each
+   other would show as a count, not as a loop that never leaves its
+   instant. *)
+let test_status_not_answered () =
+  let world = lossless_world ~latency:(Clock.ms 5) 91 in
+  let ports = make_group world in
+  driver world ~at:members (fun ctx -> write_each ctx ports);
+  Runtime.run_for world (Clock.s 3);
+  let broadcasts =
+    Runtime.find_guardians world ~def_name:Register.def_name
+    |> List.map (fun g ->
+           match
+             Scd.progress_in_store (Runtime.guardian_store g)
+               ~port:(List.hd (Runtime.guardian_ports g))
+           with
+           | Some p -> Value.int p.Scd.broadcast
+           | None -> Alcotest.fail "a member has no SCD progress")
+  in
+  let status = [ Value.int 1; Value.int 0; Value.list broadcasts; Value.list broadcasts ] in
+  let inject command =
+    let since = Runtime.now world in
+    driver world ~at:members (fun ctx -> Runtime.send ctx ~to_:ports.(0) command status);
+    Runtime.run_for world (Clock.s 1);
+    statuses_sent world ~since
+  in
+  Alcotest.(check int) "a status sends nothing" 0 (inject "scd_status");
+  Alcotest.(check int) "an ask gets one status back, and nothing follows" 1 (inject "scd_ask")
+
 (* The register runner's stop rule is sound: from the stop point, 60 s
    more of virtual time under the same (finished) crash plan changes no
    member's table and no verdict. *)
@@ -359,6 +484,12 @@ let tests =
     Alcotest.test_case "honest register twin passes" `Slow test_register_honest_twin_passes;
     Alcotest.test_case "register mutation shrinks" `Slow test_register_mutation_shrinks;
     Alcotest.test_case "scd_termination over a lossy group" `Quick test_scd_termination;
+    Alcotest.test_case "an idle group sends no status" `Quick test_idle_group_is_silent;
+    Alcotest.test_case "a restarted member asks and catches up" `Quick
+      test_restarted_member_catches_up;
+    Alcotest.test_case "scd_termination at 20% loss without keepalive" `Quick
+      test_termination_under_loss;
+    Alcotest.test_case "a status is never answered" `Quick test_status_not_answered;
     Alcotest.test_case "nothing changes after the stop (wan+lossy+crash)" `Slow
       (test_nothing_changes_after_stop ("wan+lossy+crash", 3));
     Alcotest.test_case "nothing changes after the stop (wan+lossy+crash+disk)" `Slow

@@ -63,18 +63,18 @@ let pinned =
     ("replica", 11, 1, "ev=10197 sent=5381 lost=249 keys=40 conv=9750 sync=1288166");
     ("replica", 11, 2, "ev=12054 sent=5193 lost=231 keys=39 conv=8750 sync=1261859");
     ("replica", 11, 4, "ev=10997 sent=3598 lost=167 keys=39 conv=9500 sync=1019512");
-    ("register", 5, 1, "ev=3111 sent=2593 lost=118 ok=38 unk=7 ne=3 conv=7500");
-    ("register", 5, 2, "ev=3991 sent=2258 lost=109 ok=37 unk=6 ne=5 conv=6500");
-    ("register", 5, 4, "ev=5536 sent=2694 lost=121 ok=33 unk=11 ne=4 conv=8750");
-    ("register", 11, 1, "ev=3094 sent=2575 lost=114 ok=39 unk=8 ne=1 conv=7500");
-    ("register", 11, 2, "ev=4163 sent=2345 lost=110 ok=33 unk=8 ne=7 conv=7000");
-    ("register", 11, 4, "ev=5541 sent=2686 lost=128 ok=32 unk=11 ne=5 conv=8750");
-    ("snapshot", 5, 1, "ev=1616 sent=1242 lost=53 ok=17 unk=5 ne=2 conv=5750");
-    ("snapshot", 5, 2, "ev=2846 sent=1485 lost=80 ok=18 unk=5 ne=1 conv=7750");
-    ("snapshot", 5, 4, "ev=2788 sent=1240 lost=55 ok=19 unk=3 ne=2 conv=5750");
-    ("snapshot", 11, 1, "ev=1543 sent=1191 lost=59 ok=16 unk=6 ne=2 conv=5250");
-    ("snapshot", 11, 2, "ev=2123 sent=1114 lost=64 ok=18 unk=4 ne=2 conv=5000");
-    ("snapshot", 11, 4, "ev=2687 sent=1201 lost=67 ok=14 unk=8 ne=2 conv=6250");
+    ("register", 5, 1, "ev=1790 sent=1487 lost=65 ok=41 unk=4 ne=3 conv=6000");
+    ("register", 5, 2, "ev=2258 sent=1243 lost=62 ok=33 unk=10 ne=5 conv=8750");
+    ("register", 5, 4, "ev=2662 sent=1289 lost=67 ok=36 unk=8 ne=4 conv=8500");
+    ("register", 11, 1, "ev=1902 sent=1537 lost=75 ok=39 unk=8 ne=1 conv=7500");
+    ("register", 11, 2, "ev=2668 sent=1445 lost=73 ok=30 unk=11 ne=7 conv=8750");
+    ("register", 11, 4, "ev=3223 sent=1520 lost=82 ok=33 unk=10 ne=5 conv=7500");
+    ("snapshot", 5, 1, "ev=669 sent=483 lost=27 ok=16 unk=6 ne=2 conv=8000");
+    ("snapshot", 5, 2, "ev=1248 sent=622 lost=33 ok=20 unk=3 ne=1 conv=5500");
+    ("snapshot", 5, 4, "ev=1249 sent=544 lost=29 ok=17 unk=5 ne=2 conv=5500");
+    ("snapshot", 11, 1, "ev=816 sent=599 lost=40 ok=18 unk=4 ne=2 conv=5000");
+    ("snapshot", 11, 2, "ev=1084 sent=547 lost=35 ok=17 unk=5 ne=2 conv=6250");
+    ("snapshot", 11, 4, "ev=1419 sent=608 lost=33 ok=17 unk=5 ne=2 conv=6000");
   ]
 
 let test_pinned (name, seed, shards, expected) () =
