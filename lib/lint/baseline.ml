@@ -10,18 +10,18 @@ let empty () = { keys = Hashtbl.create 16 }
 
 let add t key = if not (Hashtbl.mem t.keys key) then Hashtbl.replace t.keys key (ref false)
 
+let lines path =
+  if Sys.file_exists path then String.split_on_char '\n' (Discover.read_file path) else []
+
+let is_comment line = String.starts_with ~prefix:"#" (String.trim line)
+
 let load ~path =
   let t = empty () in
-  if Sys.file_exists path then begin
-    let ic = open_in path in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if String.length line > 0 && line.[0] <> '#' then add t line
-       done
-     with End_of_file -> ());
-    close_in ic
-  end;
+  List.iter
+    (fun line ->
+      let line = String.trim line in
+      if String.length line > 0 && not (is_comment line) then add t line)
+    (lines path);
   t
 
 let apply t findings =
@@ -35,7 +35,7 @@ let apply t findings =
     findings
 
 (* Entries that matched nothing: the grandfathered finding was fixed (or its
-   binding renamed).  Reported as warnings, pruned by --update-baseline. *)
+   binding renamed).  They fail the build; --update-baseline prunes them. *)
 let stale t =
   Hashtbl.fold (fun key hit acc -> if !hit then acc else key :: acc) t.keys []
   |> List.sort String.compare
@@ -44,12 +44,13 @@ let header =
   [
     "# dcp_lint baseline: grandfathered findings, one `rule file context/token` key";
     "# per line.  Regenerate with `dcp_lint.exe --update-baseline` after reviewing";
-    "# that any new entry really is benign (see DESIGN.md, \"Lint\").";
+    "# that any new entry really is benign (see DESIGN.md, \"Lint\"); it keeps";
+    "# these comment lines.  A stale entry (matching nothing) fails the build.";
   ]
 
+(* The comment lines carry the review notes: keep them, rewrite the keys. *)
 let save ~path findings =
+  let comments = if Sys.file_exists path then List.filter is_comment (lines path) else header in
   let keys = List.sort_uniq String.compare (List.map Finding.key findings) in
-  let oc = open_out path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) header;
-  List.iter (fun k -> output_string oc (k ^ "\n")) keys;
-  close_out oc
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) (comments @ keys))

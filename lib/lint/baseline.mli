@@ -18,5 +18,6 @@ val stale : t -> string list
     finding was fixed, so the entry should be pruned. *)
 
 val save : path:string -> Finding.t list -> unit
-(** Write the keys of [findings] (sorted, deduplicated) with a header
-    comment — the [--update-baseline] path. *)
+(** Write the keys of [findings] (sorted, deduplicated) after the existing
+    file's comment lines, or after a default header when the file is new —
+    the [--update-baseline] path. *)

@@ -45,8 +45,8 @@ let family_name = function
   | Hygiene -> "hygiene"
   | Protocol -> "protocol"
 
-(* Every rule either pass can emit, with its family: the reports list them so
-   downstream tooling need not hardcode the set. *)
+(* Every rule the pass can emit, per-file or whole-program, with its family:
+   the report lists them so downstream tooling need not hardcode the set. *)
 let rules =
   [
     ("layer-dag", Isolation);

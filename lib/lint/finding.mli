@@ -39,8 +39,8 @@ type family = Isolation | Transmittability | Determinism | Hygiene | Protocol
 val family_name : family -> string
 
 val rules : (string * family) list
-(** Every rule either pass (per-file [Scan] or whole-program proto tier) can
-    emit, with its family. *)
+(** Every rule the pass can emit, per-file ([Scan]) or whole-program (the
+    proto tier), with its family. *)
 
 val explain : string -> string option
 (** The rule's documentation paragraph, printed by [dcp_lint --explain]. *)

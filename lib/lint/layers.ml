@@ -141,13 +141,6 @@ let parse_dune ~dir source =
       let rank = Option.value (rank_of_dir dir) ~default:(-1) in
       Some { dir; lib_name = name; deps; rank }
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in ic;
-  contents
-
 let load ~root =
   let lib_root = Filename.concat root "lib" in
   let dirs =
@@ -159,7 +152,7 @@ let load ~root =
   List.filter_map
     (fun dir ->
       let dune = Filename.concat (Filename.concat lib_root dir) "dune" in
-      if Sys.file_exists dune then parse_dune ~dir (read_file dune) else None)
+      if Sys.file_exists dune then parse_dune ~dir (Discover.read_file dune) else None)
     dirs
 
 (* Dune-graph rules: unknown layers, and edges that do not point strictly

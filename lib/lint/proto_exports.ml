@@ -156,7 +156,9 @@ let is_test path = String.starts_with ~prefix:"test/" path
 let check ~interfaces ~units =
   let decls = List.concat_map (fun (path, source) -> declarations ~path source) interfaces in
   let users =
-    List.filter_map (fun u -> Option.map (fun s -> (u.u_path, uses_of s)) u.u_structure) units
+    List.filter_map
+      (fun u -> match u.u_structure with Ok s -> Some (u.u_path, uses_of s) | Error _ -> None)
+      units
   in
   let users_of d =
     let owner = Filename.remove_extension d.d_path ^ ".ml" in

@@ -206,7 +206,7 @@ type unit_info = {
   u_module : string;  (** capitalized basename, e.g. ["Branch"] *)
   u_lib : string option;  (** ["bank"] for [lib/bank/branch.ml] *)
   u_id : string;  (** graph node id, e.g. ["bank/branch"] *)
-  u_structure : structure option;  (** [None] when the unit fails to parse *)
+  u_structure : (structure, exn) result;  (** [Error] when the unit fails to parse *)
   u_fns : fn list;
   u_handles : handle list;
 }
@@ -355,11 +355,11 @@ let load ~path ~source =
     try
       let lexbuf = Lexing.from_string source in
       Location.init lexbuf path;
-      Some (Parse.implementation lexbuf)
-    with _ -> None
+      Ok (Parse.implementation lexbuf)
+    with exn -> Error exn
   in
   let fns, handles =
-    match structure with Some s -> extract ~path s | None -> ([], [])
+    match structure with Ok s -> extract ~path s | Error _ -> ([], [])
   in
   {
     u_path = path;

@@ -3,7 +3,8 @@
     Parses each compilation unit once and extracts the raw protocol facts —
     function definitions, declared message signatures, and handler dispatch
     sites — consumed by the interprocedural passes ([Proto_summary],
-    [Proto_reply], [Proto_flow]).  Untyped and syntactic, like [Scan]. *)
+    [Proto_reply], [Proto_flow]).  The per-file [Scan] rules lint the same
+    parse.  Untyped and syntactic, like [Scan]. *)
 
 module SSet : Set.S with type elt = string
 module SMap : Map.S with type key = string
@@ -76,7 +77,8 @@ type unit_info = {
   u_module : string;  (** capitalized basename, e.g. ["Branch"] *)
   u_lib : string option;  (** ["bank"] for [lib/bank/branch.ml] *)
   u_id : string;  (** graph node id, e.g. ["bank/branch"] *)
-  u_structure : Parsetree.structure option;  (** [None] when the unit fails to parse *)
+  u_structure : (Parsetree.structure, exn) result;
+      (** [Error] when the unit fails to parse; [Scan] reports it *)
   u_fns : fn list;
   u_handles : handle list;
 }

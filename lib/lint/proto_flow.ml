@@ -94,14 +94,20 @@ module PMap = Map.Make (struct
     if c <> 0 then c else String.compare b1 b2
 end)
 
+(* A unit that declares a reply name produces it, so that handle is no
+   edge target: only the units that dispatch on, declare as a request, or
+   match a reply of the name consume it. *)
 let edges units per_unit =
   let handlers =
     List.fold_left
       (fun acc u ->
         List.fold_left
           (fun acc h ->
-            let cur = Option.value (SMap.find_opt h.h_name acc) ~default:SSet.empty in
-            SMap.add h.h_name (SSet.add u.u_id cur) acc)
+            match h.h_kind with
+            | Reply_declared -> acc
+            | Dispatch | Declared | Reply_match ->
+                let cur = Option.value (SMap.find_opt h.h_name acc) ~default:SSet.empty in
+                SMap.add h.h_name (SSet.add u.u_id cur) acc)
           acc u.u_handles)
       SMap.empty units
   in

@@ -110,8 +110,8 @@ let rec discharges env ~own rvs e =
 
 let check env ~obligated u =
   match u.u_structure with
-  | None -> []
-  | Some structure ->
+  | Error _ -> []
+  | Ok structure ->
       let own = u.u_module in
       let findings = ref [] in
       let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in

@@ -360,29 +360,6 @@ let build units =
   compute_repliers env;
   env
 
-(* ---- call graph ---- *)
-
-let compare_edge (l1, a1, b1) (l2, a2, b2) =
-  let c = Option.compare String.compare l1 l2 in
-  if c <> 0 then c
-  else
-    let c = String.compare a1 a2 in
-    if c <> 0 then c else String.compare b1 b2
-
-(* Edges from each top-level definition to every in-repo function it
-   names, per library; duplicates from nested definitions are collapsed. *)
-let call_edges env =
-  let edges = ref [] in
-  iter_fns env (fun info ->
-      let own = info.i_unit.u_module in
-      List.iter
-        (fun site ->
-          let key = resolve ~own site.a_pair in
-          if SMap.mem key env.fns && not (String.equal key info.i_fn.fn_key) then
-            edges := (info.i_unit.u_lib, info.i_fn.fn_key, key) :: !edges)
-        info.i_applies);
-  List.sort_uniq compare_edge !edges
-
 (* ---- send resolution + escape findings ---- *)
 
 type send = {
@@ -482,8 +459,8 @@ let callback_reply_names env ~own lenv fexpr =
 
 let collect_sends env u =
   match u.u_structure with
-  | None -> ([], [])
-  | Some structure ->
+  | Error _ -> ([], [])
+  | Ok structure ->
       let own = u.u_module in
       let sends = ref [] in
       let escapes = ref [] in

@@ -38,9 +38,6 @@ val build : unit_info list -> env
 
 val is_replier : env -> own:string -> string * string -> bool
 
-val call_edges : env -> (string option * string * string) list
-(** [(lib, caller_key, callee_key)] edges to in-repo functions, sorted. *)
-
 (** A resolved transmission site. *)
 type send = {
   sd_line : int;

@@ -1,24 +1,17 @@
-(** The machine-readable lint report ([dcp.lint.report/v1]), a
-    {!Dcp_json.Json.t} document. *)
+(** The machine-readable lint report ([dcp.lint.report/v2]), a
+    {!Dcp_json.Json.t} document: the layer graph, every unit's sends and
+    handles, the message-flow graph, the export counts, every finding of
+    both rule families, the stale baseline entries and one summary with
+    per-rule counts over {!Finding.rules}. *)
 
 val schema : string
 
-val of_finding : Finding.t -> Dcp_json.Json.t
-(** Shared with the proto-tier report ([Proto_report]). *)
-
-val summary :
-  rules:(string * Finding.family) list ->
-  findings:Finding.t list ->
-  stale_baseline:string list ->
-  (string * Dcp_json.Json.t) list ->
-  Dcp_json.Json.t
-(** The summary block both reports share: total/active/baselined/stale
-    counts, then the extra fields, then per-rule counts over [rules]. *)
-
 val build :
   root:string ->
-  files_scanned:int ->
   layers:Layers.lib list ->
+  units:Proto_flow.unit_sends list ->
+  flow:Proto_flow.edge list ->
+  exports:Proto_exports.counts ->
   findings:Finding.t list ->
   stale_baseline:string list ->
   Dcp_json.Json.t

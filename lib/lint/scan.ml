@@ -1,8 +1,9 @@
 (* Per-file syntactic rules over the compiler-libs parsetree.
 
-   The pass is deliberately untyped: it runs on a bare [Parse.implementation]
-   with no type environment, so every rule is a syntactic approximation with
-   the committed baseline absorbing the benign remainder (e.g. a
+   The pass is deliberately untyped: it runs on the bare
+   [Parse.implementation] that [Proto_extract.load] made, with no type
+   environment, so every rule is a syntactic approximation with the
+   committed baseline absorbing the benign remainder (e.g. a
    [Hashtbl.fold] that computes a commutative sum).  What the approximation
    buys is speed (the whole tree lints in well under a second) and zero
    coupling to build order. *)
@@ -436,16 +437,11 @@ let iterator ctx =
   in
   { super with expr; typ; pat; module_expr; structure_item }
 
-let file ~path ~source =
-  let own_dir =
-    match String.split_on_char '/' path with
-    | [ "lib"; dir; _ ] -> Some dir
-    | _ -> None
-  in
+let file (u : Proto_extract.unit_info) =
   let ctx =
     {
-      file = path;
-      own_dir;
+      file = u.u_path;
+      own_dir = u.u_lib;
       findings = ref [];
       context = ref [];
       sort_depth = ref 0;
@@ -454,11 +450,11 @@ let file ~path ~source =
     }
   in
   (try
-     let lexbuf = Lexing.from_string source in
-     Location.init lexbuf path;
-     let structure = Parse.implementation lexbuf in
-     let it = iterator ctx in
-     it.structure it structure
+     match u.u_structure with
+     | Ok structure ->
+         let it = iterator ctx in
+         it.structure it structure
+     | Error exn -> raise exn
    with exn ->
      let message =
        match exn with

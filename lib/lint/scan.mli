@@ -1,7 +1,7 @@
 (** Per-file syntactic rules over the compiler-libs parsetree.
 
-    The pass is untyped — it runs on a bare [Parse.implementation] — so each
-    rule is a syntactic approximation; the committed baseline absorbs benign
+    The pass is untyped — it runs on the bare [Parse.implementation] of
+    {!Proto_extract.load} — so each rule is a syntactic approximation; the committed baseline absorbs benign
     matches (e.g. a [Hashtbl.fold] computing a commutative sum).  Rules:
 
     - [layer-dag] / [guardian-isolation]: a [Dcp_*] module reference whose
@@ -16,8 +16,9 @@
     - [obj-magic]: any [Obj.*] reference.
     - [parse-error]: the file did not parse. *)
 
-val file : path:string -> source:string -> Finding.t list
-(** Lint one compilation unit.  [path] is the root-relative path and decides
-    the layer context: files under [lib/<dir>/] get that library's layer
+val file : Proto_extract.unit_info -> Finding.t list
+(** Lint one parsed compilation unit.  Its root-relative path decides the
+    layer context: files under [lib/<dir>/] get that library's layer
     restrictions, anything else (bin, examples) may reference every layer.
-    Returns findings sorted by {!Finding.order}. *)
+    A unit that did not parse yields one [parse-error].  Returns findings
+    sorted by {!Finding.order}. *)

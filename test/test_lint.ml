@@ -1,26 +1,24 @@
 (* The dcp_lint pass: every rule fires on its minimal bad fixture, the
    sorted sibling stays quiet, baselines and the JSON report round-trip,
-   and the real tree is clean modulo the committed baseline. *)
+   and the real tree is clean modulo the committed baseline under both
+   rule families. *)
 
 module Finding = Dcp_lint.Finding
 module Layers = Dcp_lint.Layers
 module Scan = Dcp_lint.Scan
+module Proto_extract = Dcp_lint.Proto_extract
 module Baseline = Dcp_lint.Baseline
 module Report = Dcp_lint.Report
 module Driver = Dcp_lint.Driver
 module Json = Dcp_json.Json
 
-let read_fixture name =
-  let path = Filename.concat "lint_fixtures" name in
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let read_fixture name = read_file (Filename.concat "lint_fixtures" name)
 
 (* Scan a fixture as if it lived at [path] inside the tree, so the layer
    rules see the right context. *)
-let scan_fixture ~as_path name = Scan.file ~path:as_path ~source:(read_fixture name)
+let scan_fixture ~as_path name =
+  Scan.file (Proto_extract.load ~path:as_path ~source:(read_fixture name))
 
 let rules_of findings = List.map (fun f -> f.Finding.rule) findings
 
@@ -193,14 +191,46 @@ let test_baseline_stale () =
   Alcotest.(check (list string)) "unmatched entry reported stale"
     [ "hashtbl-order lib/gone.ml f/Hashtbl.fold" ] (Baseline.stale b)
 
-let test_report_roundtrip () =
+let test_baseline_keeps_notes () =
+  let path = Filename.temp_file "dcp_lint_baseline" ".txt" in
+  let notes = [ "# dcp_lint baseline"; "#"; "# Reviewed: the f/Hashtbl.fold sum commutes." ] in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter
+        (fun l -> output_string oc (l ^ "\n"))
+        (notes @ [ "hashtbl-order lib/gone.ml f/Hashtbl.fold" ]));
   let findings = scan_fixture ~as_path:"lib/core/bad_hashtbl_order.ml" "bad_hashtbl_order.ml" in
+  let keys = List.sort_uniq String.compare (List.map Finding.key findings) in
+  Baseline.save ~path findings;
+  let saved = read_file path in
+  Sys.remove path;
+  Alcotest.(check (list string)) "notes kept, stale key pruned, new keys added"
+    (notes @ keys @ [ "" ])
+    (String.split_on_char '\n' saved);
+  Baseline.save ~path findings;
+  let fresh = read_file path in
+  Sys.remove path;
+  Alcotest.(check bool) "a new file gets the default header" true
+    (String.starts_with ~prefix:"# dcp_lint baseline: " fresh)
+
+(* Both rule families land in one report: a per-file finding and a
+   whole-program finding, from fixtures analyzed as one program. *)
+let test_report_roundtrip () =
   let layers =
     [ { Layers.dir = "wire"; lib_name = "dcp_wire"; deps = [ "dcp_rng" ]; rank = 1 } ]
   in
-  let report =
-    Report.build ~root:"." ~files_scanned:1 ~layers ~findings ~stale_baseline:[ "old key" ]
+  let o =
+    Driver.analyze ~root:"." ~layers ~missing_mli:[]
+      ~units:
+        [
+          ("lib/core/bad_hashtbl_order.ml", read_fixture "bad_hashtbl_order.ml");
+          ("lib/demo/proto_missing_reply.ml", read_fixture "proto_missing_reply.ml");
+        ]
+      ~baseline:(Baseline.empty ())
   in
+  Alcotest.(check (list string)) "both rule families reported"
+    [ "hashtbl-order"; "proto-reply-obligation" ]
+    (List.sort_uniq String.compare (rules_of o.Driver.findings));
+  let report = o.Driver.report in
   let parsed = Json.parse (Json.render report) in
   Alcotest.(check bool) "render/parse round-trips" true (parsed = report);
   (match Json.member "schema" parsed with
@@ -210,9 +240,12 @@ let test_report_roundtrip () =
   | Some summary -> (
       match (Json.member "total" summary, Json.member "active" summary) with
       | Some (Json.Num total), Some (Json.Num active) ->
+          let findings = o.Driver.findings in
           Alcotest.(check int) "total counts findings" (List.length findings)
             (int_of_float total);
           Alcotest.(check int) "all active (no baseline applied)" (List.length findings)
+            (int_of_float active);
+          Alcotest.(check int) "active counted" (List.length o.Driver.active)
             (int_of_float active)
       | _ -> Alcotest.fail "summary counts missing")
   | None -> Alcotest.fail "summary member missing"
@@ -237,15 +270,14 @@ let test_tree_clean () =
   match find_repo_root () with
   | None -> ()  (* enforced by `dune build @lint` regardless *)
   | Some root ->
-      let outcome =
-        Driver.run ~root ~baseline_path:(Filename.concat root "lint_baseline.txt") ()
-      in
+      let o = Driver.run ~root ~baseline_path:(Filename.concat root "lint_baseline.txt") in
       Alcotest.(check (list string)) "no active findings (tree clean modulo baseline)" []
-        (List.map Finding.to_string outcome.Driver.active);
-      Alcotest.(check (list string)) "no stale baseline entries" []
-        outcome.Driver.stale_baseline;
-      Alcotest.(check bool) "scanned a real number of files" true
-        (outcome.Driver.files_scanned > 50)
+        (List.map Finding.to_string o.Driver.active);
+      Alcotest.(check (list string)) "no unbaselined warnings" []
+        (List.map Finding.to_string o.Driver.warnings);
+      Alcotest.(check (list string)) "no stale baseline entries" [] o.Driver.stale_baseline;
+      Alcotest.(check bool) "scanned a real number of files" true (o.Driver.files_scanned > 50);
+      Alcotest.(check bool) "flow graph is non-trivial" true (List.length o.Driver.edges > 20)
 
 let tests =
   [
@@ -266,6 +298,7 @@ let tests =
     Alcotest.test_case "dune graph rules" `Quick test_graph_findings;
     Alcotest.test_case "baseline round-trip" `Quick test_baseline_roundtrip;
     Alcotest.test_case "baseline staleness" `Quick test_baseline_stale;
+    Alcotest.test_case "baseline update keeps review notes" `Quick test_baseline_keeps_notes;
     Alcotest.test_case "report json round-trip" `Quick test_report_roundtrip;
     Alcotest.test_case "tree clean modulo baseline" `Quick test_tree_clean;
   ]

@@ -1,29 +1,24 @@
-(* The whole-program proto tier: each fixture trips exactly its rule, the
-   clean fixture is silent, the unused-export rule sees every way a unit
-   can name a val, the proto report round-trips through the JSON reader,
-   every committed JSON artifact parses with its schema id, and the real
-   tree is clean modulo the committed proto baseline. *)
+(* The whole-program rules: each fixture trips exactly its rule, the
+   clean fixture is silent, a flow edge needs a consumer, the
+   unused-export rule sees every way a unit can name a val, and every
+   committed JSON artifact parses with its schema id.  The report
+   round-trip and the clean-tree check cover both rule families in
+   [Test_lint]. *)
 
 module Finding = Dcp_lint.Finding
 module Baseline = Dcp_lint.Baseline
-module Proto_report = Dcp_lint.Proto_report
-module Proto_driver = Dcp_lint.Proto_driver
+module Driver = Dcp_lint.Driver
 module Json = Dcp_json.Json
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_fixture = Test_lint.read_fixture
 
-let read_fixture name = read_file (Filename.concat "lint_fixtures" name)
+let analyze_sources units =
+  Driver.analyze ~root:"." ~layers:[] ~missing_mli:[] ~units ~baseline:(Baseline.empty ())
 
 (* Analyze a fixture set as one whole program rooted at fabricated lib
    paths. *)
 let analyze names =
-  let units = List.map (fun (path, fixture) -> (path, read_fixture fixture)) names in
-  Proto_driver.analyze ~root:"." ~units ~baseline:(Baseline.empty ())
+  analyze_sources (List.map (fun (path, fixture) -> (path, read_fixture fixture)) names)
 
 let rules_of findings = List.map (fun f -> f.Finding.rule) findings
 
@@ -38,52 +33,52 @@ let test_dead_letter () =
   let o = analyze [ ("lib/demo/proto_dead_letter.ml", "proto_dead_letter.ml") ] in
   Alcotest.(check bool)
     (Printf.sprintf "peer_vanished is a dead letter (got: %s)"
-       (String.concat ", " (rules_of o.Proto_driver.active)))
+       (String.concat ", " (rules_of o.Driver.active)))
     true
-    (has ~rule:"proto-dead-letter" ~token:"peer_vanished" o.Proto_driver.active);
+    (has ~rule:"proto-dead-letter" ~token:"peer_vanished" o.Driver.active);
   Alcotest.(check bool) "the handled ping send is not" false
-    (has ~rule:"proto-dead-letter" ~token:"ping" o.Proto_driver.findings);
+    (has ~rule:"proto-dead-letter" ~token:"ping" o.Driver.findings);
   (* The graph still records the handled flow. *)
-  Alcotest.(check bool) "flow edge present" true (o.Proto_driver.edges <> [])
+  Alcotest.(check bool) "flow edge present" true (o.Driver.edges <> [])
 
 let test_missing_reply () =
   let o = analyze [ ("lib/demo/proto_missing_reply.ml", "proto_missing_reply.ml") ] in
   Alcotest.(check bool)
     (Printf.sprintf "fetch miss path flagged (got: %s)"
-       (String.concat ", " (rules_of o.Proto_driver.active)))
+       (String.concat ", " (rules_of o.Driver.active)))
     true
-    (has ~rule:"proto-reply-obligation" ~token:"fetch" o.Proto_driver.active)
+    (has ~rule:"proto-reply-obligation" ~token:"fetch" o.Driver.active)
 
 let test_escape_helper () =
   let o = analyze [ ("lib/demo/proto_escape_helper.ml", "proto_escape_helper.ml") ] in
   Alcotest.(check bool)
     (Printf.sprintf "laundered Bytes payload flagged (got: %s)"
-       (String.concat ", " (rules_of o.Proto_driver.active)))
+       (String.concat ", " (rules_of o.Driver.active)))
     true
-    (has ~rule:"proto-escape" o.Proto_driver.active)
+    (has ~rule:"proto-escape" o.Driver.active)
 
 let test_clean () =
   let o = analyze [ ("lib/demo/proto_clean.ml", "proto_clean.ml") ] in
   Alcotest.(check (list string)) "zero findings" []
-    (List.map Finding.to_string o.Proto_driver.findings);
+    (List.map Finding.to_string o.Driver.findings);
   Alcotest.(check (list string)) "zero warnings" []
-    (List.map Finding.to_string o.Proto_driver.warnings)
+    (List.map Finding.to_string o.Driver.warnings)
 
 let test_function_binding () =
   let o = analyze [ ("lib/demo/proto_function_binding.ml", "proto_function_binding.ml") ] in
   let carried =
     List.concat_map
       (fun e -> Dcp_lint.Proto_extract.SSet.elements e.Dcp_lint.Proto_flow.e_msgs)
-      o.Proto_driver.edges
+      o.Driver.edges
   in
   Alcotest.(check (list string)) "names returned by a bare function reach the edge"
     [ "probe"; "report" ] carried;
   Alcotest.(check (list string)) "zero findings" []
-    (List.map Finding.to_string o.Proto_driver.findings)
+    (List.map Finding.to_string o.Driver.findings)
 
 let test_dot_export () =
   let o = analyze [ ("lib/demo/proto_clean.ml", "proto_clean.ml") ] in
-  let dot = o.Proto_driver.dot in
+  let dot = o.Driver.dot in
   Alcotest.(check bool) "starts with digraph" true
     (String.length dot > 7 && String.equal (String.sub dot 0 7) "digraph");
   let count c = String.fold_left (fun n ch -> if ch = c then n + 1 else n) 0 dot in
@@ -94,22 +89,23 @@ let test_dot_export () =
      in
      find 0)
 
-let test_report_roundtrip () =
-  let o = analyze [ ("lib/demo/proto_missing_reply.ml", "proto_missing_reply.ml") ] in
-  let parsed = Json.parse (Json.render o.Proto_driver.report) in
-  Alcotest.(check bool) "render/parse round-trips" true (parsed = o.Proto_driver.report);
-  (match Json.member "schema" parsed with
-  | Some (Json.Str s) -> Alcotest.(check string) "schema" Proto_report.schema s
-  | _ -> Alcotest.fail "schema member missing");
-  match Json.member "summary" parsed with
-  | Some summary -> (
-      match Json.member "active" summary with
-      | Some (Json.Num active) ->
-          Alcotest.(check int) "active counted"
-            (List.length o.Proto_driver.active)
-            (int_of_float active)
-      | _ -> Alcotest.fail "summary.active missing")
-  | None -> Alcotest.fail "summary member missing"
+(* A declared reply name is produced by its unit, not consumed: a send of
+   the same name from an unrelated unit is no flow into it. *)
+let test_reply_declared_no_edge () =
+  let o =
+    analyze_sources
+      [
+        ("lib/demo/proto_reply_declared.ml", read_fixture "proto_reply_declared.ml");
+        ("lib/demo/stranger.ml", "let greet ctx peer = Runtime.send ctx ~to_:peer \"ok\" []\n");
+      ]
+  in
+  Alcotest.(check (list (triple string string (list string))))
+    "only the request flows into the declaring unit"
+    [ ("demo/proto_reply_declared", "demo/proto_reply_declared", [ "lookup" ]) ]
+    (List.map
+       (fun (e : Dcp_lint.Proto_flow.edge) ->
+         (e.e_src, e.e_dst, Dcp_lint.Proto_extract.SSet.elements e.e_msgs))
+       o.Driver.edges)
 
 (* The unused-export rule over one in-memory interface and its users. *)
 let shapes_mli =
@@ -132,15 +128,14 @@ let shapes_ml =
 
 let exports_of users =
   let o =
-    Proto_driver.analyze ~root:"."
-      ~units:([ ("lib/demo/shapes.mli", shapes_mli); ("lib/demo/shapes.ml", shapes_ml) ] @ users)
-      ~baseline:(Baseline.empty ())
+    analyze_sources
+      ([ ("lib/demo/shapes.mli", shapes_mli); ("lib/demo/shapes.ml", shapes_ml) ] @ users)
   in
   let unused =
-    List.filter (fun f -> String.equal f.Finding.rule "proto-unused-export") o.Proto_driver.findings
+    List.filter (fun f -> String.equal f.Finding.rule "proto-unused-export") o.Driver.findings
   in
   let count field =
-    match Option.bind (Json.member "exports" o.Proto_driver.report) (Json.member field) with
+    match Option.bind (Json.member "exports" o.Driver.report) (Json.member field) with
     | Some (Json.Num n) -> int_of_float n
     | _ -> Alcotest.failf "exports.%s missing" field
   in
@@ -177,55 +172,20 @@ let test_export_test_only () =
   Alcotest.(check (list string)) "without its test user it is unused" [ "checked"; "orphan" ]
     tokens
 
-(* Walk up from the build sandbox to the real checkout; the in-tree @lint
-   alias enforces cleanliness anyway, so skip quietly when not found. *)
-let find_repo_root () =
-  let rec up dir depth =
-    if depth > 8 then None
-    else if
-      Sys.file_exists (Filename.concat dir "dune-project")
-      && Sys.file_exists (Filename.concat dir ".git")
-      && Sys.file_exists (Filename.concat dir "proto_baseline.txt")
-    then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if String.equal parent dir then None else up parent (depth + 1)
-  in
-  up (Sys.getcwd ()) 0
-
-let test_tree_clean () =
-  match find_repo_root () with
-  | None -> ()  (* enforced by `dune build @lint` regardless *)
-  | Some root ->
-      let o =
-        Proto_driver.run ~root ~baseline_path:(Filename.concat root "proto_baseline.txt") ()
-      in
-      Alcotest.(check (list string)) "no active findings (tree clean modulo baseline)" []
-        (List.map Finding.to_string o.Proto_driver.active);
-      Alcotest.(check (list string)) "no unbaselined warnings" []
-        (List.map Finding.to_string o.Proto_driver.warnings);
-      Alcotest.(check (list string)) "no stale proto baseline entries" []
-        o.Proto_driver.stale_baseline;
-      Alcotest.(check bool) "scanned a real number of units" true
-        (o.Proto_driver.units_scanned > 50);
-      Alcotest.(check bool) "flow graph is non-trivial" true
-        (List.length o.Proto_driver.edges > 20)
-
 (* Every committed artifact parses and carries its schema id; a lint
    report also shows a clean tree. *)
 let committed_artifacts =
   [
-    ("PROTO_report.json", "dcp.lint.proto/v1");
-    ("LINT_report.json", "dcp.lint.report/v1");
+    ("LINT_report.json", "dcp.lint.report/v2");
     ("BENCH_micro.json", "dcp.bench.micro/v1");
     ("CHECK_sweep.json", "dcp.check.sweep/v1");
   ]
 
 let test_committed_artifact (file, schema) () =
-  match find_repo_root () with
+  match Test_lint.find_repo_root () with
   | None -> ()
   | Some root -> (
-      let doc = Json.parse (read_file (Filename.concat root file)) in
+      let doc = Json.parse (Test_lint.read_file (Filename.concat root file)) in
       (match Json.member "schema" doc with
       | Some (Json.Str s) -> Alcotest.(check string) "committed schema" schema s
       | _ -> Alcotest.failf "committed %s lacks a schema" file);
@@ -245,8 +205,7 @@ let tests =
     Alcotest.test_case "clean fixture" `Quick test_clean;
     Alcotest.test_case "function-binding fixture" `Quick test_function_binding;
     Alcotest.test_case "dot export" `Quick test_dot_export;
-    Alcotest.test_case "proto report round-trip" `Quick test_report_roundtrip;
-    Alcotest.test_case "tree clean modulo proto baseline" `Quick test_tree_clean;
+    Alcotest.test_case "declared reply is no flow target" `Quick test_reply_declared_no_edge;
     Alcotest.test_case "unused export seen through paths aliases opens" `Quick
       test_export_uses;
     Alcotest.test_case "unused export reported at its mli line" `Quick test_export_unused;
