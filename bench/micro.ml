@@ -16,6 +16,7 @@ module Rng = Dcp_rng.Rng
 module Runtime = Dcp_core.Runtime
 module Topology = Dcp_net.Topology
 module Clock = Dcp_sim.Clock
+module Trace = Dcp_sim.Trace
 
 let sample_value =
   Value.record
@@ -329,6 +330,13 @@ let alloc_rows () =
         if Packet.intact f then ignore (Packet.Reassembly.offer reassembly ~now:0 f);
         offer_intact rest
   in
+  (* A send's trace record, on a fresh trace as a traced world's shard
+     starts with one (its ring's first doublings included), and on an
+     untraced world's counting trace. *)
+  let traced = Trace.create () and untraced = Trace.counting () in
+  let record_send trace () =
+    Trace.record_deferred trace ~at:0 ~category:"send" ~label:"status_sender#1" status_body
+  in
   let calls = 1000 in
   (* One call first, so a scratch buffer that grows does so untimed. *)
   let words_per_call f =
@@ -356,6 +364,8 @@ let alloc_rows () =
       ( "alloc.packet.fragment+reassemble scd_status",
         words_per_call (fun () ->
             offer_intact (Packet.fragment ~src:0 ~dst:1 ~msg_id:0 ~mtu status_body)) );
+      ("alloc.trace.record_deferred traced", words_per_call (record_send traced));
+      ("alloc.trace.record_deferred untraced", words_per_call (record_send untraced));
       ("alloc.round-trip scd_status", words_per_call (scd_status_round_trip ()));
     ]
   in

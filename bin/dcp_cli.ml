@@ -283,7 +283,8 @@ let replica_cmd =
 let run_trace () =
   let open Dcp_wire in
   let topology = Dcp_net.Topology.full_mesh ~n:2 Dcp_net.Link.lan in
-  let world = Runtime.create_world ~seed:3 ~topology () in
+  let config = { Runtime.default_config with trace = true } in
+  let world = Runtime.create_world ~seed:3 ~topology ~config () in
   let flight =
     Dcp_airline.Flight.create world ~at:0 ~flight:1 ~capacity:2 ~service_time:(Clock.ms 1) ()
   in

@@ -22,6 +22,7 @@ type config = {
   processors_per_node : int;
   disk : Disk.spec option;
   checkpoint_every : int option;
+  trace : bool;
 }
 
 let default_config =
@@ -31,6 +32,7 @@ let default_config =
     processors_per_node = 8;
     disk = None;
     checkpoint_every = None;
+    trace = false;
   }
 
 (* Intra-node message latency, the capacity of a port minted without one,
@@ -130,7 +132,9 @@ and node = {
 and guardian = {
   gid : int;
   gdef : def;
-  glabel : string;  (** ["def_name#gid"], the sender of its trace events *)
+  glabel : string;
+      (** ["def_name#gid"], the sender of its trace events; [""] on an
+          untraced world, whose counting trace never reads it *)
   home : node;
   secret : int64;
   gstore : Store.t;
@@ -413,7 +417,9 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(para
       smetrics;
       shot = hot_of smetrics;
       sencoder = Codec.encoder ~config:config.codec ();
-      strace = Trace.create ~render:(render_send config.codec) ();
+      strace =
+        (if config.trace then Trace.create ~render:(render_send config.codec) ()
+         else Trace.counting ());
       ssys_rng = sys_rng;
       sworkload_rng = workload_rng;
       sguardians_by_def = Hashtbl.create 16;
@@ -596,7 +602,7 @@ let create_guardian_at w node ~def ~args =
     {
       gid;
       gdef = def;
-      glabel = Printf.sprintf "%s#%d" def.def_name gid;
+      glabel = (if w.config.trace then Printf.sprintf "%s#%d" def.def_name gid else "");
       home = node;
       secret;
       gstore;
@@ -779,7 +785,8 @@ let send c ~to_ ?reply_to command args =
     | Error reason -> raise (Send_failed reason));
     let now = Engine.now sh.sengine in
     let body = encode sh ~target:to_ (Message.make ?reply_to ~sent_at:now command args) in
-    (* The trace keeps the body it will deliver; text is made on read. *)
+    (* A traced world keeps the body it will deliver and makes text on
+       read; an untraced one only counts the send. *)
     Trace.record_deferred sh.strace ~at:now ~category:"send" ~label:g.glabel body;
     (* Externalization barrier (write-ahead discipline): everything this
        guardian logged is flushed before any message leaves it, so a later

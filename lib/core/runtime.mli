@@ -78,6 +78,14 @@ type config = {
       (** auto-checkpoint a guardian store after this many mutations
           (default [None]: only explicit {!Dcp_stable.Store.checkpoint}
           calls compact), bounding recovery replay to O(interval). *)
+  trace : bool;
+      (** keep a readable {!trace} (default [false]).  An untraced world's
+          trace only counts its events ({!Dcp_sim.Trace.counting}): it
+          keeps no sent body, builds no guardian label and formats no
+          event text, and reads as empty.  Tests and tools that read a
+          trace opt in with [{ default_config with trace = true }].  The
+          choice changes nothing a world does: every message, RNG draw,
+          fingerprint and [Trace.total] is the same either way. *)
 }
 
 val default_config : config
@@ -95,6 +103,7 @@ val create_world :
     [parallel] (default false) runs each epoch on [shards] domains.  The
     trace is identical for a fixed (seed, shards) regardless of
     [parallel].  Messages between guardians on one node take 5 µs.
+    Each shard's trace keeps events only when [config.trace] is set.
     @raise Invalid_argument if [shards < 1]. *)
 
 val network : world -> Dcp_net.Network.t
@@ -113,7 +122,8 @@ val metrics : world -> Dcp_sim.Metrics.registry
     {!ctx_metrics}. *)
 
 val trace : world -> Dcp_sim.Trace.t
-(** Shard 0's trace. *)
+(** Shard 0's trace: empty, though still counting, unless the world was
+    created with [config.trace]. *)
 
 val registry : world -> Transmit.registry
 val world_rng : world -> Dcp_rng.Rng.t
@@ -215,10 +225,11 @@ exception Send_failed of string
 val send :
   ctx -> to_:Port_name.t -> ?reply_to:Port_name.t -> string -> Value.t list -> unit
 (** No-wait send of [command(args)].  Returns immediately after encoding
-    and scheduling the message.  The send is recorded in the trace as its
-    encoded body, rendered only when the trace is read.  A message that
-    fails to encode raises {!Send_failed} before anything else happens: it
-    is not traced, and the guardian's store is not flushed. *)
+    and scheduling the message.  A traced world ([config.trace]) records
+    the send as its encoded body, rendered only when the trace is read; an
+    untraced one only counts it.  A message that fails to encode raises
+    {!Send_failed} before anything else happens: it is not traced, and the
+    guardian's store is not flushed. *)
 
 val receive :
   ctx -> ?timeout:Clock.time -> Port.t list -> [ `Msg of Port.t * Message.t | `Timeout ]

@@ -1,6 +1,6 @@
 (** The one external representation of every committed artifact
-    ([BENCH_micro.json], [CHECK_sweep.json], [LINT_report.json],
-    [PROTO_report.json]): a JSON value, its renderer and its parser.
+    ([BENCH_micro.json], [CHECK_sweep.json], [LINT_report.json]): a JSON
+    value, its renderer and its parser.
 
     [parse (render v) = v] for every [v] whose numbers are finite. *)
 

@@ -456,11 +456,14 @@ let file (u : Proto_extract.unit_info) =
          it.structure it structure
      | Error exn -> raise exn
    with exn ->
-     let message =
+     (* Syntax and lexer errors carry their own location; any other
+        failure is reported against the whole file. *)
+     let loc, message =
        match exn with
-       | Syntaxerr.Error _ -> "syntax error"
-       | exn -> Printexc.to_string exn
+       | Syntaxerr.Error e -> (Syntaxerr.location_of_error e, "syntax error")
+       | Lexer.Error (_, loc) -> (loc, Printexc.to_string exn)
+       | exn -> (Location.none, Printexc.to_string exn)
      in
-     report ctx ~loc:Location.none ~rule:"parse-error" ~token:"parse"
+     report ctx ~loc ~rule:"parse-error" ~token:"parse"
        (Printf.sprintf "could not parse: %s" message));
   List.sort Finding.order !(ctx.findings)

@@ -33,8 +33,16 @@ val is_cancelled : timer -> bool
 val pending : t -> int
 (** Number of scheduled, uncancelled events. *)
 
+exception Livelock of { at : Clock.time; events : int }
+(** Raised by {!step} (and so by every [run]) when more events than a
+    fixed bound run in a row at one virtual instant [at]: a loop that
+    never lets time move, such as two handlers answering each other over
+    a zero-latency link.  The bound is far above any run a working
+    simulation makes. *)
+
 val step : t -> bool
-(** Execute the next event, advancing the clock. [false] if none remain. *)
+(** Execute the next event, advancing the clock. [false] if none remain.
+    @raise Livelock past the bound on events at one instant. *)
 
 val run : t -> unit
 (** Run until no events remain. *)

@@ -21,6 +21,7 @@ type pool = {
   finished : Condition.t;
   mutable round_no : int;
   mutable arrived : int;
+  mutable failure : exn option;  (** the first exception a worker raised this round *)
   mutable stop : bool;
   mutable domains : unit Domain.t array;
 }
@@ -41,8 +42,9 @@ let worker p i =
       last := p.round_no;
       let work = p.work in
       Mutex.unlock p.m;
-      work i;
+      let failure = match work i with () -> None | exception e -> Some e in
       Mutex.lock p.m;
+      if Option.is_none p.failure then p.failure <- failure;
       p.arrived <- p.arrived + 1;
       if p.arrived = p.shards - 1 then Condition.signal p.finished;
       Mutex.unlock p.m
@@ -60,6 +62,7 @@ let pool ~shards =
       finished = Condition.create ();
       round_no = 0;
       arrived = 0;
+      failure = None;
       stop = false;
       domains = [||];
     }
@@ -81,7 +84,10 @@ let round p work =
     while p.arrived < p.shards - 1 do
       Condition.wait p.finished p.m
     done;
-    Mutex.unlock p.m
+    let failure = p.failure in
+    p.failure <- None;
+    Mutex.unlock p.m;
+    Option.iter raise failure
   end
 
 let shutdown p =

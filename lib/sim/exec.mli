@@ -23,7 +23,8 @@ val round : pool -> (int -> unit) -> unit
 (** [round p work] runs [work i] for every shard [i] in [0, shards)] —
     concurrently on the pool's domains ([work 0] on the caller) — and
     returns once all have finished.  [work] must touch only shard-[i]
-    state. *)
+    state.  An exception a worker's [work i] raises is re-raised here once
+    every worker has arrived (the first to arrive, if several raise). *)
 
 val with_pool : shards:int -> (pool -> 'a) -> 'a
 (** Spawn the worker domains, run, and always wake and join every worker

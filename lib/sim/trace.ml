@@ -8,7 +8,7 @@ type entry =
   | Deferred of { at : Clock.time; category : string; label : string; body : string }
 
 type t = {
-  capacity : int;
+  capacity : int;  (** 0 for a counting trace, which keeps nothing *)
   render : string -> string -> string;
   mutable ring : entry array;  (** doubles on demand up to [capacity], then wraps *)
   mutable next : int;
@@ -20,6 +20,8 @@ let render_size label body = Printf.sprintf "%s: %d bytes" label (String.length 
 let create ?(capacity = 65536) ?(render = render_size) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { capacity; render; ring = [||]; next = 0; total = 0 }
+
+let counting () = { capacity = 0; render = render_size; ring = [||]; next = 0; total = 0 }
 
 (* Until the first wrap [next = total], so the ring is full exactly when
    [next] reaches its length. *)
@@ -34,9 +36,21 @@ let push t e =
   t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1
 
-let record t ~at ~category detail = push t (Text { at; category; detail })
-let recordf t ~at ~category fmt = Format.kasprintf (record t ~at ~category) fmt
-let record_deferred t ~at ~category ~label body = push t (Deferred { at; category; label; body })
+(* Each record site tests [capacity] before it builds an entry, so a
+   counting trace allocates nothing and formats nothing. *)
+let record t ~at ~category detail =
+  if t.capacity = 0 then t.total <- t.total + 1 else push t (Text { at; category; detail })
+
+let recordf t ~at ~category fmt =
+  if t.capacity = 0 then begin
+    t.total <- t.total + 1;
+    Format.ikfprintf ignore Format.err_formatter fmt
+  end
+  else Format.kasprintf (record t ~at ~category) fmt
+
+let record_deferred t ~at ~category ~label body =
+  if t.capacity = 0 then t.total <- t.total + 1
+  else push t (Deferred { at; category; label; body })
 
 let size t = Int.min t.total t.capacity
 let total t = t.total

@@ -10,7 +10,13 @@
     the encoded message a send already built, and the trace's [render]
     turns them into the detail text when {!events}, {!find} or {!pp} reads
     the event.  The ring starts empty and doubles on demand up to its
-    capacity, so a trace that records little costs little. *)
+    capacity, so a trace that records little costs little.
+
+    Tracing is opt-in: a {!counting} trace keeps nothing.  Each record on
+    it costs one branch and adds one to {!total}; it builds no entry and
+    formats no text, and it reads as empty.  The runtime gives an untraced
+    world (the default) counting traces, so [total] means the same in
+    both modes. *)
 
 type t
 
@@ -19,12 +25,20 @@ type event = { at : Clock.time; category : string; detail : string }
 val create : ?capacity:int -> ?render:(string -> string -> string) -> unit -> t
 (** Default capacity is 65536 events; older events are overwritten.
     [render label body] is the detail text of a deferred event; the
-    default gives the label and the body's size. *)
+    default gives the label and the body's size.  [capacity] must be
+    positive. *)
+
+val counting : unit -> t
+(** A trace that keeps no event: it only counts what is offered to it.
+    {!size} is 0, {!events} and {!find} return [[]], and a [%a] printer
+    given to {!recordf} is never called. *)
 
 val record : t -> at:Clock.time -> category:string -> string -> unit
 
 val recordf :
   t -> at:Clock.time -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** Formats the detail at once on a trace that keeps events; on a
+    {!counting} trace the arguments are taken and ignored. *)
 
 val record_deferred : t -> at:Clock.time -> category:string -> label:string -> string -> unit
 (** [record_deferred t ~at ~category ~label body] records an event whose
@@ -32,10 +46,10 @@ val record_deferred : t -> at:Clock.time -> category:string -> label:string -> s
     [body] is kept, not copied. *)
 
 val size : t -> int
-(** Events currently retained. *)
+(** Events currently retained; always 0 on a {!counting} trace. *)
 
 val total : t -> int
-(** Events ever recorded (including overwritten ones). *)
+(** Events ever recorded (including overwritten ones), kept or not. *)
 
 val events : t -> event list
 (** Retained events, oldest first. *)

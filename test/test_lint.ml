@@ -112,7 +112,15 @@ let test_mutable_payload () =
   Alcotest.(check int) "array into send and ref into reply both fire" 2 (List.length hits)
 
 let test_parse_error () =
-  check_fires "bad_parse.ml" ~as_path:"lib/wire/bad_parse.ml" ~rule:"parse-error" ()
+  check_fires "bad_parse.ml" ~as_path:"lib/wire/bad_parse.ml" ~rule:"parse-error" ();
+  (* The finding sits where the parser stopped, not at line 0. *)
+  match scan_fixture ~as_path:"lib/wire/bad_parse.ml" "bad_parse.ml" with
+  | [ f ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "on a line of the file (got %d:%d)" f.Finding.line f.Finding.col)
+        true
+        (f.Finding.line >= 1 && f.Finding.col >= 0)
+  | findings -> Alcotest.failf "expected one finding, got %d" (List.length findings)
 
 let test_missing_mli () =
   let root = Filename.temp_file "dcp_lint_tree" "" in

@@ -319,10 +319,13 @@ let lossless_world ?(latency = 0) seed =
   Runtime.create_world ~seed
     ~topology:
       (Topology.full_mesh ~n:(members + 1) { Link.perfect with Link.base_latency = latency })
+    ~config:{ Runtime.default_config with trace = true }
     ()
 
-(* Asks and answers the members sent at or after [since]. *)
+(* Asks and answers the members sent at or after [since].  An untraced
+   world's trace is empty, which would make every count here a vacuous 0. *)
 let statuses_sent world ~since =
+  if Trace.size (Runtime.trace world) = 0 then Alcotest.fail "the world keeps no trace";
   Trace.find (Runtime.trace world) ~category:"send"
   |> List.filter (fun (e : Trace.event) ->
          e.Trace.at >= since

@@ -275,6 +275,45 @@ let test_encode_bounds_raise_at_sender () =
   Runtime.run_for world (Clock.s 1);
   Alcotest.(check bool) "24-bit bound enforced at sender" true !raised
 
+(* Two guardians that answer each other over a zero-latency link never
+   let virtual time move.  The engine reports the loop instead of spinning
+   in it for ever.  With two shards run on domains, the loop runs on the
+   worker domain of shard 1 (nodes 1 and 3), and the round re-raises it. *)
+let test_zero_latency_livelock_raises ~shards () =
+  let world =
+    Runtime.create_world ~seed:42
+      ~topology:(Topology.full_mesh ~n:(2 * shards) Link.perfect)
+      ~shards ~parallel:(shards > 1) ()
+  in
+  let volley_def : Runtime.def =
+    {
+      Runtime.def_name = "volley";
+      provides = [ ([ Vtype.wildcard ], 8) ];
+      init =
+        (fun ctx args ->
+          let own = Port.name (Runtime.port ctx 0) in
+          let hit to_ = Runtime.send ctx ~to_ ~reply_to:own "ball" [] in
+          (match args with [ Value.Portv peer ] -> hit peer | _ -> ());
+          let rec loop () =
+            (match Runtime.receive ctx [ Runtime.port ctx 0 ] with
+            | `Msg (_, { Message.reply_to = Some peer; _ }) -> hit peer
+            | `Msg _ | `Timeout -> ());
+            loop ()
+          in
+          loop ());
+      recover = None;
+    }
+  in
+  Runtime.register_def world volley_def;
+  let far = Runtime.create_guardian world ~at:((2 * shards) - 1) ~def_name:"volley" ~args:[] in
+  let serve = [ Value.port (List.hd (Runtime.guardian_ports far)) ] in
+  ignore (Runtime.create_guardian world ~at:(shards - 1) ~def_name:"volley" ~args:serve);
+  match Runtime.run_for world (Clock.s 1) with
+  | () -> Alcotest.fail "run_for returned from a livelock"
+  | exception Dcp_sim.Engine.Livelock { at; events } ->
+      Alcotest.(check int) "at the instant of the serve" 0 at;
+      Alcotest.(check bool) "only past a million events" true (events > 1_000_000)
+
 let test_recovery_restores_store () =
   let world = make_world () in
   let observed = ref None in
@@ -323,4 +362,8 @@ let tests =
     Alcotest.test_case "unordered delivery, none lost" `Quick test_sends_are_unordered_but_deliverable;
     Alcotest.test_case "integer bounds raise at sender" `Quick test_encode_bounds_raise_at_sender;
     Alcotest.test_case "recovery replays the stable store" `Quick test_recovery_restores_store;
+    Alcotest.test_case "zero-latency ping-pong raises Livelock" `Quick
+      (test_zero_latency_livelock_raises ~shards:1);
+    Alcotest.test_case "zero-latency ping-pong on a worker domain raises" `Quick
+      (test_zero_latency_livelock_raises ~shards:2);
   ]

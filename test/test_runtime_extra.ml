@@ -12,8 +12,11 @@ module Topology = Dcp_net.Topology
 module Network = Dcp_net.Network
 module Link = Dcp_net.Link
 
-let make_world ?(n = 2) ?(link = Link.perfect) () =
-  Runtime.create_world ~seed:43 ~topology:(Topology.full_mesh ~n link) ()
+let make_world ?(n = 2) ?(link = Link.perfect) ?config () =
+  Runtime.create_world ~seed:43 ~topology:(Topology.full_mesh ~n link) ?config ()
+
+(* The tests that read a trace opt in to one. *)
+let traced = { Runtime.default_config with trace = true }
 
 let fresh_driver_name =
   let i = ref 0 in
@@ -204,7 +207,7 @@ let test_primordial_ping () =
 (* ---- the trace records the story ---- *)
 
 let test_trace_has_send_and_discard () =
-  let world = make_world () in
+  let world = make_world ~config:traced () in
   driver world ~at:0 (fun ctx ->
       let bogus = Port_name.make ~node:1 ~guardian:12345 ~index:0 ~uid:54321 in
       Runtime.send ctx ~to_:bogus "into_the_void" []);
@@ -216,7 +219,7 @@ let test_trace_has_send_and_discard () =
 (* A send is traced as its encoded body and rendered on read; the text
    must be what formatting the message at send time gave. *)
 let test_trace_send_detail_every_constructor () =
-  let world = make_world () in
+  let world = make_world ~config:traced () in
   Transmit.register (Runtime.registry world) ~type_name:"celsius" ~external_rep:Vtype.Treal;
   let expected = ref "" in
   driver world ~at:0 (fun ctx ->
@@ -255,7 +258,7 @@ let test_trace_send_detail_every_constructor () =
 (* A message that fails to encode raises at the sender and leaves no send
    event behind. *)
 let test_send_encode_failure_not_traced () =
-  let config = { Runtime.default_config with codec = Codec.config_1979 } in
+  let config = { Runtime.default_config with codec = Codec.config_1979; trace = true } in
   let world =
     Runtime.create_world ~seed:43 ~topology:(Topology.full_mesh ~n:2 Link.perfect) ~config ()
   in
@@ -272,6 +275,61 @@ let test_send_encode_failure_not_traced () =
       Alcotest.(check bool) "only the good send traced" true
         (String.ends_with ~suffix:": small(1)" e.Trace.detail)
   | events -> Alcotest.failf "expected one send event, got %d" (List.length events)
+
+(* ---- tracing is opt-in ---- *)
+
+(* Sends, a discard with its failure message, a crash and a restart with
+   a recovery, on a world made with [config]. *)
+let lifecycle_world config =
+  let world = make_world ~config () in
+  let rec echo ctx =
+    (match Runtime.receive ctx [ Runtime.port ctx 0 ] with
+    | `Msg (_, msg) ->
+        Option.iter (fun to_ -> Runtime.send ctx ~to_ "pong" []) msg.Message.reply_to
+    | `Timeout -> ());
+    echo ctx
+  in
+  Runtime.register_def world
+    {
+      Runtime.def_name = "twin_echo";
+      provides = [ ([ Vtype.wildcard ], 8) ];
+      init = (fun ctx _ -> echo ctx);
+      recover = Some echo;
+    };
+  let echo = Runtime.create_guardian world ~at:1 ~def_name:"twin_echo" ~args:[] in
+  let echo_port = List.hd (Runtime.guardian_ports echo) in
+  driver world ~at:0 (fun ctx ->
+      let reply = Runtime.new_port ctx [ Vtype.wildcard ] in
+      let bogus = Port_name.make ~node:1 ~guardian:12345 ~index:0 ~uid:54321 in
+      let ping to_ =
+        Runtime.send ctx ~to_ ~reply_to:(Port.name reply) "ping" [ Value.int 1 ];
+        ignore (Runtime.receive ctx ~timeout:(Clock.ms 50) [ reply ])
+      in
+      ping echo_port;
+      ping bogus;
+      Runtime.sleep ctx (Clock.ms 200);
+      ping echo_port);
+  Runtime.schedule_at world ~node:1 ~at:(Clock.ms 100) (fun () -> Runtime.crash_node world 1);
+  Runtime.schedule_at world ~node:1 ~at:(Clock.ms 150) (fun () -> Runtime.restart_node world 1);
+  Runtime.run_for world (Clock.s 1);
+  world
+
+let test_untraced_world_keeps_nothing () =
+  let world = lifecycle_world Runtime.default_config in
+  let twin_world = lifecycle_world traced in
+  let t = Runtime.trace world and twin = Runtime.trace twin_world in
+  Alcotest.(check (list string)) "the twin traced every kind of event"
+    [ "crash"; "discard"; "guardian"; "restart"; "send" ]
+    (List.sort_uniq String.compare (List.map (fun e -> e.Trace.category) (Trace.events twin)));
+  Alcotest.(check int) "untraced size" 0 (Trace.size t);
+  Alcotest.(check bool) "untraced events" true (Trace.events t = []);
+  Alcotest.(check int) "same total as the traced twin" (Trace.total twin) (Trace.total t);
+  Alcotest.(check int) "same events executed" (Runtime.events_executed twin_world)
+    (Runtime.events_executed world);
+  let called = ref false in
+  Trace.recordf t ~at:0 ~category:"note" "%a" (fun _ () -> called := true) ();
+  Alcotest.(check bool) "a %a printer is never called" false !called;
+  Alcotest.(check int) "the record is counted" (Trace.total twin + 1) (Trace.total t)
 
 (* ---- messages between processes of one guardian ---- *)
 
@@ -399,6 +457,8 @@ let tests =
       test_trace_send_detail_every_constructor;
     Alcotest.test_case "send that fails to encode not traced" `Quick
       test_send_encode_failure_not_traced;
+    Alcotest.test_case "untraced world keeps nothing, counts the same" `Quick
+      test_untraced_world_keeps_nothing;
     Alcotest.test_case "intra-guardian port messaging" `Quick test_intra_guardian_ports;
     Alcotest.test_case "foreign ports unobtainable" `Quick test_receive_foreign_port_rejected;
   ]

@@ -104,7 +104,9 @@ let test_parallel_matches name seed () =
    sends), the network counters and the client's finish time. *)
 let rpc_world ~seed ~shards =
   let world =
-    Runtime.create_world ~seed ~topology:(Topology.full_mesh ~n:2 Link.wan) ~shards ()
+    Runtime.create_world ~seed ~topology:(Topology.full_mesh ~n:2 Link.wan)
+      ~config:{ Runtime.default_config with trace = true }
+      ~shards ()
   in
   let guardian name ~at ?(provides = []) init =
     Runtime.register_def world
@@ -156,6 +158,7 @@ let test_same_seed_same_bytes shards () =
   let trace_a, stats_a, finished_a = rpc_world ~seed:7 ~shards in
   let trace_b, stats_b, finished_b = rpc_world ~seed:7 ~shards in
   Alcotest.(check bool) "the client finished" true (Option.is_some finished_a);
+  Alcotest.(check bool) "the trace kept the sends" true (trace_a <> []);
   Alcotest.(check (list string)) "same sends, same ids" trace_a trace_b;
   Alcotest.(check string) "same network counters" stats_a stats_b;
   Alcotest.(check (option int)) "same finish time" finished_a finished_b
