@@ -309,10 +309,16 @@ let alloc_rows () =
   let module Replica = Dcp_primitives.Replica in
   let module Reconcile = Dcp_primitives.Reconcile in
   let module Message = Dcp_core.Message in
-  let entries =
-    List.init 100 (fun i -> Reconcile.entry_value (Printf.sprintf "key%04d" i, (i + 1, i mod 8)))
+  let table = List.init 100 (fun i -> (Printf.sprintf "key%04d" i, (i + 1, i mod 8))) in
+  let args =
+    [
+      Value.str "";
+      Value.option None;
+      Value.list (List.map Reconcile.entry_value table);
+      Reconcile.hash_value (Reconcile.table_hash table);
+      Value.option (Some (Reconcile.hash_value 0L));
+    ]
   in
-  let args = [ Value.str ""; Value.option None; Value.list entries ] in
   let port = Port_name.make ~node:1 ~guardian:2 ~index:0 ~uid:3 in
   let envelope =
     Message.envelope ~target:port
@@ -380,10 +386,12 @@ let alloc_rows () =
    Whole-protocol cost of anti-entropy convergence, measured in virtual
    units: a 32-replica group on a 10%-loss LAN, 60 keys written through
    random replicas, then probed until every mirrored key → stamp table is
-   identical.  Virtual time and byte counts are pure functions of the seed
-   — the same number on every run and every machine — so the 25% bench-diff
-   tolerance effectively pins these rows exactly: any protocol change that
-   alters convergence behaviour or sync cost trips the gate. *)
+   identical; then 10 s more, whose sync messages are the idle cost of a
+   converged group (keepalives, once every replica knows its peers agree).
+   Virtual time, byte and message counts are pure functions of the seed —
+   the same number on every run and every machine — so bench_diff pins
+   them at 0%: any protocol change that alters convergence behaviour or
+   sync cost trips the gate. *)
 let replica_rows () =
   let module Replica = Dcp_primitives.Replica in
   let module Rpc = Dcp_primitives.Rpc in
@@ -450,15 +458,20 @@ let replica_rows () =
     | Some _ -> (Runtime.now world - horizon) / Clock.ms 1
     | None -> -1
   in
-  let sync_bytes =
-    Metrics.count (Metrics.counter (Runtime.metrics world) Replica.metric_sync_bytes)
-  in
+  let metric name = Metrics.count (Metrics.counter (Runtime.metrics world) name) in
+  let sync_bytes = metric Replica.metric_sync_bytes in
+  let idle_from = metric Replica.metric_sync_msgs in
+  Runtime.run_for world (Clock.s 10);
+  let idle_msgs = metric Replica.metric_sync_msgs - idle_from in
   Printf.printf "  %-32s %12.1f virtual ms\n%!" "replica.convergence 32x lossy"
     (float_of_int convergence_ms);
   Printf.printf "  %-32s %12.1f bytes\n%!" "replica.sync bytes to converge" (float_of_int sync_bytes);
+  Printf.printf "  %-32s %12.1f msgs\n%!" "replica.idle sync msgs 32x 10 s"
+    (float_of_int idle_msgs);
   [
     ("replica.convergence 32x lossy (virtual ms)", Some (float_of_int convergence_ms));
     ("replica.sync bytes to converge (bytes)", Some (float_of_int sync_bytes));
+    ("replica.idle sync msgs 32x 10 s (msgs)", Some (float_of_int idle_msgs));
   ]
 
 (* ---- deterministic message-cost rows ----

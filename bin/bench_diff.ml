@@ -5,8 +5,8 @@
 
    Rows are classed by the unit suffix in their name:
 
-   - exact   — "(msgs/op)", "(virtual ms)", "(bytes)", "(words)":
-               deterministic functions of the pinned seed or of the code
+   - exact   — "(msgs/op)", "(msgs)", "(virtual ms)", "(bytes)",
+               "(words)": deterministic functions of the pinned seed or of the code
                (minor-heap words per call), gated at 0% drift (ANY
                change fails, in either direction — an improvement must
                update the committed baseline, not slip past the gate);
@@ -39,8 +39,9 @@ let contains_sub s sub =
 
 let classify name =
   if
-    contains_sub name "(msgs/op)" || contains_sub name "(virtual ms)"
-    || contains_sub name "(bytes)" || contains_sub name "(words)"
+    contains_sub name "(msgs/op)" || contains_sub name "(msgs)"
+    || contains_sub name "(virtual ms)" || contains_sub name "(bytes)"
+    || contains_sub name "(words)"
   then Exact
   else if contains_sub name "(msgs/s)" || contains_sub name "(x)" then Throughput
   else Timing

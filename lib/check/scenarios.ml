@@ -353,7 +353,7 @@ let run_replica ~replicas:n (params : Scenario.params) =
       (Replica.create_group world ~nodes ~sync_every:replica_sync_every
          ~fanout:replica_fanout ~byte_budget:replica_budget ())
   in
-  let written = ref 0 in
+  let written = ref 0 and issued = ref 0 in
   let gap = Int.max (Clock.ms 2) (params.horizon / Int.max 1 params.workload) in
   Chaos.driver world ~at:n ~name:"check_replica_driver" (fun ctx ->
       let rng = Rng.split (Runtime.ctx_rng ctx) in
@@ -363,16 +363,19 @@ let run_replica ~replicas:n (params : Scenario.params) =
         let replica = ports.(Rng.int rng n) in
         if Replica.write ctx ~replica ~key ~value:(Value.int i) ~timeout:(Clock.ms 500) then
           incr written;
+        incr issued;
         Runtime.sleep ctx (gap + Rng.int rng (Int.max 1 (gap / 2)))
       done);
   Chaos.schedule_crashes world ~rng:(chaos_rng params.seed) ~profile ~nodes
     ~horizon:params.horizon;
   Runtime.run_for world (params.horizon + Clock.s 5);
-  (* LWW tables are monotone in stamp order and the workload has stopped,
-     so once equal they stay equal. *)
+  (* Pacing and RPC waits can carry the driver well past the horizon, so
+     the probe first waits for its last write, acknowledged or not.  From
+     then on the workload has stopped, and LWW tables are monotone in
+     stamp order, so once equal they stay equal. *)
   let convergence_ms =
     probe_convergence world ~max_steps:400 ~horizon:params.horizon ~ready:(fun () ->
-        Result.is_ok (Oracle.replica_convergence.Oracle.check world))
+        !issued = params.workload && Result.is_ok (Oracle.replica_convergence.Oracle.check world))
   in
   let keys =
     match Runtime.find_guardians world ~def_name:Replica.def_name with
@@ -383,7 +386,9 @@ let run_replica ~replicas:n (params : Scenario.params) =
   let sync_msgs = metric Replica.metric_sync_msgs in
   let sync_bytes = metric Replica.metric_sync_bytes in
   let verdict =
-    if !written = 0 then Scenario.Fail "no write was acknowledged"
+    if !issued < params.workload then
+      Scenario.Fail (Printf.sprintf "driver issued only %d of %d writes" !issued params.workload)
+    else if !written = 0 then Scenario.Fail "no write was acknowledged"
     else
       verdict_of
         [
@@ -401,10 +406,13 @@ let run_replica ~replicas:n (params : Scenario.params) =
     stats =
       [
         ("keys", keys);
+        ("issued", !issued);
         ("written", !written);
         ("convergence_ms", convergence_ms);
         ("sync_msgs", sync_msgs);
         ("sync_bytes", sync_bytes);
+        ("sync_acks", metric Replica.metric_sync_acks);
+        ("keepalives", metric Replica.metric_keepalives);
         ("malformed", metric Replica.metric_malformed);
         ("events", Runtime.events_executed world);
       ]

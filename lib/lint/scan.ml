@@ -461,7 +461,11 @@ let file (u : Proto_extract.unit_info) =
      let loc, message =
        match exn with
        | Syntaxerr.Error e -> (Syntaxerr.location_of_error e, "syntax error")
-       | Lexer.Error (_, loc) -> (loc, Printexc.to_string exn)
+       | Lexer.Error (_, loc) -> (
+           (* the lexer's own words, e.g. "String literal not terminated" *)
+           match Location.error_of_exn exn with
+           | Some (`Ok report) -> (loc, Format.asprintf "%t" report.Location.main.txt)
+           | Some `Already_displayed | None -> (loc, Printexc.to_string exn))
        | exn -> (Location.none, Printexc.to_string exn)
      in
      report ctx ~loc ~rule:"parse-error" ~token:"parse"

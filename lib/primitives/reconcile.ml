@@ -47,8 +47,40 @@ let entry_of_value v =
 
 let entry_compare (k1, _) (k2, _) = String.compare k1 k2
 
-type window = { lo : string; hi : string option }
+(* ---- table hashes ----
 
+   A table's hash is the XOR of one 64-bit hash per entry, so adding an
+   entry XORs its hash in and replacing one XORs the old hash out and the
+   new one in: O(1) per [apply], independent of table size.  Each step of
+   the entry hash goes through SplitMix64's finaliser, a bijection on 64
+   bits that spreads every input bit over the output. *)
+
+let mix z =
+  let open Int64 in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
+  logxor z (shift_right_logical z 31)
+
+let entry_hash (key, (counter, origin)) =
+  let h = ref (mix (Int64.of_int (String.length key))) in
+  String.iter (fun c -> h := mix (Int64.add !h (Int64.of_int (Char.code c)))) key;
+  mix (Int64.add (mix (Int64.add !h (Int64.of_int counter))) (Int64.of_int origin))
+
+let table_hash entries =
+  List.fold_left (fun acc entry -> Int64.logxor acc (entry_hash entry)) 0L entries
+
+(* Eight big-endian bytes: a string fits every codec configuration, where
+   an [Int] would break the 24-bit bound of [Codec.config_1979]. *)
+let hash_value h =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_be b 0 h;
+  Value.str (Bytes.unsafe_to_string b)
+
+let hash_of_value = function
+  | Value.Str s when String.length s = 8 -> Some (String.get_int64_be s 0)
+  | _ -> None
+
+type window = { lo : string; hi : string option }
 
 let window_ok { lo; hi } =
   match hi with None -> true | Some hi -> String.compare lo hi < 0

@@ -41,6 +41,25 @@ val entry_value : string * stamp -> Value.t
 val entry_of_value : Value.t -> (string * stamp) option
 val entry_compare : string * stamp -> string * stamp -> int
 
+(** {1 Table hashes}
+
+    A replica summarises its key → stamp table in one 64-bit hash, the XOR
+    of {!entry_hash} over its entries, which it updates in O(1) as an entry
+    is added or replaced.  Two tables with the same hash are taken to be
+    equal (a false match needs a 64-bit collision). *)
+
+val entry_hash : string * stamp -> int64
+
+val table_hash : (string * stamp) list -> int64
+(** The XOR of {!entry_hash} over the entries; [0L] for the empty table. *)
+
+val hash_value : int64 -> Value.t
+(** The wire form: an 8-byte string, which every codec configuration
+    encodes (an [Int] would not fit [Codec.config_1979]'s 24 bits). *)
+
+val hash_of_value : Value.t -> int64 option
+(** [None] for anything but an 8-byte string. *)
+
 (** {1 Key windows}
 
     A digest only covers a contiguous key range [\[lo, hi)] ([hi = None]

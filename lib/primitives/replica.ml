@@ -24,11 +24,20 @@ let port_type =
     (* Anti-entropy round: a digest covers the key window [lo, hi) (hi
        absent = unbounded); the receiver answers with sync_delta for what it
        holds newer and sync_pull for what the sender holds newer or the
-       receiver lacks. *)
+       receiver lacks, or with sync_ack when the tables are equal.  Every
+       sync message carries its sender's table hash, and a digest also what
+       its sender believes the receiver's hash is. *)
     Vtype.signature "sync_digest"
-      [ Vtype.Tstr; Vtype.Toption Vtype.Tstr; Vtype.Tlist digest_entry_type ];
-    Vtype.signature "sync_pull" [ Vtype.Tlist Vtype.Tstr ];
-    Vtype.signature "sync_delta" [ Vtype.Tlist delta_entry_type ];
+      [
+        Vtype.Tstr;
+        Vtype.Toption Vtype.Tstr;
+        Vtype.Tlist digest_entry_type;
+        Vtype.Tstr;
+        Vtype.Toption Vtype.Tstr;
+      ];
+    Vtype.signature "sync_pull" [ Vtype.Tlist Vtype.Tstr; Vtype.Tstr ];
+    Vtype.signature "sync_delta" [ Vtype.Tlist delta_entry_type; Vtype.Tstr ];
+    Vtype.signature "sync_ack" [ Vtype.Tstr ];
   ]
 
 (* ---- metric names (shared with oracles and benches) ---- *)
@@ -40,6 +49,8 @@ let metric_over_budget = "replica.sync.over_budget"
 let metric_max_bytes = "replica.sync.max_bytes"
 let metric_pulls = "replica.sync.pulls"
 let metric_pushes = "replica.sync.pushes"
+let metric_sync_acks = "replica.sync.acks"
+let metric_keepalives = "replica.sync.keepalives"
 
 type meters = {
   malformed : Metrics.counter;
@@ -49,6 +60,8 @@ type meters = {
   max_bytes : Metrics.gauge;
   pulls : Metrics.counter;
   pushes : Metrics.counter;
+  acks : Metrics.counter;
+  keepalives : Metrics.counter;
 }
 
 let meters_of ctx =
@@ -61,6 +74,8 @@ let meters_of ctx =
     max_bytes = Metrics.gauge reg metric_max_bytes;
     pulls = Metrics.counter reg metric_pulls;
     pushes = Metrics.counter reg metric_pushes;
+    acks = Metrics.counter reg metric_sync_acks;
+    keepalives = Metrics.counter reg metric_keepalives;
   }
 
 (* ---- configuration and state ---- *)
@@ -69,6 +84,12 @@ type config = { sync_every : Clock.time; fanout : int; byte_budget : int }
 
 let default_config =
   { sync_every = Clock.ms 500; fanout = 2; byte_budget = Reconcile.default_budget }
+
+(* A replica that believes every peer holds its table sends one digest
+   every [keepalive_periods] ticks instead of [fanout] each tick.  The
+   keepalive bounds how long a belief made stale by a crash can keep two
+   replicas quiet (DESIGN.md §11). *)
+let keepalive_periods = 8
 
 (* One element of the digest view: a table entry, its digest value as sent
    in [sync_digest], and that value's encoded size. *)
@@ -80,8 +101,12 @@ type state = {
   table : (string, Value.t * Reconcile.stamp) Hashtbl.t;
   mutable view : digest_entry list option;
       (** the table as key-sorted digest entries; [None] when stale *)
+  mutable hash : int64;  (** {!Reconcile.table_hash} of the table, kept by [apply] *)
   mutable clock : int;
   mutable peers : Port_name.t array;  (** sorted, deduped, self excluded *)
+  mutable beliefs : int64 option array;
+      (** per peer, at the peer's index: the last hash it reported; volatile *)
+  mutable quiet_ticks : int;  (** ticks since the last keepalive, all peers agreeing *)
   mutable cursor : string;  (** next digest window starts at this key; "" = wrap *)
   rng : Rng.t;  (** peer-selection stream, split from the world RNG *)
   m : meters;
@@ -167,7 +192,11 @@ let apply ctx state ~key ~value ~stamp =
   observe_stamp state stamp;
   match Hashtbl.find_opt state.table key with
   | Some (_, existing) when Reconcile.stamp_compare existing stamp >= 0 -> false
-  | Some _ | None ->
+  | held ->
+      Option.iter
+        (fun (_, old) -> state.hash <- Int64.logxor state.hash (Reconcile.entry_hash (key, old)))
+        held;
+      state.hash <- Int64.logxor state.hash (Reconcile.entry_hash (key, stamp));
       Hashtbl.replace state.table key (value, stamp);
       state.view <- None;
       Store.set (Runtime.store ctx) ~key:(mirror_key key) (Reconcile.stamp_to_string stamp);
@@ -230,11 +259,33 @@ let pull_entry_size key = Reconcile.value_size (Value.str key)
 let choose_peers state =
   let n = Array.length state.peers in
   if n = 0 then []
-  else
-    let k = Int.min state.config.fanout n in
-    List.map (fun i -> state.peers.(i)) (Rng.sample_without_replacement state.rng k n)
+  else Rng.sample_without_replacement state.rng (Int.min state.config.fanout n) n
+
+(* ---- what a replica knows of its peers ----
+
+   Between crashes a table only grows in stamp order, so a peer that
+   reported this replica's current hash holds this replica's table (or
+   more).  Beliefs are volatile: a recovering replica starts knowing
+   nothing and digests every peer it draws until it has heard from it. *)
+
+let peer_index peers port =
+  let rec search lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Port_name.compare port peers.(mid) in
+      if c = 0 then Some mid else if c < 0 then search lo mid else search (mid + 1) hi
+  in
+  search 0 (Array.length peers)
+
+let agrees state = function Some h -> Int64.equal h state.hash | None -> false
+
+let note_hash state ~from hash =
+  Option.iter (fun i -> state.beliefs.(i) <- Some hash) (peer_index state.peers from)
 
 (* ---- outbound sync messages ---- *)
+
+let own_port ctx = Dcp_core.Port.name (Runtime.port ctx 0)
 
 let send_deltas ctx state ~to_ keys =
   let entries =
@@ -246,61 +297,96 @@ let send_deltas ctx state ~to_ keys =
         | None -> None)
       keys
   in
-  if entries <> [] then
+  if entries <> [] then begin
+    let hash = Reconcile.hash_value state.hash in
     List.iter
       (fun chunk ->
-        let args = [ Value.list chunk ] in
+        let args = [ Value.list chunk; hash ] in
         note_sync_message state ~command:"sync_delta" args;
         Metrics.add state.m.pushes (List.length chunk);
-        Runtime.send ctx ~to_ "sync_delta" args)
+        Runtime.send ctx ~to_ ~reply_to:(own_port ctx) "sync_delta" args)
       (Reconcile.chunks ~budget:state.config.byte_budget ~size:Reconcile.value_size entries)
+  end
 
 let send_pulls ctx state ~to_ keys =
   if keys <> [] then begin
-    let own = Dcp_core.Port.name (Runtime.port ctx 0) in
+    let hash = Reconcile.hash_value state.hash in
     List.iter
       (fun chunk ->
-        let args = [ Value.list (List.map Value.str chunk) ] in
+        let args = [ Value.list (List.map Value.str chunk); hash ] in
         note_sync_message state ~command:"sync_pull" args;
         Metrics.add state.m.pulls (List.length chunk);
-        Runtime.send ctx ~to_ ~reply_to:own "sync_pull" args)
+        Runtime.send ctx ~to_ ~reply_to:(own_port ctx) "sync_pull" args)
       (Reconcile.chunks ~budget:state.config.byte_budget ~size:pull_entry_size keys)
   end
 
-(* One anti-entropy tick: advance the digest cursor by one byte-budgeted
-   window and offer that window to [fanout] deterministically chosen peers.
-   Rounds with a non-empty remainder leave hi = Some key, so the receiver
-   knows absence outside [lo, hi) means "not covered", not "not held". *)
+let send_ack ctx state ~to_ =
+  let args = [ Reconcile.hash_value state.hash ] in
+  note_sync_message state ~command:"sync_ack" args;
+  Metrics.incr state.m.acks;
+  Runtime.send ctx ~to_ ~reply_to:(own_port ctx) "sync_ack" args
+
+(* The peers this tick digests: the drawn peers not known to hold this
+   replica's hash, or, once every peer is known to, one drawn peer every
+   [keepalive_periods] ticks. *)
+let digest_targets state chosen =
+  if Array.for_all (agrees state) state.beliefs then begin
+    state.quiet_ticks <- state.quiet_ticks + 1;
+    if state.quiet_ticks < keepalive_periods then []
+    else begin
+      state.quiet_ticks <- 0;
+      Metrics.incr state.m.keepalives;
+      [ List.hd chosen ]
+    end
+  end
+  else begin
+    state.quiet_ticks <- 0;
+    List.filter (fun i -> not (agrees state state.beliefs.(i))) chosen
+  end
+
+(* One anti-entropy tick: draw [fanout] peers deterministically, and if any
+   of them is to be digested, advance the digest cursor by one
+   byte-budgeted window and offer that window to each.  Rounds with a
+   non-empty remainder leave hi = Some key, so the receiver knows absence
+   outside [lo, hi) means "not covered", not "not held". *)
 let send_sync ctx state =
   match choose_peers state with
   | [] -> ()
-  | chosen ->
-      let taken, rest =
-        Reconcile.take_within ~budget:state.config.byte_budget ~size:(fun e -> e.size)
-          (view_from state.cursor (digest_view state))
-      in
-      let lo = state.cursor in
-      let hi = match rest with [] -> None | e :: _ -> Some (fst e.entry) in
-      state.cursor <- (match hi with None -> "" | Some key -> key);
-      let args =
-        [
-          Value.str lo;
-          Value.option (Option.map Value.str hi);
-          Value.list (List.map (fun e -> e.value) taken);
-        ]
-      in
-      let size = message_size ~command:"sync_digest" args in
-      let own = Dcp_core.Port.name (Runtime.port ctx 0) in
-      List.iter
-        (fun peer ->
-          note_sync_size state size;
-          Runtime.send ctx ~to_:peer ~reply_to:own "sync_digest" args)
-        chosen
+  | chosen -> (
+      match digest_targets state chosen with
+      | [] -> ()
+      | targets ->
+          let taken, rest =
+            Reconcile.take_within ~budget:state.config.byte_budget ~size:(fun e -> e.size)
+              (view_from state.cursor (digest_view state))
+          in
+          let lo = state.cursor in
+          let hi = match rest with [] -> None | e :: _ -> Some (fst e.entry) in
+          state.cursor <- (match hi with None -> "" | Some key -> key);
+          let head =
+            [
+              Value.str lo;
+              Value.option (Option.map Value.str hi);
+              Value.list (List.map (fun e -> e.value) taken);
+              Reconcile.hash_value state.hash;
+            ]
+          in
+          (* Digests differ only in their last argument; size the window once. *)
+          let unknown = Value.option None in
+          let size = message_size ~command:"sync_digest" (head @ [ unknown ]) in
+          List.iter
+            (fun i ->
+              let believed = Value.option (Option.map Reconcile.hash_value state.beliefs.(i)) in
+              note_sync_size state
+                (size + Reconcile.value_size believed - Reconcile.value_size unknown);
+              Runtime.send ctx ~to_:state.peers.(i) ~reply_to:(own_port ctx) "sync_digest"
+                (head @ [ believed ]))
+            targets)
 
 let broadcast_gossip ctx state ~key ~value ~stamp =
   List.iter
-    (fun peer ->
-      Runtime.send ctx ~to_:peer "gossip"
+    (fun i ->
+      Runtime.send ctx ~to_:state.peers.(i) "gossip"
         [ Value.str key; value; Reconcile.stamp_value stamp ])
     (choose_peers state)
 
@@ -353,13 +439,22 @@ let parse_pull_keys keys =
     (Some []) keys
   |> Option.map (List.sort_uniq String.compare)
 
-let handle_sync_digest ctx state ~reply ~lo ~hi entries =
+(* A digest's guess at the receiver's hash: [Some None] when it has none,
+   [None] when malformed. *)
+let parse_believed = function
+  | None -> Some None
+  | Some v -> Option.map Option.some (Reconcile.hash_of_value v)
+
+(* A digest whose window matches and whose hash is the receiver's finds
+   the tables equal: the receiver acks, so the sender learns it agrees,
+   unless the digest already named the receiver's hash. *)
+let handle_sync_digest ctx state ~reply ~lo ~hi ~hash ~believed entries =
   let window = { Reconcile.lo; hi } in
   if not (Reconcile.window_ok window) then malformed state
   else
-    match parse_digest_entries entries with
-    | None -> malformed state
-    | Some claimed ->
+    match (parse_digest_entries entries, Reconcile.hash_of_value hash, parse_believed believed) with
+    | None, _, _ | _, None, _ | _, _, None -> malformed state
+    | Some claimed, Some hash, Some believed ->
         let rec window_run = function
           | e :: rest when Reconcile.in_window window (fst e.entry) -> e.entry :: window_run rest
           | _ -> []
@@ -370,21 +465,36 @@ let handle_sync_digest ctx state ~reply ~lo ~hi entries =
            a crash-rejoined replica must not mint write stamps that lose to
            counters its peers have already told it about. *)
         Option.iter (observe_stamp state) d.Reconcile.max_claimed;
-        send_deltas ctx state ~to_:reply d.Reconcile.pushes;
-        send_pulls ctx state ~to_:reply d.Reconcile.pulls
+        note_hash state ~from:reply hash;
+        let equal = d.Reconcile.pushes = [] && d.Reconcile.pulls = [] in
+        if equal && Int64.equal hash state.hash then begin
+          if not (agrees state believed) then send_ack ctx state ~to_:reply
+        end
+        else begin
+          send_deltas ctx state ~to_:reply d.Reconcile.pushes;
+          send_pulls ctx state ~to_:reply d.Reconcile.pulls
+        end
 
-let handle_sync_pull ctx state ~reply keys =
-  match parse_pull_keys keys with
-  | None -> malformed state
-  | Some keys -> send_deltas ctx state ~to_:reply keys
+let handle_sync_pull ctx state ~reply ~hash keys =
+  match (parse_pull_keys keys, Reconcile.hash_of_value hash) with
+  | None, _ | _, None -> malformed state
+  | Some keys, Some hash ->
+      note_hash state ~from:reply hash;
+      send_deltas ctx state ~to_:reply keys
 
-let handle_sync_delta ctx state entries =
-  match parse_delta_entries entries with
-  | None -> malformed state
-  | Some entries ->
+let handle_sync_delta ctx state ~reply ~hash entries =
+  match (parse_delta_entries entries, Reconcile.hash_of_value hash) with
+  | None, _ | _, None -> malformed state
+  | Some entries, Some hash ->
       List.iter
         (fun (key, value, stamp) -> ignore (apply ctx state ~key ~value ~stamp))
-        entries
+        entries;
+      Option.iter (fun from -> note_hash state ~from hash) reply
+
+let handle_sync_ack state ~reply ~hash =
+  match Reconcile.hash_of_value hash with
+  | None -> malformed state
+  | Some hash -> Option.iter (fun from -> note_hash state ~from hash) reply
 
 (* ---- membership ---- *)
 
@@ -411,8 +521,13 @@ let handle_join ctx state values =
         Array.to_list state.peers @ ports
         |> List.filter (fun p -> not (Port_name.equal p own))
         |> List.sort_uniq Port_name.compare
+        |> Array.of_list
       in
-      state.peers <- Array.of_list merged;
+      state.beliefs <-
+        Array.map
+          (fun p -> Option.bind (peer_index state.peers p) (Array.get state.beliefs))
+          merged;
+      state.peers <- merged;
       persist_peers ctx state.peers;
       true
 
@@ -466,21 +581,25 @@ let serve ctx state =
             match Reconcile.stamp_of_value stamp with
             | None -> malformed state
             | Some stamp -> ignore (apply ctx state ~key ~value ~stamp))
-        | "sync_digest", [ Value.Str lo; Value.Option hi; Value.Listv entries ] -> (
+        | ( "sync_digest",
+            [ Value.Str lo; Value.Option hi; Value.Listv entries; hash; Value.Option believed ] )
+          -> (
             match (hi, msg.Message.reply_to) with
             | Some (Value.Str _), Some reply | None, Some reply ->
                 let hi = match hi with Some (Value.Str h) -> Some h | _ -> None in
-                handle_sync_digest ctx state ~reply ~lo ~hi entries
+                handle_sync_digest ctx state ~reply ~lo ~hi ~hash ~believed entries
             | _, Some _ -> malformed state
             | _, None ->
                 (* digest without a return path: nothing can be pushed or
                    pulled back, so there is nothing to do *)
                 ())
-        | "sync_pull", [ Value.Listv keys ] -> (
+        | "sync_pull", [ Value.Listv keys; hash ] -> (
             match msg.Message.reply_to with
-            | Some reply -> handle_sync_pull ctx state ~reply keys
+            | Some reply -> handle_sync_pull ctx state ~reply ~hash keys
             | None -> ())
-        | "sync_delta", [ Value.Listv entries ] -> handle_sync_delta ctx state entries
+        | "sync_delta", [ Value.Listv entries; hash ] ->
+            handle_sync_delta ctx state ~reply:msg.Message.reply_to ~hash entries
+        | "sync_ack", [ hash ] -> handle_sync_ack state ~reply:msg.Message.reply_to ~hash
         | "failure", _ ->
             (* system failure message for a discarded sync (dead peer,
                full port): anti-entropy retries by design *)
@@ -496,8 +615,11 @@ let make_state ctx ~config ~peers =
     config;
     table = Hashtbl.create 32;
     view = None;
+    hash = 0L;
     clock = 0;
     peers;
+    beliefs = Array.make (Array.length peers) None;
+    quiet_ticks = 0;
     cursor = "";
     rng = Rng.split (Runtime.ctx_rng ctx);
     m = meters_of ctx;

@@ -12,13 +12,24 @@
 
     Anti-entropy is a digest/diff/pull exchange over byte-budgeted key
     windows (see {!Reconcile} for the pure half and DESIGN.md §11 for the
-    protocol): each tick a replica sends the digest of one window to
-    [fanout] peers chosen from its split of the world RNG; the receiver
-    answers with [sync_delta] for keys it holds newer and [sync_pull] for
-    keys the sender holds newer or the receiver lacks.  Every sync message
-    is packed under a configurable byte budget (Codec encoded size,
-    32 KiB default), with a cursor carrying reconciliation across rounds
-    when the table is bigger than one message.
+    protocol): each tick a replica draws [fanout] peers from its split of
+    the world RNG and sends the digest of one window to those of them it
+    does not know to hold its table; the receiver answers with
+    [sync_delta] for keys it holds newer and [sync_pull] for keys the
+    sender holds newer or the receiver lacks.  Every sync message is packed
+    under a configurable byte budget (Codec encoded size, 32 KiB default),
+    with a cursor carrying reconciliation across rounds when the table is
+    bigger than one message.
+
+    A converged group goes quiet.  Each replica keeps a 64-bit hash of its
+    key → stamp table ({!Reconcile.table_hash}) and, for each peer, the
+    last hash that peer reported; every sync message carries its sender's
+    hash.  A digest that finds the tables equal is answered by one
+    [sync_ack], unless it shows that its sender already knew.  A replica
+    that knows every peer holds its hash sends only one keepalive digest,
+    to one drawn peer, every 8 periods.  Beliefs are volatile: a
+    recovering replica digests every peer it draws until it has heard
+    from it.
 
     Port (RPC convention):
     {v
@@ -26,13 +37,18 @@
     read(key)                    replies (value(v, stamp), unknown_key)
     join(peer_ports)             replies (joined)        -- setup, idempotent
     gossip(key, value, stamp)                            -- replica to replica
-    sync_digest(lo, hi?, entries)                        -- anti-entropy offer
-    sync_pull(keys)                                      -- request newer entries
-    sync_delta(entries)                                  -- stamped values
+    sync_digest(lo, hi?, entries, hash, believed?)       -- anti-entropy offer
+    sync_pull(keys, hash)                                -- request newer entries
+    sync_delta(entries, hash)                            -- stamped values
+    sync_ack(hash)                                       -- "our tables are equal"
     v}
 
+    A hash is an 8-byte string ({!Reconcile.hash_value}); [believed] is
+    the hash the digest's sender believes the receiver holds.  Digests,
+    pulls, deltas and acks name their sender by [reply_to].
+
     Malformed replica-to-replica messages (semantically invalid stamps,
-    bad windows, non-port peers) are dropped and counted on the
+    bad windows, hashes that are not 8 bytes, non-port peers) are dropped and counted on the
     [replica.malformed] metric — never raised, per §3.4's best-effort
     delivery.  Replicas recover after a node crash with their membership
     and sync configuration (stable store) but an empty table: the data is
@@ -101,3 +117,9 @@ val metric_over_budget : string
 val metric_max_bytes : string
 val metric_pulls : string
 val metric_pushes : string
+
+val metric_sync_acks : string
+(** [sync_ack]s sent; they are counted in [metric_sync_msgs] too. *)
+
+val metric_keepalives : string
+(** Digests sent by a replica that knew every peer to hold its table. *)

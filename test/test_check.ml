@@ -101,6 +101,20 @@ let test_replica_fingerprint_deterministic () =
   Alcotest.(check bool) "convergence was measured" true
     (Check.Scenario.stat a "convergence_ms" >= 0)
 
+(* Regression: at seed 10 the driver's 150 paced writes outlast the 8 s
+   horizon and the 5 s settle.  The probe used to stop the run as soon as
+   the tables agreed, after the 109th write; it now waits for the last. *)
+let test_replica_run_outlasts_its_driver () =
+  let outcome =
+    Check.Scenario.execute Check.Scenarios.replica ~seed:10 ~profile:(profile "wan+lossy+crash") ()
+  in
+  (match Check.Scenario.fail_reason outcome with
+  | None -> ()
+  | Some reason -> Alcotest.failf "replica scenario failed: %s" reason);
+  let stat = Check.Scenario.stat outcome in
+  Alcotest.(check int) "every write issued" 150 (stat "issued");
+  Alcotest.(check bool) "every acknowledged write held" true (stat "keys" >= stat "written")
+
 (* Every failing oracle is reported, so a run that breaks two invariants
    says so; one failure reads exactly as it always has. *)
 let test_check_all_reports_every_failure () =
@@ -129,6 +143,8 @@ let tests =
       test_outcome_fingerprint_deterministic;
     Alcotest.test_case "replica fingerprint is deterministic" `Slow
       test_replica_fingerprint_deterministic;
+    Alcotest.test_case "replica run outlasts its driver (seed 10)" `Slow
+      test_replica_run_outlasts_its_driver;
     Alcotest.test_case "check_all reports every failing oracle" `Quick
       test_check_all_reports_every_failure;
   ]

@@ -122,6 +122,20 @@ let test_parse_error () =
         (f.Finding.line >= 1 && f.Finding.col >= 0)
   | findings -> Alcotest.failf "expected one finding, got %d" (List.length findings)
 
+(* A lexer error reads as what the lexer rejected, not as the raw
+   [Lexer.Error] exception. *)
+let test_lex_error () =
+  match scan_fixture ~as_path:"lib/wire/bad_lex.ml" "bad_lex.ml" with
+  | [ f ] ->
+      Alcotest.(check string) "rule" "parse-error" f.Finding.rule;
+      Alcotest.(check string) "the lexer's message" "could not parse: String literal not terminated"
+        f.Finding.message;
+      Alcotest.(check bool)
+        (Printf.sprintf "on a line of the file (got %d:%d)" f.Finding.line f.Finding.col)
+        true
+        (f.Finding.line >= 1 && f.Finding.col >= 0)
+  | findings -> Alcotest.failf "expected one finding, got %d" (List.length findings)
+
 let test_missing_mli () =
   let root = Filename.temp_file "dcp_lint_tree" "" in
   Sys.remove root;
@@ -301,6 +315,7 @@ let tests =
     Alcotest.test_case "mutable payload fixture" `Quick test_mutable_payload;
     Alcotest.test_case "global state fixture" `Quick test_global_state;
     Alcotest.test_case "parse error fixture" `Quick test_parse_error;
+    Alcotest.test_case "lexer error fixture" `Quick test_lex_error;
     Alcotest.test_case "missing mli" `Quick test_missing_mli;
     Alcotest.test_case "layer ranks" `Quick test_layers_ranks;
     Alcotest.test_case "dune graph rules" `Quick test_graph_findings;

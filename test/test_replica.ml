@@ -203,6 +203,20 @@ let replica_store world i =
   List.nth (Runtime.find_guardians world ~def_name:Replica.def_name) i
   |> Runtime.guardian_store
 
+(* The hash an honest sender holding exactly these digest entries sends. *)
+let hash_of_entries entries =
+  Reconcile.hash_value (Reconcile.table_hash (List.filter_map Reconcile.entry_of_value entries))
+
+(* A digest of [entries] from a sender that knows nothing of the receiver. *)
+let digest_args ~lo ~hi entries =
+  [
+    Value.str lo;
+    Value.option (Option.map Value.str hi);
+    Value.list entries;
+    hash_of_entries entries;
+    Value.option None;
+  ]
+
 (* The pull half of the exchange (the divergence bug): a digest claiming a
    key the receiver lacks must come back as sync_pull, alongside sync_delta
    for what the receiver holds that the digest lacks — one digest round
@@ -222,11 +236,8 @@ let test_sync_digest_answers_with_pull () =
       let me = Port.name port in
       (* claim "a" at stamp (5,7), which this replica lacks *)
       Runtime.send ctx ~to_:replica ~reply_to:me "sync_digest"
-        [
-          Value.str "";
-          Value.option None;
-          Value.list [ Value.tuple [ Value.str "a"; Value.tuple [ Value.int 5; Value.int 7 ] ] ];
-        ];
+        (digest_args ~lo:"" ~hi:None
+           [ Value.tuple [ Value.str "a"; Value.tuple [ Value.int 5; Value.int 7 ] ] ]);
       let rec collect n =
         if n > 0 then
           match Runtime.receive ctx ~timeout:(Clock.s 2) [ port ] with
@@ -237,10 +248,11 @@ let test_sync_digest_answers_with_pull () =
       in
       collect 2;
       (* answer the pull like a real sender would *)
-      Runtime.send ctx ~to_:replica "sync_delta"
+      Runtime.send ctx ~to_:replica ~reply_to:me "sync_delta"
         [
           Value.list
             [ Value.tuple [ Value.str "a"; Value.str "av"; Value.tuple [ Value.int 5; Value.int 7 ] ] ];
+          Reconcile.hash_value (Reconcile.table_hash [ ("a", (5, 7)) ]);
         ];
       Runtime.sleep ctx (Clock.ms 50);
       (* satellite 3: the digest's claimed max stamp was observed, so the
@@ -254,9 +266,9 @@ let test_sync_digest_answers_with_pull () =
   List.iter
     (fun (command, args) ->
       match (command, args) with
-      | "sync_pull", [ Value.Listv [ Value.Str k ] ] ->
+      | "sync_pull", [ Value.Listv [ Value.Str k ]; _ ] ->
           Alcotest.(check string) "pulls the missing key" "a" k
-      | "sync_delta", [ Value.Listv [ Value.Tuple [ Value.Str k; _; _ ] ] ] ->
+      | "sync_delta", [ Value.Listv [ Value.Tuple [ Value.Str k; _; _ ] ]; _ ] ->
           Alcotest.(check string) "pushes the held key" "b" k
       | _ -> Alcotest.failf "unexpected reply %s" command)
     !got;
@@ -272,7 +284,8 @@ let test_sync_digest_answers_with_pull () =
    one key under two stamps.  The receiver sorts and deduplicates them
    exactly as it always has, so it sends the same deltas and pulls; the
    expected replies were recorded before honest digests stopped being
-   re-sorted on receipt. *)
+   re-sorted on receipt.  A reply is shown without the sender hash that
+   every sync message now carries last. *)
 let unsorted_digest_replies =
   let pushes_d_f = "sync_delta([(\"d\", \"dv\", (2, 0)); (\"f\", \"fv\", (3, 0))])" in
   [
@@ -301,14 +314,15 @@ let test_unsorted_digest_replies () =
       List.iter
         (fun (label, lo, hi, entries) ->
           Runtime.send ctx ~to_:replica ~reply_to:(Port.name port) "sync_digest"
-            [ Value.str lo; Value.option (Option.map Value.str hi); Value.list entries ];
+            (digest_args ~lo ~hi entries);
           let rec collect acc =
             match Runtime.receive ctx ~timeout:(Clock.ms 200) [ port ] with
             | `Timeout -> List.rev acc
             | `Msg (_, msg) ->
+                let args = List.rev (List.tl (List.rev msg.Dcp_core.Message.args)) in
                 collect
                   (Printf.sprintf "%s(%s)" msg.Dcp_core.Message.command
-                     (String.concat ", " (List.map Value.to_string msg.Dcp_core.Message.args))
+                     (String.concat ", " (List.map Value.to_string args))
                   :: acc)
           in
           replies := (label, collect []) :: !replies)
@@ -345,7 +359,7 @@ let test_digest_follows_every_apply () =
         | `Timeout -> None
         | `Msg (_, msg) -> (
             match (msg.Dcp_core.Message.command, msg.Dcp_core.Message.args) with
-            | "sync_digest", [ _; _; Value.Listv l ] ->
+            | "sync_digest", [ _; _; Value.Listv l; _; _ ] ->
                 Some (List.filter_map Reconcile.entry_of_value l)
             | _ -> next_digest ())
       in
@@ -364,7 +378,8 @@ let test_digest_follows_every_apply () =
       in
       let delta entries =
         let entry (key, c) = Value.tuple [ Value.str key; Value.int c; stamp c 2 ] in
-        Runtime.send ctx ~to_:replica "sync_delta" [ Value.list (List.map entry entries) ]
+        Runtime.send ctx ~to_:replica "sync_delta"
+          [ Value.list (List.map entry entries); Reconcile.hash_value 0L ]
       in
       observe "empty table";
       gossip "m" 1;
@@ -428,26 +443,26 @@ let test_malformed_gossip_is_dropped_not_fatal () =
         [ Value.str "k"; Value.int 1; Value.tuple [ Value.int (-3); Value.int (-9) ] ];
       (* inverted digest window *)
       Runtime.send ctx ~to_:replica ~reply_to:me "sync_digest"
-        [ Value.str "z"; Value.option (Some (Value.str "a")); Value.list [] ];
+        (digest_args ~lo:"z" ~hi:(Some "a") []);
       (* digest entry with a zero counter *)
       Runtime.send ctx ~to_:replica ~reply_to:me "sync_digest"
-        [
-          Value.str "";
-          Value.option None;
-          Value.list [ Value.tuple [ Value.str "k"; Value.tuple [ Value.int 0; Value.int 0 ] ] ];
-        ];
+        (digest_args ~lo:"" ~hi:None
+           [ Value.tuple [ Value.str "k"; Value.tuple [ Value.int 0; Value.int 0 ] ] ]);
       (* delta smuggling a bad stamp *)
       Runtime.send ctx ~to_:replica "sync_delta"
         [
           Value.list
             [ Value.tuple [ Value.str "k"; Value.int 9; Value.tuple [ Value.int 0; Value.int 5 ] ] ];
+          Reconcile.hash_value 0L;
         ];
+      (* a hash that is not 8 bytes *)
+      Runtime.send ctx ~to_:replica ~reply_to:me "sync_ack" [ Value.str "short" ];
       Runtime.sleep ctx (Clock.ms 100);
       survived :=
         Replica.write ctx ~replica ~key:"alive" ~value:(Value.int 1) ~timeout:(Clock.s 1));
   Runtime.run_for world (Clock.s 5);
   Alcotest.(check bool) "guardian still serves writes" true !survived;
-  Alcotest.(check int) "every malformed message counted" 4 (metric world Replica.metric_malformed);
+  Alcotest.(check int) "every malformed message counted" 5 (metric world Replica.metric_malformed);
   Alcotest.(check bool)
     "no garbage entered the table" false
     (List.mem_assoc "k" (Replica.table_in_store (replica_store world 0)))
@@ -567,6 +582,189 @@ let test_byte_budget_continuation () =
   in
   Alcotest.(check bool) "table really spans multiple windows" true (table_bytes > budget)
 
+(* ---- the quiet rule ----
+
+   A replica that knows every peer holds its table digests only one drawn
+   peer every 8 ticks (a keepalive); each tick of a replica that does not
+   digests the drawn peers it does not know to agree. *)
+
+let keepalive_periods = 8
+
+(* Sync messages other than keepalive digests, sent so far. *)
+let non_keepalive_sync world =
+  metric world Replica.metric_sync_msgs - metric world Replica.metric_keepalives
+
+let tables world n = List.init n (fun i -> Replica.table_in_store (replica_store world i))
+
+let agreed world n =
+  match tables world n with [] -> true | t :: rest -> List.for_all (fun t' -> t' = t) rest
+
+(* Eight replicas on a LAN (250 ms ticks) and a writer on node 8, which
+   writes one key through each replica and has the group converge. *)
+let group_of_eight () =
+  let world = make_world ~n:9 () in
+  let replicas =
+    Replica.create_group world ~nodes:(List.init 8 Fun.id) ~sync_every:(Clock.ms 250) ()
+  in
+  driver world ~at:8 (fun ctx ->
+      Runtime.sleep ctx (Clock.ms 50);
+      List.iteri
+        (fun i replica ->
+          ignore
+            (Replica.write ctx ~replica ~key:(Printf.sprintf "k%d" i) ~value:(Value.int i)
+               ~timeout:(Clock.s 1)))
+        replicas);
+  Runtime.run_for world (Clock.s 10);
+  Alcotest.(check bool) "the group converged" true (agreed world 8);
+  (world, replicas)
+
+(* Over the next 10 s (40 ticks), the group sends keepalives and nothing
+   else: at most one per replica per 8 ticks. *)
+let check_quiet world label =
+  let sync = non_keepalive_sync world and keepalives = metric world Replica.metric_keepalives in
+  Runtime.run_for world (Clock.s 10);
+  Alcotest.(check int) (label ^ ": no sync message but keepalives") sync (non_keepalive_sync world);
+  let sent = metric world Replica.metric_keepalives - keepalives in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d keepalives, at most one per replica per %d ticks" label sent
+       keepalive_periods)
+    true
+    (sent > 0 && sent <= 8 * ((40 / keepalive_periods) + 1))
+
+let test_converged_group_sends_only_keepalives () =
+  let world, _ = group_of_eight () in
+  check_quiet world "converged group"
+
+let test_write_wakes_quiet_group () =
+  let world, replicas = group_of_eight () in
+  check_quiet world "before the write";
+  let sync = non_keepalive_sync world in
+  driver world ~at:8 (fun ctx ->
+      ignore
+        (Replica.write ctx ~replica:(List.nth replicas 3) ~key:"late" ~value:(Value.int 1)
+           ~timeout:(Clock.s 1)));
+  Runtime.run_for world (Clock.s 5);
+  Alcotest.(check bool) "the write woke anti-entropy" true (non_keepalive_sync world > sync);
+  Alcotest.(check bool) "converged again" true (agreed world 8);
+  Alcotest.(check int) "with the new key" 9 (List.length (List.hd (tables world 8)));
+  check_quiet world "after the write"
+
+let test_restarted_replica_catches_up () =
+  let world, replicas = group_of_eight () in
+  Runtime.crash_node world 5;
+  driver world ~at:8 (fun ctx ->
+      ignore
+        (Replica.write ctx ~replica:(List.hd replicas) ~key:"while-down" ~value:(Value.int 1)
+           ~timeout:(Clock.s 1)));
+  Runtime.run_for world (Clock.s 1);
+  Runtime.restart_node world 5;
+  Runtime.run_for world (Clock.s 5);
+  Alcotest.(check bool) "the restarted replica refilled" true (agreed world 8);
+  Alcotest.(check int) "every key, the one written while it was down too" 9
+    (List.length (Replica.table_in_store (replica_store world 5)));
+  check_quiet world "after the restart"
+
+(* The crash race of DESIGN.md §11, built by hand: a belief learned before
+   a peer's crash can be wrong both ways at once.  A holds {k1, k2} and
+   believes B reported that hash; B holds {k1} and believes A reported
+   B's.  Each thinks its only peer agrees, so neither digests the other;
+   only a keepalive (within 8 ticks) finds the difference. *)
+let test_crash_race_pair_converges_by_keepalive () =
+  let sync_every = Clock.ms 100 in
+  let world = make_world () in
+  let replicas = Replica.create_group world ~nodes:[ 0; 1 ] ~sync_every () in
+  let a = List.nth replicas 0 and b = List.nth replicas 1 in
+  (* The empty group agrees, and after 2 s both replicas know it. *)
+  Runtime.run_for world (Clock.s 2);
+  let sync = non_keepalive_sync world in
+  Runtime.run_for world (Clock.s 1);
+  Alcotest.(check int) "the empty pair is quiet" sync (non_keepalive_sync world);
+  (* Each replica is sent a delta that names the other as its sender. *)
+  let inject ~at ~to_ ~sender entries =
+    driver world ~at (fun ctx ->
+        Runtime.send ctx ~to_ ~reply_to:sender "sync_delta"
+          [
+            Value.list
+              (List.map
+                 (fun (key, stamp) ->
+                   Value.tuple [ Value.str key; Value.str key; Reconcile.stamp_value stamp ])
+                 entries);
+            Reconcile.hash_value (Reconcile.table_hash entries);
+          ])
+  in
+  let k1 = ("k1", (1, 9)) and k2 = ("k2", (2, 9)) in
+  inject ~at:0 ~to_:a ~sender:b [ k1; k2 ];
+  inject ~at:1 ~to_:b ~sender:a [ k1 ];
+  Runtime.run_for world (Clock.ms 50);
+  Alcotest.(check (list int)) "the race is set up" [ 2; 1 ] (List.map List.length (tables world 2));
+  Runtime.run_for world ((keepalive_periods + 2) * sync_every);
+  Alcotest.(check bool) "converged within the keepalive bound" true (agreed world 2);
+  Alcotest.(check int) "on both keys" 2 (List.length (List.hd (tables world 2)))
+
+(* Hashes are 8-byte strings, so a world whose codec holds ints to 24 bits
+   (§3.2's 1979 machine) still runs anti-entropy.  Message timestamps are
+   24-bit ints there too, so the run stays under 2^23 ns of virtual time;
+   on a perfect link it converges long before. *)
+let test_config_1979_group_converges () =
+  let world =
+    Runtime.create_world ~seed:73
+      ~topology:(Topology.full_mesh ~n:6 Link.perfect)
+      ~config:{ Runtime.default_config with codec = Codec.config_1979 }
+      ()
+  in
+  let replicas =
+    Replica.create_group world ~nodes:[ 0; 1; 2; 3; 4 ] ~sync_every:(Clock.us 100) ~fanout:1 ()
+  in
+  driver world ~at:5 (fun ctx ->
+      List.iteri
+        (fun i replica ->
+          ignore
+            (Replica.write ctx ~replica ~key:(Printf.sprintf "k%d" i) ~value:(Value.int i)
+               ~timeout:(Clock.ms 1)))
+        replicas);
+  Runtime.run_for world (Clock.ms 8);
+  Alcotest.(check bool) "anti-entropy ran" true (metric world Replica.metric_sync_msgs > 0);
+  Alcotest.(check bool) "the group converged" true (agreed world 5);
+  Alcotest.(check int) "on every key" 5 (List.length (List.hd (tables world 5)));
+  Alcotest.(check bool) "and acknowledged it" true (metric world Replica.metric_sync_acks > 0)
+
+(* After any sequence of gossips and deltas, won or lost, the hash a
+   replica reports (in the delta answering an empty digest) is the hash of
+   its table recomputed from scratch. *)
+let prop_incremental_hash =
+  QCheck2.Test.make ~name:"incremental hash equals the recomputed hash" ~count:100
+    QCheck2.Gen.(
+      list_size (int_range 1 30) (triple (int_range 0 4) (int_range 1 6) (int_range 0 3)))
+    (fun applies ->
+      let world = make_world ~n:1 () in
+      let replica =
+        List.hd (Replica.create_group world ~nodes:[ 0 ] ~sync_every:(Clock.s 1000) ())
+      in
+      let reported = ref None in
+      driver world ~at:0 (fun ctx ->
+          List.iteri
+            (fun i (k, counter, origin) ->
+              let key = Value.str (String.make 1 (Char.chr (Char.code 'a' + k))) in
+              let stamp = Reconcile.stamp_value (counter, origin) in
+              if i mod 2 = 0 then Runtime.send ctx ~to_:replica "gossip" [ key; Value.int i; stamp ]
+              else
+                Runtime.send ctx ~to_:replica "sync_delta"
+                  [
+                    Value.list [ Value.tuple [ key; Value.int i; stamp ] ]; Reconcile.hash_value 0L;
+                  ])
+            applies;
+          Runtime.sleep ctx (Clock.ms 10);
+          let port = Runtime.new_port ctx Replica.port_type in
+          Runtime.send ctx ~to_:replica ~reply_to:(Port.name port) "sync_digest"
+            (digest_args ~lo:"" ~hi:None []);
+          match Runtime.receive ctx ~timeout:(Clock.s 1) [ port ] with
+          | `Msg (_, { Dcp_core.Message.command = "sync_delta"; args = [ _; hash ]; _ }) ->
+              reported := Reconcile.hash_of_value hash
+          | `Msg _ | `Timeout -> ());
+      Runtime.run_for world (Clock.s 2);
+      let recomputed = Reconcile.table_hash (Replica.table_in_store (replica_store world 0)) in
+      Option.equal Int64.equal !reported (Some recomputed))
+
 let tests =
   [
     Alcotest.test_case "write propagates" `Quick test_write_propagates;
@@ -590,4 +788,14 @@ let tests =
     Alcotest.test_case "join is idempotent and self-excluding" `Quick
       test_join_idempotent_self_excluding;
     Alcotest.test_case "byte-budget continuation" `Quick test_byte_budget_continuation;
+    Alcotest.test_case "a converged group sends only keepalives" `Quick
+      test_converged_group_sends_only_keepalives;
+    Alcotest.test_case "a write wakes a quiet group" `Quick test_write_wakes_quiet_group;
+    Alcotest.test_case "a restarted replica catches up, then quiet" `Quick
+      test_restarted_replica_catches_up;
+    Alcotest.test_case "crash-race pair converges by keepalive" `Quick
+      test_crash_race_pair_converges_by_keepalive;
+    Alcotest.test_case "a group on the 1979 codec converges" `Quick
+      test_config_1979_group_converges;
+    QCheck_alcotest.to_alcotest prop_incremental_hash;
   ]

@@ -57,12 +57,12 @@ let pinned =
     ("bank", 11, 1, "ev=296 sent=210 lost=14 ok=30 to=0");
     ("bank", 11, 2, "ev=455 sent=228 lost=16 ok=30 to=0");
     ("bank", 11, 4, "ev=481 sent=202 lost=9 ok=30 to=0");
-    ("replica", 5, 1, "ev=7519 sent=3654 lost=174 keys=39 conv=7250 sync=879843");
-    ("replica", 5, 2, "ev=10853 sent=4299 lost=211 keys=40 conv=9000 sync=1062187");
-    ("replica", 5, 4, "ev=17070 sent=7773 lost=367 keys=40 conv=7500 sync=1570615");
-    ("replica", 11, 1, "ev=10197 sent=5381 lost=249 keys=40 conv=9750 sync=1288166");
-    ("replica", 11, 2, "ev=12054 sent=5193 lost=231 keys=39 conv=8750 sync=1261859");
-    ("replica", 11, 4, "ev=10997 sent=3598 lost=167 keys=39 conv=9500 sync=1019512");
+    ("replica", 5, 1, "ev=9648 sent=5798 lost=267 keys=40 conv=7500 sync=1230408");
+    ("replica", 5, 2, "ev=18357 sent=9586 lost=489 keys=40 conv=9000 sync=1928208");
+    ("replica", 5, 4, "ev=13531 sent=5464 lost=267 keys=40 conv=8250 sync=1135129");
+    ("replica", 11, 1, "ev=11113 sent=6274 lost=295 keys=40 conv=10000 sync=1417911");
+    ("replica", 11, 2, "ev=11128 sent=4309 lost=192 keys=39 conv=9500 sync=1044476");
+    ("replica", 11, 4, "ev=13545 sent=5402 lost=244 keys=40 conv=8250 sync=1279697");
     ("register", 5, 1, "ev=1790 sent=1487 lost=65 ok=41 unk=4 ne=3 conv=6000");
     ("register", 5, 2, "ev=2258 sent=1243 lost=62 ok=33 unk=10 ne=5 conv=8750");
     ("register", 5, 4, "ev=2662 sent=1289 lost=67 ok=36 unk=8 ne=4 conv=8500");
@@ -184,6 +184,8 @@ let tests =
         (test_parallel_matches "register" 11);
       Alcotest.test_case "snapshot: 4-domain run matches sequential" `Slow
         (test_parallel_matches "snapshot" 5);
+      Alcotest.test_case "replica: 4-domain run matches sequential" `Slow
+        (test_parallel_matches "replica" 11);
       Alcotest.test_case "repeated parallel runs identical" `Quick test_repeat_identical;
       Alcotest.test_case "same seed, same bytes (shards=1)" `Quick (test_same_seed_same_bytes 1);
       Alcotest.test_case "same seed, same bytes (shards=2)" `Quick (test_same_seed_same_bytes 2);
