@@ -326,6 +326,16 @@ let alloc_rows () =
   in
   let encoded = Codec.encode_exn envelope in
   let encoder = Codec.encoder () in
+  (* The same digest as a typed command, read as the replica's own port
+     reads it. *)
+  let digest =
+    ( "",
+      None,
+      table,
+      Reconcile.hash_string (Reconcile.table_hash table),
+      Some (Reconcile.hash_string 0L) )
+  in
+  let replica_port = Some (fun _ -> Some Replica.commands) in
   let status = Message.make ~sent_at:(Clock.ms 250) "scd_status" scd_status_args in
   let status_body = Codec.encode_exn (Message.envelope ~target:port status) in
   let mtu = Runtime.default_config.Runtime.mtu in
@@ -360,6 +370,13 @@ let alloc_rows () =
       ( "alloc.codec.encode_with sync_digest",
         words_per_call (fun () -> Codec.encode_with encoder envelope) );
       ("alloc.codec.decode sync_digest", words_per_call (fun () -> Codec.decode encoded));
+      ( "alloc.command.encode sync_digest",
+        words_per_call (fun () ->
+            Message.command_to_wire encoder ~target:port ~reply_to:port ~sent_at:(Clock.ms 250)
+              Replica.sync_digest digest) );
+      ( "alloc.command.decode sync_digest",
+        words_per_call (fun () ->
+            Message.of_wire ~config:Codec.default_config ?commands:replica_port encoded) );
       ( "alloc.vtype.check_message sync_digest",
         words_per_call (fun () ->
             Vtype.check_message Replica.port_type ~command:"sync_digest" args) );

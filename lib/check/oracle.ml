@@ -186,11 +186,14 @@ let bank_model ~initial ~ledger ?(model_skips = 0) () =
    follows from stamp equality: last-writer-wins only stores a value under
    the stamp that won, so two copies agreeing on every stamp agree on
    every value.  A replica stamp and an SCD delivery timestamp are both
-   (counter, origin) pairs in the same order. *)
-let tables_equal ~copy tables =
-  match tables with
+   (counter, origin) pairs in the same order.  Each store's table is
+   parsed only when the comparison reaches it, so a probe of a group that
+   has not converged stops at the first table that differs. *)
+let tables_equal ~copy ~table stores =
+  match stores with
   | [] | [ _ ] -> Ok ()
-  | reference :: rest ->
+  | first :: rest ->
+      let reference = table first in
       let entry_to_string (key, stamp) =
         Printf.sprintf "%s@%s" key (Reconcile.stamp_to_string stamp)
       in
@@ -211,13 +214,14 @@ let tables_equal ~copy tables =
       in
       let rec first_divergence i = function
         | [] -> Ok ()
-        | table :: rest ->
-            if List.equal entry_equal reference table then first_divergence (i + 1) rest
+        | store :: rest ->
+            let other = table store in
+            if List.equal entry_equal reference other then first_divergence (i + 1) rest
             else
               Error
                 (Printf.sprintf "%s %d diverges from %s 0 (%d vs %d keys; first: %s)" copy i
-                   copy (List.length table) (List.length reference)
-                   (first_difference reference table))
+                   copy (List.length other) (List.length reference)
+                   (first_difference reference other))
       in
       first_divergence 1 rest
 
@@ -227,7 +231,7 @@ let replica_convergence =
     check =
       (fun world ->
         let* stores = live_stores world ~def_name:Replica.def_name in
-        tables_equal ~copy:"replica" (List.map Replica.table_in_store stores));
+        tables_equal ~copy:"replica" ~table:Replica.table_in_store stores);
   }
 
 let replica_sync_budget ~budget =
@@ -268,7 +272,7 @@ let table_convergence ~def_name =
     check =
       (fun world ->
         let* stores = live_stores world ~def_name in
-        tables_equal ~copy:"member" (List.map Register.Table.in_store stores));
+        tables_equal ~copy:"member" ~table:Register.Table.in_store stores);
   }
 
 (* SCD's Termination property over durable state: origin j's last

@@ -5,16 +5,22 @@ type t = {
   args : Value.t list;
   reply_to : Port_name.t option;
   sent_at : Dcp_sim.Clock.time;
+  typed : Command.payload option;
 }
 
-let make ?reply_to ~sent_at command args = { command; args; reply_to; sent_at }
-let failure ~reason ~sent_at = { command = "failure"; args = [ Value.str reason ]; reply_to = None; sent_at }
+let make ?reply_to ~sent_at command args = { command; args; reply_to; sent_at; typed = None }
+
+let failure ~reason ~sent_at =
+  { command = "failure"; args = [ Value.str reason ]; reply_to = None; sent_at; typed = None }
+
 let is_failure t = String.equal t.command "failure"
+
+let arguments t = match t.typed with None -> t.args | Some payload -> Command.payload_values payload
 
 let pp fmt t =
   Format.fprintf fmt "%s(%a)" t.command
     (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ") Value.pp)
-    t.args;
+    (arguments t);
   match t.reply_to with
   | None -> ()
   | Some p -> Format.fprintf fmt " replyto %a" Port_name.pp p
@@ -36,7 +42,7 @@ let of_envelope v =
     let args = Value.get_list (Value.field v "args") in
     let reply_to = Option.map Value.get_port (Value.get_option (Value.field v "reply")) in
     let sent_at = Value.get_int (Value.field v "sent_at") in
-    (target, { command; args; reply_to; sent_at })
+    (target, { command; args; reply_to; sent_at; typed = None })
   with
   | result -> Ok result
   | exception Value.Type_mismatch reason -> Error reason
@@ -51,22 +57,42 @@ let run_no_reply = Codec.field_head "reply" (Value.option None)
 let run_reply = Codec.field_head "reply" (Value.option (Some (Value.port any_port)))
 let run_sent_at = Codec.field_head "sent_at" (Value.int 0)
 
-let to_wire enc ~target t =
+(* The envelope around its arguments: the head up to the [args] tag, and
+   the tail after the arguments. *)
+let write_head enc ~target command =
+  Codec.start enc;
+  Codec.add_run enc run_target;
+  Codec.add_port enc target;
+  Codec.add_run enc run_command;
+  Codec.add_str enc command;
+  Codec.add_run enc run_args
+
+let write_tail enc reply_to sent_at =
+  (match reply_to with
+  | None -> Codec.add_run enc run_no_reply
+  | Some p ->
+      Codec.add_run enc run_reply;
+      Codec.add_port enc p);
+  Codec.add_run enc run_sent_at;
+  Codec.add_int enc sent_at
+
+let values_to_wire enc ~target ?reply_to ~sent_at command args =
   match
-    Codec.start enc;
-    Codec.add_run enc run_target;
-    Codec.add_port enc target;
-    Codec.add_run enc run_command;
-    Codec.add_str enc t.command;
-    Codec.add_run enc run_args;
-    Codec.add_items enc t.args;
-    (match t.reply_to with
-    | None -> Codec.add_run enc run_no_reply
-    | Some p ->
-        Codec.add_run enc run_reply;
-        Codec.add_port enc p);
-    Codec.add_run enc run_sent_at;
-    Codec.add_int enc t.sent_at
+    write_head enc ~target command;
+    Codec.add_items enc args;
+    write_tail enc reply_to sent_at
+  with
+  | () -> Codec.finish enc
+  | exception Codec.Codec_error e -> Error e
+
+let to_wire enc ~target t =
+  values_to_wire enc ~target ?reply_to:t.reply_to ~sent_at:t.sent_at t.command t.args
+
+let command_to_wire enc ~target ?reply_to ~sent_at command x =
+  match
+    write_head enc ~target (Command.name command);
+    Command.write_args enc command x;
+    write_tail enc reply_to sent_at
   with
   | () -> Codec.finish enc
   | exception Codec.Codec_error e -> Error e
@@ -75,29 +101,60 @@ exception Off_layout
 
 let expect r run = if not (Codec.skip_run r run) then raise_notrace Off_layout
 
-let of_wire ~config body =
+let no_commands _ = None
+
+(* After the arguments: the reply port, the send time, and the end. *)
+let finish config r target command args typed =
+  let reply_to =
+    if Codec.skip_run r run_no_reply then None
+    else begin
+      expect r run_reply;
+      Some (Codec.read_port r)
+    end
+  in
+  expect r run_sent_at;
+  let sent_at = Codec.read_int config r in
+  if not (Codec.at_end r) then raise_notrace Off_layout;
+  (target, { command; args; reply_to; sent_at; typed })
+
+(* The in-place reader is one per domain, pointed at each body in turn:
+   nothing it reads calls back into [of_wire]. *)
+let wire_reader = Dcp_sim.Exec.domain_local (fun () -> Codec.reader Codec.default_config "")
+
+(* The arguments of a message to a typed port are read by its declaration,
+   any other message's as values. *)
+let of_wire ~config ?(commands = no_commands) body =
   match
-    let r = Codec.reader config body in
+    let r = Dcp_sim.Exec.local_get wire_reader in
+    Codec.reread r config body;
     expect r run_target;
     let target = Codec.read_port r in
     expect r run_command;
     let command = Codec.read_str config r in
     expect r run_args;
-    let args = Codec.read_items config r in
-    let reply_to =
-      if Codec.skip_run r run_no_reply then None
-      else begin
-        expect r run_reply;
-        Some (Codec.read_port r)
-      end
-    in
-    expect r run_sent_at;
-    let sent_at = Codec.read_int config r in
-    if not (Codec.at_end r) then raise_notrace Off_layout;
-    (target, { command; args; reply_to; sent_at })
+    match commands target with
+    | None -> finish config r target command (Codec.read_items config r) None
+    | Some decl -> (
+        match Command.read_args config decl command r with
+        | Some payload -> finish config r target command [] (Some payload)
+        | None -> raise_notrace Off_layout)
   with
   | decoded -> Ok (Ok decoded)
   | exception (Off_layout | Codec.Codec_error _) ->
       (* anything else, well formed or not, takes the general path, which
          gives the error or the envelope a deviation calls for *)
       Result.map of_envelope (Codec.decode ~config body)
+
+type handler = Handler : 'a Command.t * (t -> 'a -> unit) -> handler
+
+let handle command f = Handler (command, f)
+
+let rec dispatch handlers msg =
+  match (handlers, msg.typed) with
+  | Handler (command, f) :: rest, Some payload -> (
+      match Command.cast command payload with
+      | Some x ->
+          f msg x;
+          true
+      | None -> dispatch rest msg)
+  | [], _ | _, None -> false

@@ -13,9 +13,12 @@ open Dcp_wire
 
 type t = {
   command : string;
-  args : Value.t list;
+  args : Value.t list;  (** [[]] on a message delivered with [typed] *)
   reply_to : Port_name.t option;
   sent_at : Dcp_sim.Clock.time;
+  typed : Command.payload option;
+      (** the arguments as read by a typed port's declaration
+          ({!Dcp_core.Runtime.accept}); [None] on every other port *)
 }
 
 val make :
@@ -26,6 +29,9 @@ val failure : reason:string -> sent_at:Dcp_sim.Clock.time -> t
     messages never carry a reply port (no failure cascades). *)
 
 val is_failure : t -> bool
+
+val arguments : t -> Value.t list
+(** The arguments as values: [args], or the Value form of [typed]. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -43,11 +49,50 @@ val to_wire : Codec.encoder -> target:Port_name.t -> t -> (string, Codec.error) 
     [Codec.encode_with enc (envelope ~target t)], written in place, with
     no envelope record built. *)
 
+val values_to_wire :
+  Codec.encoder ->
+  target:Port_name.t ->
+  ?reply_to:Port_name.t ->
+  sent_at:Dcp_sim.Clock.time ->
+  string ->
+  Value.t list ->
+  (string, Codec.error) result
+(** {!to_wire} of [make ?reply_to ~sent_at command args], without the
+    message record. *)
+
+val command_to_wire :
+  Codec.encoder ->
+  target:Port_name.t ->
+  ?reply_to:Port_name.t ->
+  sent_at:Dcp_sim.Clock.time ->
+  'a Command.t ->
+  'a ->
+  (string, Codec.error) result
+(** The typed writer: the same bytes and the same first error as
+    {!to_wire} of the message with the command's Value arguments
+    ({!Command.values}). *)
+
 val of_wire :
-  config:Codec.config -> string -> ((Port_name.t * t, string) result, Codec.error) result
+  config:Codec.config ->
+  ?commands:(Port_name.t -> Command.decl option) ->
+  string ->
+  ((Port_name.t * t, string) result, Codec.error) result
 (** The runtime's reader: the same result as
     [Result.map of_envelope (Codec.decode ~config body)].  A body in the
     layout {!to_wire} writes is read in place, with the field names
     matched byte by byte; any other body (another field count, name,
     order or tag, a bound exceeded, trailing bytes) takes that general
-    path. *)
+    path.  When [commands] gives a declaration for the target, an
+    in-place read takes the arguments by it, as [typed]; arguments it
+    refuses take the general path too. *)
+
+(** {1 Dispatch on a typed port} *)
+
+type handler
+
+val handle : 'a Command.t -> (t -> 'a -> unit) -> handler
+(** The handler of one command: it gets the message and its arguments. *)
+
+val dispatch : handler list -> t -> bool
+(** Run the first handler whose command the message's [typed] payload
+    is; [false] when none is (a message with no payload included). *)

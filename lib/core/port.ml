@@ -10,14 +10,29 @@ and t = {
   queue : Message.t Queue.t;
   mutable waiters : waiter list;  (** FIFO; inactive entries filtered lazily *)
   mutable is_open : bool;
+  mutable commands : Command.decl option;
 }
 
 let create ~name ~ptype ~capacity =
   if capacity <= 0 then invalid_arg "Port.create: capacity must be positive";
-  { pname = name; ptype; capacity; queue = Queue.create (); waiters = []; is_open = true }
+  {
+    pname = name;
+    ptype;
+    capacity;
+    queue = Queue.create ();
+    waiters = [];
+    is_open = true;
+    commands = None;
+  }
 
 let name t = t.pname
 let ptype t = t.ptype
+let commands t = t.commands
+
+let declare t decl =
+  if not (Command.declares decl t.ptype) then
+    invalid_arg "Port.declare: the commands are not the port's type";
+  t.commands <- Some decl
 let queued t = Queue.length t.queue
 let waiter_count t = List.length t.waiters
 

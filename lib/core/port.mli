@@ -20,6 +20,16 @@ val create : name:Port_name.t -> ptype:Vtype.port_type -> capacity:int -> t
 
 val name : t -> Port_name.t
 val ptype : t -> Vtype.port_type
+
+val commands : t -> Command.decl option
+(** The typed commands the port was declared with, if any. *)
+
+val declare : t -> Command.decl -> unit
+(** Make the port typed: from now on its messages' arguments are read by
+    the declaration (and kept across {!close} and {!reopen}).
+    @raise Invalid_argument unless the declaration's port type is the
+    port's. *)
+
 val queued : t -> int
 
 val waiter_count : t -> int

@@ -127,6 +127,8 @@ and node = {
   gindex : guardian Int_tbl.t;  (** gid -> guardian, for delivery *)
   mutable crash_count : int;
   mutable cpus : Sync.semaphore;  (** the node's processors (§1.1) *)
+  mutable ncommands : (Port_name.t -> Command.decl option) option;
+      (** the declaration of a target port, once a port here is typed *)
 }
 
 and guardian = {
@@ -274,12 +276,35 @@ let find_port_in g target =
 
 let find_guardian_in node gid = Int_tbl.find_opt node.gindex gid
 
-(* Encode a message for a target port with the shard's encoder (bounds
-   checks apply to system messages too). *)
-let encode sh ~target msg =
-  match Message.to_wire sh.sencoder ~target msg with
+(* The typed form of a message that checked against a typed port's type. *)
+let typed_form port msg =
+  match Port.commands port with
+  | None -> msg
+  | Some decl -> (
+      match Command.payload_of_values decl msg.Message.command msg.Message.args with
+      | Some payload -> { msg with Message.args = []; typed = Some payload }
+      | None -> msg)
+
+(* A node's lookup of a target port's declaration, for the reader: no
+   option is allocated on the way. *)
+let port_commands node target =
+  match Int_tbl.find node.gindex target.Port_name.guardian with
+  | exception Not_found -> None
+  | g -> (
+      if not g.galive then None
+      else
+        match Int_tbl.find g.gport_index target.Port_name.uid with
+        | exception Not_found -> None
+        | p -> if Port_name.equal (Port.name p) target then Port.commands p else None)
+
+(* An encoded body, or the sender-side error §3.4 lets surface. *)
+let encoded = function
   | Error e -> raise (Send_failed (Format.asprintf "%a" Codec.pp_error e))
   | Ok body -> body
+
+(* Encode a message for a target port with the shard's encoder (bounds
+   checks apply to system messages too). *)
+let encode sh ~target msg = encoded (Message.to_wire sh.sencoder ~target msg)
 
 (* [reject] runs on the rejecting node's shard; the failure message
    originates there and is routed like any other send, so rejection,
@@ -295,8 +320,10 @@ let rec reject w node msg reason =
       route w ~from:node ~target:reply_port failure
   | Some _ | None -> ()
 
+(* A message read by its port's declaration was checked by that read;
+   any other is checked against the port type, and on a typed port then
+   takes its typed form. *)
 and deliver_message w node target msg =
-  let sh = node.shard in
   match find_guardian_in node target.Port_name.guardian with
   | None -> reject w node msg "target guardian does not exist"
   | Some g when not g.galive -> reject w node msg "target guardian does not exist"
@@ -304,16 +331,25 @@ and deliver_message w node target msg =
       match find_port_in g target with
       | None -> reject w node msg "target port does not exist"
       | Some port -> (
-          match Vtype.check_message (Port.ptype port) ~command:msg.Message.command msg.Message.args with
-          | Error reason -> reject w node msg ("message rejected: " ^ reason)
-          | Ok () -> (
-              match Port.enqueue port msg with
-              | `Delivered | `Queued ->
-                  Metrics.incr sh.shot.m_deliver_ok;
-                  Metrics.observe sh.shot.m_latency_us
-                    (Clock.to_float_us (Clock.diff (Engine.now sh.sengine) msg.Message.sent_at))
-              | `Full -> reject w node msg "no room at target port"
-              | `Closed -> reject w node msg "target port does not exist")))
+          match msg.Message.typed with
+          | Some _ -> enqueue w node port msg
+          | None -> (
+              match
+                Vtype.check_message (Port.ptype port) ~command:msg.Message.command
+                  msg.Message.args
+              with
+              | Error reason -> reject w node msg ("message rejected: " ^ reason)
+              | Ok () -> enqueue w node port (typed_form port msg))))
+
+and enqueue w node port msg =
+  let sh = node.shard in
+  match Port.enqueue port msg with
+  | `Delivered | `Queued ->
+      Metrics.incr sh.shot.m_deliver_ok;
+      Metrics.observe sh.shot.m_latency_us
+        (Clock.to_float_us (Clock.diff (Engine.now sh.sengine) msg.Message.sent_at))
+  | `Full -> reject w node msg "no room at target port"
+  | `Closed -> reject w node msg "target port does not exist"
 
 (* [sh] is the shard whose engine is executing this delivery — the
    destination node's shard, except for the unknown-node tally. *)
@@ -323,7 +359,7 @@ and deliver_body w sh dst_node_id body =
   | Some node ->
       if not node.up then Metrics.incr node.shard.shot.m_deliver_node_down
       else (
-        match Message.of_wire ~config:w.config.codec body with
+        match Message.of_wire ~config:w.config.codec ?commands:node.ncommands body with
         | Ok (Ok (target, msg)) -> deliver_message w node target msg
         | Ok (Error _) | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed)
 
@@ -458,6 +494,7 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(para
           gindex = Int_tbl.create 16;
           crash_count = 0;
           cpus = Sync.semaphore shard.sengine config.processors_per_node;
+          ncommands = None;
         }
       in
       Int_tbl.replace w.nodes node_id node;
@@ -771,6 +808,23 @@ let schedule_at w ~node ~at f =
 (* Send and receive                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* After the message is encoded: trace it, flush, and hand it on. *)
+let transmit w g ~now ~to_ body =
+  let sh = g.home.shard in
+  (* A traced world keeps the body it will deliver and makes text on
+     read; an untraced one only counts the send. *)
+  Trace.record_deferred sh.strace ~at:now ~category:"send" ~label:g.glabel body;
+  (* Externalization barrier (write-ahead discipline): everything this
+     guardian logged is flushed before any message leaves it, so a later
+     crash can tear or drop only state the rest of the world has never
+     observed. *)
+  Store.flush g.gstore;
+  dispatch w ~from:g.home ~target:to_ body
+
+(* §3.4 step 1: encode the arguments; failures surface at the sender,
+   before the send is traced or anything leaves the guardian. *)
+let check_transmittable = function Ok () -> () | Error reason -> raise (Send_failed reason)
+
 let send c ~to_ ?reply_to command args =
   let w = c.cworld in
   let g = c.cguardian in
@@ -778,28 +832,37 @@ let send c ~to_ ?reply_to command args =
   if not g.galive then Metrics.incr sh.shot.m_send_dead
   else begin
     Metrics.incr sh.shot.m_send_total;
-    (* §3.4 step 1: encode the arguments; failures surface at the sender,
-       before the send is traced or anything leaves the guardian. *)
-    (match Transmit.check_named w.registry (Value.list args) with
-    | Ok () -> ()
-    | Error reason -> raise (Send_failed reason));
+    check_transmittable (Transmit.check_named w.registry (Value.list args));
     let now = Engine.now sh.sengine in
-    let body = encode sh ~target:to_ (Message.make ?reply_to ~sent_at:now command args) in
-    (* A traced world keeps the body it will deliver and makes text on
-       read; an untraced one only counts the send. *)
-    Trace.record_deferred sh.strace ~at:now ~category:"send" ~label:g.glabel body;
-    (* Externalization barrier (write-ahead discipline): everything this
-       guardian logged is flushed before any message leaves it, so a later
-       crash can tear or drop only state the rest of the world has never
-       observed. *)
-    Store.flush g.gstore;
-    dispatch w ~from:g.home ~target:to_ body
+    encoded (Message.values_to_wire sh.sencoder ~target:to_ ?reply_to ~sent_at:now command args)
+    |> transmit w g ~now ~to_
   end
+
+let send_command c ~to_ ?reply_to command x =
+  let w = c.cworld in
+  let g = c.cguardian in
+  let sh = g.home.shard in
+  if not g.galive then Metrics.incr sh.shot.m_send_dead
+  else begin
+    Metrics.incr sh.shot.m_send_total;
+    check_transmittable (Command.check_named command (Transmit.check_named w.registry) x);
+    let now = Engine.now sh.sengine in
+    encoded (Message.command_to_wire sh.sencoder ~target:to_ ?reply_to ~sent_at:now command x)
+    |> transmit w g ~now ~to_
+  end
+
+let owned g p = (Port.name p).Port_name.guardian = g.gid
+
+let accept c port decl =
+  let g = c.cguardian in
+  if not (owned g port) then invalid_arg "Runtime.accept: not this guardian's port";
+  Port.declare port decl;
+  let node = g.home in
+  if Option.is_none node.ncommands then node.ncommands <- Some (port_commands node)
 
 let receive c ?timeout ports =
   let g = c.cguardian in
-  let owned p = Port.name p |> fun n -> n.Port_name.guardian = g.gid in
-  if not (List.for_all owned ports) then
+  if not (List.for_all (owned g) ports) then
     invalid_arg "Runtime.receive: can only receive on this guardian's own ports";
   (* Quiescence barrier, the dual of the send-side flush: a guardian going
      back to waiting for work has durably committed everything it did —

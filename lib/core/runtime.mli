@@ -231,6 +231,24 @@ val send :
     {!Send_failed} before anything else happens: it is not traced, and the
     guardian's store is not flushed. *)
 
+val send_command :
+  ctx -> to_:Port_name.t -> ?reply_to:Port_name.t -> 'a Command.t -> 'a -> unit
+(** No-wait send of a typed command: the same checks ({!Transmit.check_named}
+    over its {!Command.any} arguments), bytes, trace, flush and
+    {!Send_failed} as {!send} of its Value arguments
+    ({!Command.values}), written without building them. *)
+
+val accept : ctx -> Port.t -> Command.decl -> unit
+(** Declare the typed commands one of this guardian's ports accepts
+    ({!Port.declare}).  From then on the runtime reads each message's
+    arguments by the declaration, and that read is the port's type check:
+    the message is delivered with [typed] set and no [args].  What the
+    read refuses takes the Value path, so it is delivered, discarded with
+    a failure message, or counted malformed exactly as on an untyped port
+    of the same type.  A declaration survives the node's crashes.
+    @raise Invalid_argument on another guardian's port or another port
+    type. *)
+
 val receive :
   ctx -> ?timeout:Clock.time -> Port.t list -> [ `Msg of Port.t * Message.t | `Timeout ]
 (** Receive on a prioritised port list.  All ports must belong to this

@@ -154,8 +154,8 @@ let decompose_fun e =
 (* ---- handler / declaration sites ---- *)
 
 type handle_kind =
-  | Dispatch  (** a match case over a message command *)
-  | Declared  (** Rpc.request_signature / Vtype.signature *)
+  | Dispatch  (** a match case over a message command, or a [Message.handle] *)
+  | Declared  (** Rpc.request_signature / Vtype.signature / Command.make *)
   | Reply_declared  (** Vtype.reply *)
   | Reply_match  (** an [Rpc.Reply ("name", _)] consumption pattern *)
 
@@ -209,6 +209,8 @@ type unit_info = {
   u_structure : (structure, exn) result;  (** [Error] when the unit fails to parse *)
   u_fns : fn list;
   u_handles : handle list;
+  u_commands : (string * string) list;
+      (** top-level [let x = Command.make "name" ...]: (x, name) *)
 }
 
 let module_of_path path =
@@ -224,9 +226,46 @@ let id_of_path path =
 let lib_of_path path =
   match String.split_on_char '/' path with [ "lib"; dir; _ ] -> Some dir | _ -> None
 
+(* ---- typed commands ---- *)
+
+let is_command_make e =
+  match e.pexp_desc with
+  | Pexp_apply (f, args) -> (
+      match (callee_pair f, positional 0 args) with
+      | ( Some ("Command", "make"),
+          Some { pexp_desc = Pexp_constant (Pconst_string (name, _, _)); pexp_loc; _ } ) ->
+          Some (name, pexp_loc, args)
+      | _ -> None)
+  | _ -> None
+
+(* The unit's top-level command values, by binding name. *)
+let command_bindings structure =
+  List.concat_map
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_value (_, bindings) ->
+          List.filter_map
+            (fun vb ->
+              match (binding_name vb.pvb_pat, is_command_make vb.pvb_expr) with
+              | Some x, Some (name, _, _) -> Some (x, name)
+              | _ -> None)
+            bindings
+      | _ -> [])
+    structure
+
+(* The command name a command expression denotes: one of the unit's own
+   command values, or the implicit [Command.failure]. *)
+let command_name ~commands e =
+  match e.pexp_desc with
+  | Pexp_ident { txt = Longident.Lident x; _ } -> List.assoc_opt x commands
+  | Pexp_ident { txt = Longident.Ldot (Longident.Lident "Command", "failure"); _ } ->
+      Some "failure"
+  | _ -> None
+
 (* Collect function definitions (top-level and local) and handler /
    declaration sites in one walk. *)
 let extract ~path structure =
+  let commands = command_bindings structure in
   let modname = module_of_path path in
   let fns = ref [] in
   let handles = ref [] in
@@ -304,6 +343,22 @@ let extract ~path structure =
             | Some { pexp_desc = Pexp_constant (Pconst_string (name, _, _)); pexp_loc; _ } ->
                 add_handle ~name ~kind:Reply_declared ~line:(line_of pexp_loc) ~obligated:false
             | _ -> ())
+        | Some ("Command", "make") -> (
+            match is_command_make e with
+            | Some (name, loc, args) ->
+                let obligated =
+                  match labelled "replies" args with
+                  | Some { pexp_desc = Pexp_construct ({ txt = Longident.Lident "[]"; _ }, None); _ }
+                  | None ->
+                      false
+                  | Some _ -> true
+                in
+                add_handle ~name ~kind:Declared ~line:(line_of loc) ~obligated
+            | None -> ())
+        | Some ("Message", "handle") -> (
+            match Option.bind (positional 0 args) (command_name ~commands) with
+            | Some name -> add_handle ~name ~kind:Dispatch ~line:(line_of e.pexp_loc) ~obligated:false
+            | None -> ())
         | _ -> ())
     | _ -> ());
     super.expr self e
@@ -348,7 +403,7 @@ let extract ~path structure =
   in
   let it = { super with expr; pat; value_binding; structure_item } in
   it.structure it structure;
-  (List.rev !fns, List.rev !handles)
+  (List.rev !fns, List.rev !handles, commands)
 
 let load ~path ~source =
   let structure =
@@ -358,8 +413,8 @@ let load ~path ~source =
       Ok (Parse.implementation lexbuf)
     with exn -> Error exn
   in
-  let fns, handles =
-    match structure with Ok s -> extract ~path s | Error _ -> ([], [])
+  let fns, handles, commands =
+    match structure with Ok s -> extract ~path s | Error _ -> ([], [], [])
   in
   {
     u_path = path;
@@ -369,4 +424,5 @@ let load ~path ~source =
     u_structure = structure;
     u_fns = fns;
     u_handles = handles;
+    u_commands = commands;
   }

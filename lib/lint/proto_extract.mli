@@ -81,6 +81,8 @@ type unit_info = {
       (** [Error] when the unit fails to parse; [Scan] reports it *)
   u_fns : fn list;
   u_handles : handle list;
+  u_commands : (string * string) list;
+      (** top-level typed commands, [let x = Command.make "name" ...]: (x, name) *)
 }
 
 val module_of_path : string -> string

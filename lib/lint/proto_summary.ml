@@ -4,8 +4,9 @@
    definition Proto_extract collected:
 
    - command sinks: the primitive transmission points are
-     [Runtime.send] and [Rpc.call] (command = second positional
-     argument); any function that forwards one of its own parameters
+     [Runtime.send], [Runtime.send_command] and [Rpc.call] (command =
+     second positional argument: a name, or for [send_command] a typed
+     command value, which names its command where it is made); any function that forwards one of its own parameters
      into a sink's command slot becomes a sink at that parameter
      (two_phase's local [reply], its announce chain, Sync_send.send,
      transfer's [finish], primordial's [reply_to], ...).
@@ -49,6 +50,7 @@ type info = { i_fn : fn; i_unit : unit_info; i_applies : apply_site list }
 
 type env = {
   fns : info list SMap.t;  (* fn_key -> definitions (merged on collision) *)
+  commands : string SMap.t;  (* "Module.x" -> the name of typed command [x] *)
   mutable sinks : slot list SMap.t;
   mutable rstr : names SMap.t;
   mutable rtup : names SMap.t;
@@ -61,7 +63,8 @@ type env = {
 
 let resolve ~own (m, f) = if String.equal m "" then own ^ "." ^ f else m ^ "." ^ f
 
-let primitive_sinks = [ ("Runtime.send", [ Spos 1 ]); ("Rpc.call", [ Spos 1 ]) ]
+let primitive_sinks =
+  [ ("Runtime.send", [ Spos 1 ]); ("Runtime.send_command", [ Spos 1 ]); ("Rpc.call", [ Spos 1 ]) ]
 
 let sink_slots env key =
   match List.assoc_opt key primitive_sinks with
@@ -343,9 +346,19 @@ let build units =
           acc u.u_fns)
       SMap.empty units
   in
+  let commands =
+    List.fold_left
+      (fun acc u ->
+        List.fold_left
+          (fun acc (x, name) -> SMap.add (u.u_module ^ "." ^ x) name acc)
+          acc u.u_commands)
+      (SMap.singleton "Command.failure" "failure")
+      units
+  in
   let env =
     {
       fns;
+      commands;
       sinks = SMap.empty;
       rstr = SMap.empty;
       rtup = SMap.empty;
@@ -373,11 +386,20 @@ type send = {
    may hold, and whether it is bound to a raw mutable value. *)
 type lentry = { le_names : names option; le_mut : bool }
 
+(* A typed command value names its command. *)
+let command_names env ~own e =
+  match Option.bind (callee_pair e) (fun p -> SMap.find_opt (resolve ~own p) env.commands) with
+  | Some name -> known [ name ]
+  | None -> Dynamic
+
 let rec eval_names env ~own lenv e =
   match e.pexp_desc with
   | Pexp_constant (Pconst_string (s, _, _)) -> known [ s ]
   | Pexp_ident { txt = Longident.Lident x; _ } -> (
-      match SMap.find_opt x lenv with Some { le_names = Some n; _ } -> n | _ -> Dynamic)
+      match SMap.find_opt x lenv with
+      | Some { le_names = Some n; _ } -> n
+      | _ -> command_names env ~own e)
+  | Pexp_ident _ -> command_names env ~own e
   | Pexp_apply (f, _) -> (
       match callee_pair f with Some p -> rstr_of env (resolve ~own p) | None -> Dynamic)
   | Pexp_ifthenelse (_, t, Some f) ->

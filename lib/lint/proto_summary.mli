@@ -21,6 +21,7 @@ type info = { i_fn : fn; i_unit : unit_info; i_applies : apply_site list }
 
 type env = {
   fns : info list SMap.t;
+  commands : string SMap.t;  (** ["Module.x"] -> the name of typed command [x] *)
   mutable sinks : slot list SMap.t;
       (** fn_key -> parameter slots that flow into a send's command *)
   mutable rstr : names SMap.t;  (** fn_key -> names the fn returns directly *)

@@ -56,6 +56,15 @@ let of_handle (h : handle) =
       ("obligated", Bool h.h_obligated);
     ]
 
+(* The send sites whose command names the analysis cannot resolve: its
+   blind spots, counted per unit and in the summary. *)
+let dynamic_sends sends =
+  List.length
+    (List.filter
+       (fun (sd : Proto_summary.send) ->
+         match sd.sd_names with Dynamic -> true | Known _ -> false)
+       sends)
+
 let of_unit ({ us_unit = u; us_sends } : Proto_flow.unit_sends) =
   Obj
     [
@@ -70,6 +79,7 @@ let of_unit ({ us_unit = u; us_sends } : Proto_flow.unit_sends) =
              (List.sort
                 (fun (a : Proto_summary.send) b -> Int.compare a.sd_line b.sd_line)
                 us_sends)) );
+      ("dynamic_sends", num (dynamic_sends us_sends));
       ( "handles",
         Arr
           (List.map of_handle
@@ -87,7 +97,7 @@ let of_edge (e : Proto_flow.edge) =
 let of_exports ({ declared; unused; test_only } : Proto_exports.counts) =
   Obj [ ("declared", num declared); ("unused", num unused); ("test_only", num test_only) ]
 
-let summary ~findings ~stale_baseline ~flow =
+let summary ~units ~findings ~stale_baseline ~flow =
   let count p = num (List.length (List.filter p findings)) in
   let of_rule rule f = String.equal f.Finding.rule rule in
   Obj
@@ -97,6 +107,11 @@ let summary ~findings ~stale_baseline ~flow =
       ("baselined", count (fun f -> f.Finding.baselined));
       ("stale_baseline", num (List.length stale_baseline));
       ("flow_edges", num (List.length flow));
+      ( "dynamic_sends",
+        num
+          (List.fold_left
+             (fun acc (us : Proto_flow.unit_sends) -> acc + dynamic_sends us.us_sends)
+             0 units) );
       ( "rules",
         Obj
           (List.map
@@ -130,5 +145,5 @@ let build ~root ~layers ~units ~flow ~exports ~findings ~stale_baseline =
       ("exports", of_exports exports);
       ("findings", Arr (List.map of_finding findings));
       ("stale_baseline", Arr (List.map (fun k -> Str k) stale_baseline));
-      ("summary", summary ~findings ~stale_baseline ~flow);
+      ("summary", summary ~units ~findings ~stale_baseline ~flow);
     ]

@@ -37,6 +37,8 @@ let stamp_of_string s =
 
 (* ---- digest entries and key windows ---- *)
 
+let stamp_ty = Command.(pair int int)
+let entry_ty = Command.(pair str stamp_ty)
 let entry_value (key, stamp) = Value.tuple [ Value.str key; stamp_value stamp ]
 
 let entry_of_value v =
@@ -71,14 +73,15 @@ let table_hash entries =
 
 (* Eight big-endian bytes: a string fits every codec configuration, where
    an [Int] would break the 24-bit bound of [Codec.config_1979]. *)
-let hash_value h =
+let hash_string h =
   let b = Bytes.create 8 in
   Bytes.set_int64_be b 0 h;
-  Value.str (Bytes.unsafe_to_string b)
+  Bytes.unsafe_to_string b
 
-let hash_of_value = function
-  | Value.Str s when String.length s = 8 -> Some (String.get_int64_be s 0)
-  | _ -> None
+let hash_value h = Value.str (hash_string h)
+let hash_of_string s = if String.length s = 8 then Some (String.get_int64_be s 0) else None
+
+let hash_of_value = function Value.Str s -> hash_of_string s | _ -> None
 
 type window = { lo : string; hi : string option }
 
@@ -128,6 +131,64 @@ let chunks ~budget ~size entries =
         go (taken :: acc) rest
   in
   go [] entries
+
+(* ---- the table and its digest view ----
+
+   A replica's table, kept sorted by key: each entry holds its value, its
+   stamp, and the encoded size of its digest entry [(key, stamp)], so a
+   digest window is read off the table without sorting or sizing it. *)
+
+module Keys = Map.Make (String)
+
+type 'v held = { value : 'v; entry : string * stamp; size : int }
+type 'v table = 'v held Keys.t
+
+let empty = Keys.empty
+let entry_size entry = match Command.size_of entry_ty entry with Ok n -> n | Error _ -> max_int
+let find table key = Option.map (fun h -> (h.value, snd h.entry)) (Keys.find_opt key table)
+
+let update table ~key ~value ~stamp =
+  let held = Keys.find_opt key table in
+  match held with
+  | Some h when stamp_compare (snd h.entry) stamp >= 0 -> None
+  | _ ->
+      let entry = (key, stamp) in
+      let table = Keys.add key { value; entry; size = entry_size entry } table in
+      Some (table, Option.map (fun h -> snd h.entry) held)
+
+(* A window is read by one fold over the table from its first key, which
+   costs less than a sequence from the window's start (an allocation per
+   entry) on tables a window mostly covers; the fold stops by raising the
+   part already read. *)
+exception Window_full of (string * stamp) list * string
+exception Window_end of (string * stamp) list
+
+let take_window ~budget table ~from =
+  let budget = entry_budget ~budget in
+  match
+    Keys.fold
+      (fun key h (used, taken) ->
+        if String.compare key from < 0 then (used, taken)
+        else if taken <> [] && used + h.size > budget then raise_notrace (Window_full (taken, key))
+        else (used + h.size, h.entry :: taken))
+      table (0, [])
+  with
+  | _, taken -> (List.rev taken, None)
+  | exception Window_full (taken, next) -> (List.rev taken, Some next)
+
+let held_in table window =
+  match
+    Keys.fold
+      (fun key h held ->
+        if String.compare key window.lo < 0 then held
+        else if in_window window key then h.entry :: held
+        else raise_notrace (Window_end held))
+      table []
+  with
+  | held -> List.rev held
+  | exception Window_end held -> List.rev held
+
+let view table = Keys.fold (fun _ h acc -> (fst h.entry, snd h.entry, h.size) :: acc) table [] |> List.rev
 
 (* ---- digest diffing ----
 

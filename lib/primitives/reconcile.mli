@@ -37,6 +37,10 @@ val stamp_of_string : string -> stamp option
 
 (** {1 Digest entries} *)
 
+val stamp_ty : stamp Command.ty
+val entry_ty : (string * stamp) Command.ty
+(** A stamp and a digest entry as typed command arguments. *)
+
 val entry_value : string * stamp -> Value.t
 val entry_of_value : Value.t -> (string * stamp) option
 val entry_compare : string * stamp -> string * stamp -> int
@@ -59,6 +63,10 @@ val hash_value : int64 -> Value.t
 
 val hash_of_value : Value.t -> int64 option
 (** [None] for anything but an 8-byte string. *)
+
+val hash_string : int64 -> string
+val hash_of_string : string -> int64 option
+(** The string inside {!hash_value}, and back; [None] unless 8 bytes. *)
 
 (** {1 Key windows}
 
@@ -93,6 +101,32 @@ val take_within : budget:int -> size:('a -> int) -> 'a list -> 'a list * 'a list
 val chunks : budget:int -> size:('a -> int) -> 'a list -> 'a list list
 (** Split into consecutive runs, each within the budget (modulo the same
     at-least-one-entry progress rule). *)
+
+(** {1 The table and its digest view}
+
+    A replica's key → (value, stamp) table, kept sorted by key, with each
+    entry's digest size, so that a digest window is read off it without a
+    sort or a size walk. *)
+
+type 'v table
+
+val empty : 'v table
+val find : 'v table -> string -> ('v * stamp) option
+
+val update : 'v table -> key:string -> value:'v -> stamp:stamp -> ('v table * stamp option) option
+(** Last writer wins: [None] when the table holds [key] at a stamp at least
+    as large; otherwise the new table and the stamp [key] held, if any. *)
+
+val take_window : budget:int -> 'v table -> from:string -> (string * stamp) list * string option
+(** The entries from key [from] on that fit [budget] (at least one, as
+    {!take_within}), and the first key past them, [None] at the end. *)
+
+val held_in : 'v table -> window -> (string * stamp) list
+(** The entries inside the window, in key order. *)
+
+val view : 'v table -> (string * stamp * int) list
+(** Every entry with its digest size: [Codec.encoded_size] of
+    {!entry_value}, or [max_int] when unencodable. *)
 
 (** {1 Digest diff} *)
 

@@ -8,37 +8,60 @@ module Rng = Dcp_rng.Rng
 
 let def_name = "replica"
 
-let stamp_type = Vtype.Ttuple [ Vtype.Tint; Vtype.Tint ]
-let digest_entry_type = Vtype.Ttuple [ Vtype.Tstr; stamp_type ]
-let delta_entry_type = Vtype.Ttuple [ Vtype.Tstr; Vtype.Tany; stamp_type ]
+(* The port's commands.  Requests follow the RPC convention (see {!Rpc}):
+   the request id is the first argument, and of every reply. *)
 
-let port_type =
-  [
-    Rpc.request_signature "write" [ Vtype.Tstr; Vtype.Tany ]
-      ~replies:[ Vtype.reply "written" [ stamp_type ] ];
-    Rpc.request_signature "read" [ Vtype.Tstr ]
-      ~replies:[ Vtype.reply "value" [ Vtype.Tany; stamp_type ]; Vtype.reply "unknown_key" [] ];
-    Rpc.request_signature "join" [ Vtype.Tlist Vtype.Tport ]
-      ~replies:[ Vtype.reply "joined" [] ];
-    Vtype.signature "gossip" [ Vtype.Tstr; Vtype.Tany; stamp_type ];
-    (* Anti-entropy round: a digest covers the key window [lo, hi) (hi
-       absent = unbounded); the receiver answers with sync_delta for what it
-       holds newer and sync_pull for what the sender holds newer or the
-       receiver lacks, or with sync_ack when the tables are equal.  Every
-       sync message carries its sender's table hash, and a digest also what
-       its sender believes the receiver's hash is. *)
-    Vtype.signature "sync_digest"
+let stamp_type = Command.vtype Reconcile.stamp_ty
+
+let write_request =
+  Command.make "write"
+    Command.(args3 int str any)
+    ~replies:[ Vtype.reply "written" [ Vtype.Tint; stamp_type ] ]
+
+let read_request =
+  Command.make "read"
+    Command.(args2 int str)
+    ~replies:
       [
-        Vtype.Tstr;
-        Vtype.Toption Vtype.Tstr;
-        Vtype.Tlist digest_entry_type;
-        Vtype.Tstr;
-        Vtype.Toption Vtype.Tstr;
-      ];
-    Vtype.signature "sync_pull" [ Vtype.Tlist Vtype.Tstr; Vtype.Tstr ];
-    Vtype.signature "sync_delta" [ Vtype.Tlist delta_entry_type; Vtype.Tstr ];
-    Vtype.signature "sync_ack" [ Vtype.Tstr ];
-  ]
+        Vtype.reply "value" [ Vtype.Tint; Vtype.Tany; stamp_type ];
+        Vtype.reply "unknown_key" [ Vtype.Tint ];
+      ]
+
+let join_request =
+  Command.make "join" Command.(args2 int (list port)) ~replies:[ Vtype.reply "joined" [ Vtype.Tint ] ]
+
+let gossip = Command.make "gossip" Command.(args3 str any Reconcile.stamp_ty)
+
+(* Anti-entropy round: a digest covers the key window [lo, hi) (hi absent =
+   unbounded); the receiver answers with sync_delta for what it holds
+   newer and sync_pull for what the sender holds newer or the receiver
+   lacks, or with sync_ack when the tables are equal.  Every sync message
+   carries its sender's table hash, and a digest also what its sender
+   believes the receiver's hash is. *)
+let sync_digest =
+  Command.make "sync_digest"
+    Command.(args5 str (option str) (list Reconcile.entry_ty) str (option str))
+
+let sync_pull = Command.make "sync_pull" Command.(args2 (list str) str)
+let delta_entry = Command.(triple str any Reconcile.stamp_ty)
+let sync_delta = Command.make "sync_delta" Command.(args2 (list delta_entry) str)
+let sync_ack = Command.make "sync_ack" Command.(args1 str)
+
+let commands =
+  Command.(
+    decl
+      [
+        Cmd write_request;
+        Cmd read_request;
+        Cmd join_request;
+        Cmd gossip;
+        Cmd sync_digest;
+        Cmd sync_pull;
+        Cmd sync_delta;
+        Cmd sync_ack;
+      ])
+
+let port_type = Command.port_type commands
 
 (* ---- metric names (shared with oracles and benches) ---- *)
 
@@ -91,16 +114,10 @@ let default_config =
    replicas quiet (DESIGN.md §11). *)
 let keepalive_periods = 8
 
-(* One element of the digest view: a table entry, its digest value as sent
-   in [sync_digest], and that value's encoded size. *)
-type digest_entry = { entry : string * Reconcile.stamp; value : Value.t; size : int }
-
 type state = {
   replica_id : int;
   config : config;
-  table : (string, Value.t * Reconcile.stamp) Hashtbl.t;
-  mutable view : digest_entry list option;
-      (** the table as key-sorted digest entries; [None] when stale *)
+  mutable table : Value.t Reconcile.table;  (** sorted by key: the digest view *)
   mutable hash : int64;  (** {!Reconcile.table_hash} of the table, kept by [apply] *)
   mutable clock : int;
   mutable peers : Port_name.t array;  (** sorted, deduped, self excluded *)
@@ -190,47 +207,16 @@ let config_in_store store =
 (* Apply a stamped write; true if it won (newer than what we hold). *)
 let apply ctx state ~key ~value ~stamp =
   observe_stamp state stamp;
-  match Hashtbl.find_opt state.table key with
-  | Some (_, existing) when Reconcile.stamp_compare existing stamp >= 0 -> false
-  | held ->
+  match Reconcile.update state.table ~key ~value ~stamp with
+  | None -> false
+  | Some (table, replaced) ->
       Option.iter
-        (fun (_, old) -> state.hash <- Int64.logxor state.hash (Reconcile.entry_hash (key, old)))
-        held;
+        (fun old -> state.hash <- Int64.logxor state.hash (Reconcile.entry_hash (key, old)))
+        replaced;
       state.hash <- Int64.logxor state.hash (Reconcile.entry_hash (key, stamp));
-      Hashtbl.replace state.table key (value, stamp);
-      state.view <- None;
+      state.table <- table;
       Store.set (Runtime.store ctx) ~key:(mirror_key key) (Reconcile.stamp_to_string stamp);
       true
-
-(* ---- the digest view ----
-
-   Every sync round describes a window of the key-sorted table, and most
-   rounds see the same table as the last one.  The view is that sorted
-   description with each entry's digest value and encoded size, rebuilt
-   only when [apply] has changed the table since it was last read. *)
-
-let digest_view state =
-  match state.view with
-  | Some view -> view
-  | None ->
-      let sorted =
-        Hashtbl.fold (fun key (_, stamp) acc -> (key, stamp) :: acc) state.table []
-        |> List.sort Reconcile.entry_compare
-      in
-      let view =
-        List.map
-          (fun entry ->
-            let value = Reconcile.entry_value entry in
-            { entry; value; size = Reconcile.value_size value })
-          sorted
-      in
-      state.view <- Some view;
-      view
-
-(* The suffix of the view whose keys are >= [key]. *)
-let rec view_from key = function
-  | e :: rest when String.compare (fst e.entry) key < 0 -> view_from key rest
-  | view -> view
 
 (* ---- sync-message accounting ---- *)
 
@@ -239,7 +225,8 @@ let rec view_from key = function
    that still exceeds the budget — only possible when one entry alone is
    bigger than the budget — is surfaced as replica.sync.over_budget instead
    of being silently withheld. *)
-let message_size ~command args = Reconcile.value_size (Value.tuple (Value.str command :: args))
+let message_size command x =
+  match Command.encoded_size command x with Ok n -> n | Error _ -> max_int
 
 let note_sync_size state size =
   Metrics.incr state.m.sync_msgs;
@@ -248,8 +235,8 @@ let note_sync_size state size =
   if float_of_int size > Metrics.gauge_value state.m.max_bytes then
     Metrics.set_gauge state.m.max_bytes (float_of_int size)
 
-let note_sync_message state ~command args = note_sync_size state (message_size ~command args)
-let pull_entry_size key = Reconcile.value_size (Value.str key)
+let note_sync_message state command x = note_sync_size state (message_size command x)
+let size_of ty x = match Command.size_of ty x with Ok n -> n | Error _ -> max_int
 
 (* ---- fanout peer selection ---- *)
 
@@ -291,40 +278,35 @@ let send_deltas ctx state ~to_ keys =
   let entries =
     List.filter_map
       (fun key ->
-        match Hashtbl.find_opt state.table key with
-        | Some (value, stamp) ->
-            Some (Value.tuple [ Value.str key; value; Reconcile.stamp_value stamp ])
-        | None -> None)
+        Option.map (fun (value, stamp) -> (key, value, stamp)) (Reconcile.find state.table key))
       keys
   in
   if entries <> [] then begin
-    let hash = Reconcile.hash_value state.hash in
+    let hash = Reconcile.hash_string state.hash in
     List.iter
       (fun chunk ->
-        let args = [ Value.list chunk; hash ] in
-        note_sync_message state ~command:"sync_delta" args;
+        note_sync_message state sync_delta (chunk, hash);
         Metrics.add state.m.pushes (List.length chunk);
-        Runtime.send ctx ~to_ ~reply_to:(own_port ctx) "sync_delta" args)
-      (Reconcile.chunks ~budget:state.config.byte_budget ~size:Reconcile.value_size entries)
+        Runtime.send_command ctx ~to_ ~reply_to:(own_port ctx) sync_delta (chunk, hash))
+      (Reconcile.chunks ~budget:state.config.byte_budget ~size:(size_of delta_entry) entries)
   end
 
 let send_pulls ctx state ~to_ keys =
   if keys <> [] then begin
-    let hash = Reconcile.hash_value state.hash in
+    let hash = Reconcile.hash_string state.hash in
     List.iter
       (fun chunk ->
-        let args = [ Value.list (List.map Value.str chunk); hash ] in
-        note_sync_message state ~command:"sync_pull" args;
+        note_sync_message state sync_pull (chunk, hash);
         Metrics.add state.m.pulls (List.length chunk);
-        Runtime.send ctx ~to_ ~reply_to:(own_port ctx) "sync_pull" args)
-      (Reconcile.chunks ~budget:state.config.byte_budget ~size:pull_entry_size keys)
+        Runtime.send_command ctx ~to_ ~reply_to:(own_port ctx) sync_pull (chunk, hash))
+      (Reconcile.chunks ~budget:state.config.byte_budget ~size:(size_of Command.str) keys)
   end
 
 let send_ack ctx state ~to_ =
-  let args = [ Reconcile.hash_value state.hash ] in
-  note_sync_message state ~command:"sync_ack" args;
+  let hash = Reconcile.hash_string state.hash in
+  note_sync_message state sync_ack hash;
   Metrics.incr state.m.acks;
-  Runtime.send ctx ~to_ ~reply_to:(own_port ctx) "sync_ack" args
+  Runtime.send_command ctx ~to_ ~reply_to:(own_port ctx) sync_ack hash
 
 (* The peers this tick digests: the drawn peers not known to hold this
    replica's hash, or, once every peer is known to, one drawn peer every
@@ -356,94 +338,65 @@ let send_sync ctx state =
       match digest_targets state chosen with
       | [] -> ()
       | targets ->
-          let taken, rest =
-            Reconcile.take_within ~budget:state.config.byte_budget ~size:(fun e -> e.size)
-              (view_from state.cursor (digest_view state))
-          in
           let lo = state.cursor in
-          let hi = match rest with [] -> None | e :: _ -> Some (fst e.entry) in
-          state.cursor <- (match hi with None -> "" | Some key -> key);
-          let head =
-            [
-              Value.str lo;
-              Value.option (Option.map Value.str hi);
-              Value.list (List.map (fun e -> e.value) taken);
-              Reconcile.hash_value state.hash;
-            ]
+          let taken, hi =
+            Reconcile.take_window ~budget:state.config.byte_budget state.table ~from:lo
           in
+          state.cursor <- (match hi with None -> "" | Some key -> key);
+          let hash = Reconcile.hash_string state.hash in
           (* Digests differ only in their last argument; size the window once. *)
-          let unknown = Value.option None in
-          let size = message_size ~command:"sync_digest" (head @ [ unknown ]) in
+          let size = message_size sync_digest (lo, hi, taken, hash, None) in
+          let believed_size = size_of Command.(option str) in
           List.iter
             (fun i ->
-              let believed = Value.option (Option.map Reconcile.hash_value state.beliefs.(i)) in
-              note_sync_size state
-                (size + Reconcile.value_size believed - Reconcile.value_size unknown);
-              Runtime.send ctx ~to_:state.peers.(i) ~reply_to:(own_port ctx) "sync_digest"
-                (head @ [ believed ]))
+              let believed = Option.map Reconcile.hash_string state.beliefs.(i) in
+              note_sync_size state (size + believed_size believed - believed_size None);
+              Runtime.send_command ctx ~to_:state.peers.(i) ~reply_to:(own_port ctx) sync_digest
+                (lo, hi, taken, hash, believed))
             targets)
 
 let broadcast_gossip ctx state ~key ~value ~stamp =
   List.iter
-    (fun i ->
-      Runtime.send ctx ~to_:state.peers.(i) "gossip"
-        [ Value.str key; value; Reconcile.stamp_value stamp ])
+    (fun i -> Runtime.send_command ctx ~to_:state.peers.(i) gossip (key, value, stamp))
     (choose_peers state)
 
 (* ---- inbound sync messages ---- *)
 
 (* Strict parses: one malformed element poisons the whole message (dropped,
    counted), because a partially applied sync message would leave the
-   protocol in a state no honest sender can produce.
+   protocol in a state no honest sender can produce.  The port's type has
+   already checked the shapes; what is left are the values no honest
+   replica sends: stamps that are not positive, hashes that are not 8
+   bytes.
 
    An honest digest arrives strictly key-sorted and is used as it is;
-   anything else is sorted and deduplicated from the reversed parse, so the
+   anything else is sorted and deduplicated from the reversed list, so the
    entry kept for a repeated key is the one it always was. *)
+let stamp_ok (counter, origin) = counter > 0 && origin >= 0
+
 let parse_digest_entries entries =
-  let rec parse ascending parsed = function
-    | [] ->
-        Some
-          (if ascending then List.rev parsed
-           else List.sort_uniq Reconcile.entry_compare parsed)
-    | v :: rest -> (
-        match Reconcile.entry_of_value v with
-        | None -> None
-        | Some ((key, _) as entry) ->
-            let ascending =
-              ascending
-              && match parsed with [] -> true | (prev, _) :: _ -> String.compare prev key < 0
-            in
-            parse ascending (entry :: parsed) rest)
+  let rec check ascending prev = function
+    | [] -> Some ascending
+    | (key, stamp) :: rest ->
+        if not (stamp_ok stamp) then None
+        else
+          check
+            (ascending && match prev with None -> true | Some p -> String.compare p key < 0)
+            (Some key) rest
   in
-  parse true [] entries
+  match check true None entries with
+  | None -> None
+  | Some true -> Some entries
+  | Some false -> Some (List.sort_uniq Reconcile.entry_compare (List.rev entries))
 
 let parse_delta_entries entries =
-  List.fold_left
-    (fun acc v ->
-      match acc with
-      | None -> None
-      | Some parsed -> (
-          match v with
-          | Value.Tuple [ Value.Str key; value; stamp ] ->
-              Option.map (fun s -> (key, value, s) :: parsed) (Reconcile.stamp_of_value stamp)
-          | _ -> None))
-    (Some []) entries
-  |> Option.map List.rev
-
-let parse_pull_keys keys =
-  List.fold_left
-    (fun acc v ->
-      match (acc, v) with
-      | Some parsed, Value.Str key -> Some (key :: parsed)
-      | _, _ -> None)
-    (Some []) keys
-  |> Option.map (List.sort_uniq String.compare)
+  if List.for_all (fun (_, _, stamp) -> stamp_ok stamp) entries then Some entries else None
 
 (* A digest's guess at the receiver's hash: [Some None] when it has none,
    [None] when malformed. *)
 let parse_believed = function
   | None -> Some None
-  | Some v -> Option.map Option.some (Reconcile.hash_of_value v)
+  | Some s -> Option.map Option.some (Reconcile.hash_of_string s)
 
 (* A digest whose window matches and whose hash is the receiver's finds
    the tables equal: the receiver acks, so the sender learns it agrees,
@@ -452,14 +405,10 @@ let handle_sync_digest ctx state ~reply ~lo ~hi ~hash ~believed entries =
   let window = { Reconcile.lo; hi } in
   if not (Reconcile.window_ok window) then malformed state
   else
-    match (parse_digest_entries entries, Reconcile.hash_of_value hash, parse_believed believed) with
+    match (parse_digest_entries entries, Reconcile.hash_of_string hash, parse_believed believed) with
     | None, _, _ | _, None, _ | _, _, None -> malformed state
     | Some claimed, Some hash, Some believed ->
-        let rec window_run = function
-          | e :: rest when Reconcile.in_window window (fst e.entry) -> e.entry :: window_run rest
-          | _ -> []
-        in
-        let held = window_run (view_from lo (digest_view state)) in
+        let held = Reconcile.held_in state.table window in
         let d = Reconcile.diff ~claimed ~held in
         (* Observe the largest claimed stamp even for keys we do not pull:
            a crash-rejoined replica must not mint write stamps that lose to
@@ -476,14 +425,14 @@ let handle_sync_digest ctx state ~reply ~lo ~hi ~hash ~believed entries =
         end
 
 let handle_sync_pull ctx state ~reply ~hash keys =
-  match (parse_pull_keys keys, Reconcile.hash_of_value hash) with
-  | None, _ | _, None -> malformed state
-  | Some keys, Some hash ->
+  match Reconcile.hash_of_string hash with
+  | None -> malformed state
+  | Some hash ->
       note_hash state ~from:reply hash;
-      send_deltas ctx state ~to_:reply keys
+      send_deltas ctx state ~to_:reply (List.sort_uniq String.compare keys)
 
 let handle_sync_delta ctx state ~reply ~hash entries =
-  match (parse_delta_entries entries, Reconcile.hash_of_value hash) with
+  match (parse_delta_entries entries, Reconcile.hash_of_string hash) with
   | None, _ | _, None -> malformed state
   | Some entries, Some hash ->
       List.iter
@@ -492,49 +441,34 @@ let handle_sync_delta ctx state ~reply ~hash entries =
       Option.iter (fun from -> note_hash state ~from hash) reply
 
 let handle_sync_ack state ~reply ~hash =
-  match Reconcile.hash_of_value hash with
+  match Reconcile.hash_of_string hash with
   | None -> malformed state
   | Some hash -> Option.iter (fun from -> note_hash state ~from hash) reply
 
 (* ---- membership ---- *)
 
-let parse_join_peers values =
-  List.fold_left
-    (fun acc v ->
-      match (acc, v) with
-      | Some parsed, Value.Portv p -> Some (p :: parsed)
-      | _, _ -> None)
-    (Some []) values
-
 (* Idempotent membership: union with what we already know, drop our own
    port, dedup.  A retried bootstrap join (Rpc ~attempts:5) or a peer list
    that includes the replica itself can no longer make a replica gossip to
    itself or forget peers. *)
-let handle_join ctx state values =
-  match parse_join_peers values with
-  | None ->
-      malformed state;
-      false
-  | Some ports ->
-      let own = Dcp_core.Port.name (Runtime.port ctx 0) in
-      let merged =
-        Array.to_list state.peers @ ports
-        |> List.filter (fun p -> not (Port_name.equal p own))
-        |> List.sort_uniq Port_name.compare
-        |> Array.of_list
-      in
-      state.beliefs <-
-        Array.map
-          (fun p -> Option.bind (peer_index state.peers p) (Array.get state.beliefs))
-          merged;
-      state.peers <- merged;
-      persist_peers ctx state.peers;
-      true
+let handle_join ctx state ports =
+  let own = Dcp_core.Port.name (Runtime.port ctx 0) in
+  let merged =
+    Array.to_list state.peers @ ports
+    |> List.filter (fun p -> not (Port_name.equal p own))
+    |> List.sort_uniq Port_name.compare
+    |> Array.of_list
+  in
+  state.beliefs <-
+    Array.map (fun p -> Option.bind (peer_index state.peers p) (Array.get state.beliefs)) merged;
+  state.peers <- merged;
+  persist_peers ctx state.peers
 
 (* ---- the serve loop ---- *)
 
 let serve ctx state =
   let request_port = Runtime.port ctx 0 in
+  Runtime.accept ctx request_port commands;
   (* Periodic anti-entropy, phase-staggered per replica (deterministically,
      from the same split RNG) so a large group does not tick in lockstep. *)
   ignore
@@ -546,65 +480,57 @@ let serve ctx state =
            tick ()
          in
          tick ()));
+  let handlers =
+    [
+      Message.handle write_request (fun msg (id, key, value) ->
+          state.clock <- state.clock + 1;
+          let stamp = (state.clock, state.replica_id) in
+          ignore (apply ctx state ~key ~value ~stamp);
+          broadcast_gossip ctx state ~key ~value ~stamp;
+          match msg.Message.reply_to with
+          | Some reply ->
+              Runtime.send ctx ~to_:reply "written" [ Value.int id; Reconcile.stamp_value stamp ]
+          | None -> ());
+      Message.handle read_request (fun msg (id, key) ->
+          match (Reconcile.find state.table key, msg.Message.reply_to) with
+          | Some (value, stamp), Some reply ->
+              Runtime.send ctx ~to_:reply "value"
+                [ Value.int id; value; Reconcile.stamp_value stamp ]
+          | None, Some reply -> Runtime.send ctx ~to_:reply "unknown_key" [ Value.int id ]
+          | _, None -> ());
+      Message.handle join_request (fun msg (id, ports) ->
+          handle_join ctx state ports;
+          match msg.Message.reply_to with
+          | Some reply -> Runtime.send ctx ~to_:reply "joined" [ Value.int id ]
+          | None -> ());
+      Message.handle gossip (fun _ (key, value, stamp) ->
+          if stamp_ok stamp then ignore (apply ctx state ~key ~value ~stamp)
+          else malformed state);
+      Message.handle sync_digest (fun msg (lo, hi, entries, hash, believed) ->
+          match msg.Message.reply_to with
+          | Some reply -> handle_sync_digest ctx state ~reply ~lo ~hi ~hash ~believed entries
+          | None ->
+              (* digest without a return path: nothing can be pushed or
+                 pulled back, so there is nothing to do *)
+              ());
+      Message.handle sync_pull (fun msg (keys, hash) ->
+          match msg.Message.reply_to with
+          | Some reply -> handle_sync_pull ctx state ~reply ~hash keys
+          | None -> ());
+      Message.handle sync_delta (fun msg (entries, hash) ->
+          handle_sync_delta ctx state ~reply:msg.Message.reply_to ~hash entries);
+      Message.handle sync_ack (fun msg hash ->
+          handle_sync_ack state ~reply:msg.Message.reply_to ~hash);
+      Message.handle Command.failure (fun _ _ ->
+          (* system failure message for a discarded sync (dead peer, full
+             port): anti-entropy retries by design *)
+          ());
+    ]
+  in
   let rec loop () =
     (match Runtime.receive ctx [ request_port ] with
     | `Timeout -> ()
-    | `Msg (_, msg) -> (
-        match (msg.Message.command, msg.Message.args) with
-        | "write", [ Value.Int id; Value.Str key; value ] ->
-            state.clock <- state.clock + 1;
-            let stamp = (state.clock, state.replica_id) in
-            ignore (apply ctx state ~key ~value ~stamp);
-            broadcast_gossip ctx state ~key ~value ~stamp;
-            (match msg.Message.reply_to with
-            | Some reply ->
-                Runtime.send ctx ~to_:reply "written"
-                  [ Value.int id; Reconcile.stamp_value stamp ]
-            | None -> ())
-        | "read", [ Value.Int id; Value.Str key ] -> (
-            match (Hashtbl.find_opt state.table key, msg.Message.reply_to) with
-            | Some (value, stamp), Some reply ->
-                Runtime.send ctx ~to_:reply "value"
-                  [ Value.int id; value; Reconcile.stamp_value stamp ]
-            | None, Some reply -> Runtime.send ctx ~to_:reply "unknown_key" [ Value.int id ]
-            | _, None -> ())
-        | "join", [ Value.Int id; Value.Listv peer_values ] -> (
-            match (handle_join ctx state peer_values, msg.Message.reply_to) with
-            | true, Some reply -> Runtime.send ctx ~to_:reply "joined" [ Value.int id ]
-            | false, Some reply ->
-                (* A malformed peer list used to be dropped silently, leaving
-                   the joining side to burn its full timeout x attempts budget
-                   on a request that can never succeed; fail fast instead. *)
-                Runtime.send ctx ~to_:reply "failure" [ Value.str "join: malformed peer list" ]
-            | _, None -> ())
-        | "gossip", [ Value.Str key; value; stamp ] -> (
-            match Reconcile.stamp_of_value stamp with
-            | None -> malformed state
-            | Some stamp -> ignore (apply ctx state ~key ~value ~stamp))
-        | ( "sync_digest",
-            [ Value.Str lo; Value.Option hi; Value.Listv entries; hash; Value.Option believed ] )
-          -> (
-            match (hi, msg.Message.reply_to) with
-            | Some (Value.Str _), Some reply | None, Some reply ->
-                let hi = match hi with Some (Value.Str h) -> Some h | _ -> None in
-                handle_sync_digest ctx state ~reply ~lo ~hi ~hash ~believed entries
-            | _, Some _ -> malformed state
-            | _, None ->
-                (* digest without a return path: nothing can be pushed or
-                   pulled back, so there is nothing to do *)
-                ())
-        | "sync_pull", [ Value.Listv keys; hash ] -> (
-            match msg.Message.reply_to with
-            | Some reply -> handle_sync_pull ctx state ~reply ~hash keys
-            | None -> ())
-        | "sync_delta", [ Value.Listv entries; hash ] ->
-            handle_sync_delta ctx state ~reply:msg.Message.reply_to ~hash entries
-        | "sync_ack", [ hash ] -> handle_sync_ack state ~reply:msg.Message.reply_to ~hash
-        | "failure", _ ->
-            (* system failure message for a discarded sync (dead peer,
-               full port): anti-entropy retries by design *)
-            ()
-        | _ -> malformed state));
+    | `Msg (_, msg) -> if not (Message.dispatch handlers msg) then malformed state);
     loop ()
   in
   loop ()
@@ -613,8 +539,7 @@ let make_state ctx ~config ~peers =
   {
     replica_id = Runtime.guardian_id (Runtime.ctx_guardian ctx);
     config;
-    table = Hashtbl.create 32;
-    view = None;
+    table = Reconcile.empty;
     hash = 0L;
     clock = 0;
     peers;

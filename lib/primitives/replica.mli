@@ -43,14 +43,20 @@
     sync_ack(hash)                                       -- "our tables are equal"
     v}
 
-    A hash is an 8-byte string ({!Reconcile.hash_value}); [believed] is
+    A hash is an 8-byte string ({!Reconcile.hash_string}); [believed] is
     the hash the digest's sender believes the receiver holds.  Digests,
     pulls, deltas and acks name their sender by [reply_to].
 
-    Malformed replica-to-replica messages (semantically invalid stamps,
-    bad windows, hashes that are not 8 bytes, non-port peers) are dropped and counted on the
-    [replica.malformed] metric — never raised, per §3.4's best-effort
-    delivery.  Replicas recover after a node crash with their membership
+    The port is declared from the typed commands below
+    ({!Dcp_core.Runtime.accept}), so the runtime reads each message's
+    arguments straight into OCaml values, and the replica sends its
+    gossip and sync messages with {!Dcp_core.Runtime.send_command}: the
+    bytes are those of the Value form.  A message of the wrong shape is
+    refused by the runtime with a failure message, as the port type
+    always refused it.  Semantically malformed replica-to-replica
+    messages (invalid stamps, bad windows, hashes that are not 8 bytes)
+    are dropped and counted on the [replica.malformed] metric — never
+    raised, per §3.4's best-effort delivery.  Replicas recover after a node crash with their membership
     and sync configuration (stable store) but an empty table: the data is
     soft state that anti-entropy refills, and the recovering replica
     adopts the largest Lamport counter its peers claim before accepting
@@ -59,7 +65,31 @@
 open Dcp_wire
 
 val def_name : string
+
+(** {1 Commands}
+
+    The replica's port is typed ({!Dcp_core.Runtime.accept}): each command
+    below is its one declaration, which gives the port type, the typed
+    send and the handler's arguments. *)
+
+val write_request : (int * string * Value.t) Command.t
+val read_request : (int * string) Command.t
+val join_request : (int * Port_name.t list) Command.t
+val gossip : (string * Value.t * Reconcile.stamp) Command.t
+
+val sync_digest :
+  (string * string option * (string * Reconcile.stamp) list * string * string option) Command.t
+(** [(lo, hi, entries, hash, believed)], hashes as {!Reconcile.hash_string}. *)
+
+val sync_pull : (string list * string) Command.t
+val sync_delta : ((string * Value.t * Reconcile.stamp) list * string) Command.t
+val sync_ack : string Command.t
+
+val commands : Command.decl
+
 val port_type : Vtype.port_type
+(** [Command.port_type commands]. *)
+
 val def : Dcp_core.Runtime.def
 
 val create_group :

@@ -6,24 +6,39 @@ module Crc32 = Dcp_net.Crc32
    may contain any byte.  Parsing is total: every malformed shape answers
    [None]. *)
 
+(* The frame is sized first and written into one buffer of that size; the
+   CRC is taken over the body in place and written after it. *)
+let field_width s = Decimal.width (String.length s) + 1 + String.length s
+
+let put_field b pos s =
+  let len = String.length s in
+  Decimal.put b pos len;
+  let pos = pos + Decimal.width len in
+  Bytes.unsafe_set b pos ':';
+  Bytes.blit_string s 0 b (pos + 1) len;
+  pos + 1 + len
+
+let hex = "0123456789abcdef"
+
 let make ~upto pairs =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf 'C';
-  Buffer.add_string buf (string_of_int upto);
-  Buffer.add_char buf ';';
-  Buffer.add_string buf (string_of_int (List.length pairs));
-  Buffer.add_char buf ';';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf (string_of_int (String.length k));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf k;
-      Buffer.add_string buf (string_of_int (String.length v));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf v)
-    pairs;
-  let body = Buffer.contents buf in
-  Printf.sprintf "%s%08lx" body (Crc32.digest_string body)
+  let count = List.length pairs in
+  let head = 3 + Decimal.width upto + Decimal.width count in
+  let body =
+    List.fold_left (fun acc (k, v) -> acc + field_width k + field_width v) head pairs
+  in
+  let b = Bytes.create (body + 8) in
+  Bytes.unsafe_set b 0 'C';
+  Decimal.put b 1 upto;
+  let pos = 1 + Decimal.width upto in
+  Bytes.unsafe_set b pos ';';
+  Decimal.put b (pos + 1) count;
+  Bytes.unsafe_set b (head - 1) ';';
+  ignore (List.fold_left (fun pos (k, v) -> put_field b (put_field b pos k) v) head pairs);
+  let crc = Int32.to_int (Crc32.digest_sub b ~pos:0 ~len:body) land 0xffff_ffff in
+  for i = 0 to 7 do
+    Bytes.unsafe_set b (body + i) hex.[(crc lsr (4 * (7 - i))) land 0xf]
+  done;
+  Bytes.unsafe_to_string b
 
 let framed blob =
   let n = String.length blob in

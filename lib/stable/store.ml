@@ -32,10 +32,20 @@ let create ?disk ?checkpoint_every () =
 
 let set_stall_handler t f = t.on_stall <- f
 
-let encode_set ~key value =
-  Printf.sprintf "S%d:%s%s" (String.length key) key value
+(* One record, "<op><klen>:<key><rest>", in one allocation of its size. *)
+let record op ~key rest =
+  let klen = String.length key and rlen = String.length rest in
+  let w = Decimal.width klen in
+  let b = Bytes.create (2 + w + klen + rlen) in
+  Bytes.unsafe_set b 0 op;
+  Decimal.put b 1 klen;
+  Bytes.unsafe_set b (1 + w) ':';
+  Bytes.blit_string key 0 b (2 + w) klen;
+  Bytes.blit_string rest 0 b (2 + w + klen) rlen;
+  Bytes.unsafe_to_string b
 
-let encode_remove ~key = Printf.sprintf "R%d:%s" (String.length key) key
+let encode_set ~key value = record 'S' ~key value
+let encode_remove ~key = record 'R' ~key ""
 
 let decode record =
   let fail () = invalid_arg "Store: malformed log record" in

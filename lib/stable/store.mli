@@ -30,6 +30,11 @@ val set_stall_handler : t -> (int -> unit) -> unit
     the owning guardian's sleep here.  Default: ignore (tests, bare
     stores). *)
 
+val encode_set : key:string -> string -> string
+val encode_remove : key:string -> string
+(** The log records of a set and a remove: ["S<klen>:<key><value>"] and
+    ["R<klen>:<key>"], [klen] in decimal. *)
+
 val set : t -> key:string -> string -> unit
 val remove : t -> key:string -> unit
 val get : t -> key:string -> string option

@@ -152,24 +152,30 @@ let rec uvarint_size_from n u =
 let uvarint_size u = uvarint_size_from 1 u
 let varint_size i = uvarint_size (zigzag i)
 
+let port_size p =
+  varint_size p.Port_name.node + varint_size p.Port_name.guardian
+  + varint_size p.Port_name.index + varint_size p.Port_name.uid
+
+let int_size config i =
+  if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
+  varint_size i
+
+let str_size config s =
+  let len = String.length s in
+  if len > config.max_string then raise (Codec_error (String_too_long len));
+  uvarint_size len + len
+
 let rec size_value config acc v =
   match v with
   | Value.Unit | Value.Bool _ | Value.Option None -> acc + 1
-  | Value.Int i ->
-      if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
-      acc + 1 + varint_size i
+  | Value.Int i -> acc + 1 + int_size config i
   | Value.Real _ -> acc + 9
-  | Value.Str s ->
-      let len = String.length s in
-      if len > config.max_string then raise (Codec_error (String_too_long len));
-      acc + 1 + uvarint_size len + len
+  | Value.Str s -> acc + 1 + str_size config s
   | Value.Listv items | Value.Tuple items ->
       size_items config (acc + 1 + uvarint_size (List.length items)) items
   | Value.Record fields -> size_fields config (acc + 1 + uvarint_size (List.length fields)) fields
   | Value.Option (Some inner) -> size_value config (acc + 1) inner
-  | Value.Portv p ->
-      acc + 1 + varint_size p.Port_name.node + varint_size p.Port_name.guardian
-      + varint_size p.Port_name.index + varint_size p.Port_name.uid
+  | Value.Portv p -> acc + 1 + port_size p
   | Value.Tokenv tok -> acc + 17 + varint_size (Token.owner tok)
   | Value.Named (name, rep) ->
       let len = String.length name in
@@ -185,7 +191,7 @@ and size_fields config acc = function
       let len = String.length name in
       size_fields config (size_value config (acc + uvarint_size len + len) fv) rest
 
-type reader = { input : string; mutable pos : int }
+type reader = { mutable input : string; mutable pos : int }
 
 (* [pos] only grows from 0, so one comparison bounds the load. *)
 let read_byte r =
@@ -294,10 +300,18 @@ and[@tail_mod_cons] decode_fields config r n =
     let field = (name, decode_value config r) in
     field :: decode_fields config r (n - 1)
 
-let reader config input =
+let check_length config input =
   if String.length input > config.max_message then
-    raise (Codec_error (Message_too_long (String.length input)));
+    raise (Codec_error (Message_too_long (String.length input)))
+
+let reader config input =
+  check_length config input;
   { input; pos = 0 }
+
+let reread r config input =
+  check_length config input;
+  r.input <- input;
+  r.pos <- 0
 
 let at_end r = r.pos = String.length r.input
 
@@ -334,6 +348,10 @@ let finish enc =
     Error (Message_too_long (Buffer.length buf))
   else Ok (Buffer.contents buf)
 
+let add_byte enc b = Buffer.add_char enc.scratch (Char.unsafe_chr b)
+let add_count enc n = write_uvarint enc.scratch n
+let add_value enc v = encode_value enc.enc_config enc.scratch v
+
 let encode_with enc v =
   start enc;
   match encode_value enc.enc_config enc.scratch v with
@@ -362,14 +380,17 @@ let record_head fields =
   Buffer.contents buf
 
 (* A value's tag is the first byte [encode_value] writes for it. *)
+let tag v =
+  let one = Buffer.create 16 in
+  encode_value default_config one v;
+  Char.code (Buffer.nth one 0)
+
 let field_head name v =
   let buf = Buffer.create 16 in
   write_uvarint buf (String.length name);
   Buffer.add_string buf name;
   let rec tags v =
-    let one = Buffer.create 16 in
-    encode_value default_config one v;
-    Buffer.add_char buf (Buffer.nth one 0);
+    Buffer.add_char buf (Char.chr (tag v));
     match v with Value.Option (Some inner) -> tags inner | _ -> ()
   in
   tags v;
@@ -380,6 +401,10 @@ let encode_exn ?config v =
 
 let decode_exn ?config s =
   match decode ?config s with Ok v -> v | Error e -> raise (Codec_error e)
+
+let count_size = uvarint_size
+let value_size config v = size_value config 0 v
+let read_value = decode_value
 
 let encoded_size ?(config = default_config) v =
   match size_value config 0 v with

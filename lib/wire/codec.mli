@@ -113,6 +113,10 @@ type reader
 val reader : config -> string -> reader
 (** Raises where {!decode} fails on the length alone. *)
 
+val reread : reader -> config -> string -> unit
+(** Point a reader at a new input, from its start, as {!reader} would
+    make one: a hot reader allocates no reader per input. *)
+
 val skip_run : reader -> string -> bool
 (** Step over the given bytes if the input continues with them; [false]
     (and no step) otherwise. *)
@@ -122,3 +126,38 @@ val read_str : config -> reader -> string
 val read_int : config -> reader -> int
 val read_items : config -> reader -> Value.t list
 val at_end : reader -> bool
+
+(** {2 Steps of a typed layout}
+
+    {!Command} writes, sizes and reads each argument from its declared
+    type rather than from a {!Value.t}: one tag byte, then the payload.
+    These are the codec's own steps for that, with the checks it makes
+    there (raising {!Codec_error}). *)
+
+val tag : Value.t -> int
+(** The tag byte that opens [v]'s encoding; only [v]'s outer constructor
+    matters. *)
+
+val add_byte : encoder -> int -> unit
+val add_count : encoder -> int -> unit
+(** A collection's element count or a string's length. *)
+
+val add_value : encoder -> Value.t -> unit
+(** A whole value, tag included. *)
+
+val count_size : int -> int
+val int_size : config -> int -> int
+val str_size : config -> string -> int
+val port_size : Port_name.t -> int
+(** Payload sizes: what [add_count], [add_int], [add_str] and
+    [add_port] write. *)
+
+val value_size : config -> Value.t -> int
+(** What [add_value] writes. *)
+
+val read_byte : reader -> int
+val read_count : reader -> int
+(** An element count; [Malformed] when negative. *)
+
+val read_value : config -> reader -> Value.t
+(** A whole value, tag included. *)

@@ -133,6 +133,78 @@ let test_check_all_reports_every_failure () =
     (Check.Oracle.check_all [ oracle "b" (Ok ()); oracle "c" (Error "third") ] world);
   Alcotest.check verdict "no failure" (Ok ()) (Check.Oracle.check_all [ oracle "b" (Ok ()) ] world)
 
+(* The convergence verdict as it was computed when every table was
+   parsed before the first comparison: the reference for the oracle, which
+   now parses each table only when the comparison reaches it. *)
+let reference_verdict tables =
+  let module Reconcile = Dcp_primitives.Reconcile in
+  match tables with
+  | [] | [ _ ] -> Ok ()
+  | reference :: rest ->
+      let entry_to_string (key, stamp) =
+        Printf.sprintf "%s@%s" key (Reconcile.stamp_to_string stamp)
+      in
+      let entry_equal (k1, s1) (k2, s2) =
+        String.equal k1 k2 && Reconcile.stamp_compare s1 s2 = 0
+      in
+      let rec first_difference a b =
+        match (a, b) with
+        | [], [] -> "none"
+        | e :: _, [] -> Printf.sprintf "%s missing" (entry_to_string e)
+        | [], e :: _ -> Printf.sprintf "%s extra" (entry_to_string e)
+        | e1 :: r1, e2 :: r2 ->
+            if entry_equal e1 e2 then first_difference r1 r2
+            else Printf.sprintf "%s vs %s" (entry_to_string e1) (entry_to_string e2)
+      in
+      let rec first_divergence i = function
+        | [] -> Ok ()
+        | table :: rest ->
+            if List.equal entry_equal reference table then first_divergence (i + 1) rest
+            else
+              Error
+                (Printf.sprintf "replica %d diverges from replica 0 (%d vs %d keys; first: %s)" i
+                   (List.length table) (List.length reference)
+                   (first_difference reference table))
+      in
+      first_divergence 1 rest
+
+(* Diverged replica tables, written straight into the mirrors: the
+   verdict text is the one the parse-everything oracle gave. *)
+let test_replica_verdict_text () =
+  let module Runtime = Dcp_core.Runtime in
+  let module Replica = Dcp_primitives.Replica in
+  let module Store = Dcp_stable.Store in
+  let cases =
+    [
+      ("converged", [ [ ("a", "1.1") ]; [ ("a", "1.1") ]; [ ("a", "1.1") ]; [ ("a", "1.1") ] ]);
+      ("a missing key", [ [ ("a", "1.1"); ("b", "2.1") ]; [ ("a", "1.1") ]; []; [] ]);
+      ("an extra key", [ [ ("a", "1.1") ]; [ ("a", "1.1") ]; [ ("a", "1.1"); ("c", "1.2") ]; [] ]);
+      ("another stamp", [ [ ("a", "1.1") ]; [ ("a", "1.1") ]; [ ("a", "1.1") ]; [ ("a", "3.2") ] ]);
+      ("an empty reference", [ []; [ ("z", "9.0") ]; [ ("z", "9.0") ]; [] ]);
+    ]
+  in
+  List.iter
+    (fun (label, tables) ->
+      let world =
+        Runtime.create_world ~seed:3
+          ~topology:(Dcp_net.Topology.full_mesh ~n:4 Dcp_net.Link.perfect)
+          ()
+      in
+      ignore (Replica.create_group world ~nodes:[ 0; 1; 2; 3 ] ~sync_every:(Clock.s 1000) ());
+      Runtime.run_for world (Clock.s 1);
+      let stores =
+        List.map Runtime.guardian_store (Runtime.find_guardians world ~def_name:Replica.def_name)
+      in
+      List.iter2
+        (fun store table ->
+          List.iter (fun (key, stamp) -> Store.set store ~key:("r:" ^ key) stamp) table)
+        stores tables;
+      Alcotest.(check (result unit string))
+        label
+        (reference_verdict (List.map Replica.table_in_store stores))
+        (Check.Oracle.replica_convergence.Check.Oracle.check world))
+    cases
+
 let tests =
   [
     Alcotest.test_case "mutated model is detected" `Quick test_mutation_detected;
@@ -147,4 +219,6 @@ let tests =
       test_replica_run_outlasts_its_driver;
     Alcotest.test_case "check_all reports every failing oracle" `Quick
       test_check_all_reports_every_failure;
+    Alcotest.test_case "replica verdict text of diverged tables" `Quick
+      test_replica_verdict_text;
   ]

@@ -290,6 +290,54 @@ let prop_recovery_idempotent =
       done;
       !stable)
 
+(* ---- the writers against the code they replaced ----
+
+   Records and checkpoint frames are written into one buffer of their
+   exact size; these are the Printf and Buffer versions that wrote them
+   before, kept as the reference for every byte. *)
+
+let reference_set ~key value = Printf.sprintf "S%d:%s%s" (String.length key) key value
+let reference_remove ~key = Printf.sprintf "R%d:%s" (String.length key) key
+
+let reference_checkpoint ~upto pairs =
+  let buf = Buffer.create 256 in
+  Buffer.add_char buf 'C';
+  Buffer.add_string buf (string_of_int upto);
+  Buffer.add_char buf ';';
+  Buffer.add_string buf (string_of_int (List.length pairs));
+  Buffer.add_char buf ';';
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_string buf (string_of_int (String.length k));
+      Buffer.add_char buf ':';
+      Buffer.add_string buf k;
+      Buffer.add_string buf (string_of_int (String.length v));
+      Buffer.add_char buf ':';
+      Buffer.add_string buf v)
+    pairs;
+  let body = Buffer.contents buf in
+  Printf.sprintf "%s%08lx" body (Dcp_net.Crc32.digest_string body)
+
+let gen_bytes =
+  QCheck2.Gen.(
+    string_size ~gen:char (frequency [ (8, int_range 0 12); (1, int_range 9 120); (1, pure 1000) ]))
+
+let prop_record_writers =
+  QCheck2.Test.make ~name:"log records equal the Printf reference's bytes" ~count:500
+    QCheck2.Gen.(pair gen_bytes gen_bytes)
+    (fun (key, value) ->
+      String.equal (Store.encode_set ~key value) (reference_set ~key value)
+      && String.equal (Store.encode_remove ~key) (reference_remove ~key))
+
+let prop_checkpoint_writer =
+  QCheck2.Test.make ~name:"checkpoint frames equal the Buffer reference's bytes" ~count:300
+    QCheck2.Gen.(
+      pair
+        (oneof [ int_range 0 20; int_range 0 max_int; int_range min_int (-1) ])
+        (list_size (int_range 0 15) (pair gen_bytes gen_bytes)))
+    (fun (upto, pairs) ->
+      String.equal (Checkpoint.make ~upto pairs) (reference_checkpoint ~upto pairs))
+
 let tests =
   [
     Alcotest.test_case "injector: none draws nothing" `Quick test_disk_none_draws_nothing;
@@ -316,4 +364,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_compaction_equivalence;
     QCheck_alcotest.to_alcotest prop_salvage_keeps_flushed;
     QCheck_alcotest.to_alcotest prop_recovery_idempotent;
+    QCheck_alcotest.to_alcotest prop_record_writers;
+    QCheck_alcotest.to_alcotest prop_checkpoint_writer;
   ]

@@ -301,6 +301,89 @@ let test_tree_clean () =
       Alcotest.(check bool) "scanned a real number of files" true (o.Driver.files_scanned > 50);
       Alcotest.(check bool) "flow graph is non-trivial" true (List.length o.Driver.edges > 20)
 
+let summary_count report name =
+  match Option.bind (Json.member "summary" report) (Json.member name) with
+  | Some (Json.Num n) -> int_of_float n
+  | _ -> Alcotest.failf "summary.%s missing" name
+
+(* A typed command names its command where it is made: its sends, its
+   declaration and its handler all carry that name, and no send of it is
+   dynamic. *)
+let typed_unit =
+  {|
+let ping = Command.make "ping" Command.(args1 int) ~replies:[ Vtype.reply "pong" [ Vtype.Tint ] ]
+let port_type = Command.port_type (Command.decl [ Command.Cmd ping ])
+let poke ctx ~to_ = Runtime.send_command ctx ~to_ ping 1
+let serve ctx =
+  let handlers =
+    [
+      Message.handle ping (fun msg n ->
+          match msg.Message.reply_to with
+          | Some reply -> Runtime.send ctx ~to_:reply "pong" [ Value.int n ]
+          | None -> ());
+      Message.handle Command.failure (fun _ _ -> ());
+    ]
+  in
+  ignore handlers
+|}
+
+let test_typed_commands () =
+  let o =
+    Driver.analyze ~root:"." ~layers:[] ~missing_mli:[]
+      ~units:[ ("lib/demo/typed.ml", typed_unit) ]
+      ~baseline:(Baseline.empty ())
+  in
+  let unit_of report =
+    match Json.member "units" report with
+    | Some (Json.Arr [ u ]) -> u
+    | _ -> Alcotest.fail "one unit expected"
+  in
+  let u = unit_of o.Driver.report in
+  let strings = function
+    | Some (Json.Arr items) ->
+        List.map (function Json.Str s -> s | _ -> Alcotest.fail "not a string") items
+    | _ -> Alcotest.fail "not an array"
+  in
+  let field name obj =
+    match Json.member name obj with Some (Json.Str s) -> s | _ -> Alcotest.failf "%s" name
+  in
+  (match Json.member "sends" u with
+  | Some (Json.Arr sends) ->
+      Alcotest.(check (list (pair string (list string))))
+        "each typed send names its command"
+        [ ("Runtime.send_command", [ "ping" ]); ("Runtime.send", [ "pong" ]) ]
+        (List.map (fun sd -> (field "via" sd, strings (Json.member "names" sd))) sends)
+  | _ -> Alcotest.fail "sends missing");
+  (match Json.member "handles" u with
+  | Some (Json.Arr handles) ->
+      Alcotest.(check (list (pair string string)))
+        "declared where made, dispatched where handled"
+        [
+          ("ping", "declared");
+          ("pong", "reply-declared");
+          ("ping", "dispatch");
+          ("failure", "dispatch");
+        ]
+        (List.map (fun h -> (field "name" h, field "kind" h)) handles)
+  | _ -> Alcotest.fail "handles missing");
+  Alcotest.(check int) "no dynamic send" 0 (summary_count o.Driver.report "dynamic_sends")
+
+(* The analyzer's blind spots: send sites whose command name it cannot
+   resolve.  The count may fall as senders gain typed commands; a rise
+   means a send the proto tier cannot check. *)
+let dynamic_sends_at_most = 22
+
+let test_dynamic_sends_only_fall () =
+  match find_repo_root () with
+  | None -> ()
+  | Some root ->
+      let o = Driver.run ~root ~baseline_path:(Filename.concat root "lint_baseline.txt") in
+      let dynamic = summary_count o.Driver.report "dynamic_sends" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d dynamic sends, at most %d" dynamic dynamic_sends_at_most)
+        true
+        (dynamic <= dynamic_sends_at_most)
+
 let tests =
   [
     Alcotest.test_case "guardian isolation fixture" `Quick test_guardian_isolation;
@@ -324,4 +407,7 @@ let tests =
     Alcotest.test_case "baseline update keeps review notes" `Quick test_baseline_keeps_notes;
     Alcotest.test_case "report json round-trip" `Quick test_report_roundtrip;
     Alcotest.test_case "tree clean modulo baseline" `Quick test_tree_clean;
+    Alcotest.test_case "typed commands are declared, sent and handled" `Quick
+      test_typed_commands;
+    Alcotest.test_case "dynamic sends can only fall" `Quick test_dynamic_sends_only_fall;
   ]
