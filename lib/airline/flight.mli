@@ -20,7 +20,10 @@
     crash (§2.2); the recovery process rebuilds the seat tables from the
     log.  Both are idempotent by design (§3.5) under {!Types.Idempotent_set}
     accounting; {!Types.Naive_counter} is the deliberately unsafe variant
-    used to measure what idempotency buys. *)
+    used to measure what idempotency buys.
+
+    Paper API (§2.3): {!create_with_admin}, a flight whose manager
+    requests an ACL guards, is reached only by tests. *)
 
 open Dcp_wire
 

@@ -18,7 +18,10 @@
     [book_naive] is the E9 baseline: it reserves the legs one at a time
     with plain reserves, and when a later leg is full the passenger is
     left *stranded* holding the earlier legs (the reply reports how many).
-    The atomic path never strands anyone. *)
+    The atomic path never strands anyone.
+
+    Inspection: {!def_name} is named only by tests, which find itinerary
+    guardians by it. *)
 
 open Dcp_wire
 

@@ -12,7 +12,10 @@
     Both representations are implemented here — a hash table and an AVL
     tree — with one {!external_rep} shared system-wide.  {!transmit_hash}
     and {!transmit_tree} are the per-node implementations of the same
-    transmittable type. *)
+    transmittable type.
+
+    Paper API (§3.3): only tests reach this module; it stays as the
+    paper's example of one external rep shared by two representations. *)
 
 open Dcp_wire
 

@@ -3,7 +3,10 @@
     "A simple example is complex numbers, where on one node the
     representation might be real/imaginary coordinates, while on another
     polar coordinates might be used; the external rep might be the
-    real/imaginary coordinates." *)
+    real/imaginary coordinates."
+
+    Paper API (§3.3): only tests reach this module; it stays as the
+    paper's first example of an external rep. *)
 
 open Dcp_wire
 

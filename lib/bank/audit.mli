@@ -3,7 +3,10 @@
     The auditor is a client like any other — it can only learn balances by
     sending messages, which is the point: §2.1's guardians make the
     distributed database "a group of guardians, but each guardian in that
-    group guards a discernable resource". *)
+    group guards a discernable resource".
+
+    Inspection: {!balance_of} is called only by tests, which check one
+    account through it. *)
 
 open Dcp_wire
 

@@ -13,7 +13,10 @@
 
     Protocol: [request_statement(account, channel_port) replies
     (streaming(entries))] — the entries then arrive on the caller's
-    ordered-channel receiver as tuples [(seq, description, amount)]. *)
+    ordered-channel receiver as tuples [(seq, description, amount)].
+
+    Paper API (§3.4): only tests reach this module; it stays as the
+    application-level ordering the paper leaves to processes. *)
 
 open Dcp_wire
 

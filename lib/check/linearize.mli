@@ -20,7 +20,10 @@
     snapshot operations — split per key first, since linearizability is
     compositional over disjoint objects.  Failure reasons are deterministic
     (the search order is fixed by the sorted history), which is what lets
-    sweeps and {!Shrink} treat them as data. *)
+    sweeps and {!Shrink} treat them as data.
+
+    Inspection: {!encode_event} and {!decode_event} are called only by
+    tests, which check the recorded history format through them. *)
 
 type op =
   | Write of string * int

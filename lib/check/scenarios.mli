@@ -29,7 +29,11 @@
     - [register_mutated]: [register] without delivery barriers — writes
       acked at broadcast time, reads served from the stale local copy —
       the linearizability oracle's self-test; must fail under profiles
-      with real network delay. *)
+      with real network delay.
+
+    Inspection: {!airline}, {!replica}, {!bank_mutated},
+    {!register_mutated} and {!register_at_stop} are run only by tests; the
+    mutated ones are the checker's self-tests. *)
 
 val bank : Scenario.t
 val airline : Scenario.t

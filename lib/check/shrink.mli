@@ -3,7 +3,10 @@
     Given a failing (seed, profile) point, greedily minimise the horizon,
     the workload size, and the fault intensity while the scenario still
     fails, and report the smallest reproducing configuration.  Every trial
-    is a deterministic replay, so the shrink itself is deterministic. *)
+    is a deterministic replay, so the shrink itself is deterministic.
+
+    Inspection: {!replay_hint} is called only by tests, which check the
+    replay command a counterexample prints. *)
 
 module Clock = Dcp_sim.Clock
 

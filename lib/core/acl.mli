@@ -11,7 +11,13 @@
     grant cover many principals; [allow_all] makes a permission public.
     Note that the runtime's *other* protection mechanism is structural:
     unpublished port names and sealed tokens are capabilities — the ACL is
-    for policies expressed over who is asking. *)
+    for policies expressed over who is asking.
+
+    Paper API (§2.3): no run in [lib/], [bin/], [bench/] or [examples/]
+    builds an ACL yet; {!create}, the grant, revoke and group families,
+    {!check}, {!permissions_of} and {!principals_with} are reached only by
+    tests, and stay as the access-control mechanism §2.3 has a guardian
+    consult. *)
 
 type principal = string
 type permission = string

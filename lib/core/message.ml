@@ -122,28 +122,27 @@ let finish config r target command args typed =
 let wire_reader = Dcp_sim.Exec.domain_local (fun () -> Codec.reader Codec.default_config "")
 
 (* The arguments of a message to a typed port are read by its declaration,
-   any other message's as values. *)
+   any other message's as values; arguments the declaration refuses are
+   read again, from the body's start, as values. *)
+let rec read config commands r body =
+  Codec.reread r config body;
+  expect r run_target;
+  let target = Codec.read_port r in
+  expect r run_command;
+  let command = Codec.read_str config r in
+  expect r run_args;
+  match commands target with
+  | None -> finish config r target command (Codec.read_items config r) None
+  | Some decl -> (
+      match Command.read_args config decl command r with
+      | Some payload -> finish config r target command [] (Some payload)
+      | None -> read config no_commands r body)
+
 let of_wire ~config ?(commands = no_commands) body =
-  match
-    let r = Dcp_sim.Exec.local_get wire_reader in
-    Codec.reread r config body;
-    expect r run_target;
-    let target = Codec.read_port r in
-    expect r run_command;
-    let command = Codec.read_str config r in
-    expect r run_args;
-    match commands target with
-    | None -> finish config r target command (Codec.read_items config r) None
-    | Some decl -> (
-        match Command.read_args config decl command r with
-        | Some payload -> finish config r target command [] (Some payload)
-        | None -> raise_notrace Off_layout)
-  with
-  | decoded -> Ok (Ok decoded)
-  | exception (Off_layout | Codec.Codec_error _) ->
-      (* anything else, well formed or not, takes the general path, which
-         gives the error or the envelope a deviation calls for *)
-      Result.map of_envelope (Codec.decode ~config body)
+  match read config commands (Dcp_sim.Exec.local_get wire_reader) body with
+  | decoded -> Ok decoded
+  | exception Off_layout -> Error (Codec.Malformed "not a message envelope")
+  | exception Codec.Codec_error e -> Error e
 
 type handler = Handler : 'a Command.t * (t -> 'a -> unit) -> handler
 

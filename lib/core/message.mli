@@ -30,9 +30,6 @@ val failure : reason:string -> sent_at:Dcp_sim.Clock.time -> t
 
 val is_failure : t -> bool
 
-val arguments : t -> Value.t list
-(** The arguments as values: [args], or the Value form of [typed]. *)
-
 val pp : Format.formatter -> t -> unit
 
 (** {1 Wire envelope}
@@ -70,21 +67,23 @@ val command_to_wire :
   (string, Codec.error) result
 (** The typed writer: the same bytes and the same first error as
     {!to_wire} of the message with the command's Value arguments
-    ({!Command.values}). *)
+    ({!Command.payload_values}). *)
 
 val of_wire :
   config:Codec.config ->
   ?commands:(Port_name.t -> Command.decl option) ->
   string ->
-  ((Port_name.t * t, string) result, Codec.error) result
-(** The runtime's reader: the same result as
-    [Result.map of_envelope (Codec.decode ~config body)].  A body in the
-    layout {!to_wire} writes is read in place, with the field names
-    matched byte by byte; any other body (another field count, name,
-    order or tag, a bound exceeded, trailing bytes) takes that general
-    path.  When [commands] gives a declaration for the target, an
-    in-place read takes the arguments by it, as [typed]; arguments it
-    refuses take the general path too. *)
+  (Port_name.t * t, Codec.error) result
+(** The runtime's reader, and the only one: §3.3 gives the envelope one
+    external rep, the layout {!to_wire} writes, and [of_wire] reads it in
+    place, with the field names matched byte by byte.  Any other body
+    (another field count, name, order or tag, or trailing bytes) is
+    [Malformed]; a bound exceeded in the layout gives the error
+    [Codec.decode] gives.  What it accepts it reads as
+    [Result.map of_envelope (Codec.decode ~config body)] does.  When
+    [commands] gives a declaration for the target, the arguments are read
+    by it, as [typed]; arguments it refuses are read as values, so the
+    port's type check rejects them as on an untyped port. *)
 
 (** {1 Dispatch on a typed port} *)
 

@@ -10,7 +10,10 @@
     receiving on it.  [enqueue] either hands the message directly to a
     waiting receiver, buffers it, or reports [`Full] — the caller (the
     runtime) then applies §3.4: "if there is no room for the message ... the
-    message is thrown away" with a failure notice to the reply port. *)
+    message is thrown away" with a failure notice to the reply port.
+
+    Inspection: {!queued}, {!waiter_count} and {!try_receive} are called
+    only by tests, which check a port's queue and waiters through them. *)
 
 open Dcp_wire
 

@@ -13,7 +13,10 @@
     operation (receive with timeout, mutexes, RPC helpers) is built from.
     Killing a process (node crash, guardian self-destruct) marks it dead;
     any pending resumption is silently dropped, modelling the paper's view
-    that a crash simply stops the node's processes. *)
+    that a crash simply stops the node's processes.
+
+    Inspection: {!name}, {!state}, {!failure} and {!self} are called only
+    by tests, which check a process's life cycle through them. *)
 
 type t
 

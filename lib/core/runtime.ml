@@ -42,7 +42,7 @@ let default_port_capacity = 64
 let epoch = Clock.ms 1
 
 (* Metric handles resolved once at world creation so the per-message path
-   (send -> route -> deliver) never does a string-keyed registry lookup. *)
+   (send -> dispatch -> deliver) never does a string-keyed registry lookup. *)
 type hot_metrics = {
   m_send_total : Metrics.counter;
   m_send_local : Metrics.counter;
@@ -276,15 +276,6 @@ let find_port_in g target =
 
 let find_guardian_in node gid = Int_tbl.find_opt node.gindex gid
 
-(* The typed form of a message that checked against a typed port's type. *)
-let typed_form port msg =
-  match Port.commands port with
-  | None -> msg
-  | Some decl -> (
-      match Command.payload_of_values decl msg.Message.command msg.Message.args with
-      | Some payload -> { msg with Message.args = []; typed = Some payload }
-      | None -> msg)
-
 (* A node's lookup of a target port's declaration, for the reader: no
    option is allocated on the way. *)
 let port_commands node target =
@@ -302,27 +293,28 @@ let encoded = function
   | Error e -> raise (Send_failed (Format.asprintf "%a" Codec.pp_error e))
   | Ok body -> body
 
-(* Encode a message for a target port with the shard's encoder (bounds
-   checks apply to system messages too). *)
-let encode sh ~target msg = encoded (Message.to_wire sh.sencoder ~target msg)
-
 (* [reject] runs on the rejecting node's shard; the failure message
-   originates there and is routed like any other send, so rejection,
-   delivery and routing form one recursive group. *)
+   originates there and is dispatched like any other send, so rejection,
+   delivery and dispatch form one recursive group.  The codec's bounds
+   apply to system messages too: a failure message they refuse (a send
+   time past [int_bits], a reason past [max_string]) is dropped and
+   counted, since no sender is there to raise {!Send_failed} to. *)
 let rec reject w node msg reason =
   let sh = node.shard in
   Metrics.incr sh.shot.m_deliver_discarded;
   stracef sh "discard" "%s: %a" reason Message.pp msg;
   match msg.Message.reply_to with
-  | Some reply_port when not (Message.is_failure msg) ->
-      Metrics.incr sh.shot.m_failure_sent;
+  | Some reply_port when not (Message.is_failure msg) -> (
       let failure = Message.failure ~reason ~sent_at:(Engine.now sh.sengine) in
-      route w ~from:node ~target:reply_port failure
+      match Message.to_wire sh.sencoder ~target:reply_port failure with
+      | Ok body ->
+          Metrics.incr sh.shot.m_failure_sent;
+          dispatch w ~from:node ~target:reply_port body
+      | Error _ -> scount sh "failure.unencodable")
   | Some _ | None -> ()
 
 (* A message read by its port's declaration was checked by that read;
-   any other is checked against the port type, and on a typed port then
-   takes its typed form. *)
+   any other is checked against the port type. *)
 and deliver_message w node target msg =
   match find_guardian_in node target.Port_name.guardian with
   | None -> reject w node msg "target guardian does not exist"
@@ -339,7 +331,7 @@ and deliver_message w node target msg =
                   msg.Message.args
               with
               | Error reason -> reject w node msg ("message rejected: " ^ reason)
-              | Ok () -> enqueue w node port (typed_form port msg))))
+              | Ok () -> enqueue w node port msg)))
 
 and enqueue w node port msg =
   let sh = node.shard in
@@ -360,8 +352,8 @@ and deliver_body w sh dst_node_id body =
       if not node.up then Metrics.incr node.shard.shot.m_deliver_node_down
       else (
         match Message.of_wire ~config:w.config.codec ?commands:node.ncommands body with
-        | Ok (Ok (target, msg)) -> deliver_message w node target msg
-        | Ok (Error _) | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed)
+        | Ok (target, msg) -> deliver_message w node target msg
+        | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed)
 
 (* Hand an encoded body from a node to its target.  Everything here is
    source-shard state: the engine the local-delivery timer lands on, and
@@ -383,15 +375,11 @@ and dispatch w ~from ~target body =
     Network.send sh.snetwork ~src:from.node_id ~dst:target.Port_name.node body
   end
 
-and route w ~from ~target msg = dispatch w ~from ~target (encode from.shard ~target msg)
-
 (* Detail text of a deferred send event, made only when the trace is read:
    the envelope decodes to the target and the message as they were sent. *)
 let render_send config label body =
   match Message.of_wire ~config body with
-  | Ok (Ok (target, msg)) ->
-      Format.asprintf "%s -> %a: %a" label Port_name.pp target Message.pp msg
-  | Ok (Error reason) -> Printf.sprintf "%s -> <malformed envelope: %s>" label reason
+  | Ok (target, msg) -> Format.asprintf "%s -> %a: %a" label Port_name.pp target Message.pp msg
   | Error e -> Format.asprintf "%s -> <undecodable: %a>" label Codec.pp_error e
 
 (* ------------------------------------------------------------------ *)

@@ -32,7 +32,10 @@
     canonical order (source shard ascending, then send order).  Execution
     is bit-identical for a fixed (seed, shards) whether the shards run
     sequentially or on [shards] domains ([parallel:true]); [shards = 1]
-    reproduces the unsharded runtime exactly. *)
+    reproduces the unsharded runtime exactly.
+
+    Inspection: {!guardian_alive} and {!idle_processors} are called only
+    by tests, which check guardian and processor state through them. *)
 
 open Dcp_wire
 module Clock = Dcp_sim.Clock
@@ -236,16 +239,17 @@ val send_command :
 (** No-wait send of a typed command: the same checks ({!Transmit.check_named}
     over its {!Command.any} arguments), bytes, trace, flush and
     {!Send_failed} as {!send} of its Value arguments
-    ({!Command.values}), written without building them. *)
+    ({!Command.payload_values}), written without building them. *)
 
 val accept : ctx -> Port.t -> Command.decl -> unit
 (** Declare the typed commands one of this guardian's ports accepts
     ({!Port.declare}).  From then on the runtime reads each message's
     arguments by the declaration, and that read is the port's type check:
-    the message is delivered with [typed] set and no [args].  What the
-    read refuses takes the Value path, so it is delivered, discarded with
-    a failure message, or counted malformed exactly as on an untyped port
-    of the same type.  A declaration survives the node's crashes.
+    the message is delivered with [typed] set and no [args].  Arguments
+    the read refuses are read again as values ({!Message.of_wire}) and
+    fail the port's type check, so the message is discarded with the same
+    reason and failure message as on an untyped port of the same type.  A
+    declaration survives the node's crashes.
     @raise Invalid_argument on another guardian's port or another port
     type. *)
 

@@ -9,7 +9,11 @@
     devices: they matter whenever a process must hold a resource across a
     blocking operation (a receive, a sleep, a nested send/await).  Mutex
     wakeups are FIFO and scheduled through the engine, so lock handoff is
-    fair and deterministic. *)
+    fair and deterministic.
+
+    Paper API (§2.3, Figure 1c): {!locked}, {!broadcast}, {!with_unit} and
+    {!end_request} are reached only by tests; they stay as the monitor and
+    keyed-lock operations of Figure 1c. *)
 
 type mutex
 

@@ -2,7 +2,10 @@
     ([BENCH_micro.json], [CHECK_sweep.json], [LINT_report.json]): a JSON
     value, its renderer and its parser.
 
-    [parse (render v) = v] for every [v] whose numbers are finite. *)
+    [parse (render v) = v] for every [v] whose numbers are finite.
+
+    Inspection: {!render} is called directly only by tests, which check
+    the rendering {!to_file} writes. *)
 
 type t =
   | Null

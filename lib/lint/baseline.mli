@@ -2,7 +2,10 @@
 
     One {!Finding.key} per line, [#] comments allowed.  Keys omit line
     numbers so entries survive unrelated edits; one entry covers every
-    occurrence with the same (rule, file, context, token). *)
+    occurrence with the same (rule, file, context, token).
+
+    Inspection: {!empty} is called only by tests, which run the analyzer
+    without a baseline through it. *)
 
 type t
 

@@ -1,5 +1,8 @@
 (** The whole pass: one parse per unit, both rule families, one baseline,
-    one report. *)
+    one report.
+
+    Inspection: {!analyze} is called only by tests, which drive the
+    analyzer over in-memory fixtures through it. *)
 
 type outcome = {
   findings : Finding.t list;  (** everything, sorted by {!Finding.order}, baseline-marked *)

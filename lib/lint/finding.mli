@@ -2,7 +2,10 @@
 
     Findings carry both an exact source span (for the human report) and a
     line-independent {!key} (for the committed baseline): grandfathering a
-    finding must survive unrelated edits that shift line numbers. *)
+    finding must survive unrelated edits that shift line numbers.
+
+    Inspection: {!to_string} is called only by tests, which check a
+    finding's rendering through it. *)
 
 type t = {
   rule : string;  (** rule name, one of {!rules} *)

@@ -5,7 +5,10 @@
     (sim sits beside wire because net is built on the simulator's clock).
     Dune dependency edges must point strictly downward; the four guardian
     application libraries share a layer, so any edge between them is a
-    back-edge and reported as a guardian-isolation violation. *)
+    back-edge and reported as a guardian-isolation violation.
+
+    Inspection: {!rank_of_module} is called only by tests, which check the
+    layer ranks through it. *)
 
 type lib = {
   dir : string;  (** directory short name under [lib/] *)

@@ -2,7 +2,10 @@
     {!Dcp_json.Json.t} document: the layer graph, every unit's sends and
     handles, the message-flow graph, the export counts, every finding of
     both rule families, the stale baseline entries and one summary with
-    per-rule counts over {!Finding.rules}. *)
+    per-rule counts over {!Finding.rules}.
+
+    Inspection: {!schema} is named only by tests, which check the
+    committed report's schema id against it. *)
 
 val schema : string
 

@@ -5,7 +5,10 @@
     corrupted packet is recognised and discarded at the receiver.
 
     Slicing-by-8 in native ints over one flat 2,048-entry table: eight
-    bytes per step, no allocation in the loop. *)
+    bytes per step, no allocation in the loop.
+
+    Inspection: the streaming reference ({!init}, {!update}, {!finalize})
+    is called only by tests, which check the sliced CRC against it. *)
 
 val digest_string : string -> int32
 

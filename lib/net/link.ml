@@ -35,19 +35,6 @@ let wan =
 
 let lossy loss = { lan with loss }
 
-let compose a b =
-  {
-    base_latency = Clock.add a.base_latency b.base_latency;
-    jitter = Clock.add a.jitter b.jitter;
-    loss = 1.0 -. ((1.0 -. a.loss) *. (1.0 -. b.loss));
-    duplicate = 1.0 -. ((1.0 -. a.duplicate) *. (1.0 -. b.duplicate));
-    corrupt = 1.0 -. ((1.0 -. a.corrupt) *. (1.0 -. b.corrupt));
-    bandwidth =
-      (match (a.bandwidth, b.bandwidth) with
-      | None, bw | bw, None -> bw
-      | Some x, Some y -> Some (Int.min x y));
-  }
-
 type verdict =
   | Deliver of Clock.time list
   | Corrupt_deliver of Clock.time

@@ -28,12 +28,6 @@ val wan : t
 val lossy : float -> t
 (** LAN-like link with the given loss probability. *)
 
-val compose : t -> t -> t
-(** [compose a b] models a two-hop path through a gateway: latencies add,
-    bandwidth is the minimum, and every fault probability (loss, corruption,
-    duplication alike) composes as independent per-hop events:
-    [1 - (1-p_a)(1-p_b)]. *)
-
 (** Outcome of offering one fragment to the link. *)
 type verdict =
   | Deliver of Dcp_sim.Clock.time list

@@ -13,7 +13,10 @@
     separated nodes; a down node receives nothing.  A message that loses a
     fragment leaves a partial reassembly behind; a node's offers sweep
     its partials over 60 s old, at most once a minute, and count them in
-    {!stats}. *)
+    {!stats}.
+
+    Inspection: {!partitioned} is called only by tests, which check a
+    partition's state through it. *)
 
 type node_id = Topology.node_id
 

@@ -125,8 +125,6 @@ module Reassembly = struct
           Hashtbl.add t.table key partial;
           fold_in t ~key partial f
 
-  let pending t = Hashtbl.length t.table
-
   let drop_older_than t ~before =
     let stale =
       Hashtbl.fold

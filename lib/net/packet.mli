@@ -62,9 +62,6 @@ module Reassembly : sig
       [count] disagrees with the partial already being assembled; such a
       fragment returns [None] and leaves the partial untouched. *)
 
-  val pending : t -> int
-  (** Number of partially reassembled messages held. *)
-
   val drop_older_than : t -> before:Dcp_sim.Clock.time -> int
   (** Garbage-collect partial messages whose first fragment arrived before
       [before]; returns how many were dropped.  {!Network} calls it from

@@ -5,7 +5,12 @@
     fix one external rep while nodes choose their own internal
     representations.  Documents here have two implementations — a flat
     string body and a line-list body (the representation an editor-oriented
-    node would prefer) — sharing one external rep. *)
+    node would prefer) — sharing one external rep.
+
+    Paper API (§2.1, §3.3): {!create_lines}, {!revision}, {!body},
+    {!equal}, {!is_flat} and {!of_value_flat} are reached only by tests,
+    which check through them that both representations share the one
+    external rep. *)
 
 open Dcp_wire
 

@@ -16,7 +16,11 @@
     verdict can be wrong (slow network), and the paper's uncertainty
     discussion applies in full.  The detector exercises the primordial
     guardian's [ping] when watching a node, or any port that answers the
-    RPC convention. *)
+    RPC convention.
+
+    Paper API (§3.5): {!stop}, {!is_suspected} and {!watch_node} are
+    reached only by tests; they stay as the timeout-driven failure
+    detection the paper describes. *)
 
 open Dcp_wire
 module Clock = Dcp_sim.Clock

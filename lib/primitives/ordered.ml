@@ -168,5 +168,4 @@ let flush s ~timeout =
   wait ()
 
 let close s = s.closed <- true
-let in_flight s = Hashtbl.length s.unacked
 let messages_sent s = s.transmissions

@@ -62,7 +62,6 @@ val flush : sender -> timeout:Clock.time -> bool
 val close : sender -> unit
 (** Stop the retransmission process.  Unacked data is abandoned. *)
 
-val in_flight : sender -> int
 val messages_sent : sender -> int
 (** Total [odata] transmissions including retransmissions — the price of
     ordering, measured by experiment E10. *)

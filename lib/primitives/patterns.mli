@@ -9,7 +9,10 @@
 
     These helpers express each pattern directly over the no-wait send; the
     E5 experiment counts the messages each needs under each primitive,
-    reproducing the paper's argument for choosing no-wait. *)
+    reproducing the paper's argument for choosing no-wait.
+
+    Paper API (§3): {!delegate}, the pattern whose response comes from
+    another process than the recipient, is reached only by tests. *)
 
 open Dcp_wire
 module Clock = Dcp_sim.Clock

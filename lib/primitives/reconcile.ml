@@ -10,18 +10,6 @@ let stamp_compare (c1, o1) (c2, o2) =
 
 let stamp_value (counter, origin) = Value.tuple [ Value.int counter; Value.int origin ]
 
-(* Counters start at 1 (a replica's first write increments its clock from 0)
-   and origins are guardian ids, so both components of a well-formed stamp
-   are non-negative and the counter strictly positive.  Anything else is
-   adversarial or corrupt and must be droppable, not fatal (§3.4: delivery
-   is best-effort; a serve loop that can be crashed by one bad message turns
-   loss tolerance into a denial of service). *)
-let stamp_of_value v =
-  match v with
-  | Value.Tuple [ Value.Int counter; Value.Int origin ] when counter > 0 && origin >= 0 ->
-      Some (counter, origin)
-  | _ -> None
-
 let stamp_to_string (counter, origin) = Printf.sprintf "%d.%d" counter origin
 
 let stamp_of_string s =
@@ -40,12 +28,6 @@ let stamp_of_string s =
 let stamp_ty = Command.(pair int int)
 let entry_ty = Command.(pair str stamp_ty)
 let entry_value (key, stamp) = Value.tuple [ Value.str key; stamp_value stamp ]
-
-let entry_of_value v =
-  match v with
-  | Value.Tuple [ Value.Str key; stamp ] -> (
-      match stamp_of_value stamp with Some s -> Some (key, s) | None -> None)
-  | _ -> None
 
 let entry_compare (k1, _) (k2, _) = String.compare k1 k2
 
@@ -81,8 +63,6 @@ let hash_string h =
 let hash_value h = Value.str (hash_string h)
 let hash_of_string s = if String.length s = 8 then Some (String.get_int64_be s 0) else None
 
-let hash_of_value = function Value.Str s -> hash_of_string s | _ -> None
-
 type window = { lo : string; hi : string option }
 
 let window_ok { lo; hi } =
@@ -105,9 +85,6 @@ let in_window { lo; hi } key =
 
 let default_budget = 32 * 1024
 let header_allowance = 96
-
-let value_size v =
-  match Codec.encoded_size v with Ok n -> n | Error _ -> max_int
 
 let entry_budget ~budget = Int.max 1 (budget - header_allowance)
 

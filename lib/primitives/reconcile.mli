@@ -14,7 +14,10 @@
     gossip path with eventually-delivered messages drives all tables to the
     pointwise maximum.  The pull half below is what makes a *single* round
     bidirectional — without it convergence relies on the other side
-    initiating its own round. *)
+    initiating its own round.
+
+    Inspection: {!view} is called only by tests, which check the
+    incremental table against a sorted rebuild through it. *)
 
 open Dcp_wire
 
@@ -25,11 +28,6 @@ type stamp = int * int
 
 val stamp_compare : stamp -> stamp -> int
 val stamp_value : stamp -> Value.t
-
-val stamp_of_value : Value.t -> stamp option
-(** [None] for anything but a well-formed stamp (positive counter,
-    non-negative origin) — malformed wire input is droppable data, never an
-    exception. *)
 
 val stamp_to_string : stamp -> string
 val stamp_of_string : string -> stamp option
@@ -42,7 +40,6 @@ val entry_ty : (string * stamp) Command.ty
 (** A stamp and a digest entry as typed command arguments. *)
 
 val entry_value : string * stamp -> Value.t
-val entry_of_value : Value.t -> (string * stamp) option
 val entry_compare : string * stamp -> string * stamp -> int
 
 (** {1 Table hashes}
@@ -61,9 +58,6 @@ val hash_value : int64 -> Value.t
 (** The wire form: an 8-byte string, which every codec configuration
     encodes (an [Int] would not fit [Codec.config_1979]'s 24 bits). *)
 
-val hash_of_value : Value.t -> int64 option
-(** [None] for anything but an 8-byte string. *)
-
 val hash_string : int64 -> string
 val hash_of_string : string -> int64 option
 (** The string inside {!hash_value}, and back; [None] unless 8 bytes. *)
@@ -79,28 +73,17 @@ type window = { lo : string; hi : string option }
 val window_ok : window -> bool
 (** Reject adversarial windows with [hi <= lo]. *)
 
-val in_window : window -> string -> bool
-
 (** {1 Byte budgeting} *)
 
 val default_budget : int
 (** 32 KiB, the classic gossip transport cap. *)
 
-val header_allowance : int
-(** Bytes reserved out of the budget for command, window bounds and list
-    framing, so that budgeting the entries budgets the encoded message. *)
-
-val value_size : Value.t -> int
-(** Codec-encoded size; [max_int] when unencodable. *)
-
-val take_within : budget:int -> size:('a -> int) -> 'a list -> 'a list * 'a list
-(** Greedy prefix whose sizes fit [budget - header_allowance], plus the
-    remainder.  Always takes at least one entry from a non-empty list so an
-    oversized single entry cannot stall the cursor forever. *)
-
 val chunks : budget:int -> size:('a -> int) -> 'a list -> 'a list list
-(** Split into consecutive runs, each within the budget (modulo the same
-    at-least-one-entry progress rule). *)
+(** Split into consecutive runs, each a greedy run of entries whose sizes
+    fit the budget less 96 bytes reserved for the command, window bounds
+    and list framing (so that budgeting the entries budgets the encoded
+    message).  Each run takes at least one entry, so an oversized single
+    entry cannot stall the cursor forever. *)
 
 (** {1 The table and its digest view}
 
@@ -119,10 +102,10 @@ val update : 'v table -> key:string -> value:'v -> stamp:stamp -> ('v table * st
 
 val take_window : budget:int -> 'v table -> from:string -> (string * stamp) list * string option
 (** The entries from key [from] on that fit [budget] (at least one, as
-    {!take_within}), and the first key past them, [None] at the end. *)
+    in {!chunks}), and the first key past them, [None] at the end. *)
 
 val held_in : 'v table -> window -> (string * stamp) list
-(** The entries inside the window, in key order. *)
+(** The entries inside the window ([lo <= key < hi]), in key order. *)
 
 val view : 'v table -> (string * stamp * int) list
 (** Every entry with its digest size: [Codec.encoded_size] of

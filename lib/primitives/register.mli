@@ -38,7 +38,10 @@
     directly from the local table — a deliberately broken register (the
     classic fast-ack bug) for the [register_mutated] harness self-test,
     which the linearizability oracle must catch.  A register records its
-    mode durably; a snapshot object has none and is always atomic. *)
+    mode durably; a snapshot object has none and is always atomic.
+
+    Inspection: {!read} is called only by tests, which read a register
+    through the protocol with it. *)
 
 open Dcp_wire
 module Runtime = Dcp_core.Runtime

@@ -60,7 +60,13 @@
     and sync configuration (stable store) but an empty table: the data is
     soft state that anti-entropy refills, and the recovering replica
     adopts the largest Lamport counter its peers claim before accepting
-    new writes. *)
+    new writes.
+
+    Inspection: the command values {!write_request}, {!read_request},
+    {!join_request}, {!gossip}, {!sync_pull}, {!sync_delta} and
+    {!sync_ack}, and {!peers_in_store}, are named only by tests, which pin
+    the typed path to the Value path and read a replica's peers from its
+    store through them. *)
 
 open Dcp_wire
 

@@ -17,7 +17,10 @@
     admits [update]/[snapshot] and no per-key [read], which is what lets
     the linearizability checker treat register histories per key while
     snapshot histories check whole-state.  Clients use single-attempt
-    calls when a history is being recorded. *)
+    calls when a history is being recorded.
+
+    Inspection: {!scan} is called only by tests, which read a snapshot
+    through the protocol with it. *)
 
 open Dcp_wire
 module Runtime = Dcp_core.Runtime

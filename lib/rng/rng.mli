@@ -33,31 +33,12 @@ val bernoulli : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean (rate 1/mean). *)
 
-val geometric : t -> p:float -> int
-(** Number of Bernoulli(p) failures before the first success; >= 0. *)
-
-val normal : t -> mean:float -> stddev:float -> float
-(** Gaussian via Box–Muller. *)
-
-val zipf : t -> n:int -> s:float -> int
-(** Zipf-distributed rank in [\[0, n)] with exponent [s] (inverse-CDF over a
-    precomputed table would be faster; this uses rejection-free linear CDF
-    and is fine for the modest [n] used in workloads). *)
-
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto-distributed heavy-tailed value >= [scale]. *)
-
 (** {1 Collections} *)
-
-val choice : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
 
 val choice_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] is [k] distinct values from [\[0, n)],
-    in random order. Requires [0 <= k <= n]. *)
+    in random order: the first [k] of a Fisher–Yates shuffle of [0..n-1].
+    Requires [0 <= k <= n]. *)

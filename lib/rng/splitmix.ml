@@ -28,7 +28,6 @@ let mix_gamma z =
 
 let create seed = { seed = mix64 seed; gamma = golden_gamma }
 let of_int seed = create (Int64.of_int seed)
-let copy t = { seed = t.seed; gamma = t.gamma }
 
 let next_seed t =
   t.seed <- Int64.add t.seed t.gamma;
@@ -40,6 +39,3 @@ let split t =
   let seed = next_seed t in
   let gamma_src = next_seed t in
   { seed = mix64 seed; gamma = mix_gamma gamma_src }
-
-let state t = (t.seed, t.gamma)
-let of_state (seed, gamma) = { seed; gamma }

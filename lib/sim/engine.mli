@@ -3,7 +3,10 @@
     A single-threaded event loop over a virtual clock.  Events are callbacks
     scheduled at absolute virtual times; ties are broken by scheduling order,
     so a run is fully deterministic.  Timers can be cancelled, which is how
-    the runtime implements receive-with-timeout. *)
+    the runtime implements receive-with-timeout.
+
+    Inspection: {!is_cancelled} and {!step} are called only by tests,
+    which single-step a queue and check cancellation through them. *)
 
 type t
 

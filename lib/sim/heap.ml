@@ -19,7 +19,6 @@ type 'a t = {
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
 let length h = h.size
-let is_empty h = h.size = 0
 
 let grow h x =
   let capacity = Array.length h.data in
@@ -83,11 +82,6 @@ let pop h =
     Some top
   end
 
-let pop_exn h =
-  match pop h with
-  | Some x -> x
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
-
 (* Compact the kept elements to the front, then restore heap order
    bottom-up (Floyd): O(n).  The slots past the survivors are overwritten,
    so the array keeps no reference to a dropped or popped element. *)
@@ -109,16 +103,3 @@ let filter h keep =
       sift_down h i h.data.(i)
     done
   end
-
-let of_list ~cmp l =
-  let h = create ~cmp in
-  List.iter (push h) l;
-  h
-
-let check_invariant h =
-  let ok = ref true in
-  for i = 1 to h.size - 1 do
-    let parent = (i - 1) / 4 in
-    if h.cmp h.data.(parent) h.data.(i) > 0 then ok := false
-  done;
-  !ok

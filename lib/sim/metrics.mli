@@ -7,7 +7,10 @@
     scenario creates so a report can render them all at once.  Get-or-create
     by name is O(1) (hashed), so per-message code may look instruments up by
     name — though hot paths should still resolve the handle once and reuse
-    it.  Reports list instruments in creation order. *)
+    it.  Reports list instruments in creation order.
+
+    Inspection: {!samples}, {!hist_min}, {!hist_max} and {!histograms} are
+    called only by tests, which check recorded observations through them. *)
 
 type counter
 type gauge

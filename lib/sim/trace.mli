@@ -16,7 +16,11 @@
     it costs one branch and adds one to {!total}; it builds no entry and
     formats no text, and it reads as empty.  The runtime gives an untraced
     world (the default) counting traces, so [total] means the same in
-    both modes. *)
+    both modes.
+
+    Inspection: {!record}, {!size}, {!events}, {!find} and {!clear} are
+    called only by tests, which read what a traced run recorded through
+    them. *)
 
 type t
 

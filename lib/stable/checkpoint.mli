@@ -7,7 +7,10 @@
     body, so a checkpoint that rotted at rest is detected as a unit and
     {!restore} answers [None] — recovery then falls back to the previous
     generation (the store retains two) rather than trusting damaged state
-    or raising. *)
+    or raising.
+
+    Inspection: {!upto} is called only by tests, which check a
+    checkpoint's coverage through it. *)
 
 val make : upto:int -> (string * string) list -> string
 (** [make ~upto pairs] frames [pairs] (any bytes allowed in keys and

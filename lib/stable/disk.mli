@@ -24,7 +24,10 @@
     Tears and drops only ever touch records that were never flushed, and
     the runtime flushes a guardian's store before any message leaves the
     node, so externally-observed state is immune to both — exactly the
-    write-ahead discipline that makes a real log crash-safe. *)
+    write-ahead discipline that makes a real log crash-safe.
+
+    Inspection: {!none} and {!is_none} are named only by tests, which
+    build and recognise a fault-free disk through them. *)
 
 type spec = {
   stall_p : float;  (** per-append probability the write stalls *)

@@ -15,7 +15,11 @@
     on damage — rotted records are salvaged from their flush mirrors or
     quarantined (skipped and counted), and corrupt checkpoints fall back a
     generation.  Keys and values are strings — higher layers store encoded
-    {!Dcp_wire.Value} externals. *)
+    {!Dcp_wire.Value} externals.
+
+    Inspection: {!encode_set}, {!encode_remove}, {!size} and
+    {!damage_newest_checkpoint} are called only by tests, which check the
+    log's records and crash damage through them. *)
 
 type t
 

@@ -17,7 +17,10 @@
     skipped, never replayed and never allowed to hide the intact suffix
     behind it.  {!scrub} is the recovery-time pass that makes quarantine
     physical — salvaging rotted records from their mirrors and dropping the
-    unrecoverable ones — after which the log is fully intact again. *)
+    unrecoverable ones — after which the log is fully intact again.
+
+    Inspection: {!records} and {!storage_bytes} are called only by tests,
+    which check what the log holds through them. *)
 
 type t
 

@@ -26,8 +26,6 @@ val default_config : config
 val config_1979 : config
 (** The paper's flavour: 24-bit integers, 4 KiB strings, 64 KiB messages. *)
 
-val int_in_bounds : config -> int -> bool
-
 type error =
   | Int_out_of_bounds of int
   | String_too_long of int

@@ -12,7 +12,6 @@ type 'a ty = {
   size : Codec.config -> int -> 'a -> int;  (** adds the size to an accumulator *)
   read : Codec.config -> Codec.reader -> 'a;
   value : 'a -> Value.t;
-  of_value : Value.t -> 'a;  (** raises [Refused] *)
   named : ((Value.t -> (unit, string) result) -> 'a -> (unit, string) result) option;
       (** a walk over the {!any} values inside; [None] when there are none *)
 }
@@ -39,7 +38,6 @@ let int =
         expect r tag_int;
         Codec.read_int config r);
     value = Value.int;
-    of_value = (function Value.Int i -> i | _ -> raise_notrace Refused);
     named = None;
   }
 
@@ -56,7 +54,6 @@ let str =
         expect r tag_str;
         Codec.read_str config r);
     value = Value.str;
-    of_value = (function Value.Str s -> s | _ -> raise_notrace Refused);
     named = None;
   }
 
@@ -73,7 +70,6 @@ let port =
         expect r tag_port;
         Codec.read_port r);
     value = Value.port;
-    of_value = (function Value.Portv p -> p | _ -> raise_notrace Refused);
     named = None;
   }
 
@@ -84,7 +80,6 @@ let any =
     size = (fun config acc v -> acc + Codec.value_size config v);
     read = Codec.read_value;
     value = Fun.id;
-    of_value = Fun.id;
     named = Some (fun check v -> check v);
   }
 
@@ -105,7 +100,6 @@ let option elt =
         else if tag = tag_some then Some (elt.read config r)
         else raise_notrace Refused);
     value = (fun x -> Value.Option (Option.map elt.value x));
-    of_value = (function Value.Option x -> Option.map elt.of_value x | _ -> raise_notrace Refused);
     named =
       Option.map
         (fun named check -> function None -> Ok () | Some x -> named check x)
@@ -150,7 +144,6 @@ let list elt =
         expect r tag_list;
         read_items elt config r (Codec.read_count r));
     value = (fun items -> Value.Listv (List.map elt.value items));
-    of_value = (function Value.Listv items -> List.map elt.of_value items | _ -> raise_notrace Refused);
     named = Option.map named_items elt.named;
   }
 
@@ -168,7 +161,6 @@ type 'a args = {
   size_items : Codec.config -> int -> 'a -> int;  (** the arguments, less their count *)
   read_args : Codec.config -> Codec.reader -> 'a;  (** raises [Refused] on another count *)
   args_values : 'a -> Value.t list;
-  of_values : Value.t list -> 'a;  (** raises [Refused] *)
   args_named : ((Value.t -> (unit, string) result) -> 'a -> (unit, string) result) option;
 }
 
@@ -195,7 +187,6 @@ let args1 a =
         expect_count r 1;
         a.read config r);
     args_values = (fun x -> [ a.value x ]);
-    of_values = (function [ x ] -> a.of_value x | _ -> raise_notrace Refused);
     args_named = a.named;
   }
 
@@ -216,8 +207,6 @@ let args2 a b =
         let y = b.read config r in
         (x, y));
     args_values = (fun (x, y) -> [ a.value x; b.value y ]);
-    of_values =
-      (function [ x; y ] -> (a.of_value x, b.of_value y) | _ -> raise_notrace Refused);
     args_named =
       any_named [ Option.is_some a.named; Option.is_some b.named ] (fun check (x, y) ->
           walk a.named check x >>> fun () -> walk b.named check y);
@@ -243,9 +232,6 @@ let args3 a b c =
         let z = c.read config r in
         (x, y, z));
     args_values = (fun (x, y, z) -> [ a.value x; b.value y; c.value z ]);
-    of_values =
-      (function
-      | [ x; y; z ] -> (a.of_value x, b.of_value y, c.of_value z) | _ -> raise_notrace Refused);
     args_named =
       any_named
         [ Option.is_some a.named; Option.is_some b.named; Option.is_some c.named ]
@@ -281,11 +267,6 @@ let args5 a b c d e =
         (x1, x2, x3, x4, x5));
     args_values =
       (fun (x1, x2, x3, x4, x5) -> [ a.value x1; b.value x2; c.value x3; d.value x4; e.value x5 ]);
-    of_values =
-      (function
-      | [ x1; x2; x3; x4; x5 ] ->
-          (a.of_value x1, b.of_value x2, c.of_value x3, d.of_value x4, e.of_value x5)
-      | _ -> raise_notrace Refused);
     args_named =
       any_named
         [
@@ -315,14 +296,12 @@ let tuple args =
         expect r tag_tuple;
         args.read_args config r);
     value = (fun x -> Value.Tuple (args.args_values x));
-    of_value = (function Value.Tuple items -> args.of_values items | _ -> raise_notrace Refused);
     named = args.args_named;
   }
 
 let pair a b = tuple (args2 a b)
 let triple a b c = tuple (args3 a b c)
 let vtype ty = ty.vtype
-let to_value ty x = ty.value x
 
 let size_of ?(config = Codec.default_config) ty x =
   match ty.size config 0 x with
@@ -396,12 +375,6 @@ let read_args config d name r =
       match c.args.read_args config r with
       | x -> Some (Payload (c, x))
       | exception Refused -> None)
-
-let payload_of_values d name items =
-  match find d name with
-  | None -> None
-  | Some (Cmd c) -> (
-      match c.args.of_values items with x -> Some (Payload (c, x)) | exception Refused -> None)
 
 let cast (type a) (c : a t) (Payload (c', x)) : a option =
   match Type.Id.provably_equal c.id c'.id with Some Type.Equal -> Some x | None -> None

@@ -35,10 +35,9 @@ val pair : 'a ty -> 'b ty -> ('a * 'b) ty
 val triple : 'a ty -> 'b ty -> 'c ty -> ('a * 'b * 'c) ty
 
 val vtype : 'a ty -> Vtype.t
-val to_value : 'a ty -> 'a -> Value.t
 
 val size_of : ?config:Codec.config -> 'a ty -> 'a -> (int, Codec.error) result
-(** [Codec.encoded_size ?config (to_value ty x)], computed from [x]. *)
+(** [Codec.encoded_size ?config] of [x]'s Value form, computed from [x]. *)
 
 (** {1 Argument lists} *)
 
@@ -64,17 +63,16 @@ val name : 'a t -> string
 val failure : string t
 (** §3.4's [failure(string)], which every port accepts. *)
 
-val values : 'a t -> 'a -> Value.t list
-(** The Value form of the arguments. *)
-
 val encoded_size : ?config:Codec.config -> 'a t -> 'a -> (int, Codec.error) result
 (** The size of the command as one value, its name then its arguments:
-    [Codec.encoded_size ?config (Value.tuple (Value.str name :: values c x))],
-    computed from [x]. *)
+    [Codec.encoded_size ?config (Value.tuple (Value.str name :: args))]
+    where [args] is the Value form of [x] ({!payload_values}), computed
+    from [x]. *)
 
 val write_args : Codec.encoder -> 'a t -> 'a -> unit
-(** What {!Codec.add_items} writes for [values c x]: the count, then each
-    argument.  @raise Codec.Codec_error as {!Codec.encode_with} errs. *)
+(** What {!Codec.add_items} writes for the Value form of [x]: the count,
+    then each argument.  @raise Codec.Codec_error as {!Codec.encode_with}
+    errs. *)
 
 val check_named : 'a t -> (Value.t -> (unit, string) result) -> 'a -> (unit, string) result
 (** Run a check ({!Transmit.check_named}) over each {!any} argument, left to
@@ -109,11 +107,8 @@ val read_args : Codec.config -> decl -> string -> Codec.reader -> payload option
     {!Vtype.check_message} accepts; a codec error raises
     {!Codec.Codec_error}. *)
 
-val payload_of_values : decl -> string -> Value.t list -> payload option
-(** The payload of arguments that {!Vtype.check_message} accepted against
-    {!port_type}. *)
-
 val cast : 'a t -> payload -> 'a option
 (** The arguments, if the payload is this command's. *)
 
 val payload_values : payload -> Value.t list
+(** The Value form of the arguments. *)

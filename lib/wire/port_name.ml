@@ -13,10 +13,5 @@ let compare a b =
       let c = Int.compare a.index b.index in
       if c <> 0 then c else Int.compare a.uid b.uid
 
-(* FNV-1a style mix over the four fields: typed, so a change to the record
-   layout is a compile error here rather than a silent hash change. *)
-let hash t =
-  let mix h v = (h * 0x01000193) lxor v in
-  mix (mix (mix (mix 0x811c9dc5 t.node) t.guardian) t.index) t.uid land max_int
 let pp fmt t = Format.fprintf fmt "port<n%d.g%d.p%d#%d>" t.node t.guardian t.index t.uid
 let to_string t = Format.asprintf "%a" pp t

@@ -53,26 +53,6 @@ and pp_comma fmt () = Format.pp_print_string fmt ", "
 
 let to_string v = Format.asprintf "%a" pp v
 
-let rec size = function
-  | Unit | Bool _ -> 1
-  | Int _ | Real _ -> 8
-  | Str s -> 4 + String.length s
-  | Listv l | Tuple l -> List.fold_left (fun acc v -> acc + size v) 4 l
-  | Record fields ->
-      List.fold_left (fun acc (name, v) -> acc + String.length name + size v) 4 fields
-  | Option None -> 1
-  | Option (Some v) -> 1 + size v
-  | Portv _ -> 16
-  | Tokenv _ -> 20
-  | Named (name, v) -> String.length name + size v
-
-let rec depth = function
-  | Unit | Bool _ | Int _ | Real _ | Str _ | Portv _ | Tokenv _ | Option None -> 1
-  | Listv l | Tuple l -> 1 + List.fold_left (fun acc v -> Int.max acc (depth v)) 0 l
-  | Record fields -> 1 + List.fold_left (fun acc (_, v) -> Int.max acc (depth v)) 0 fields
-  | Option (Some v) | Named (_, v) -> 1 + depth v
-
-let unit = Unit
 let bool b = Bool b
 let int i = Int i
 let real r = Real r
@@ -90,13 +70,10 @@ let mismatch expected v = raise (Type_mismatch (expected ^ " expected, got " ^ t
 
 let get_bool = function Bool b -> b | v -> mismatch "bool" v
 let get_int = function Int i -> i | v -> mismatch "int" v
-let get_real = function Real r -> r | v -> mismatch "real" v
 let get_str = function Str s -> s | v -> mismatch "string" v
 let get_list = function Listv l -> l | v -> mismatch "list" v
 let get_option = function Option o -> o | v -> mismatch "option" v
 let get_port = function Portv p -> p | v -> mismatch "port" v
-let get_token = function Tokenv tok -> tok | v -> mismatch "token" v
-let get_named = function Named (name, v) -> (name, v) | v -> mismatch "named" v
 
 let field v name =
   match v with

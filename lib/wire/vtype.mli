@@ -61,6 +61,3 @@ val check_message : port_type -> command:string -> Value.t list -> (unit, string
     declared and every argument must match.  §3.4's [failure (string)] is
     declared implicitly on every port type.  One scan of the port type;
     a message that checks allocates nothing. *)
-
-val pp_signature : Format.formatter -> signature -> unit
-val pp_port_type : Format.formatter -> port_type -> unit

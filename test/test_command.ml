@@ -117,42 +117,51 @@ let gen_command_args ~typed =
 let target = Port_name.make ~node:1 ~guardian:2 ~index:0 ~uid:3
 let encoder config = Codec.encoder ~config ()
 
+(* The Value form of typed arguments. *)
+let values_of c x = Command.payload_values (Command.Payload (c, x))
+
+(* The typed arguments of [values]: the Value path's bytes under bounds
+   every generated value fits, read by the declaration; [None] when the
+   declaration refuses them. *)
+let typed_of c values =
+  let decl = Replica.commands in
+  match
+    Message.values_to_wire (encoder Codec.default_config) ~target ~sent_at:0 (Command.name c)
+      values
+  with
+  | Error _ -> None
+  | Ok body -> (
+      match Message.of_wire ~config:Codec.default_config ~commands:(fun _ -> Some decl) body with
+      | Ok (_, msg) -> Option.bind msg.Message.typed (Command.cast c)
+      | Error _ -> None)
+
 let check_writer config (Command.Cmd c) values reply_to =
   let decl = Replica.commands in
-  match Command.payload_of_values decl (Command.name c) values with
-  | None -> true (* values of another shape: not this command's *)
-  | Some payload -> (
-      match Command.cast c payload with
-      | None -> false
-      | Some x ->
-          let name = Command.name c in
-          let sent_at = 250 in
-          let value_bytes =
-            Message.to_wire (encoder config) ~target (Message.make ?reply_to ~sent_at name values)
-          in
-          let typed_bytes =
-            Message.command_to_wire (encoder config) ~target ?reply_to ~sent_at c x
-          in
-          let value_size =
-            Codec.encoded_size ~config (Value.tuple (Value.str name :: values))
-          in
-          let read_back =
-            match typed_bytes with
-            | Error _ -> true
-            | Ok body -> (
-                match
-                  Message.of_wire ~config ~commands:(fun _ -> Some decl) body
-                with
-                | Ok (Ok (_, msg)) -> (
-                    match Option.bind msg.Message.typed (Command.cast c) with
-                    | Some x' -> List.equal Value.equal (Command.values c x') values
-                    | None -> false)
-                | Ok (Error _) | Error _ -> false)
-          in
-          typed_bytes = value_bytes
-          && Command.encoded_size ~config c x = value_size
-          && List.equal Value.equal (Command.values c x) values
-          && read_back)
+  match typed_of c values with
+  | None -> false (* every generated argument list is well-typed *)
+  | Some x ->
+      let name = Command.name c in
+      let sent_at = 250 in
+      let value_bytes =
+        Message.to_wire (encoder config) ~target (Message.make ?reply_to ~sent_at name values)
+      in
+      let typed_bytes = Message.command_to_wire (encoder config) ~target ?reply_to ~sent_at c x in
+      let value_size = Codec.encoded_size ~config (Value.tuple (Value.str name :: values)) in
+      let read_back =
+        match typed_bytes with
+        | Error _ -> true
+        | Ok body -> (
+            match Message.of_wire ~config ~commands:(fun _ -> Some decl) body with
+            | Ok (_, msg) -> (
+                match Option.bind msg.Message.typed (Command.cast c) with
+                | Some x' -> List.equal Value.equal (values_of c x') values
+                | None -> false)
+            | Error _ -> false)
+      in
+      typed_bytes = value_bytes
+      && Command.encoded_size ~config c x = value_size
+      && List.equal Value.equal (values_of c x) values
+      && read_back
 
 let prop_writers =
   QCheck2.Test.make ~name:"typed bytes, size and read-back equal the Value path's" ~count:500
@@ -176,9 +185,9 @@ let prop_sizes =
       && Command.size_of delta (key, value, stamp)
          = Codec.encoded_size
              (Value.tuple [ Value.str key; value; Reconcile.stamp_value stamp ])
-      && Value.equal
-           (Command.to_value Reconcile.entry_ty (key, stamp))
-           (Reconcile.entry_value (key, stamp)))
+      && List.equal Value.equal
+           (values_of (Command.make "entry" (Command.args1 Reconcile.entry_ty)) (key, stamp))
+           [ Reconcile.entry_value (key, stamp) ])
 
 (* ---- delivery: a typed port accepts and refuses what the Value path does ---- *)
 
@@ -227,7 +236,8 @@ let gen_body ~receiver ~sink =
 (* One world: a receiver at node 1 whose port has Replica's type, typed or
    not; a sink at node 0 whose wildcard port takes failure messages.  The
    receiver's port holds 3 messages and is drained only after the batch has
-   arrived, so a batch also overflows it. *)
+   arrived, so a batch also overflows it.  Each delivery records whether it
+   carries a typed payload. *)
 let outcome ~typed bodies =
   let config = { Runtime.default_config with codec = small; trace = true } in
   let world =
@@ -247,11 +257,17 @@ let outcome ~typed bodies =
             match Runtime.receive ctx ~timeout:0 [ port ] with
             | `Timeout -> ()
             | `Msg (_, msg) ->
+                let args =
+                  match msg.Message.typed with
+                  | None -> msg.Message.args
+                  | Some payload -> Command.payload_values payload
+                in
                 delivered :=
                   ( msg.Message.command,
-                    Message.arguments msg,
+                    args,
                     msg.Message.reply_to,
-                    msg.Message.sent_at )
+                    msg.Message.sent_at,
+                    Option.is_some msg.Message.typed )
                   :: !delivered;
                 drain ()
           in
@@ -315,8 +331,9 @@ let prop_delivery =
       let delivered (d, _, _, _) = d and failures (_, f, _, _) = f in
       let counters (_, _, c, _) = c and trace (_, _, _, t) = t in
       List.equal
-        (fun (c1, a1, r1, s1) (c2, a2, r2, s2) ->
-          String.equal c1 c2 && List.equal Value.equal a1 a2 && r1 = r2 && s1 = s2)
+        (fun (c1, a1, r1, s1, t1) (c2, a2, r2, s2, t2) ->
+          String.equal c1 c2 && List.equal Value.equal a1 a2 && r1 = r2 && s1 = s2
+          && (not t1) && t2)
         (delivered value_side) (delivered typed_side)
       && failures value_side = failures typed_side
       && counters value_side = counters typed_side
@@ -355,16 +372,23 @@ let test_injected_shapes () =
       shapes
   in
   let typed_side = outcome ~typed:true bodies in
-  let delivered (d, _, _, _) = List.map (fun (c, a, _, _) -> (c, a)) d in
+  let value_side = outcome ~typed:false bodies in
+  let delivered (d, _, _, _) = List.map (fun (c, a, _, _, _) -> (c, a)) d in
+  let carry_typed (d, _, _, _) = List.map (fun (_, _, _, _, t) -> t) d in
   Alcotest.(check int) "three fit the port" 3 (List.length (delivered typed_side));
+  Alcotest.(check (list bool)) "each carries its typed form" [ true; true; true ]
+    (carry_typed typed_side);
   Alcotest.(check bool)
     "the arguments as sent" true
     (List.for_all2
        (fun (c, a) (c', a') -> String.equal c c' && List.equal Value.equal a a')
        (delivered typed_side)
        (List.filteri (fun i _ -> i < 3) shapes));
+  let without_form (d, f, c, t) =
+    (List.map (fun (cmd, a, r, s, _) -> (cmd, a, r, s)) d, f, c, t)
+  in
   Alcotest.(check bool) "the same outcome as the Value path" true
-    (typed_side = outcome ~typed:false bodies)
+    (without_form typed_side = without_form value_side)
 
 (* ---- the digest view ---- *)
 
@@ -394,7 +418,12 @@ let prop_view =
         Hashtbl.fold (fun key stamp acc -> (key, stamp) :: acc) model []
         |> List.sort Reconcile.entry_compare
         |> List.map (fun (key, stamp) ->
-               (key, stamp, Reconcile.value_size (Reconcile.entry_value (key, stamp))))
+               let size =
+                 match Codec.encoded_size (Reconcile.entry_value (key, stamp)) with
+                 | Ok n -> n
+                 | Error _ -> max_int
+               in
+               (key, stamp, size))
       in
       agreed && Reconcile.view table = rebuilt)
 

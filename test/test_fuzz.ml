@@ -56,7 +56,7 @@ let test_codec_fuzz_truncations () =
     Value.record
       [
         ("a", Value.list [ Value.int 42; Value.str "hello"; Value.real 2.5 ]);
-        ("b", Value.option (Some (Value.tuple [ Value.bool true; Value.unit ])));
+        ("b", Value.option (Some (Value.tuple [ Value.bool true; Value.Unit ])));
       ]
   in
   let encoded = Codec.encode_exn value in
@@ -125,8 +125,9 @@ let test_runtime_survives_garbage_on_the_wire () =
 (* The same world fed a fixed corpus: random bytes, and a real envelope
    for the guardian's port with each byte flipped and truncated at each
    length.  Bodies near the envelope's layout are where the runtime's
-   in-place reader must fall back to the general decoder; the malformed
-   tally is pinned to the count the general decoder alone gave. *)
+   one reader decides what is an envelope; the malformed tally is pinned
+   to the count the record path's decoder gave when it was the reader of
+   last resort. *)
 let test_garbage_malformed_count () =
   let world =
     Runtime.create_world ~seed:5 ~topology:(Topology.full_mesh ~n:2 Link.perfect) ()
@@ -161,7 +162,7 @@ let test_garbage_malformed_count () =
   let counter name =
     Option.value (List.assoc_opt name (Metrics.counters (Runtime.metrics world))) ~default:0
   in
-  Alcotest.(check int) "malformed, as the general decoder counts them" 1117
+  Alcotest.(check int) "malformed, as the record path counted them" 1117
     (counter "deliver.malformed")
 
 (* ---- random guardians, ports and sends (API-level storm) ---- *)

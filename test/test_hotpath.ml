@@ -184,22 +184,6 @@ let test_waiter_lists_bounded_under_timeouts () =
   Alcotest.(check int) "resuming via b cleared a's waiter" 0 (Port.waiter_count a);
   Alcotest.(check int) "b's waiter consumed by delivery" 0 (Port.waiter_count b)
 
-(* ---- link composition: duplicate composes like loss/corrupt ---- *)
-
-let test_link_compose_duplicate () =
-  let a = { Link.perfect with Link.loss = 0.1; duplicate = 0.1; corrupt = 0.2 } in
-  let b = { Link.perfect with Link.loss = 0.1; duplicate = 0.1; corrupt = 0.2 } in
-  let c = Link.compose a b in
-  let close expect got name = Alcotest.(check (float 1e-9)) name expect got in
-  close 0.19 c.Link.loss "loss = 1-(1-a)(1-b)";
-  close 0.19 c.Link.duplicate "duplicate = 1-(1-a)(1-b)";
-  close 0.36 c.Link.corrupt "corrupt = 1-(1-a)(1-b)";
-  (* identity and symmetry *)
-  let id = Link.compose a Link.perfect in
-  close a.Link.duplicate id.Link.duplicate "perfect is identity for duplicate";
-  let cba = Link.compose b a in
-  close c.Link.duplicate cba.Link.duplicate "composition is symmetric"
-
 (* ---- metrics registry: O(1) get-or-create at 1k+ distinct names ---- *)
 
 let test_metrics_registry_many_names () =
@@ -280,7 +264,6 @@ let tests =
     Alcotest.test_case "rpc dedup evicts oldest O(1)" `Quick test_rpc_dedup_eviction_order;
     Alcotest.test_case "port index stable after removal" `Quick test_port_index_stable_after_removal;
     Alcotest.test_case "waiter lists bounded" `Quick test_waiter_lists_bounded_under_timeouts;
-    Alcotest.test_case "link compose duplicate" `Quick test_link_compose_duplicate;
     Alcotest.test_case "metrics registry 1.5k names" `Quick test_metrics_registry_many_names;
     Alcotest.test_case "engine pending exact" `Quick test_engine_pending_exact;
     Alcotest.test_case "find_guardians indexed" `Quick test_find_guardians_creation_order;

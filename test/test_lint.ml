@@ -373,6 +373,12 @@ let test_typed_commands () =
    means a send the proto tier cannot check. *)
 let dynamic_sends_at_most = 22
 
+(* Exports that only units under test/ name: each stays as paper API or
+   as inspection API, and its interface says which.  The count may fall
+   as such vals gain callers or go; a rise means a val nothing outside
+   test/ uses. *)
+let test_only_exports_at_most = 109
+
 let test_dynamic_sends_only_fall () =
   match find_repo_root () with
   | None -> ()
@@ -382,7 +388,16 @@ let test_dynamic_sends_only_fall () =
       Alcotest.(check bool)
         (Printf.sprintf "%d dynamic sends, at most %d" dynamic dynamic_sends_at_most)
         true
-        (dynamic <= dynamic_sends_at_most)
+        (dynamic <= dynamic_sends_at_most);
+      let test_only =
+        match Option.bind (Json.member "exports" o.Driver.report) (Json.member "test_only") with
+        | Some (Json.Num n) -> int_of_float n
+        | _ -> Alcotest.fail "exports.test_only missing"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d test-only exports, at most %d" test_only test_only_exports_at_most)
+        true
+        (test_only <= test_only_exports_at_most)
 
 let tests =
   [

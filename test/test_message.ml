@@ -124,22 +124,31 @@ let prop_writer_matches_record_path (name, config) =
 
 (* The reader's results compared field by field, so a NaN argument
    equals itself. *)
-let same_read a b =
-  match (a, b) with
-  | Ok (Ok (t, m)), Ok (Ok (t', m')) ->
-      Port_name.equal t t'
-      && String.equal m.Message.command m'.Message.command
-      && List.equal Value.equal m.Message.args m'.Message.args
-      && Option.equal Port_name.equal m.Message.reply_to m'.Message.reply_to
-      && Int.equal m.Message.sent_at m'.Message.sent_at
-  | Ok (Error r), Ok (Error r') -> String.equal r r'
+let same_envelope (t, m) (t', m') =
+  Port_name.equal t t'
+  && String.equal m.Message.command m'.Message.command
+  && List.equal Value.equal m.Message.args m'.Message.args
+  && Option.equal Port_name.equal m.Message.reply_to m'.Message.reply_to
+  && Int.equal m.Message.sent_at m'.Message.sent_at
+
+let record_read ~config body = Result.map Message.of_envelope (Codec.decode ~config body)
+
+(* A body in the envelope's layout reads as the record path reads it,
+   error included. *)
+let reads_like_record_path ~config body =
+  match (Message.of_wire ~config body, record_read ~config body) with
+  | Ok read, Ok (Ok read') -> same_envelope read read'
   | Error e, Error e' -> e = e'
   | (Ok _ | Error _), _ -> false
 
-let reads_like_record_path ~config body =
-  same_read
-    (Message.of_wire ~config body)
-    (Result.map Message.of_envelope (Codec.decode ~config body))
+(* Whatever [of_wire] accepts, the record path reads alike. *)
+let accepted_like_record_path ~config body =
+  match Message.of_wire ~config body with
+  | Error _ -> true
+  | Ok read -> (
+      match record_read ~config body with
+      | Ok (Ok read') -> same_envelope read read'
+      | Ok (Error _) | Error _ -> false)
 
 let record_body (target, msg) = Codec.encode_exn (Message.envelope ~target msg)
 
@@ -147,59 +156,76 @@ let prop_reader_matches_record_path (name, config) =
   QCheck2.Test.make ~name:("of_wire = decode + of_envelope, " ^ name) ~count:500 gen_full
     (fun m -> reads_like_record_path ~config (record_body m))
 
-(* Every single-byte change, every truncation and a trailing byte. *)
+(* Every single-byte change, every truncation and a trailing byte: the
+   reader accepts what the writer writes, and nothing it accepts reads
+   otherwise than on the record path. *)
 let prop_reader_matches_on_mutations =
-  QCheck2.Test.make ~name:"of_wire = decode + of_envelope on mutated bodies" ~count:300
+  QCheck2.Test.make ~name:"of_wire = decode + of_envelope on the mutated bodies it accepts"
+    ~count:300
     QCheck2.Gen.(pair gen_small (int_range 1 255))
-    (fun (m, mask) ->
+    (fun (((target, msg) as m), mask) ->
       let body = record_body m in
       let config = Codec.config_1979 in
       let flipped i =
         String.mapi (fun j c -> if i = j then Char.chr (Char.code c lxor mask) else c) body
       in
-      List.for_all
-        (fun i ->
-          reads_like_record_path ~config (flipped i)
-          && reads_like_record_path ~config (String.sub body 0 i))
-        (List.init (String.length body) Fun.id)
-      && reads_like_record_path ~config (body ^ "\000"))
+      (match Message.to_wire (Codec.encoder ~config ()) ~target msg with
+      | Ok written -> Result.is_ok (Message.of_wire ~config written)
+      | Error _ -> true)
+      && List.for_all
+           (fun i ->
+             accepted_like_record_path ~config (flipped i)
+             && accepted_like_record_path ~config (String.sub body 0 i))
+           (List.init (String.length body) Fun.id)
+      && Result.is_error (Message.of_wire ~config (body ^ "\000")))
 
+(* One reader: a body outside the layout [to_wire] writes is malformed,
+   however the record path would read it; a bound exceeded inside the
+   layout gives the record path's error. *)
 let test_reader_off_layout () =
   let target = port_a in
   let msg = Message.make ~reply_to:port_b ~sent_at:7 "op" [ Value.int 1; Value.str "x" ] in
   let fields =
     match Message.envelope ~target msg with Value.Record f -> f | _ -> assert false
   in
-  let check what config v =
-    let body = Codec.encode_exn v in
-    Alcotest.(check bool) what true (reads_like_record_path ~config body)
-  in
   let default = Codec.default_config in
-  check "canonical" default (Value.record fields);
-  check "reordered fields" default (Value.record (List.rev fields));
-  check "a sixth field" default (Value.record (fields @ [ ("extra", Value.unit) ]));
-  check "a field renamed" default
-    (Value.record (List.map (fun (n, v) -> ((if n = "args" then "argz" else n), v)) fields));
-  check "a non-port reply" default
-    (Value.record
-       (List.map (fun (n, v) -> (n, if n = "reply" then Value.option (Some (Value.int 3)) else v)) fields));
-  check "a string where the args go" default
-    (Value.record (List.map (fun (n, v) -> (n, if n = "args" then Value.str "no" else v)) fields));
-  check "sent_at past the 24-bit bound" Codec.config_1979
-    (Message.envelope ~target { msg with Message.sent_at = 1 lsl 23 });
-  check "a command past max_string" Codec.config_1979
-    (Message.envelope ~target { msg with Message.command = String.make 4097 'c' });
-  check "not a record" default (Value.list (List.map snd fields));
+  let malformed what body =
+    match Message.of_wire ~config:default body with
+    | Error (Codec.Malformed _) -> ()
+    | Error e -> Alcotest.failf "%s: %a" what Codec.pp_error e
+    | Ok _ -> Alcotest.failf "%s read as an envelope" what
+  in
+  let replace name v = List.map (fun (n, x) -> (n, if n = name then v else x)) fields in
+  malformed "reordered fields" (Codec.encode_exn (Value.record (List.rev fields)));
+  malformed "a sixth field" (Codec.encode_exn (Value.record (fields @ [ ("extra", Value.Unit) ])));
+  malformed "a field renamed"
+    (Codec.encode_exn
+       (Value.record (List.map (fun (n, v) -> ((if n = "args" then "argz" else n), v)) fields)));
+  malformed "a non-port reply"
+    (Codec.encode_exn (Value.record (replace "reply" (Value.option (Some (Value.int 3))))));
+  malformed "a string where the args go"
+    (Codec.encode_exn (Value.record (replace "args" (Value.str "no"))));
+  malformed "not a record" (Codec.encode_exn (Value.list (List.map snd fields)));
   let body = Codec.encode_exn (Value.record fields) in
-  Alcotest.(check bool) "trailing bytes" true (reads_like_record_path ~config:default (body ^ "x"));
-  Alcotest.(check bool) "past max_message" true
-    (reads_like_record_path ~config:{ default with max_message = String.length body - 1 } body);
+  malformed "trailing bytes" (body ^ "x");
+  let bound what config body =
+    match (Message.of_wire ~config body, Codec.decode ~config body) with
+    | Error e, Error e' when e = e' -> ()
+    | Error e, _ -> Alcotest.failf "%s: %a, not the record path's error" what Codec.pp_error e
+    | Ok _, _ -> Alcotest.failf "%s read as an envelope" what
+  in
+  bound "sent_at past the 24-bit bound" Codec.config_1979
+    (Codec.encode_exn (Message.envelope ~target { msg with Message.sent_at = 1 lsl 23 }));
+  bound "a command past max_string" Codec.config_1979
+    (Codec.encode_exn (Message.envelope ~target { msg with Message.command = String.make 4097 'c' }));
+  bound "past max_message" { default with max_message = String.length body - 1 } body;
   match Message.of_wire ~config:default body with
-  | Ok (Ok (t, m)) ->
+  | Ok (t, m) ->
       Alcotest.(check bool) "target" true (Port_name.equal t target);
       Alcotest.(check string) "command" "op" m.Message.command;
-      Alcotest.(check bool) "reply" true (m.Message.reply_to = Some port_b)
-  | Ok (Error e) -> Alcotest.fail e
+      Alcotest.(check bool) "reply" true (m.Message.reply_to = Some port_b);
+      Alcotest.(check bool) "the record path's read" true
+        (reads_like_record_path ~config:default body)
   | Error e -> Alcotest.failf "%a" Codec.pp_error e
 
 let tests =

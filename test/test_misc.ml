@@ -35,24 +35,12 @@ let test_trace_clear () =
   Trace.record t ~at:2 ~category:"x" "two";
   Alcotest.(check int) "usable after clear" 1 (Trace.size t)
 
-let test_topology_custom () =
-  let slow = { Link.perfect with base_latency = Clock.ms 9 } in
-  let t =
-    Topology.custom ~nodes:[ 10; 20 ] (fun ~src ~dst ->
-        if src < dst then Link.perfect else slow)
-  in
-  Alcotest.(check bool) "asymmetric links allowed" true
-    (Topology.link t ~src:10 ~dst:20 <> Topology.link t ~src:20 ~dst:10);
-  Alcotest.(check bool) "membership" true (Topology.mem t 20);
-  Alcotest.(check bool) "non-member" false (Topology.mem t 30)
-
 let test_port_name_rendering_and_order () =
   let a = Port_name.make ~node:1 ~guardian:2 ~index:3 ~uid:4 in
   let b = Port_name.make ~node:1 ~guardian:2 ~index:3 ~uid:5 in
   Alcotest.(check string) "to_string" "port<n1.g2.p3#4>" (Port_name.to_string a);
   Alcotest.(check bool) "compare orders by uid last" true (Port_name.compare a b < 0);
-  Alcotest.(check bool) "equal self" true (Port_name.equal a a);
-  Alcotest.(check bool) "hash stable" true (Port_name.hash a = Port_name.hash a)
+  Alcotest.(check bool) "equal self" true (Port_name.equal a a)
 
 let test_vtype_overloaded_command () =
   let pt =
@@ -65,36 +53,26 @@ let test_vtype_overloaded_command () =
   Alcotest.(check bool) "binary form rejected" true
     (Result.is_error (Vtype.check_message pt ~command:"ping" [ Value.int 7; Value.int 8 ]))
 
-let test_vtype_port_type_rendering () =
-  let pt =
-    [ Vtype.signature "reserve" [ Vtype.Tint ] ~replies:[ Vtype.reply "ok" [] ] ]
-  in
-  Alcotest.(check string) "pp_port_type"
-    "port [reserve(int) replies (ok())]"
-    (Format.asprintf "%a" Vtype.pp_port_type pt)
-
 let test_codec_1979_config_shape () =
-  Alcotest.(check bool) "24-bit max in" true (Codec.int_in_bounds Codec.config_1979 8_388_607);
-  Alcotest.(check bool) "24-bit min in" true (Codec.int_in_bounds Codec.config_1979 (-8_388_608));
-  Alcotest.(check bool) "63-bit config accepts max_int" true
-    (Codec.int_in_bounds Codec.default_config max_int)
+  let fits config i = Result.is_ok (Codec.encode ~config (Value.int i)) in
+  Alcotest.(check bool) "24-bit max in" true (fits Codec.config_1979 8_388_607);
+  Alcotest.(check bool) "24-bit min in" true (fits Codec.config_1979 (-8_388_608));
+  Alcotest.(check bool) "24-bit max + 1 out" false (fits Codec.config_1979 8_388_608);
+  Alcotest.(check bool) "63-bit config accepts max_int" true (fits Codec.default_config max_int)
 
 let test_value_token_port_accessors () =
   let p = Port_name.make ~node:0 ~guardian:1 ~index:0 ~uid:2 in
   let tok = Token.seal ~secret:9L ~owner:1 ~obj:5 in
   Alcotest.(check bool) "port roundtrip" true (Port_name.equal p (Value.get_port (Value.port p)));
-  Alcotest.(check bool) "token roundtrip" true (Token.equal tok (Value.get_token (Value.token tok)));
-  Alcotest.(check bool) "named accessor" true
-    (Value.get_named (Value.Named ("t", Value.unit)) = ("t", Value.Unit))
+  Alcotest.(check bool) "token constructor" true
+    (match Value.token tok with Value.Tokenv t -> Token.equal tok t | _ -> false)
 
 let tests =
   [
     Alcotest.test_case "metrics report renders" `Quick test_metrics_report_renders;
     Alcotest.test_case "trace clear" `Quick test_trace_clear;
-    Alcotest.test_case "topology custom" `Quick test_topology_custom;
     Alcotest.test_case "port name rendering/order" `Quick test_port_name_rendering_and_order;
     Alcotest.test_case "overloaded command" `Quick test_vtype_overloaded_command;
-    Alcotest.test_case "port type rendering" `Quick test_vtype_port_type_rendering;
     Alcotest.test_case "1979 codec bounds" `Quick test_codec_1979_config_shape;
     Alcotest.test_case "value port/token accessors" `Quick test_value_token_port_accessors;
   ]

@@ -157,32 +157,19 @@ let test_reconcile_diff () =
 
 let test_reconcile_budget () =
   let size _ = 10 in
-  let budget = Reconcile.header_allowance + 25 in
-  let taken, rest = Reconcile.take_within ~budget ~size [ 1; 2; 3; 4; 5 ] in
-  Alcotest.(check (list int)) "greedy prefix" [ 1; 2 ] taken;
-  Alcotest.(check (list int)) "remainder" [ 3; 4; 5 ] rest;
+  (* 96 bytes of the budget are reserved for the message around the entries *)
+  let budget = 96 + 25 in
   Alcotest.(check (list (list int)))
-    "chunks cover everything"
+    "greedy runs cover everything"
     [ [ 1; 2 ]; [ 3; 4 ]; [ 5 ] ]
     (Reconcile.chunks ~budget ~size [ 1; 2; 3; 4; 5 ]);
   (* an entry bigger than the whole budget still makes progress *)
   let huge _ = 10_000 in
-  let taken, rest = Reconcile.take_within ~budget ~size:huge [ 1; 2 ] in
-  Alcotest.(check (list int)) "oversized entry taken alone" [ 1 ] taken;
-  Alcotest.(check (list int)) "rest waits" [ 2 ] rest
+  Alcotest.(check (list (list int)))
+    "oversized entries taken alone" [ [ 1 ]; [ 2 ] ]
+    (Reconcile.chunks ~budget ~size:huge [ 1; 2 ])
 
 let test_reconcile_stamps_and_windows () =
-  let stamp v = Reconcile.stamp_of_value v in
-  Alcotest.(check (option (pair int int)))
-    "well-formed" (Some (3, 0))
-    (stamp (Value.tuple [ Value.int 3; Value.int 0 ]));
-  Alcotest.(check (option (pair int int)))
-    "zero counter rejected" None
-    (stamp (Value.tuple [ Value.int 0; Value.int 0 ]));
-  Alcotest.(check (option (pair int int)))
-    "negative stamp rejected" None
-    (stamp (Value.tuple [ Value.int (-3); Value.int (-9) ]));
-  Alcotest.(check (option (pair int int))) "non-tuple rejected" None (stamp (Value.str "x"));
   Alcotest.(check (option (pair int int)))
     "store mirror round-trip" (Some (42, 7))
     (Reconcile.stamp_of_string (Reconcile.stamp_to_string (42, 7)));
@@ -191,9 +178,16 @@ let test_reconcile_stamps_and_windows () =
     (Reconcile.window_ok { Reconcile.lo = "z"; hi = Some "a" });
   let w = { Reconcile.lo = "b"; hi = Some "d" } in
   Alcotest.(check bool) "window ok" true (Reconcile.window_ok w);
-  Alcotest.(check (list bool)) "in_window is [lo, hi)"
-    [ false; true; true; false; false ]
-    (List.map (Reconcile.in_window w) [ "a"; "b"; "c"; "d"; "e" ])
+  let table =
+    List.fold_left
+      (fun table key ->
+        match Reconcile.update table ~key ~value:() ~stamp:(1, 0) with
+        | Some (table, _) -> table
+        | None -> table)
+      Reconcile.empty [ "a"; "b"; "c"; "d"; "e" ]
+  in
+  Alcotest.(check (list string)) "a window holds [lo, hi)" [ "b"; "c" ]
+    (List.map fst (Reconcile.held_in table w))
 
 (* ---- protocol-level regressions ---- *)
 
@@ -203,9 +197,15 @@ let replica_store world i =
   List.nth (Runtime.find_guardians world ~def_name:Replica.def_name) i
   |> Runtime.guardian_store
 
+(* A digest entry as the Value path carries it. *)
+let entry_of_value = function
+  | Value.Tuple [ Value.Str key; Value.Tuple [ Value.Int counter; Value.Int origin ] ] ->
+      Some (key, (counter, origin))
+  | _ -> None
+
 (* The hash an honest sender holding exactly these digest entries sends. *)
 let hash_of_entries entries =
-  Reconcile.hash_value (Reconcile.table_hash (List.filter_map Reconcile.entry_of_value entries))
+  Reconcile.hash_value (Reconcile.table_hash (List.filter_map entry_of_value entries))
 
 (* A digest of [entries] from a sender that knows nothing of the receiver. *)
 let digest_args ~lo ~hi entries =
@@ -360,7 +360,7 @@ let test_digest_follows_every_apply () =
         | `Msg (_, msg) -> (
             match (msg.Dcp_core.Message.command, msg.Dcp_core.Message.args) with
             | "sync_digest", [ _; _; Value.Listv l; _; _ ] ->
-                Some (List.filter_map Reconcile.entry_of_value l)
+                Some (List.filter_map entry_of_value l)
             | _ -> next_digest ())
       in
       let rec drain () =
@@ -576,7 +576,7 @@ let test_byte_budget_continuation () =
   let table_bytes =
     List.fold_left
       (fun acc (key, stamp) ->
-        acc + Reconcile.value_size (Reconcile.entry_value (key, stamp)))
+        acc + Result.get_ok (Codec.encoded_size (Reconcile.entry_value (key, stamp))))
       0
       (Replica.table_in_store (replica_store world 0))
   in
@@ -759,7 +759,8 @@ let prop_incremental_hash =
             (digest_args ~lo:"" ~hi:None []);
           match Runtime.receive ctx ~timeout:(Clock.s 1) [ port ] with
           | `Msg (_, { Dcp_core.Message.command = "sync_delta"; args = [ _; hash ]; _ }) ->
-              reported := Reconcile.hash_of_value hash
+              reported :=
+                (match hash with Value.Str s -> Reconcile.hash_of_string s | _ -> None)
           | `Msg _ | `Timeout -> ());
       Runtime.run_for world (Clock.s 2);
       let recomputed = Reconcile.table_hash (Replica.table_in_store (replica_store world 0)) in

@@ -275,6 +275,45 @@ let test_encode_bounds_raise_at_sender () =
   Runtime.run_for world (Clock.s 1);
   Alcotest.(check bool) "24-bit bound enforced at sender" true !raised
 
+(* A rejected message's failure reply is subject to the codec's bounds
+   like any message.  One it cannot encode has no sender to raise
+   [Send_failed] to: it is dropped and counted, and the world runs on. *)
+let unencodable_failure_count ~link ~at command =
+  let config = { Runtime.default_config with codec = Codec.config_1979 } in
+  let world = make_world ~link ~config () in
+  let ping_def : Runtime.def =
+    {
+      Runtime.def_name = "ping";
+      provides = [ ([ Vtype.signature "ping" [] ], 4) ];
+      init = (fun _ _ -> ());
+      recover = None;
+    }
+  in
+  Runtime.register_def world ping_def;
+  let ping = List.hd (Runtime.guardian_ports (Runtime.create_guardian world ~at:1 ~def_name:"ping" ~args:[])) in
+  with_driver world ~at:0 (fun ctx ->
+      let reply = Runtime.new_port ctx [ Vtype.wildcard ] in
+      Runtime.sleep ctx at;
+      Runtime.send ctx ~to_:ping ~reply_to:(Port.name reply) command []);
+  Runtime.run_for world (Clock.s 1);
+  let counter name =
+    Option.value (List.assoc_opt name (Dcp_sim.Metrics.counters (Runtime.metrics world))) ~default:0
+  in
+  (counter "deliver.discarded", counter "failure.sent", counter "failure.unencodable")
+
+let test_failure_past_int_bits_dropped () =
+  (* sent at 1 ms, rejected past 8.39 ms: the failure's send time exceeds
+     24 bits *)
+  Alcotest.(check (triple int int int))
+    "discarded, no failure sent, one unencodable" (1, 0, 1)
+    (unencodable_failure_count ~link:Link.wan ~at:(Clock.ms 1) "pong")
+
+let test_failure_past_max_string_dropped () =
+  (* the reason quotes the command, which fits max_string alone *)
+  Alcotest.(check (triple int int int))
+    "discarded, no failure sent, one unencodable" (1, 0, 1)
+    (unencodable_failure_count ~link:Link.perfect ~at:0 (String.make 4080 'c'))
+
 (* Two guardians that answer each other over a zero-latency link never
    let virtual time move.  The engine reports the loop instead of spinning
    in it for ever.  With two shards run on domains, the loop runs on the
@@ -361,6 +400,10 @@ let tests =
     Alcotest.test_case "port signatures enforced" `Quick test_port_type_checking;
     Alcotest.test_case "unordered delivery, none lost" `Quick test_sends_are_unordered_but_deliverable;
     Alcotest.test_case "integer bounds raise at sender" `Quick test_encode_bounds_raise_at_sender;
+    Alcotest.test_case "unencodable failure past int_bits dropped" `Quick
+      test_failure_past_int_bits_dropped;
+    Alcotest.test_case "unencodable failure past max_string dropped" `Quick
+      test_failure_past_max_string_dropped;
     Alcotest.test_case "recovery replays the stable store" `Quick test_recovery_restores_store;
     Alcotest.test_case "zero-latency ping-pong raises Livelock" `Quick
       (test_zero_latency_livelock_raises ~shards:1);

@@ -9,7 +9,6 @@ let test_value_accessors () =
   Alcotest.(check int) "int" 42 (Value.get_int (Value.int 42));
   Alcotest.(check string) "str" "x" (Value.get_str (Value.str "x"));
   Alcotest.(check bool) "bool" true (Value.get_bool (Value.bool true));
-  Alcotest.(check (float 1e-9)) "real" 2.5 (Value.get_real (Value.real 2.5));
   Alcotest.check_raises "wrong accessor raises"
     (Value.Type_mismatch "int expected, got \"x\"") (fun () ->
       ignore (Value.get_int (Value.str "x")))
@@ -32,16 +31,6 @@ let test_value_pp () =
     Value.record [ ("n", Value.int 3); ("opt", Value.option (Some (Value.bool false))) ]
   in
   Alcotest.(check string) "render" "{n=3; opt=some(false)}" (Value.to_string v)
-
-let test_value_size_monotone () =
-  let small = Value.str "ab" in
-  let big = Value.list [ small; small; small ] in
-  Alcotest.(check bool) "bigger value, bigger size" true (Value.size big > Value.size small)
-
-let test_value_depth () =
-  Alcotest.(check int) "flat" 1 (Value.depth (Value.int 1));
-  Alcotest.(check int) "nested" 3
-    (Value.depth (Value.list [ Value.tuple [ Value.int 1 ] ]))
 
 (* ---- Vtype ---- *)
 
@@ -68,9 +57,9 @@ let test_vtype_check_builtin () =
 let test_vtype_named () =
   let t = Vtype.Tnamed "complex" in
   Alcotest.(check bool) "named accepts matching" true
-    (Result.is_ok (Vtype.check t (Value.Named ("complex", Value.unit))));
+    (Result.is_ok (Vtype.check t (Value.Named ("complex", Value.Unit))));
   Alcotest.(check bool) "named rejects other" true
-    (Result.is_error (Vtype.check t (Value.Named ("other", Value.unit))))
+    (Result.is_error (Vtype.check t (Value.Named ("other", Value.Unit))))
 
 (* The first error's text surfaces through [check_message]'s callers and
    [Transmit.check_named], so it is pinned exactly. *)
@@ -100,7 +89,7 @@ let test_vtype_first_error_text () =
        (Value.option (Some (Value.list [ Value.int 1; Value.str "2" ]))));
   error "named-type mismatch" "expected abstract type complex, got other"
     (Vtype.check (Vtype.Tlist (Vtype.Tnamed "complex"))
-       (Value.list [ Value.Named ("complex", Value.unit); Value.Named ("other", Value.unit) ]));
+       (Value.list [ Value.Named ("complex", Value.Unit); Value.Named ("other", Value.Unit) ]));
   let reg = Transmit.registry () in
   Transmit.register reg ~type_name:"t" ~external_rep:(Vtype.Ttuple [ Vtype.Tint; Vtype.Tstr ]);
   error "through check_named" "t: external rep mismatch (expected (int, string), got (2))"
@@ -145,13 +134,6 @@ let test_check_message_wildcard () =
   Alcotest.(check bool) "wildcard accepts anything" true
     (Result.is_ok (Vtype.check_message pt ~command:"whatever" [ Value.int 1 ]))
 
-let test_signature_pp () =
-  let s =
-    Vtype.signature "reserve" [ Vtype.Tint ] ~replies:[ Vtype.reply "ok" [] ]
-  in
-  Alcotest.(check string) "rendering" "reserve(int) replies (ok())"
-    (Format.asprintf "%a" Vtype.pp_signature s)
-
 (* ---- Codec ---- *)
 
 let sample_port = Port_name.make ~node:1 ~guardian:2 ~index:3 ~uid:99
@@ -168,7 +150,7 @@ let roundtrip ?config v =
 let test_codec_roundtrip_basics () =
   let values =
     [
-      Value.unit;
+      Value.Unit;
       Value.bool true;
       Value.bool false;
       Value.int 0;
@@ -181,7 +163,7 @@ let test_codec_roundtrip_basics () =
       Value.str "hello\x00world";
       Value.list [ Value.int 1; Value.str "x" ];
       Value.tuple [];
-      Value.record [ ("k", Value.unit) ];
+      Value.record [ ("k", Value.Unit) ];
       Value.option None;
       Value.option (Some (Value.int 5));
       Value.port sample_port;
@@ -258,7 +240,7 @@ let test_codec_encoder_reuse () =
   let enc = Codec.encoder () in
   let values =
     [
-      Value.unit;
+      Value.Unit;
       Value.int 42;
       Value.str (String.make 300 'x');
       Value.record [ ("p", Value.port sample_port); ("t", Value.token sample_token) ];
@@ -277,11 +259,11 @@ let test_codec_encoder_reuse () =
   | Error (Codec.Message_too_long _) -> ()
   | _ -> Alcotest.fail "expected Message_too_long");
   Alcotest.(check string) "handle survives an error"
-    (Codec.encode_exn Value.unit)
-    (Codec.encode_with_exn small Value.unit)
+    (Codec.encode_exn Value.Unit)
+    (Codec.encode_with_exn small Value.Unit)
 
 let test_codec_trailing_bytes () =
-  let s = Codec.encode_exn Value.unit ^ "junk" in
+  let s = Codec.encode_exn Value.Unit ^ "junk" in
   match Codec.decode s with
   | Error (Codec.Malformed _) -> ()
   | _ -> Alcotest.fail "trailing bytes must fail"
@@ -477,14 +459,11 @@ let tests =
     Alcotest.test_case "value field" `Quick test_value_field;
     Alcotest.test_case "value equal" `Quick test_value_equal;
     Alcotest.test_case "value pp" `Quick test_value_pp;
-    Alcotest.test_case "value size" `Quick test_value_size_monotone;
-    Alcotest.test_case "value depth" `Quick test_value_depth;
     Alcotest.test_case "vtype builtins" `Quick test_vtype_check_builtin;
     Alcotest.test_case "vtype named" `Quick test_vtype_named;
     Alcotest.test_case "vtype first-error text" `Quick test_vtype_first_error_text;
     Alcotest.test_case "check_message" `Quick test_check_message;
     Alcotest.test_case "wildcard port type" `Quick test_check_message_wildcard;
-    Alcotest.test_case "signature pp" `Quick test_signature_pp;
     Alcotest.test_case "codec roundtrip basics" `Quick test_codec_roundtrip_basics;
     Alcotest.test_case "codec NaN" `Quick test_codec_nan_roundtrip;
     Alcotest.test_case "codec 24-bit bounds" `Quick test_codec_int_bounds;
