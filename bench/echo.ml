@@ -5,20 +5,21 @@ module Runtime = Dcp_core.Runtime
 module Topology = Dcp_net.Topology
 module Clock = Dcp_sim.Clock
 
-(* One request port that accepts anything and answers "pong" to every
-   message carrying a reply port. *)
+(* One request port that accepts anything and answers every message
+   carrying a reply port with a "pong" of the message's arguments. *)
 let def def_name : Runtime.def =
   {
     Runtime.def_name;
     provides = [ ([ Vtype.wildcard ], 64) ];
     init =
       (fun ctx _ ->
+        let ports = [ Runtime.port ctx 0 ] in
         let rec loop () =
-          (match Runtime.receive ctx [ Runtime.port ctx 0 ] with
+          (match Runtime.receive ctx ports with
           | `Timeout -> ()
           | `Msg (_, msg) -> (
               match msg.Dcp_core.Message.reply_to with
-              | Some reply -> Runtime.send ctx ~to_:reply "pong" []
+              | Some reply -> Runtime.send ctx ~to_:reply "pong" msg.Dcp_core.Message.args
               | None -> ()));
           loop ()
         in
@@ -29,10 +30,11 @@ let def def_name : Runtime.def =
 (* One node on a perfect link hosting an echo guardian and then [idle]
    guardians that do nothing, run to quiescence.  The returned function is
    the timed part: it creates one client guardian, which makes [pings]
-   ping/pong round trips against the echo guardian, and runs the world
+   ping/pong round trips against the echo guardian, each ping carrying
+   [args] and each pong taken with a 1 s timeout, and runs the world
    until it is quiescent again.  The defs are named [prefix] followed by
    "_echo", "_idle" and "_client". *)
-let round_trip_world ~seed ~idle ~prefix ~pings =
+let round_trip_world ~seed ~idle ~prefix ~pings ~args =
   let world =
     Runtime.create_world ~seed ~topology:(Topology.full_mesh ~n:1 Dcp_net.Link.perfect) ()
   in
@@ -52,9 +54,10 @@ let round_trip_world ~seed ~idle ~prefix ~pings =
       init =
         (fun ctx _ ->
           let reply = Runtime.new_port ctx [ Vtype.wildcard ] in
+          let reply_to = Dcp_core.Port.name reply and replies = [ reply ] in
           for _ = 1 to pings do
-            Runtime.send ctx ~to_:echo_port ~reply_to:(Dcp_core.Port.name reply) "ping" [];
-            match Runtime.receive ctx ~timeout:(Clock.s 1) [ reply ] with
+            Runtime.send ctx ~to_:echo_port ~reply_to "ping" args;
+            match Runtime.receive ctx ~timeout:(Clock.s 1) replies with
             | `Msg _ | `Timeout -> ()
           done);
       recover = None;

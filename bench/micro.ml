@@ -166,14 +166,14 @@ let test_rng =
    routing, port machinery and two process switches. *)
 let test_send_path =
   Test.make ~name:"runtime round-trip (+guardian)"
-    (Staged.stage (Echo.round_trip_world ~seed:1 ~idle:0 ~prefix:"bench" ~pings:1))
+    (Staged.stage (Echo.round_trip_world ~seed:1 ~idle:0 ~prefix:"bench" ~pings:1 ~args:[]))
 
 (* Same round trip against a world that already hosts 1k guardians on the
    node: with any O(#guardians) work left on the delivery path this row
    collapses; with the indexed hot path it tracks the row above. *)
 let test_send_path_1k =
   Test.make ~name:"runtime round-trip @1k guardians"
-    (Staged.stage (Echo.round_trip_world ~seed:2 ~idle:999 ~prefix:"bench" ~pings:1))
+    (Staged.stage (Echo.round_trip_world ~seed:2 ~idle:999 ~prefix:"bench" ~pings:1 ~args:[]))
 
 (* The first of the per-layer rows: one local [Runtime.send] on its own,
    trace on — transmit check, encode, the deferred trace record, store
@@ -305,6 +305,53 @@ let scd_status_round_trip () =
     Runtime.send ctx ~to_ "scd_status" scd_status_args;
     Runtime.run world
 
+(* echo_local's round trip with one pair on one node: a ping of (int,
+   32-byte string) with a reply port, its pong and the client's 1 s timed
+   receive, in minor words: a client of 2,000 round trips less one of
+   1,000, over 1,000.  Each world runs one client first, which grows the
+   event heap to the size its cancelled timeouts reach. *)
+let local_round_trip_words () =
+  let args = [ Value.int 7; Value.str (String.make 32 'p') ] in
+  let words pings =
+    let client = Echo.round_trip_world ~seed:1 ~idle:0 ~prefix:"alloc" ~pings ~args in
+    client ();
+    let before = Gc.minor_words () in
+    client ();
+    Gc.minor_words () -. before
+  in
+  let one = words 1000 in
+  (words 2000 -. one) /. 1000.
+
+(* A process blocked in a timed receive on one port.  The returned
+   function is an enqueue that resumes it, through the process's next
+   receive, which blocks again; 4,096 calls first grow the event heap to
+   the size its cancelled timers reach before a purge. *)
+let blocked_receive () =
+  let module Port = Dcp_core.Port in
+  let module Process = Dcp_core.Process in
+  let module Engine = Dcp_sim.Engine in
+  let engine = Engine.create () in
+  let port =
+    Port.create
+      ~name:(Port_name.make ~node:0 ~guardian:0 ~index:0 ~uid:0)
+      ~ptype:[ Vtype.wildcard ] ~capacity:16
+  in
+  let ports = [ port ] and timeout = Some (Clock.s 1) in
+  ignore
+    (Process.spawn engine ~name:"receiver" (fun () ->
+         let rec loop () =
+           ignore (Port.receive engine ~ports ~timeout);
+           loop ()
+         in
+         loop ()));
+  Engine.run_for engine 0;
+  let msg = Dcp_core.Message.make ~sent_at:0 "ping" [] in
+  let enqueue () = Port.enqueue port msg in
+  for _ = 1 to 4096 do
+    ignore (enqueue ())
+  done;
+  enqueue
+
 let alloc_rows () =
   let module Replica = Dcp_primitives.Replica in
   let module Reconcile = Dcp_primitives.Reconcile in
@@ -353,6 +400,9 @@ let alloc_rows () =
   let record_send trace () =
     Trace.record_deferred trace ~at:0 ~category:"send" ~label:"status_sender#1" status_body
   in
+  let engine = Dcp_sim.Engine.create () in
+  let registry = Transmit.registry () in
+  let ping_args = [ Value.int 7; Value.str (String.make 32 'p') ] in
   let calls = 1000 in
   (* One call first, so a scratch buffer that grows does so untimed. *)
   let words_per_call f =
@@ -390,6 +440,14 @@ let alloc_rows () =
       ("alloc.trace.record_deferred traced", words_per_call (record_send traced));
       ("alloc.trace.record_deferred untraced", words_per_call (record_send untraced));
       ("alloc.round-trip scd_status", words_per_call (scd_status_round_trip ()));
+      ("alloc.round-trip local timed", local_round_trip_words ());
+      ( "alloc.engine.schedule+step",
+        words_per_call (fun () ->
+            ignore (Dcp_sim.Engine.schedule_after engine ~delay:1 ignore);
+            Dcp_sim.Engine.step engine) );
+      ("alloc.port.enqueue+resume timed", words_per_call (blocked_receive ()));
+      ( "alloc.transmit.check_all ping",
+        words_per_call (fun () -> Transmit.check_all registry ping_args) );
     ]
   in
   List.map

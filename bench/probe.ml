@@ -8,7 +8,7 @@
 let () =
   let idle = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 0 in
   let pings = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 50_000 in
-  let round_trips = Echo.round_trip_world ~seed:7 ~idle ~prefix:"probe" ~pings in
+  let round_trips = Echo.round_trip_world ~seed:7 ~idle ~prefix:"probe" ~pings ~args:[] in
   let t0 = Sys.time () in
   round_trips ();
   let t1 = Sys.time () in

@@ -74,7 +74,7 @@ let write_tail enc reply_to sent_at =
       Codec.add_run enc run_reply;
       Codec.add_port enc p);
   Codec.add_run enc run_sent_at;
-  Codec.add_int enc sent_at
+  Codec.add_varint enc sent_at
 
 let values_to_wire enc ~target ?reply_to ~sent_at command args =
   match
@@ -104,7 +104,7 @@ let expect r run = if not (Codec.skip_run r run) then raise_notrace Off_layout
 let no_commands _ = None
 
 (* After the arguments: the reply port, the send time, and the end. *)
-let finish config r target command args typed =
+let finish r target command args typed =
   let reply_to =
     if Codec.skip_run r run_no_reply then None
     else begin
@@ -113,7 +113,7 @@ let finish config r target command args typed =
     end
   in
   expect r run_sent_at;
-  let sent_at = Codec.read_int config r in
+  let sent_at = Codec.read_varint r in
   if not (Codec.at_end r) then raise_notrace Off_layout;
   (target, { command; args; reply_to; sent_at; typed })
 
@@ -132,10 +132,10 @@ let rec read config commands r body =
   let command = Codec.read_str config r in
   expect r run_args;
   match commands target with
-  | None -> finish config r target command (Codec.read_items config r) None
+  | None -> finish r target command (Codec.read_items config r) None
   | Some decl -> (
       match Command.read_args config decl command r with
-      | Some payload -> finish config r target command [] (Some payload)
+      | Some payload -> finish r target command [] (Some payload)
       | None -> read config no_commands r body)
 
 let of_wire ~config ?(commands = no_commands) body =

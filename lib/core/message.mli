@@ -44,7 +44,9 @@ val of_envelope : Value.t -> (Port_name.t * t, string) result
 val to_wire : Codec.encoder -> target:Port_name.t -> t -> (string, Codec.error) result
 (** The runtime's writer: the same bytes and the same first error as
     [Codec.encode_with enc (envelope ~target t)], written in place, with
-    no envelope record built. *)
+    no envelope record built, except that the send time is exempt from
+    [int_bits] (see {!of_wire}): past the bound it is written as the
+    record path writes it without one. *)
 
 val values_to_wire :
   Codec.encoder ->
@@ -80,7 +82,12 @@ val of_wire :
     (another field count, name, order or tag, or trailing bytes) is
     [Malformed]; a bound exceeded in the layout gives the error
     [Codec.decode] gives.  What it accepts it reads as
-    [Result.map of_envelope (Codec.decode ~config body)] does.  When
+    [Result.map of_envelope (Codec.decode ~config body)] does.  The one
+    exemption is the send time, which is the runtime's clock, not a value
+    the program transmits (§3.3 bounds those): it is read without the
+    [int_bits] check, so a body that the record path refuses for its send
+    time alone reads as the record path reads it without the bound, and
+    a world of {!Codec.config_1979} keeps working past 2{^ 23} ns.  When
     [commands] gives a declaration for the target, the arguments are read
     by it, as [typed]; arguments it refuses are read as values, so the
     port's type check rejects them as on an untyped port. *)

@@ -1,17 +1,28 @@
 open Dcp_wire
 module Engine = Dcp_sim.Engine
 
-type waiter = { mutable active : bool; mutable deliver : t * Message.t -> unit }
+(* One blocked receive: registered on every port of its list, resumed (or
+   timed out) exactly once.  [enqueue] and the timeout act on it through the
+   module-level functions below, so blocking builds no closure but the
+   timer's. *)
+type waiter = {
+  mutable active : bool;
+  wports : t list;
+  resume : outcome -> unit;
+  mutable timer : Engine.timer option;
+}
 
 and t = {
   pname : Port_name.t;
   ptype : Vtype.port_type;
   capacity : int;
   queue : Message.t Queue.t;
-  mutable waiters : waiter list;  (** FIFO; inactive entries filtered lazily *)
+  mutable waiters : waiter list;  (** FIFO *)
   mutable is_open : bool;
   mutable commands : Command.decl option;
 }
+
+and outcome = [ `Msg of t * Message.t | `Timeout ]
 
 let create ~name ~ptype ~capacity =
   if capacity <= 0 then invalid_arg "Port.create: capacity must be positive";
@@ -36,27 +47,53 @@ let declare t decl =
 let queued t = Queue.length t.queue
 let waiter_count t = List.length t.waiters
 
-let rec pop_waiter t =
+(* A waiter that resumes or times out leaves every port it is registered
+   on at once, or quiet ports accumulate dead waiters without bound
+   (heartbeat-style receive loops leak otherwise).  [remove] copies only
+   the waiters ahead of it: none on the port that serves it, where it is
+   first, nor on a port it waits on alone. *)
+let rec remove w = function
+  | [] -> []
+  | x :: rest -> if x == w then rest else x :: remove w rest
+
+let rec leave w = function
+  | [] -> ()
+  | p :: rest ->
+      p.waiters <- remove w p.waiters;
+      leave w rest
+
+let time_out w () =
+  if w.active then begin
+    w.active <- false;
+    leave w w.wports;
+    w.resume `Timeout
+  end
+
+(* Hand [msg] to the first active waiter. *)
+let rec serve t msg =
   match t.waiters with
-  | [] -> None
+  | [] -> false
   | w :: rest ->
-      t.waiters <- rest;
-      if w.active then Some w else pop_waiter t
+      if w.active then begin
+        w.active <- false;
+        (match w.timer with Some timer -> Engine.cancel timer | None -> ());
+        leave w w.wports;
+        w.resume (`Msg (t, msg));
+        true
+      end
+      else begin
+        t.waiters <- rest;
+        serve t msg
+      end
 
 let enqueue t msg =
   if not t.is_open then `Closed
-  else
-    match pop_waiter t with
-    | Some w ->
-        w.active <- false;
-        w.deliver (t, msg);
-        `Delivered
-    | None ->
-        if Queue.length t.queue >= t.capacity then `Full
-        else begin
-          Queue.add msg t.queue;
-          `Queued
-        end
+  else if serve t msg then `Delivered
+  else if Queue.length t.queue >= t.capacity then `Full
+  else begin
+    Queue.add msg t.queue;
+    `Queued
+  end
 
 let close t =
   t.is_open <- false;
@@ -68,46 +105,29 @@ let reopen t =
   t.waiters <- [];
   t.is_open <- true
 
-type outcome = [ `Msg of t * Message.t | `Timeout ]
+(* The first port of the list that holds a message, as the outcome the
+   receive returns; [`Timeout] when none does. *)
+let rec take = function
+  | [] -> `Timeout
+  | p :: rest -> if Queue.is_empty p.queue then take rest else `Msg (p, Queue.take p.queue)
 
-let try_receive ~ports =
-  let rec scan = function
-    | [] -> None
-    | p :: rest -> (
-        match Queue.take_opt p.queue with
-        | Some msg -> Some (p, msg)
-        | None -> scan rest)
-  in
-  scan ports
+let try_receive ~ports = match take ports with `Msg (p, msg) -> Some (p, msg) | `Timeout -> None
+
+let rec join w = function
+  | [] -> ()
+  | p :: rest ->
+      p.waiters <- p.waiters @ [ w ];
+      join w rest
+
+let wait engine ports timeout resume =
+  let w = { active = true; wports = ports; resume; timer = None } in
+  (match timeout with
+  | Some d -> w.timer <- Some (Engine.schedule_after engine ~delay:d (time_out w))
+  | None -> ());
+  join w ports
 
 let receive engine ~ports ~timeout : outcome =
   if ports = [] then invalid_arg "Port.receive: empty port list";
-  match try_receive ~ports with
-  | Some (p, msg) -> `Msg (p, msg)
-  | None ->
-      Process.suspend (fun resume ->
-          let w = { active = true; deliver = (fun _ -> ()) } in
-          (* A waiter registers on every port in the list, but resumes (or
-             times out) exactly once; eagerly drop it from all the other
-             ports then, or quiet ports accumulate dead waiters without
-             bound (heartbeat-style receive loops leak otherwise). *)
-          let deregister () =
-            List.iter (fun p -> p.waiters <- List.filter (fun x -> x != w) p.waiters) ports
-          in
-          let timer =
-            Option.map
-              (fun d ->
-                Engine.schedule_after engine ~delay:d (fun () ->
-                    if w.active then begin
-                      w.active <- false;
-                      deregister ();
-                      resume `Timeout
-                    end))
-              timeout
-          in
-          w.deliver <-
-            (fun (p, msg) ->
-              Option.iter Engine.cancel timer;
-              deregister ();
-              resume (`Msg (p, msg)));
-          List.iter (fun p -> p.waiters <- p.waiters @ [ w ]) ports)
+  match take ports with
+  | `Msg _ as got -> got
+  | `Timeout -> Process.suspend (fun resume -> wait engine ports timeout resume)

@@ -6,6 +6,8 @@ type t = {
   name : string;
   mutable state : state;
   mutable failure : exn option;
+  mutable suspensions : int;  (** how many times it has blocked *)
+  some : t option;  (** [Some] itself, for the current-process register *)
 }
 
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
@@ -25,21 +27,24 @@ let failure t = t.failure
 
 let kill t = if alive t then t.state <- Dead
 
-(* Run [f] with [p] recorded as the current process, restoring the previous
-   current process afterwards — resumes can nest (an unlock in process A can
-   synchronously resume process B). *)
-let with_current p f =
+(* Record [p] as the current process, returning the previous one, which
+   [leave] restores after the fiber gives control back — resumes can nest
+   (an unlock in process A can synchronously resume process B).  A resume
+   runs these around [continue] itself, so it builds no closure. *)
+let enter p =
   let previous = Dcp_sim.Exec.local_get current in
-  Dcp_sim.Exec.local_set current (Some p);
-  match f () with
-  | () -> Dcp_sim.Exec.local_set current previous
-  | exception e ->
-      let trace = Printexc.get_raw_backtrace () in
-      Dcp_sim.Exec.local_set current previous;
-      Printexc.raise_with_backtrace e trace
+  Dcp_sim.Exec.local_set current p.some;
+  previous
+
+let leave previous = Dcp_sim.Exec.local_set current previous
+
+let leave_raising previous e =
+  let trace = Printexc.get_raw_backtrace () in
+  leave previous;
+  Printexc.raise_with_backtrace e trace
 
 let spawn engine ~name body =
-  let p = { name; state = Created; failure = None } in
+  let rec p = { name; state = Created; failure = None; suspensions = 0; some = Some p } in
   let handler : (unit, unit) Effect.Deep.handler =
     {
       retc = (fun () -> if p.state <> Dead then p.state <- Finished);
@@ -61,20 +66,23 @@ let spawn engine ~name body =
                     (* killed while running: stop at this suspension point;
                        the continuation is dropped *)
                   else begin
-                  p.state <- Blocked;
-                  let resumed = ref false in
-                  let resume v =
-                    if not !resumed then begin
-                      resumed := true;
-                      if p.state = Blocked then begin
+                    p.state <- Blocked;
+                    p.suspensions <- p.suspensions + 1;
+                    let suspension = p.suspensions in
+                    (* Only the first call of this suspension's resume, while
+                       the process is still blocked in it, continues it; a
+                       killed process's continuation is dropped, and the
+                       fiber is reclaimed by the GC. *)
+                    let resume v =
+                      if p.state = Blocked && p.suspensions = suspension then begin
                         p.state <- Running;
-                        with_current p (fun () -> Effect.Deep.continue k v)
+                        let previous = enter p in
+                        match Effect.Deep.continue k v with
+                        | () -> leave previous
+                        | exception e -> leave_raising previous e
                       end
-                      (* a killed process's continuation is dropped; the
-                         fiber is reclaimed by the GC *)
-                    end
-                  in
-                  register resume
+                    in
+                    register resume
                   end)
           | _ -> None);
     }
@@ -82,7 +90,10 @@ let spawn engine ~name body =
   let start () =
     if p.state = Created then begin
       p.state <- Running;
-      with_current p (fun () -> Effect.Deep.match_with body () handler)
+      let previous = enter p in
+      match Effect.Deep.match_with body () handler with
+      | () -> leave previous
+      | exception e -> leave_raising previous e
     end
   in
   ignore (Engine.schedule_after engine ~delay:0 start);
@@ -90,5 +101,4 @@ let spawn engine ~name body =
 
 let suspend register = Effect.perform (Suspend register)
 
-let sleep engine d =
-  suspend (fun resume -> ignore (Engine.schedule_after engine ~delay:d (fun () -> resume ())))
+let sleep engine d = suspend (fun resume -> ignore (Engine.schedule_after engine ~delay:d resume))

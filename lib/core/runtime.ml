@@ -10,9 +10,15 @@ module Store = Dcp_stable.Store
 module Disk = Dcp_stable.Disk
 module Rng = Dcp_rng.Rng
 
-(* The int-keyed delivery tables.  [Int.hash] is the generic hash on an
-   int, so buckets, and any iteration order, are those of [Hashtbl]. *)
-module Int_tbl = Hashtbl.Make (Int)
+(* The int-keyed delivery tables, hashed by identity rather than through
+   [Hashtbl.hash]'s C call: node ids, gids and port uids are small and
+   dense.  The only fold over one ([all_guardians]) sorts what it folds. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
 
 type node_id = int
 
@@ -269,13 +275,6 @@ exception Send_failed of string
 (* Delivery                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let find_port_in g target =
-  match Int_tbl.find_opt g.gport_index target.Port_name.uid with
-  | Some p when Port_name.equal (Port.name p) target -> Some p
-  | Some _ | None -> None
-
-let find_guardian_in node gid = Int_tbl.find_opt node.gindex gid
-
 (* A node's lookup of a target port's declaration, for the reader: no
    option is allocated on the way. *)
 let port_commands node target =
@@ -296,9 +295,9 @@ let encoded = function
 (* [reject] runs on the rejecting node's shard; the failure message
    originates there and is dispatched like any other send, so rejection,
    delivery and dispatch form one recursive group.  The codec's bounds
-   apply to system messages too: a failure message they refuse (a send
-   time past [int_bits], a reason past [max_string]) is dropped and
-   counted, since no sender is there to raise {!Send_failed} to. *)
+   apply to system messages too: a failure message they refuse (a reason
+   past [max_string]) is dropped and counted, since no sender is there to
+   raise {!Send_failed} to. *)
 let rec reject w node msg reason =
   let sh = node.shard in
   Metrics.incr sh.shot.m_deliver_discarded;
@@ -316,13 +315,15 @@ let rec reject w node msg reason =
 (* A message read by its port's declaration was checked by that read;
    any other is checked against the port type. *)
 and deliver_message w node target msg =
-  match find_guardian_in node target.Port_name.guardian with
-  | None -> reject w node msg "target guardian does not exist"
-  | Some g when not g.galive -> reject w node msg "target guardian does not exist"
-  | Some g -> (
-      match find_port_in g target with
-      | None -> reject w node msg "target port does not exist"
-      | Some port -> (
+  match Int_tbl.find node.gindex target.Port_name.guardian with
+  | exception Not_found -> reject w node msg "target guardian does not exist"
+  | g when not g.galive -> reject w node msg "target guardian does not exist"
+  | g -> (
+      match Int_tbl.find g.gport_index target.Port_name.uid with
+      | exception Not_found -> reject w node msg "target port does not exist"
+      | port when not (Port_name.equal (Port.name port) target) ->
+          reject w node msg "target port does not exist"
+      | port -> (
           match msg.Message.typed with
           | Some _ -> enqueue w node port msg
           | None -> (
@@ -346,11 +347,11 @@ and enqueue w node port msg =
 (* [sh] is the shard whose engine is executing this delivery — the
    destination node's shard, except for the unknown-node tally. *)
 and deliver_body w sh dst_node_id body =
-  match Int_tbl.find_opt w.nodes dst_node_id with
-  | None -> Metrics.incr sh.shot.m_deliver_unknown_node
-  | Some node ->
+  match Int_tbl.find w.nodes dst_node_id with
+  | exception Not_found -> Metrics.incr sh.shot.m_deliver_unknown_node
+  | node -> (
       if not node.up then Metrics.incr node.shard.shot.m_deliver_node_down
-      else (
+      else
         match Message.of_wire ~config:w.config.codec ?commands:node.ncommands body with
         | Ok (target, msg) -> deliver_message w node target msg
         | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed)
@@ -820,7 +821,7 @@ let send c ~to_ ?reply_to command args =
   if not g.galive then Metrics.incr sh.shot.m_send_dead
   else begin
     Metrics.incr sh.shot.m_send_total;
-    check_transmittable (Transmit.check_named w.registry (Value.list args));
+    check_transmittable (Transmit.check_all w.registry args);
     let now = Engine.now sh.sengine in
     encoded (Message.values_to_wire sh.sencoder ~target:to_ ?reply_to ~sent_at:now command args)
     |> transmit w g ~now ~to_
@@ -840,6 +841,7 @@ let send_command c ~to_ ?reply_to command x =
   end
 
 let owned g p = (Port.name p).Port_name.guardian = g.gid
+let rec owns_all g = function [] -> true | p :: rest -> owned g p && owns_all g rest
 
 let accept c port decl =
   let g = c.cguardian in
@@ -850,7 +852,7 @@ let accept c port decl =
 
 let receive c ?timeout ports =
   let g = c.cguardian in
-  if not (List.for_all (owned g) ports) then
+  if not (owns_all g ports) then
     invalid_arg "Runtime.receive: can only receive on this guardian's own ports";
   (* Quiescence barrier, the dual of the send-side flush: a guardian going
      back to waiting for work has durably committed everything it did —

@@ -2,8 +2,14 @@ module Clock = Dcp_sim.Clock
 module Engine = Dcp_sim.Engine
 module Rng = Dcp_rng.Rng
 
-(* Int-keyed tables with [Hashtbl]'s own hash on ints. *)
-module Int_tbl = Hashtbl.Make (Int)
+(* Node-keyed tables, hashed by identity rather than through
+   [Hashtbl.hash]'s C call; nothing folds over them. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
 
 type node_id = Topology.node_id
 
@@ -106,9 +112,9 @@ let partitioned t ~src ~dst =
       | None, _ | _, None -> src <> dst)
 
 let inbox_for t node =
-  match Int_tbl.find_opt t.reassembly node with
-  | Some inbox -> inbox
-  | None ->
+  match Int_tbl.find t.reassembly node with
+  | inbox -> inbox
+  | exception Not_found ->
       let inbox = { partials = Packet.Reassembly.create (); next_sweep = Clock.zero } in
       Int_tbl.add t.reassembly node inbox;
       inbox
@@ -136,9 +142,9 @@ let deliver_fragment t frag =
     match Packet.Reassembly.offer inbox.partials ~now frag with
     | None -> ()
     | Some (src, body) -> (
-        match Int_tbl.find_opt t.handlers frag.Packet.dst with
-        | None -> ()
-        | Some handler ->
+        match Int_tbl.find t.handlers frag.Packet.dst with
+        | exception Not_found -> ()
+        | handler ->
             t.tallies.t_messages_delivered <- t.tallies.t_messages_delivered + 1;
             handler ~src body)
   end

@@ -80,38 +80,37 @@ let is_cancelled timer = timer.cancelled
 let pending t = t.live
 
 let rec step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some ev ->
-      if ev.cancelled then step t
-      else begin
-        t.at_instant <- (if Clock.compare ev.time t.clock = 0 then t.at_instant + 1 else 1);
-        if t.at_instant > max_events_per_instant then
-          raise (Livelock { at = ev.time; events = t.at_instant });
-        ev.fired <- true;
-        t.live <- t.live - 1;
-        t.clock <- ev.time;
-        t.executed <- t.executed + 1;
-        ev.action ();
-        true
-      end
+  if Heap.length t.queue = 0 then false
+  else
+    let ev = Heap.pop t.queue in
+    if ev.cancelled then step t
+    else begin
+      t.at_instant <- (if Clock.compare ev.time t.clock = 0 then t.at_instant + 1 else 1);
+      if t.at_instant > max_events_per_instant then
+        raise (Livelock { at = ev.time; events = t.at_instant });
+      ev.fired <- true;
+      t.live <- t.live - 1;
+      t.clock <- ev.time;
+      t.executed <- t.executed + 1;
+      ev.action ();
+      true
+    end
 
 let run t = while step t do () done
 
 (* A cancelled timer at the head is dropped here rather than by [step],
    which would go on to fire the next live timer wherever it falls. *)
 let rec run_until t limit =
-  match Heap.peek t.queue with
-  | Some ev when Clock.compare ev.time limit <= 0 ->
-      if ev.cancelled then ignore (Heap.pop t.queue) else ignore (step t);
-      run_until t limit
-  | Some _ | None ->
-      if Clock.compare t.clock limit < 0 then begin
-        t.clock <- limit;
-        t.at_instant <- 0
-      end
+  if Heap.length t.queue > 0 && Clock.compare (Heap.peek t.queue).time limit <= 0 then begin
+    if (Heap.peek t.queue).cancelled then ignore (Heap.pop t.queue) else ignore (step t);
+    run_until t limit
+  end
+  else if Clock.compare t.clock limit < 0 then begin
+    t.clock <- limit;
+    t.at_instant <- 0
+  end
 
 let run_for t d = run_until t (Clock.add t.clock d)
 let events_executed t = t.executed
 
-let next_time t = Option.map (fun ev -> ev.time) (Heap.peek t.queue)
+let next_time t = if Heap.length t.queue = 0 then None else Some (Heap.peek t.queue).time

@@ -5,8 +5,9 @@
     so a run is fully deterministic.  Timers can be cancelled, which is how
     the runtime implements receive-with-timeout.
 
-    Inspection: {!is_cancelled} and {!step} are called only by tests,
-    which single-step a queue and check cancellation through them. *)
+    Inspection: {!is_cancelled} is called only by tests, which check
+    cancellation through it; {!step} also by the allocation ledger's
+    schedule+step row. *)
 
 type t
 

@@ -71,16 +71,18 @@ let push h x =
   h.size <- i + 1;
   sift_up h i x
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+(* Neither returns an option: the engine calls both once per event, and
+   checks [length] first. *)
+let peek h =
+  if h.size = 0 then invalid_arg "Heap.peek: empty heap";
+  h.data.(0)
 
 let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then sift_down h 0 h.data.(h.size);
-    Some top
-  end
+  if h.size = 0 then invalid_arg "Heap.pop: empty heap";
+  let top = h.data.(0) in
+  h.size <- h.size - 1;
+  if h.size > 0 then sift_down h 0 h.data.(h.size);
+  top
 
 (* Compact the kept elements to the front, then restore heap order
    bottom-up (Floyd): O(n).  The slots past the survivors are overwritten,

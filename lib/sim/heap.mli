@@ -15,11 +15,13 @@ val length : 'a t -> int
 
 val push : 'a t -> 'a -> unit
 
-val peek : 'a t -> 'a option
-(** Smallest element without removing it. *)
+val peek : 'a t -> 'a
+(** Smallest element without removing it.
+    @raise Invalid_argument on an empty heap. *)
 
-val pop : 'a t -> 'a option
-(** Remove and return the smallest element. *)
+val pop : 'a t -> 'a
+(** Remove and return the smallest element.
+    @raise Invalid_argument on an empty heap. *)
 
 val filter : 'a t -> ('a -> bool) -> unit
 (** [filter h keep] drops every element for which [keep] is false, in

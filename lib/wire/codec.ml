@@ -340,6 +340,7 @@ let add_run enc run = Buffer.add_string enc.scratch run
 let add_port enc p = write_port enc.scratch p
 let add_str enc s = write_str enc.enc_config enc.scratch s
 let add_int enc i = write_int enc.enc_config enc.scratch i
+let add_varint enc i = write_varint enc.scratch i
 let add_items enc items = write_items enc.enc_config enc.scratch items
 
 let finish enc =

@@ -125,6 +125,13 @@ val read_int : config -> reader -> int
 val read_items : config -> reader -> Value.t list
 val at_end : reader -> bool
 
+val add_varint : encoder -> int -> unit
+val read_varint : reader -> int
+(** An int payload as {!add_int} and {!read_int} write and read it,
+    without the [int_bits] check: §3.3 bounds the values a program
+    transmits, not what the runtime writes beside them (the envelope's
+    send time). *)
+
 (** {2 Steps of a typed layout}
 
     {!Command} writes, sizes and reads each argument from its declared

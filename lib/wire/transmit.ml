@@ -63,7 +63,7 @@ let rec check_named reg v =
   | Value.Unit | Value.Bool _ | Value.Int _ | Value.Real _ | Value.Str _ | Value.Portv _
   | Value.Tokenv _ | Value.Option None ->
       Ok ()
-  | Value.Listv items | Value.Tuple items -> check_items reg items
+  | Value.Listv items | Value.Tuple items -> check_all reg items
   | Value.Record fields -> check_fields reg fields
   | Value.Option (Some inner) -> check_named reg inner
   | Value.Named (name, rep) -> (
@@ -75,9 +75,9 @@ let rec check_named reg v =
               Error (Printf.sprintf "%s: external rep mismatch (%s)" name reason)
           | Ok () -> check_named reg rep))
 
-and check_items reg = function
+and check_all reg = function
   | [] -> Ok ()
-  | v :: rest -> ( match check_named reg v with Ok () -> check_items reg rest | err -> err)
+  | v :: rest -> ( match check_named reg v with Ok () -> check_all reg rest | err -> err)
 
 and check_fields reg = function
   | [] -> Ok ()

@@ -63,3 +63,7 @@ val register : registry -> type_name:string -> external_rep:Vtype.t -> unit
 val check_named : registry -> Value.t -> (unit, string) result
 (** Deep check: every [Named (n, rep)] inside the value must name a
     registered type and carry a rep matching its registered shape. *)
+
+val check_all : registry -> Value.t list -> (unit, string) result
+(** [check_named] of each value in turn, stopping at the first error: a
+    message's arguments are checked as they are, not as one list value. *)

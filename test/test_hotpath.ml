@@ -7,6 +7,7 @@ open Dcp_wire
 module Runtime = Dcp_core.Runtime
 module Message = Dcp_core.Message
 module Port = Dcp_core.Port
+module Process = Dcp_core.Process
 module Rpc = Dcp_primitives.Rpc
 module Clock = Dcp_sim.Clock
 module Engine = Dcp_sim.Engine
@@ -184,6 +185,84 @@ let test_waiter_lists_bounded_under_timeouts () =
   Alcotest.(check int) "resuming via b cleared a's waiter" 0 (Port.waiter_count a);
   Alcotest.(check int) "b's waiter consumed by delivery" 0 (Port.waiter_count b)
 
+(* A timed receive that a message answers leaves no waiter, and its timer
+   is cancelled: the engine's pending count is back where it stood before
+   the receive. *)
+let test_answered_receive_cancels_timer () =
+  let e = Engine.create () in
+  let p =
+    Port.create
+      ~name:(Port_name.make ~node:0 ~guardian:0 ~index:0 ~uid:1)
+      ~ptype:[ Vtype.wildcard ] ~capacity:4
+  in
+  let before = ref (-1) and answered = ref false in
+  ignore
+    (Process.spawn e ~name:"receiver" (fun () ->
+         before := Engine.pending e;
+         match Port.receive e ~ports:[ p ] ~timeout:(Some (Clock.s 5)) with
+         | `Msg _ -> answered := true
+         | `Timeout -> ()));
+  Engine.run_for e (Clock.ms 1);
+  Alcotest.(check int) "blocked, with its timer" (!before + 1) (Engine.pending e);
+  Alcotest.(check bool) "handed to the receiver" true
+    (Port.enqueue p (Message.make ~sent_at:0 "wake" []) = `Delivered);
+  Alcotest.(check bool) "answered" true !answered;
+  Alcotest.(check int) "no waiter left" 0 (Port.waiter_count p);
+  Alcotest.(check int) "timer cancelled" !before (Engine.pending e)
+
+let two_port_listener world name body =
+  let ports = ref None in
+  Runtime.register_def world
+    {
+      Runtime.def_name = name;
+      provides = [ ([ Vtype.wildcard ], 8); ([ Vtype.wildcard ], 8) ];
+      init =
+        (fun ctx _ ->
+          let a = Runtime.port ctx 0 and b = Runtime.port ctx 1 in
+          ports := Some (a, b);
+          body ctx a b);
+      recover = None;
+    };
+  let g = Runtime.create_guardian world ~at:0 ~def_name:name ~args:[] in
+  (ports, Runtime.guardian_ports g)
+
+let test_two_port_timeout_leaves_no_waiter () =
+  let world = make_world () in
+  let timed_out = ref false in
+  let ports, _ =
+    two_port_listener world "timeout_listener" (fun ctx a b ->
+        match Runtime.receive ctx ~timeout:(Clock.ms 1) [ a; b ] with
+        | `Timeout -> timed_out := true
+        | `Msg _ -> ())
+  in
+  Runtime.run_for world (Clock.ms 10);
+  let a, b = Option.get !ports in
+  Alcotest.(check bool) "timed out" true !timed_out;
+  Alcotest.(check int) "none on the first port" 0 (Port.waiter_count a);
+  Alcotest.(check int) "none on the second port" 0 (Port.waiter_count b)
+
+(* Both ports hold a message when the receive starts, the later port's
+   the older: the earlier port in the list is served first. *)
+let test_earlier_port_served_first () =
+  let world = make_world () in
+  let got = ref [] in
+  let _, names =
+    two_port_listener world "priority_listener" (fun ctx a b ->
+        Runtime.sleep ctx (Clock.ms 1);
+        for _ = 1 to 2 do
+          match Runtime.receive ctx ~timeout:(Clock.ms 1) [ a; b ] with
+          | `Msg (_, msg) -> got := msg.Message.command :: !got
+          | `Timeout -> ()
+        done)
+  in
+  let a, b = match names with [ a; b ] -> (a, b) | _ -> assert false in
+  driver world ~at:1 (fun ctx ->
+      Runtime.send ctx ~to_:b "second" [];
+      Runtime.send ctx ~to_:a "first" []);
+  Runtime.run_for world (Clock.ms 10);
+  Alcotest.(check (list string)) "the first port's message first" [ "first"; "second" ]
+    (List.rev !got)
+
 (* ---- metrics registry: O(1) get-or-create at 1k+ distinct names ---- *)
 
 let test_metrics_registry_many_names () =
@@ -264,6 +343,11 @@ let tests =
     Alcotest.test_case "rpc dedup evicts oldest O(1)" `Quick test_rpc_dedup_eviction_order;
     Alcotest.test_case "port index stable after removal" `Quick test_port_index_stable_after_removal;
     Alcotest.test_case "waiter lists bounded" `Quick test_waiter_lists_bounded_under_timeouts;
+    Alcotest.test_case "answered receive cancels its timer" `Quick
+      test_answered_receive_cancels_timer;
+    Alcotest.test_case "two-port timeout leaves no waiter" `Quick
+      test_two_port_timeout_leaves_no_waiter;
+    Alcotest.test_case "earlier port served first" `Quick test_earlier_port_served_first;
     Alcotest.test_case "metrics registry 1.5k names" `Quick test_metrics_registry_many_names;
     Alcotest.test_case "engine pending exact" `Quick test_engine_pending_exact;
     Alcotest.test_case "find_guardians indexed" `Quick test_find_guardians_creation_order;

@@ -702,9 +702,8 @@ let test_crash_race_pair_converges_by_keepalive () =
   Alcotest.(check int) "on both keys" 2 (List.length (List.hd (tables world 2)))
 
 (* Hashes are 8-byte strings, so a world whose codec holds ints to 24 bits
-   (§3.2's 1979 machine) still runs anti-entropy.  Message timestamps are
-   24-bit ints there too, so the run stays under 2^23 ns of virtual time;
-   on a perfect link it converges long before. *)
+   (§3.2's 1979 machine) still runs anti-entropy.  On a perfect link it
+   converges within 8 ms. *)
 let test_config_1979_group_converges () =
   let world =
     Runtime.create_world ~seed:73

@@ -278,7 +278,7 @@ let test_encode_bounds_raise_at_sender () =
 (* A rejected message's failure reply is subject to the codec's bounds
    like any message.  One it cannot encode has no sender to raise
    [Send_failed] to: it is dropped and counted, and the world runs on. *)
-let unencodable_failure_count ~link ~at command =
+let failure_counters ~link ~at command =
   let config = { Runtime.default_config with codec = Codec.config_1979 } in
   let world = make_world ~link ~config () in
   let ping_def : Runtime.def =
@@ -301,18 +301,42 @@ let unencodable_failure_count ~link ~at command =
   in
   (counter "deliver.discarded", counter "failure.sent", counter "failure.unencodable")
 
-let test_failure_past_int_bits_dropped () =
+let test_failure_past_int_bits_sent () =
   (* sent at 1 ms, rejected past 8.39 ms: the failure's send time exceeds
-     24 bits *)
+     24 bits, which bound transmitted values, not the send time *)
   Alcotest.(check (triple int int int))
-    "discarded, no failure sent, one unencodable" (1, 0, 1)
-    (unencodable_failure_count ~link:Link.wan ~at:(Clock.ms 1) "pong")
+    "discarded, failure sent, none unencodable" (1, 1, 0)
+    (failure_counters ~link:Link.wan ~at:(Clock.ms 1) "pong")
+
+(* A 1979 world's clock passes 2^23 ns (8.39 ms) early; its messages go on
+   being delivered after that. *)
+let test_1979_world_delivers_late () =
+  let config = { Runtime.default_config with codec = Codec.config_1979 } in
+  let world = make_world ~config () in
+  Runtime.register_def world echo_def;
+  let echo = Runtime.create_guardian world ~at:1 ~def_name:"echo" ~args:[] in
+  let echo_port = List.hd (Runtime.guardian_ports echo) in
+  let got = ref None in
+  with_driver world ~at:0 (fun ctx ->
+      let reply = Runtime.new_port ctx [ Vtype.wildcard ] in
+      Runtime.sleep ctx (Clock.ms 20);
+      Runtime.send ctx ~to_:echo_port ~reply_to:(Port.name reply) "echo" [ Value.str "late" ];
+      match Runtime.receive ctx ~timeout:(Clock.s 1) [ reply ] with
+      | `Msg (_, msg) -> got := Some (msg.Message.command, msg.Message.args, msg.Message.sent_at)
+      | `Timeout -> ());
+  Runtime.run_for world (Clock.s 2);
+  match !got with
+  | Some (command, args, sent_at) ->
+      Alcotest.(check string) "the echo's reply" "echoed" command;
+      Alcotest.(check bool) "its argument" true (List.equal Value.equal [ Value.str "late" ] args);
+      Alcotest.(check bool) "sent past 20 ms" true (sent_at >= Clock.ms 20)
+  | None -> Alcotest.fail "no reply to a message sent at 20 ms"
 
 let test_failure_past_max_string_dropped () =
   (* the reason quotes the command, which fits max_string alone *)
   Alcotest.(check (triple int int int))
     "discarded, no failure sent, one unencodable" (1, 0, 1)
-    (unencodable_failure_count ~link:Link.perfect ~at:0 (String.make 4080 'c'))
+    (failure_counters ~link:Link.perfect ~at:0 (String.make 4080 'c'))
 
 (* Two guardians that answer each other over a zero-latency link never
    let virtual time move.  The engine reports the loop instead of spinning
@@ -400,8 +424,8 @@ let tests =
     Alcotest.test_case "port signatures enforced" `Quick test_port_type_checking;
     Alcotest.test_case "unordered delivery, none lost" `Quick test_sends_are_unordered_but_deliverable;
     Alcotest.test_case "integer bounds raise at sender" `Quick test_encode_bounds_raise_at_sender;
-    Alcotest.test_case "unencodable failure past int_bits dropped" `Quick
-      test_failure_past_int_bits_dropped;
+    Alcotest.test_case "failure past int_bits time sent" `Quick test_failure_past_int_bits_sent;
+    Alcotest.test_case "1979 world delivers at 20 ms" `Quick test_1979_world_delivers_late;
     Alcotest.test_case "unencodable failure past max_string dropped" `Quick
       test_failure_past_max_string_dropped;
     Alcotest.test_case "recovery replays the stable store" `Quick test_recovery_restores_store;

@@ -13,7 +13,7 @@ let heap_of_list xs =
   List.iter (Heap.push h) xs;
   h
 
-let rec drain h acc = match Heap.pop h with None -> List.rev acc | Some x -> drain h (x :: acc)
+let rec drain h acc = if Heap.length h = 0 then List.rev acc else drain h (Heap.pop h :: acc)
 
 let test_heap_basics () =
   let h = Heap.create ~cmp:Int.compare in
@@ -22,11 +22,14 @@ let test_heap_basics () =
   Heap.push h 1;
   Heap.push h 3;
   Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop min" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop next" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "pop last" (Some 5) (Heap.pop h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
+  Alcotest.(check int) "peek min" 1 (Heap.peek h);
+  Alcotest.(check int) "pop min" 1 (Heap.pop h);
+  Alcotest.(check int) "pop next" 3 (Heap.pop h);
+  Alcotest.(check int) "pop last" 5 (Heap.pop h);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty heap") (fun () ->
+      ignore (Heap.pop h));
+  Alcotest.check_raises "peek empty" (Invalid_argument "Heap.peek: empty heap") (fun () ->
+      ignore (Heap.peek h))
 
 let test_heap_sorts () =
   let h = heap_of_list [ 9; 2; 7; 2; 0; -3; 100; 55 ] in
@@ -48,10 +51,9 @@ let prop_heap_invariant =
               Some (List.merge Int.compare [ v ] model)
             end
             else
-              match (Heap.pop h, model) with
-              | Some x, m :: rest when x = m -> Some rest
-              | None, [] -> Some []
-              | _ -> None)
+              match model with
+              | [] -> if Heap.length h = 0 then Some [] else None
+              | m :: rest -> if Heap.length h > 0 && Heap.pop h = m then Some rest else None)
       in
       match List.fold_left step (Some []) ops with
       | Some model -> drain h [] = model
