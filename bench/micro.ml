@@ -401,6 +401,17 @@ let alloc_rows () =
     Trace.record_deferred trace ~at:0 ~category:"send" ~label:"status_sender#1" status_body
   in
   let engine = Dcp_sim.Engine.create () in
+  (* The network schedule: one send of the status body over a perfect
+     link to a handler that drops it, and the engine step that delivers
+     it (fragment, CRC at both ends, Link.transmit, the scheduled event,
+     Reassembly.offer). *)
+  let net_engine = Dcp_sim.Engine.create () in
+  let network =
+    Dcp_net.Network.create ~engine:net_engine ~rng:(Rng.create ~seed:1)
+      ~topology:(Topology.full_mesh ~n:2 Dcp_net.Link.perfect)
+      ~mtu ()
+  in
+  Dcp_net.Network.set_handler network 1 (fun ~src:_ _ -> ());
   let registry = Transmit.registry () in
   let ping_args = [ Value.int 7; Value.str (String.make 32 'p') ] in
   let calls = 1000 in
@@ -437,6 +448,10 @@ let alloc_rows () =
       ( "alloc.packet.fragment+reassemble scd_status",
         words_per_call (fun () ->
             offer_intact (Packet.fragment ~src:0 ~dst:1 ~msg_id:0 ~mtu status_body)) );
+      ( "alloc.network.send+deliver scd_status",
+        words_per_call (fun () ->
+            Dcp_net.Network.send network ~src:0 ~dst:1 status_body;
+            Dcp_sim.Engine.step net_engine) );
       ("alloc.trace.record_deferred traced", words_per_call (record_send traced));
       ("alloc.trace.record_deferred untraced", words_per_call (record_send untraced));
       ("alloc.round-trip scd_status", words_per_call (scd_status_round_trip ()));

@@ -7,7 +7,7 @@ type fragment = {
   body : string;
   pos : int;
   len : int;
-  crc : int32;
+  crc : int;
 }
 
 let header_overhead = 24
@@ -30,12 +30,12 @@ let fragment ~src ~dst ~msg_id ~mtu body =
   let count = if len = 0 then 1 else (len + mtu - 1) / mtu in
   slices ~src ~dst ~msg_id ~mtu ~count body 0
 
-let intact f = Int32.equal f.crc (Crc32.digest_substring f.body ~pos:f.pos ~len:f.len)
+let intact f = f.crc = Crc32.digest_substring f.body ~pos:f.pos ~len:f.len
 
 (* The damaged fragment is a copy of its own slice; the body it came from
    is shared with the intact copies in flight. *)
 let corrupt rng f =
-  if f.len = 0 then { f with crc = Int32.lognot f.crc }
+  if f.len = 0 then { f with crc = f.crc lxor 0xffff_ffff }
   else begin
     let byte_index = Dcp_rng.Rng.int rng f.len in
     let bit = Dcp_rng.Rng.int rng 8 in
@@ -62,7 +62,7 @@ module Reassembly = struct
   type t = { table : (int * int, partial) Hashtbl.t }
 
   let vacant =
-    { src = 0; dst = 0; msg_id = 0; index = 0; count = 0; body = ""; pos = 0; len = 0; crc = 0l }
+    { src = 0; dst = 0; msg_id = 0; index = 0; count = 0; body = ""; pos = 0; len = 0; crc = 0 }
 
   let create () = { table = Hashtbl.create 64 }
 

@@ -20,7 +20,7 @@ type fragment = {
   body : string;  (** the string this fragment's payload is a slice of *)
   pos : int;  (** where the payload starts in [body] *)
   len : int;  (** payload length *)
-  crc : int32;  (** CRC-32 of the payload *)
+  crc : int;  (** CRC-32 of the payload *)
 }
 
 val wire_size : fragment -> int

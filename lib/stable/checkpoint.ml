@@ -34,45 +34,47 @@ let make ~upto pairs =
   Decimal.put b (pos + 1) count;
   Bytes.unsafe_set b (head - 1) ';';
   ignore (List.fold_left (fun pos (k, v) -> put_field b (put_field b pos k) v) head pairs);
-  let crc = Int32.to_int (Crc32.digest_sub b ~pos:0 ~len:body) land 0xffff_ffff in
+  let crc = Crc32.digest_sub b ~pos:0 ~len:body in
   for i = 0 to 7 do
     Bytes.unsafe_set b (body + i) hex.[(crc lsr (4 * (7 - i))) land 0xf]
   done;
   Bytes.unsafe_to_string b
 
+(* The length of an intact frame's body, which is the blob's prefix
+   before the CRC: the CRC is checked over it in place, not over a copy. *)
 let framed blob =
-  let n = String.length blob in
-  if n < 9 then None
+  let n = String.length blob - 8 in
+  if n < 1 then None
   else
-    let body = String.sub blob 0 (n - 8) in
-    match Int32.of_string_opt ("0x" ^ String.sub blob (n - 8) 8) with
-    | None -> None
-    | Some crc -> if Int32.equal crc (Crc32.digest_string body) then Some body else None
+    match int_of_string_opt ("0x" ^ String.sub blob n 8) with
+    | Some crc when crc = Crc32.digest_substring blob ~pos:0 ~len:n -> Some n
+    | Some _ | None -> None
 
-(* Read a decimal integer starting at [!pos], consuming the trailing
+(* The readers parse the body in place: the blob's first [n] bytes.
+
+   Read a decimal integer starting at [!pos], consuming the trailing
    [stop] char.  Digits only — no sign, no 0x — so lengths can't go
    negative or overflow silently on realistic inputs. *)
-let read_int body pos ~stop =
-  let n = String.length body in
+let read_int blob n pos ~stop =
   let start = !pos in
-  while !pos < n && body.[!pos] >= '0' && body.[!pos] <= '9' do
+  while !pos < n && blob.[!pos] >= '0' && blob.[!pos] <= '9' do
     incr pos
   done;
-  if !pos = start || !pos >= n || body.[!pos] <> stop then None
+  if !pos = start || !pos >= n || blob.[!pos] <> stop then None
   else
-    match int_of_string_opt (String.sub body start (!pos - start)) with
+    match int_of_string_opt (String.sub blob start (!pos - start)) with
     | Some v ->
         incr pos;
         Some v
     | None -> None
 
-let read_field body pos =
-  match read_int body pos ~stop:':' with
+let read_field blob n pos =
+  match read_int blob n pos ~stop:':' with
   | None -> None
   | Some len ->
-      if len < 0 || !pos + len > String.length body then None
+      if len < 0 || !pos + len > n then None
       else begin
-        let field = String.sub body !pos len in
+        let field = String.sub blob !pos len in
         pos := !pos + len;
         Some field
       end
@@ -80,24 +82,23 @@ let read_field body pos =
 let restore blob =
   match framed blob with
   | None -> None
-  | Some body ->
-      if String.length body = 0 || body.[0] <> 'C' then None
+  | Some n ->
+      if blob.[0] <> 'C' then None
       else begin
         let pos = ref 1 in
-        match read_int body pos ~stop:';' with
+        match read_int blob n pos ~stop:';' with
         | None -> None
         | Some upto -> (
-            match read_int body pos ~stop:';' with
+            match read_int blob n pos ~stop:';' with
             | None -> None
             | Some count ->
                 let rec pairs k acc =
-                  if k = 0 then
-                    if !pos = String.length body then Some (upto, List.rev acc) else None
+                  if k = 0 then if !pos = n then Some (upto, List.rev acc) else None
                   else
-                    match read_field body pos with
+                    match read_field blob n pos with
                     | None -> None
                     | Some key -> (
-                        match read_field body pos with
+                        match read_field blob n pos with
                         | None -> None
                         | Some value -> pairs (k - 1) ((key, value) :: acc))
                 in
@@ -107,8 +108,4 @@ let restore blob =
 let upto blob =
   match framed blob with
   | None -> None
-  | Some body ->
-      if String.length body = 0 || body.[0] <> 'C' then None
-      else
-        let pos = ref 1 in
-        read_int body pos ~stop:';'
+  | Some n -> if blob.[0] <> 'C' then None else read_int blob n (ref 1) ~stop:';'

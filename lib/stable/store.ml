@@ -191,26 +191,27 @@ let recover_report t =
     (* Whatever is still on the log survived the crash, so it is on disk by
        definition: a later crash must not treat it as an un-flushed tail. *)
     Wal.flush t.wal;
+    (* Each kept checkpoint is read once: the newest intact one's pairs
+       load the table. *)
     let fallbacks = ref 0 in
-    t.checkpoints <-
-      List.filter
+    let intact =
+      List.filter_map
         (fun c ->
           match Checkpoint.restore c.blob with
-          | Some _ -> true
+          | Some (_, pairs) -> Some (c, pairs)
           | None ->
               incr fallbacks;
-              false)
-        t.checkpoints;
+              None)
+        t.checkpoints
+    in
+    t.checkpoints <- List.map fst intact;
     t.table <- Hashtbl.create 64;
     let start =
-      match t.checkpoints with
+      match intact with
       | [] -> Wal.first_lsn t.wal
-      | c :: _ -> (
-          match Checkpoint.restore c.blob with
-          | Some (_, pairs) ->
-              List.iter (fun (k, v) -> Hashtbl.replace t.table k v) pairs;
-              c.upto
-          | None -> assert false (* filtered above *))
+      | (c, pairs) :: _ ->
+          List.iter (fun (k, v) -> Hashtbl.replace t.table k v) pairs;
+          c.upto
     in
     let replayed = ref 0 in
     Wal.replay_from t.wal ~lsn:start (fun _lsn record ->

@@ -5,7 +5,7 @@ type lsn = int
 type record = {
   lsn : lsn;
   mutable payload : string;
-  mutable crc : int32;
+  mutable crc : int;
   mutable mirror : string option;  (** set at flush; aliases the payload until rot copies it *)
 }
 
@@ -31,7 +31,7 @@ type t = {
   mutable next : lsn;
 }
 
-let dummy = { lsn = -1; payload = ""; crc = 0l; mirror = None }
+let dummy = { lsn = -1; payload = ""; crc = 0; mirror = None }
 
 let create () =
   {
@@ -57,7 +57,7 @@ let append t payload =
   t.payload_bytes <- t.payload_bytes + String.length payload;
   lsn
 
-let intact r = Int32.equal r.crc (Crc32.digest_string r.payload)
+let intact r = r.crc = Crc32.digest_string r.payload
 
 (* Extend the verified prefix: the records replay can emit without
    re-checking.  Stops at the first damaged record. *)
@@ -146,7 +146,7 @@ let scrub t =
       if intact r then true
       else
         match r.mirror with
-        | Some m when Int32.equal r.crc (Crc32.digest_string m) ->
+        | Some m when r.crc = Crc32.digest_string m ->
             r.payload <- m;
             incr salvaged;
             true
@@ -171,7 +171,7 @@ let tear_unflushed t =
   if t.len > t.flushed then begin
     let last = t.len - 1 in
     let r = t.entries.(last) in
-    r.crc <- Int32.lognot r.crc;
+    r.crc <- r.crc lxor 0xffff_ffff;
     t.verified <- Int.min t.verified last;
     true
   end
@@ -198,7 +198,7 @@ let rot_record t disk ~index ~sector =
     (* replace, never mutate: the mirror aliases the original string *)
     r.payload <- Bytes.to_string b
   end
-  else r.crc <- Int32.lognot r.crc;
+  else r.crc <- r.crc lxor 0xffff_ffff;
   if sector then r.mirror <- None;
   t.verified <- Int.min t.verified index
 

@@ -316,7 +316,7 @@ let reference_checkpoint ~upto pairs =
       Buffer.add_string buf v)
     pairs;
   let body = Buffer.contents buf in
-  Printf.sprintf "%s%08lx" body (Dcp_net.Crc32.digest_string body)
+  Printf.sprintf "%s%08x" body (Dcp_net.Crc32.digest_string body)
 
 let gen_bytes =
   QCheck2.Gen.(

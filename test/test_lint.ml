@@ -377,7 +377,7 @@ let dynamic_sends_at_most = 22
    as inspection API, and its interface says which.  The count may fall
    as such vals gain callers or go; a rise means a val nothing outside
    test/ uses. *)
-let test_only_exports_at_most = 108
+let test_only_exports_at_most = 105
 
 let test_dynamic_sends_only_fall () =
   match find_repo_root () with

@@ -13,15 +13,16 @@ module Rng = Dcp_rng.Rng
 
 let test_crc_known_vectors () =
   (* Standard IEEE CRC-32 check values. *)
-  Alcotest.(check int32) "check string" 0xcbf43926l (Crc32.digest_string "123456789");
-  Alcotest.(check int32) "empty" 0l (Crc32.digest_string "");
-  Alcotest.(check int32) "one byte" 0xe8b7be43l (Crc32.digest_string "a");
-  Alcotest.(check int32) "pangram" 0x414fa339l
+  Alcotest.(check int) "check string" 0xcbf43926 (Crc32.digest_string "123456789");
+  Alcotest.(check int) "empty" 0 (Crc32.digest_string "");
+  Alcotest.(check int) "one byte" 0xe8b7be43 (Crc32.digest_string "a");
+  Alcotest.(check int) "pangram" 0x414fa339
     (Crc32.digest_string "The quick brown fox jumps over the lazy dog")
 
 (* The classic byte-at-a-time bitwise algorithm, as a reference the
-   slicing-by-8 implementation must agree with on every length (tails of
-   0..7 bytes take a different code path than whole 8-byte blocks). *)
+   kernel must agree with on every path: the table loop alone under 64
+   bytes and for its 0..7-byte tails, the four-lane fold from 64 bytes,
+   single 16-byte folds and the table tail after them. *)
 let crc32_reference s =
   let crc = ref 0xffffffff in
   String.iter
@@ -31,26 +32,32 @@ let crc32_reference s =
         crc := if !crc land 1 = 1 then (!crc lsr 1) lxor 0xedb88320 else !crc lsr 1
       done)
     s;
-  Int32.of_int (!crc lxor 0xffffffff)
+  !crc lxor 0xffffffff
 
-let test_crc_slicing_matches_reference () =
-  for len = 0 to 80 do
-    let s = String.init len (fun i -> Char.chr ((i * 89 + len * 17) mod 256)) in
-    Alcotest.(check int32)
-      (Printf.sprintf "len=%d" len)
-      (crc32_reference s) (Crc32.digest_string s)
-  done
+(* Every length to 80, lengths either side of 1 KiB and 4 KiB, and
+   1 MiB, the size of a large checkpoint frame. *)
+let test_crc_matches_reference () =
+  List.iter
+    (fun len ->
+      let s = String.init len (fun i -> Char.chr ((i * 89 + len * 17) mod 256)) in
+      Alcotest.(check int)
+        (Printf.sprintf "len=%d" len)
+        (crc32_reference s) (Crc32.digest_string s))
+    (List.init 81 Fun.id @ [ 1023; 1024; 1025; 2048; 4095; 4096; 1 lsl 20 ])
 
-let prop_crc_slicing_matches_reference =
+let prop_crc_slices_match_reference =
   QCheck2.Test.make ~name:"slicing-by-8 agrees with bitwise reference" ~count:300
-    QCheck2.Gen.(string_size (int_range 0 200))
-    (fun s -> Int32.equal (crc32_reference s) (Crc32.digest_string s))
+    QCheck2.Gen.(pair (string_size (int_range 0 4096)) (pair nat nat))
+    (fun (s, (a, b)) ->
+      let pos = a mod (String.length s + 1) in
+      let len = b mod (String.length s - pos + 1) in
+      crc32_reference (String.sub s pos len) = Crc32.digest_substring s ~pos ~len)
 
 let test_crc_substring () =
   let s = "xxhelloxx" in
-  Alcotest.(check int32) "string slice" (Crc32.digest_string "hello")
+  Alcotest.(check int) "string slice" (Crc32.digest_string "hello")
     (Crc32.digest_substring s ~pos:2 ~len:5);
-  Alcotest.(check int32) "whole string" (Crc32.digest_string s)
+  Alcotest.(check int) "whole string" (Crc32.digest_string s)
     (Crc32.digest_substring s ~pos:0 ~len:(String.length s));
   Alcotest.check_raises "out of bounds" (Invalid_argument "Crc32.digest_substring") (fun () ->
       ignore (Crc32.digest_substring s ~pos:5 ~len:5))
@@ -63,7 +70,7 @@ let test_crc_substring_every_slice () =
     let s = String.init 56 (fun _ -> Char.chr (Rng.int rng 256)) in
     for pos = 0 to String.length s do
       for len = 0 to Int.min 40 (String.length s - pos) do
-        Alcotest.(check int32)
+        Alcotest.(check int)
           (Printf.sprintf "pos=%d len=%d" pos len)
           (crc32_reference (String.sub s pos len))
           (Crc32.digest_substring s ~pos ~len)
@@ -71,26 +78,34 @@ let test_crc_substring_every_slice () =
     done
   done
 
-let test_crc_incremental_matches () =
-  let s = "the quick brown fox" in
-  let incremental =
-    Crc32.finalize (String.fold_left Crc32.update Crc32.init s)
-  in
-  Alcotest.(check int32) "incremental = one-shot" (Crc32.digest_string s) incremental
+(* Every length 0..300 at every offset 0..15 of one random string: the
+   table loop alone below 64 bytes, then the four-lane fold, up to three
+   single folds and a 0..15-byte table tail, at every alignment. *)
+let test_crc_every_length_and_offset () =
+  let rng = Rng.create ~seed:23 in
+  let s = String.init 316 (fun _ -> Char.chr (Rng.int rng 256)) in
+  for pos = 0 to 15 do
+    for len = 0 to 300 do
+      let expected = crc32_reference (String.sub s pos len) in
+      let got = Crc32.digest_substring s ~pos ~len in
+      if got <> expected then
+        Alcotest.failf "pos=%d len=%d: %08x, reference %08x" pos len got expected
+    done
+  done
 
 let test_crc_sub () =
   let b = Bytes.of_string "xxhelloxx" in
-  Alcotest.(check int32) "slice" (Crc32.digest_string "hello") (Crc32.digest_sub b ~pos:2 ~len:5)
+  Alcotest.(check int) "slice" (Crc32.digest_string "hello") (Crc32.digest_sub b ~pos:2 ~len:5)
 
 let prop_crc_detects_single_bitflip =
   QCheck2.Test.make ~name:"CRC detects any single bit flip" ~count:300
-    QCheck2.Gen.(pair (string_size (int_range 1 100)) (pair nat nat))
+    QCheck2.Gen.(pair (string_size (int_range 1 4096)) (pair nat nat))
     (fun (s, (i, bit)) ->
       let i = i mod String.length s and bit = bit mod 8 in
       let b = Bytes.of_string s in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
       let damaged = Bytes.to_string b in
-      String.equal damaged s || not (Int32.equal (Crc32.digest_string s) (Crc32.digest_string damaged)))
+      String.equal damaged s || Crc32.digest_string s <> Crc32.digest_string damaged)
 
 (* ---- Packets ---- *)
 
@@ -429,12 +444,13 @@ let test_network_expires_stranded_partials () =
 let tests =
   [
     Alcotest.test_case "CRC known vectors" `Quick test_crc_known_vectors;
-    Alcotest.test_case "CRC slicing vs reference" `Quick test_crc_slicing_matches_reference;
-    QCheck_alcotest.to_alcotest prop_crc_slicing_matches_reference;
-    Alcotest.test_case "CRC incremental" `Quick test_crc_incremental_matches;
+    Alcotest.test_case "CRC slicing vs reference" `Quick test_crc_matches_reference;
+    QCheck_alcotest.to_alcotest prop_crc_slices_match_reference;
     Alcotest.test_case "CRC slice" `Quick test_crc_sub;
     Alcotest.test_case "CRC substring" `Quick test_crc_substring;
     Alcotest.test_case "CRC every slice vs reference" `Quick test_crc_substring_every_slice;
+    Alcotest.test_case "CRC every length 0-300 at offsets 0-15" `Quick
+      test_crc_every_length_and_offset;
     QCheck_alcotest.to_alcotest prop_crc_detects_single_bitflip;
     Alcotest.test_case "fragment roundtrip" `Quick test_fragment_roundtrip;
     Alcotest.test_case "empty body" `Quick test_fragment_empty_body;
