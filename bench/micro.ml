@@ -352,11 +352,71 @@ let blocked_receive () =
   done;
   enqueue
 
+(* A replica's table of these entries, each value its counter. *)
+let replica_table entries =
+  let module Reconcile = Dcp_primitives.Reconcile in
+  List.fold_left
+    (fun held (key, stamp) ->
+      match Reconcile.update held ~key ~value:(Value.int (fst stamp)) ~stamp with
+      | Some (held, _) -> held
+      | None -> held)
+    Reconcile.empty entries
+
+(* A replica on node 1 of a 2-node perfect-link world holding [table],
+   sent there in one sync_delta, and on node 0 a guardian whose port
+   takes whatever the replica answers.  The returned function is one
+   digest of [claimed] from that guardian, which names the replica's own
+   hash as believed, run until the replica has handled it and the guardian
+   has taken any answer off its port. *)
+let replica_digest_round ~table ~claimed () =
+  let module Replica = Dcp_primitives.Replica in
+  let module Reconcile = Dcp_primitives.Reconcile in
+  let world =
+    Runtime.create_world ~seed:1 ~topology:(Topology.full_mesh ~n:2 Dcp_net.Link.perfect) ()
+  in
+  let replica =
+    List.hd (Replica.create_group world ~nodes:[ 1 ] ~sync_every:(Clock.s 100_000) ())
+  in
+  let peer = ref None in
+  Runtime.register_def world
+    {
+      Runtime.def_name = "digest_peer";
+      provides = [ ([ Vtype.wildcard ], 64) ];
+      init =
+        (fun ctx _ ->
+          peer := Some ctx;
+          let rec loop () =
+            ignore (Runtime.receive ctx [ Runtime.port ctx 0 ]);
+            loop ()
+          in
+          loop ());
+      recover = None;
+    };
+  let peer_guardian = Runtime.create_guardian world ~at:0 ~def_name:"digest_peer" ~args:[] in
+  let reply_to = List.hd (Runtime.guardian_ports peer_guardian) in
+  let step = Clock.ms 1 in
+  Runtime.run_for world step;
+  let ctx = Option.get !peer in
+  let hash entries = Reconcile.hash_string (Reconcile.table_hash entries) in
+  Runtime.send_command ctx ~to_:replica ~reply_to Replica.sync_delta
+    (List.map (fun (key, stamp) -> (key, Value.int (fst stamp), stamp)) table, hash table);
+  Runtime.run_for world step;
+  let run, _ =
+    Reconcile.take_window ~budget:Reconcile.default_budget (replica_table claimed) ~from:""
+  in
+  let digest = ("", None, run, hash claimed, Some (hash table)) in
+  fun () ->
+    Runtime.send_command ctx ~to_:replica ~reply_to Replica.sync_digest digest;
+    Runtime.run_for world step
+
 let alloc_rows () =
   let module Replica = Dcp_primitives.Replica in
   let module Reconcile = Dcp_primitives.Reconcile in
   let module Message = Dcp_core.Message in
   let table = List.init 100 (fun i -> (Printf.sprintf "key%04d" i, (i + 1, i mod 8))) in
+  let one_newer =
+    List.map (fun (key, (c, o)) -> (key, if c = 50 then (1000, o) else (c, o))) table
+  in
   let args =
     [
       Value.str "";
@@ -373,12 +433,14 @@ let alloc_rows () =
   in
   let encoded = Codec.encode_exn envelope in
   let encoder = Codec.encoder () in
-  (* The same digest as a typed command, read as the replica's own port
+  (* The same digest as a typed command, its entries a run of the table's
+     entry bytes as a replica sends it, read as the replica's own port
      reads it. *)
+  let held = replica_table table in
   let digest =
     ( "",
       None,
-      table,
+      fst (Reconcile.take_window ~budget:Reconcile.default_budget held ~from:""),
       Reconcile.hash_string (Reconcile.table_hash table),
       Some (Reconcile.hash_string 0L) )
   in
@@ -461,6 +523,13 @@ let alloc_rows () =
             ignore (Dcp_sim.Engine.schedule_after engine ~delay:1 ignore);
             Dcp_sim.Engine.step engine) );
       ("alloc.port.enqueue+resume timed", words_per_call (blocked_receive ()));
+      ( "alloc.reconcile.update one key newer",
+        words_per_call (fun () ->
+            Reconcile.update held ~key:"key0050" ~value:(Value.int 1000) ~stamp:(1000, 2)) );
+      ( "alloc.replica.digest equal window",
+        words_per_call (replica_digest_round ~table ~claimed:table ()) );
+      ( "alloc.replica.digest one key newer",
+        words_per_call (replica_digest_round ~table ~claimed:one_newer ()) );
       ( "alloc.transmit.check_all ping",
         words_per_call (fun () -> Transmit.check_all registry ping_args) );
     ]

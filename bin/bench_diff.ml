@@ -24,7 +24,15 @@
    exact rows (`main.exe replica-rows`) must hold all of them.  A row new
    in the candidate, or null in the baseline, is reported but not gated.
    A file that does not parse is reported as `PATH: message` with
-   exit 2. *)
+   exit 2.
+
+     bench_diff.exe ab [--pairs N] [--benchmark FILE] PARENT.exe CHANGE.exe [-- ARGS...]
+
+   runs two builds of bench/e2e/dcp_bench.exe on the same ARGS for N
+   pairs (default 10), alternating which runs first, and reports each
+   end-to-end metric of BENCHMARK.json: both sides' medians and
+   quartiles, the change's wins, whether a gain may be claimed, and
+   whether the change stays within the metric's bound (see Bench_ab). *)
 
 module Json = Dcp_json.Json
 
@@ -73,11 +81,13 @@ let threshold = 25.0
 let () =
   let baseline_path, candidate_path =
     match Array.to_list Sys.argv with
+    | _ :: "ab" :: args -> exit (Bench_ab.main args)
     | [ _; b; c ] when not (String.starts_with ~prefix:"-" b || String.starts_with ~prefix:"-" c)
       ->
         (b, c)
     | _ ->
         prerr_endline "usage: bench_diff.exe BASELINE.json CANDIDATE.json";
+        prerr_endline "       bench_diff.exe ab [--pairs N] [--benchmark FILE] PARENT.exe CHANGE.exe [-- ARGS...]";
         exit 2
   in
   let baseline, candidate =

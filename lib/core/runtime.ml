@@ -297,7 +297,9 @@ let encoded = function
    delivery and dispatch form one recursive group.  The codec's bounds
    apply to system messages too: a failure message they refuse (a reason
    past [max_string]) is dropped and counted, since no sender is there to
-   raise {!Send_failed} to. *)
+   raise {!Send_failed} to.  So is one whose reply port names a node
+   outside the world, which no network can carry (a corrupt envelope's
+   port, say). *)
 let rec reject w node msg reason =
   let sh = node.shard in
   Metrics.incr sh.shot.m_deliver_discarded;
@@ -306,6 +308,8 @@ let rec reject w node msg reason =
   | Some reply_port when not (Message.is_failure msg) -> (
       let failure = Message.failure ~reason ~sent_at:(Engine.now sh.sengine) in
       match Message.to_wire sh.sencoder ~target:reply_port failure with
+      | Ok _ when not (Topology.mem (Network.topology sh.snetwork) reply_port.Port_name.node) ->
+          scount sh "failure.unroutable"
       | Ok body ->
           Metrics.incr sh.shot.m_failure_sent;
           dispatch w ~from:node ~target:reply_port body

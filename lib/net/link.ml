@@ -36,7 +36,8 @@ let wan =
 let lossy loss = { lan with loss }
 
 type verdict =
-  | Deliver of Clock.time list
+  | Deliver of Clock.time
+  | Deliver_twice of Clock.time * Clock.time
   | Corrupt_deliver of Clock.time
   | Drop
 
@@ -57,7 +58,6 @@ let transmit t rng ~size =
   else if Rng.bernoulli rng t.corrupt then Corrupt_deliver (sample_delay t rng ~size)
   else begin
     let first = sample_delay t rng ~size in
-    if Rng.bernoulli rng t.duplicate then
-      Deliver [ first; sample_delay t rng ~size ]
-    else Deliver [ first ]
+    if Rng.bernoulli rng t.duplicate then Deliver_twice (first, sample_delay t rng ~size)
+    else Deliver first
   end

@@ -30,8 +30,9 @@ val lossy : float -> t
 
 (** Outcome of offering one fragment to the link. *)
 type verdict =
-  | Deliver of Dcp_sim.Clock.time list
-      (** Deliver a copy after each listed delay (two entries = duplicate). *)
+  | Deliver of Dcp_sim.Clock.time  (** Deliver one copy after the delay. *)
+  | Deliver_twice of Dcp_sim.Clock.time * Dcp_sim.Clock.time
+      (** Duplicated in flight: deliver a copy after each delay. *)
   | Corrupt_deliver of Dcp_sim.Clock.time
       (** Deliver after the delay, with a bit flipped in flight. *)
   | Drop

@@ -149,6 +149,30 @@ let deliver_fragment t frag =
             handler ~src body)
   end
 
+let schedule_delivery t frag delay =
+  ignore (Engine.schedule_after t.engine ~delay (fun () -> deliver_fragment t frag))
+
+(* One fragment offered to the link, and the rest after it: top-level
+   functions, so a send allocates no closure to walk its fragments. *)
+let transmit_one t link frag =
+  let size = Packet.wire_size frag in
+  t.tallies.t_fragments_sent <- t.tallies.t_fragments_sent + 1;
+  t.tallies.t_bytes_sent <- t.tallies.t_bytes_sent + size;
+  match Link.transmit link t.rng ~size with
+  | Link.Drop -> t.tallies.t_fragments_lost <- t.tallies.t_fragments_lost + 1
+  | Link.Corrupt_deliver delay -> schedule_delivery t (Packet.corrupt t.rng frag) delay
+  | Link.Deliver delay -> schedule_delivery t frag delay
+  | Link.Deliver_twice (first, second) ->
+      t.tallies.t_fragments_duplicated <- t.tallies.t_fragments_duplicated + 1;
+      schedule_delivery t frag first;
+      schedule_delivery t frag second
+
+let rec transmit_all t link = function
+  | [] -> ()
+  | frag :: rest ->
+      transmit_one t link frag;
+      transmit_all t link rest
+
 let send t ~src ~dst body =
   t.tallies.t_messages_sent <- t.tallies.t_messages_sent + 1;
   if partitioned t ~src ~dst then
@@ -157,27 +181,7 @@ let send t ~src ~dst body =
     let msg_id = t.next_msg_id in
     t.next_msg_id <- t.next_msg_id + 1;
     let link = Topology.link t.topology ~src ~dst in
-    let fragments = Packet.fragment ~src ~dst ~msg_id ~mtu:t.mtu body in
-    let transmit_one frag =
-      let size = Packet.wire_size frag in
-      t.tallies.t_fragments_sent <- t.tallies.t_fragments_sent + 1;
-      t.tallies.t_bytes_sent <- t.tallies.t_bytes_sent + size;
-      match Link.transmit link t.rng ~size with
-      | Link.Drop -> t.tallies.t_fragments_lost <- t.tallies.t_fragments_lost + 1
-      | Link.Corrupt_deliver delay ->
-          let damaged = Packet.corrupt t.rng frag in
-          ignore
-            (Engine.schedule_after t.engine ~delay (fun () -> deliver_fragment t damaged))
-      | Link.Deliver delays ->
-          if List.length delays > 1 then
-            t.tallies.t_fragments_duplicated <- t.tallies.t_fragments_duplicated + 1;
-          List.iter
-            (fun delay ->
-              ignore
-                (Engine.schedule_after t.engine ~delay (fun () -> deliver_fragment t frag)))
-            delays
-    in
-    List.iter transmit_one fragments
+    transmit_all t link (Packet.fragment ~src ~dst ~msg_id ~mtu:t.mtu body)
   end
 
 let stats t =

@@ -12,6 +12,9 @@ type t
 
 val nodes : t -> node_id list
 
+val mem : t -> node_id -> bool
+(** Whether the node is one of the topology's. *)
+
 val link : t -> src:node_id -> dst:node_id -> Link.t
 (** Effective link for a pair.  A node talking to itself gets a perfect
     link.  @raise Invalid_argument for unknown nodes. *)

@@ -112,32 +112,47 @@ let chunks ~budget ~size entries =
 (* ---- the table and its digest view ----
 
    A replica's table, kept sorted by key: each entry holds its value, its
-   stamp, and the encoded size of its digest entry [(key, stamp)], so a
-   digest window is read off the table without sorting or sizing it. *)
+   stamp, and the bytes of its digest entry [(key, stamp)].  §3.3 gives
+   every value one system-wide external rep, so those bytes depend on the
+   entry alone; a digest window is written from them without a sort, a
+   size walk or a write per entry, and a received window is compared with
+   them byte for byte. *)
 
 module Keys = Map.Make (String)
 
-type 'v held = { value : 'v; entry : string * stamp; size : int }
+type 'v held = { value : 'v; stamp : stamp; enc : (string * stamp) Command.item }
 type 'v table = 'v held Keys.t
 
 let empty = Keys.empty
-let entry_size entry = match Command.size_of entry_ty entry with Ok n -> n | Error _ -> max_int
-let find table key = Option.map (fun h -> (h.value, snd h.entry)) (Keys.find_opt key table)
+let find table key = Option.map (fun h -> (h.value, h.stamp)) (Keys.find_opt key table)
+
+(* An entry's size under the default bounds is its bytes' length: an
+   encoding no longer than [max_string] holds no string longer, and the
+   default's ints have 63 bits.  A longer one is sized by the codec, and
+   one the default bounds refuse (a key past [max_string]) sizes as
+   [max_int], so a window carries it alone. *)
+let entry_size key h =
+  let n = String.length (h.enc :> string) in
+  if n <= Codec.default_config.max_string then n
+  else match Command.size_of entry_ty (key, h.stamp) with Ok n -> n | Error _ -> max_int
+
+(* One scratch writer per domain: nothing [Command.item] writes calls back
+   into [update]. *)
+let writer = Dcp_sim.Exec.domain_local Command.writer
 
 let update table ~key ~value ~stamp =
   let held = Keys.find_opt key table in
   match held with
-  | Some h when stamp_compare (snd h.entry) stamp >= 0 -> None
+  | Some h when stamp_compare h.stamp stamp >= 0 -> None
   | _ ->
-      let entry = (key, stamp) in
-      let table = Keys.add key { value; entry; size = entry_size entry } table in
-      Some (table, Option.map (fun h -> snd h.entry) held)
+      let enc = Command.item (Dcp_sim.Exec.local_get writer) entry_ty (key, stamp) in
+      Some (Keys.add key { value; stamp; enc } table, Option.map (fun h -> h.stamp) held)
 
 (* A window is read by one fold over the table from its first key, which
    costs less than a sequence from the window's start (an allocation per
    entry) on tables a window mostly covers; the fold stops by raising the
    part already read. *)
-exception Window_full of (string * stamp) list * string
+exception Window_full of (string * stamp) Command.item list * string
 exception Window_end of (string * stamp) list
 
 let take_window ~budget table ~from =
@@ -146,26 +161,63 @@ let take_window ~budget table ~from =
     Keys.fold
       (fun key h (used, taken) ->
         if String.compare key from < 0 then (used, taken)
-        else if taken <> [] && used + h.size > budget then raise_notrace (Window_full (taken, key))
-        else (used + h.size, h.entry :: taken))
+        else
+          let size = entry_size key h in
+          if taken <> [] && used + size > budget then raise_notrace (Window_full (taken, key))
+          else (used + size, h.enc :: taken))
       table (0, [])
   with
-  | _, taken -> (List.rev taken, None)
-  | exception Window_full (taken, next) -> (List.rev taken, Some next)
+  | _, taken -> (Command.run_of_items (List.rev taken), None)
+  | exception Window_full (taken, next) -> (Command.run_of_items (List.rev taken), Some next)
 
 let held_in table window =
   match
     Keys.fold
       (fun key h held ->
         if String.compare key window.lo < 0 then held
-        else if in_window window key then h.entry :: held
+        else if in_window window key then (key, h.stamp) :: held
         else raise_notrace (Window_end held))
       table []
   with
   | held -> List.rev held
   | exception Window_end held -> List.rev held
 
-let view table = Keys.fold (fun _ h acc -> (fst h.entry, snd h.entry, h.size) :: acc) table [] |> List.rev
+(* The fold carries the position in the run that the next entry must
+   match, and stops at the first entry past the window or the first that
+   differs.  Once one key is at or past [lo], every later one is, so only
+   [hi] is compared from then on.  Equal bytes are equal entries, and as
+   many: the run's elements and the table's entry bytes both parse one
+   way. *)
+exception Past_window of int
+exception Differs
+
+let past_hi window key =
+  match window.hi with None -> false | Some hi -> String.compare key hi >= 0
+
+let holds table window (run : (string * stamp) Command.run) =
+  let stop = run.off + run.len in
+  let started = ref false in
+  match
+    Keys.fold
+      (fun key h pos ->
+        if (not !started) && String.compare key window.lo < 0 then pos
+        else begin
+          started := true;
+          if past_hi window key then raise_notrace (Past_window pos)
+          else
+            let enc = (h.enc :> string) in
+            let next = pos + String.length enc in
+            if next <= stop && Codec.bytes_at run.body pos enc then next
+            else raise_notrace Differs
+        end)
+      table run.off
+  with
+  | pos -> pos = stop
+  | exception Past_window pos -> pos = stop
+  | exception Differs -> false
+
+let view table =
+  Keys.fold (fun key h acc -> (key, h.stamp, entry_size key h) :: acc) table [] |> List.rev
 
 (* ---- digest diffing ----
 

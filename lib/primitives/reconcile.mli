@@ -87,9 +87,11 @@ val chunks : budget:int -> size:('a -> int) -> 'a list -> 'a list list
 
 (** {1 The table and its digest view}
 
-    A replica's key → (value, stamp) table, kept sorted by key, with each
-    entry's digest size, so that a digest window is read off it without a
-    sort or a size walk. *)
+    A replica's key → (value, stamp) table, kept sorted by key, with the
+    bytes of each entry's digest entry ({!entry_ty}'s encoding, which by
+    §3.3 depends on the entry alone), so that a digest window is written
+    as one run of those bytes, sized by their sum, and compared with a
+    received window byte for byte. *)
 
 type 'v table
 
@@ -100,12 +102,18 @@ val update : 'v table -> key:string -> value:'v -> stamp:stamp -> ('v table * st
 (** Last writer wins: [None] when the table holds [key] at a stamp at least
     as large; otherwise the new table and the stamp [key] held, if any. *)
 
-val take_window : budget:int -> 'v table -> from:string -> (string * stamp) list * string option
-(** The entries from key [from] on that fit [budget] (at least one, as
-    in {!chunks}), and the first key past them, [None] at the end. *)
+val take_window :
+  budget:int -> 'v table -> from:string -> (string * stamp) Command.run * string option
+(** The entries from key [from] on that fit [budget] (at least one, as in
+    {!chunks}, each sized as {!view} gives it), as one run of their bytes,
+    and the first key past them, [None] at the end. *)
 
 val held_in : 'v table -> window -> (string * stamp) list
 (** The entries inside the window ([lo <= key < hi]), in key order. *)
+
+val holds : 'v table -> window -> (string * stamp) Command.run -> bool
+(** Whether the run's bytes are exactly those of the entries inside the
+    window: then its entries are {!held_in}'s, in order, and as many. *)
 
 val view : 'v table -> (string * stamp * int) list
 (** Every entry with its digest size: [Codec.encoded_size] of

@@ -37,10 +37,11 @@ let gossip = Command.make "gossip" Command.(args3 str any Reconcile.stamp_ty)
    newer and sync_pull for what the sender holds newer or the receiver
    lacks, or with sync_ack when the tables are equal.  Every sync message
    carries its sender's table hash, and a digest also what its sender
-   believes the receiver's hash is. *)
+   believes the receiver's hash is.  Its entries travel as a run: written
+   from the table's entry bytes, and compared with them on arrival. *)
 let sync_digest =
   Command.make "sync_digest"
-    Command.(args5 str (option str) (list Reconcile.entry_ty) str (option str))
+    Command.(args5 str (option str) (run Reconcile.entry_ty) str (option str))
 
 let sync_pull = Command.make "sync_pull" Command.(args2 (list str) str)
 let delta_entry = Command.(triple str any Reconcile.stamp_ty)
@@ -339,20 +340,20 @@ let send_sync ctx state =
       | [] -> ()
       | targets ->
           let lo = state.cursor in
-          let taken, hi =
+          let run, hi =
             Reconcile.take_window ~budget:state.config.byte_budget state.table ~from:lo
           in
           state.cursor <- (match hi with None -> "" | Some key -> key);
           let hash = Reconcile.hash_string state.hash in
           (* Digests differ only in their last argument; size the window once. *)
-          let size = message_size sync_digest (lo, hi, taken, hash, None) in
+          let size = message_size sync_digest (lo, hi, run, hash, None) in
           let believed_size = size_of Command.(option str) in
           List.iter
             (fun i ->
               let believed = Option.map Reconcile.hash_string state.beliefs.(i) in
               note_sync_size state (size + believed_size believed - believed_size None);
               Runtime.send_command ctx ~to_:state.peers.(i) ~reply_to:(own_port ctx) sync_digest
-                (lo, hi, taken, hash, believed))
+                (lo, hi, run, hash, believed))
             targets)
 
 let broadcast_gossip ctx state ~key ~value ~stamp =
@@ -398,31 +399,45 @@ let parse_believed = function
   | None -> Some None
   | Some s -> Option.map Option.some (Reconcile.hash_of_string s)
 
-(* A digest whose window matches and whose hash is the receiver's finds
-   the tables equal: the receiver acks, so the sender learns it agrees,
-   unless the digest already named the receiver's hash. *)
-let handle_sync_digest ctx state ~reply ~lo ~hi ~hash ~believed entries =
+(* A digest whose window is byte for byte the receiver's own claims only
+   entries the receiver holds: each valid, at or below its clock, and none
+   to push or pull.  So the diff is empty, and the receiver only notes the
+   sender's hash and acks as the diff path would.  Any other window is
+   read and diffed.  A diff that finds the tables equal under equal hashes
+   is answered with an ack, so the sender learns it agrees, unless the
+   digest already named the receiver's hash. *)
+let answer_equal ctx state ~reply ~hash ~believed =
+  if Int64.equal hash state.hash && not (agrees state believed) then send_ack ctx state ~to_:reply
+
+let handle_sync_digest ctx state ~reply ~lo ~hi ~hash ~believed run =
   let window = { Reconcile.lo; hi } in
   if not (Reconcile.window_ok window) then malformed state
   else
-    match (parse_digest_entries entries, Reconcile.hash_of_string hash, parse_believed believed) with
-    | None, _, _ | _, None, _ | _, _, None -> malformed state
-    | Some claimed, Some hash, Some believed ->
-        let held = Reconcile.held_in state.table window in
-        let d = Reconcile.diff ~claimed ~held in
-        (* Observe the largest claimed stamp even for keys we do not pull:
-           a crash-rejoined replica must not mint write stamps that lose to
-           counters its peers have already told it about. *)
-        Option.iter (observe_stamp state) d.Reconcile.max_claimed;
-        note_hash state ~from:reply hash;
-        let equal = d.Reconcile.pushes = [] && d.Reconcile.pulls = [] in
-        if equal && Int64.equal hash state.hash then begin
-          if not (agrees state believed) then send_ack ctx state ~to_:reply
+    match (Reconcile.hash_of_string hash, parse_believed believed) with
+    | None, _ | _, None -> malformed state
+    | Some hash, Some believed -> (
+        if Reconcile.holds state.table window run then begin
+          note_hash state ~from:reply hash;
+          answer_equal ctx state ~reply ~hash ~believed
         end
-        else begin
-          send_deltas ctx state ~to_:reply d.Reconcile.pushes;
-          send_pulls ctx state ~to_:reply d.Reconcile.pulls
-        end
+        else
+          match parse_digest_entries (Command.items Reconcile.entry_ty run) with
+          | None -> malformed state
+          | Some claimed ->
+              let held = Reconcile.held_in state.table window in
+              let d = Reconcile.diff ~claimed ~held in
+              (* Observe the largest claimed stamp even for keys we do not
+                 pull: a crash-rejoined replica must not mint write stamps
+                 that lose to counters its peers have already told it
+                 about. *)
+              Option.iter (observe_stamp state) d.Reconcile.max_claimed;
+              note_hash state ~from:reply hash;
+              if d.Reconcile.pushes = [] && d.Reconcile.pulls = [] then
+                answer_equal ctx state ~reply ~hash ~believed
+              else begin
+                send_deltas ctx state ~to_:reply d.Reconcile.pushes;
+                send_pulls ctx state ~to_:reply d.Reconcile.pulls
+              end)
 
 let handle_sync_pull ctx state ~reply ~hash keys =
   match Reconcile.hash_of_string hash with
@@ -506,9 +521,9 @@ let serve ctx state =
       Message.handle gossip (fun _ (key, value, stamp) ->
           if stamp_ok stamp then ignore (apply ctx state ~key ~value ~stamp)
           else malformed state);
-      Message.handle sync_digest (fun msg (lo, hi, entries, hash, believed) ->
+      Message.handle sync_digest (fun msg (lo, hi, run, hash, believed) ->
           match msg.Message.reply_to with
-          | Some reply -> handle_sync_digest ctx state ~reply ~lo ~hi ~hash ~believed entries
+          | Some reply -> handle_sync_digest ctx state ~reply ~lo ~hi ~hash ~believed run
           | None ->
               (* digest without a return path: nothing can be pushed or
                  pulled back, so there is nothing to do *)

@@ -84,8 +84,14 @@ val join_request : (int * Port_name.t list) Command.t
 val gossip : (string * Value.t * Reconcile.stamp) Command.t
 
 val sync_digest :
-  (string * string option * (string * Reconcile.stamp) list * string * string option) Command.t
-(** [(lo, hi, entries, hash, believed)], hashes as {!Reconcile.hash_string}. *)
+  (string * string option * (string * Reconcile.stamp) Command.run * string * string option)
+  Command.t
+(** [(lo, hi, entries, hash, believed)], hashes as {!Reconcile.hash_string}.
+    The entries are a run ({!Command.run}) with [list]'s bytes: a replica
+    writes its window from its table's entry bytes
+    ({!Reconcile.take_window}), and a receiver whose own window holds
+    exactly those bytes ({!Reconcile.holds}) answers without reading
+    them, as a diff that finds nothing would. *)
 
 val sync_pull : (string list * string) Command.t
 val sync_delta : ((string * Value.t * Reconcile.stamp) list * string) Command.t

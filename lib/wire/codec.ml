@@ -3,7 +3,7 @@ type config = { int_bits : int; max_string : int; max_message : int }
 let default_config = { int_bits = 63; max_string = 1 lsl 20; max_message = 4 lsl 20 }
 let config_1979 = { int_bits = 24; max_string = 4096; max_message = 65536 }
 
-let int_in_bounds config i =
+let[@inline] int_in_bounds config i =
   if config.int_bits >= 63 then true
   else
     let limit = 1 lsl (config.int_bits - 1) in
@@ -193,8 +193,9 @@ and size_fields config acc = function
 
 type reader = { mutable input : string; mutable pos : int }
 
-(* [pos] only grows from 0, so one comparison bounds the load. *)
-let read_byte r =
+(* [pos] starts inside the input or at its end and only grows, so one
+   comparison bounds the load. *)
+let[@inline] read_byte r =
   let pos = r.pos in
   if pos >= String.length r.input then raise (Codec_error (Malformed "truncated input"));
   r.pos <- pos + 1;
@@ -207,11 +208,11 @@ let rec read_uvarint_from r shift acc =
   if b land 0x80 = 0 then acc else read_uvarint_from r (shift + 7) acc
 
 (* Most varints (counts, lengths, small ints) are one byte. *)
-let read_uvarint r =
+let[@inline] read_uvarint r =
   let b = read_byte r in
   if b land 0x80 = 0 then b else read_uvarint_from r 7 (b land 0x7f)
 
-let read_varint r = unzigzag (read_uvarint r)
+let[@inline] read_varint r = unzigzag (read_uvarint r)
 
 let read_int64 r =
   let v = ref 0L in
@@ -232,7 +233,7 @@ let read_string r =
   s
 
 (* A collection's element count; a varint can decode negative. *)
-let read_count r =
+let[@inline] read_count r =
   let n = read_uvarint r in
   if n < 0 then raise (Codec_error (Malformed "negative length"));
   n
@@ -252,7 +253,7 @@ let read_str config r =
     raise (Codec_error (String_too_long (String.length s)));
   s
 
-let read_int config r =
+let[@inline] read_int config r =
   let i = read_varint r in
   if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
   i
@@ -314,19 +315,67 @@ let reread r config input =
   r.pos <- 0
 
 let at_end r = r.pos = String.length r.input
+let position r = r.pos
+let input r = r.input
+
+let reader_at input pos =
+  if pos < 0 || pos > String.length input then invalid_arg "Codec.reader_at";
+  { input; pos }
 
 let rec matches_at input pos run i =
   i = String.length run
   || Char.equal (String.unsafe_get input (pos + i)) (String.unsafe_get run i)
      && matches_at input pos run (i + 1)
 
+let bytes_at input pos s =
+  pos >= 0 && String.length s <= String.length input - pos && matches_at input pos s 0
+
 let skip_run r run =
-  let n = String.length run in
-  if n <= String.length r.input - r.pos && matches_at r.input r.pos run 0 then begin
-    r.pos <- r.pos + n;
+  if bytes_at r.input r.pos run then begin
+    r.pos <- r.pos + String.length run;
     true
   end
   else false
+
+(* ---- stepping over typed values ----
+
+   A walk makes the checks and refusals of Command's typed readers, in
+   their order, without building what they read.  It lives here, beside
+   [read_byte], so that its byte loop makes no call across modules. *)
+
+let skip_str config r =
+  let len = read_uvarint r in
+  if len < 0 || len > String.length r.input - r.pos then
+    raise (Codec_error (Malformed "truncated string"));
+  if len > config.max_string then raise (Codec_error (String_too_long len));
+  r.pos <- r.pos + len
+
+let skip_port r =
+  ignore (read_varint r : int);
+  ignore (read_varint r : int);
+  ignore (read_varint r : int);
+  ignore (read_varint r : int)
+
+let rec skip_value config r (t : Vtype.t) =
+  match t with
+  | Tint -> read_byte r = tag_int && (ignore (read_int config r : int); true)
+  | Tstr -> read_byte r = tag_str && (skip_str config r; true)
+  | Tport -> read_byte r = tag_port && (skip_port r; true)
+  | Tany -> (ignore (decode_value config r : Value.t); true)
+  | Toption elt ->
+      let tag = read_byte r in
+      tag = tag_none || (tag = tag_some && skip_value config r elt)
+  | Tlist elt -> read_byte r = tag_list && skip_typed config r elt (read_count r)
+  | Ttuple elts ->
+      read_byte r = tag_tuple && read_count r = List.length elts && skip_each config r elts
+  | Tunit | Tbool | Treal | Trecord _ | Ttoken | Tnamed _ ->
+      invalid_arg "Codec.skip_typed: a type with no typed reader"
+
+and skip_typed config r t n = n = 0 || (skip_value config r t && skip_typed config r t (n - 1))
+
+and skip_each config r = function
+  | [] -> true
+  | t :: rest -> skip_value config r t && skip_each config r rest
 
 (* An encoder owns a scratch buffer reused across calls, so hot senders
    (the runtime encodes every message in the world) stop allocating and
@@ -335,8 +384,10 @@ let skip_run r run =
 type encoder = { enc_config : config; scratch : Buffer.t }
 
 let encoder ?(config = default_config) () = { enc_config = config; scratch = Buffer.create 256 }
+let encoder_config enc = enc.enc_config
 let start enc = Buffer.clear enc.scratch
 let add_run enc run = Buffer.add_string enc.scratch run
+let add_sub enc s off len = Buffer.add_substring enc.scratch s off len
 let add_port enc p = write_port enc.scratch p
 let add_str enc s = write_str enc.enc_config enc.scratch s
 let add_int enc i = write_int enc.enc_config enc.scratch i

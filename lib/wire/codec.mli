@@ -51,6 +51,7 @@ val decode : ?config:config -> string -> (Value.t, error) result
 type encoder
 
 val encoder : ?config:config -> unit -> encoder
+val encoder_config : encoder -> config
 
 val encode_with : encoder -> Value.t -> (string, error) result
 (** Same contract as {!encode} with the same [config].  Not reentrant:
@@ -97,6 +98,11 @@ val start : encoder -> unit
     to it: [add_run] constant bytes, the others one payload. *)
 
 val add_run : encoder -> string -> unit
+
+val add_sub : encoder -> string -> int -> int -> unit
+(** [add_sub enc s off len]: bytes [off] to [off + len - 1] of [s], as
+    {!add_run} would add them. *)
+
 val add_port : encoder -> Port_name.t -> unit
 val add_str : encoder -> string -> unit
 val add_int : encoder -> int -> unit
@@ -118,6 +124,18 @@ val reread : reader -> config -> string -> unit
 val skip_run : reader -> string -> bool
 (** Step over the given bytes if the input continues with them; [false]
     (and no step) otherwise. *)
+
+val bytes_at : string -> int -> string -> bool
+(** [bytes_at input pos s]: whether [input] holds [s] from [pos] on. *)
+
+val position : reader -> int
+val input : reader -> string
+(** Where the reader is, in the input it reads. *)
+
+val reader_at : string -> int -> reader
+(** A reader of [input] from [pos], for bytes inside an input a reader
+    has already accepted: it makes no length check.
+    @raise Invalid_argument unless [0 <= pos <= String.length input]. *)
 
 val read_port : reader -> Port_name.t
 val read_str : config -> reader -> string
@@ -166,3 +184,13 @@ val read_count : reader -> int
 
 val read_value : config -> reader -> Value.t
 (** A whole value, tag included. *)
+
+val skip_typed : config -> reader -> Vtype.t -> int -> bool
+(** [skip_typed config r t n]: step over [n] values of type [t] as
+    {!Command}'s typed readers read them, with the checks they make, in
+    their order, building nothing but what a {!Vtype.Tany} holds.  [false]
+    at the first tag or count [t] does not admit, where those readers
+    refuse; raises {!Codec_error} where they raise it.
+    @raise Invalid_argument on reaching a part of [t] that {!Command} has
+    no reader for ([Tunit], [Tbool], [Treal], [Trecord], [Ttoken],
+    [Tnamed]). *)

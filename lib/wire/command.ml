@@ -147,6 +147,77 @@ let list elt =
     named = Option.map named_items elt.named;
   }
 
+(* ---- runs: lists kept as their bytes ----
+
+   A run is what [list elt] writes after its tag and count, kept in place:
+   [len] bytes of [body] from [off], holding [count] elements.  A run its
+   elements' writer made holds the bytes [list elt] writes for them, made
+   under no bounds.  It is copied and sized by its length where no element
+   can break the bounds (63-bit ints, and no item longer than
+   [max_string], so no string longer), and walked first under any others,
+   to raise where [list elt]'s writer raises.  A run as read may hold a
+   varint in more bytes than the writer uses, which [list elt] would write
+   in fewer, so it is written and sized as its elements.  A run's own
+   elements read back under bounds no element can break. *)
+
+type source = Read | Written of int  (** the longest item's length *)
+type 'a run = { body : string; off : int; len : int; count : int; source : source }
+type 'a item = string
+type writer = Codec.encoder
+
+let unbounded = { Codec.int_bits = 63; max_string = max_int; max_message = max_int }
+let writer () = Codec.encoder ~config:unbounded ()
+
+let item w elt x =
+  Codec.start w;
+  elt.write w x;
+  match Codec.finish w with Ok s -> s | Error e -> raise (Codec.Codec_error e)
+
+let run_of_items items =
+  let body = String.concat "" items in
+  let longest = List.fold_left (fun n item -> Int.max n (String.length item)) 0 items in
+  { body; off = 0; len = String.length body; count = List.length items; source = Written longest }
+
+let items elt run =
+  let r = Codec.reader_at run.body run.off in
+  read_items elt unbounded r run.count
+
+let check_written elt (config : Codec.config) longest run =
+  if config.int_bits < 63 || longest > config.max_string then
+    if not (Codec.skip_typed config (Codec.reader_at run.body run.off) elt.vtype run.count) then
+      invalid_arg "Command.run: bytes that are not its elements"
+
+let run elt =
+  let as_list = list elt in
+  {
+    vtype = as_list.vtype;
+    write =
+      (fun enc run ->
+        match run.source with
+        | Read -> as_list.write enc (items elt run)
+        | Written longest ->
+            check_written elt (Codec.encoder_config enc) longest run;
+            Codec.add_byte enc tag_list;
+            Codec.add_count enc run.count;
+            Codec.add_sub enc run.body run.off run.len);
+    size =
+      (fun config acc run ->
+        match run.source with
+        | Read -> as_list.size config acc (items elt run)
+        | Written longest ->
+            check_written elt config longest run;
+            acc + 1 + Codec.count_size run.count + run.len);
+    read =
+      (fun config r ->
+        expect r tag_list;
+        let count = Codec.read_count r in
+        let off = Codec.position r in
+        if not (Codec.skip_typed config r elt.vtype count) then raise_notrace Refused;
+        { body = Codec.input r; off; len = Codec.position r - off; count; source = Read });
+    value = (fun run -> as_list.value (items elt run));
+    named = Option.map (fun named check run -> named check (items elt run)) as_list.named;
+  }
+
 (* ---- argument lists and tuples ----
 
    On the wire, a message's arguments are a list: the count, then each

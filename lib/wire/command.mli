@@ -36,6 +36,49 @@ val triple : 'a ty -> 'b ty -> 'c ty -> ('a * 'b * 'c) ty
 
 val vtype : 'a ty -> Vtype.t
 
+(** {1 Runs: lists kept as their bytes}
+
+    A list that a receiver mostly compares rather than reads, such as an
+    anti-entropy digest's entries, can stay in the bytes it came in.  A
+    run is [count] elements as [list elt]'s writer writes them after the
+    list's tag and count: [len] bytes of [body] from [off]. *)
+
+type source
+(** Where a run's bytes came from: a reader, or its elements' writer
+    ({!run_of_items}). *)
+
+type 'a run = private { body : string; off : int; len : int; count : int; source : source }
+
+val run : 'a ty -> 'a run ty
+(** [list elt], kept as a run.  Its Vtype, bytes, size and errors are
+    [list elt]'s.  Its reader accepts, refuses and errs on exactly the
+    inputs [list elt]'s does, with one walk inside {!Codec}
+    ({!Codec.skip_typed}) that builds no element.  A written run is
+    copied and sized by its length where no element can break the bounds
+    (63-bit ints and no item longer than [max_string]), and walked first
+    under others, to raise where [list elt]'s writer would.  A run as
+    read may hold a varint in more bytes than the writer uses, so it is
+    written and sized as its elements.
+    @raise Invalid_argument when a written run's bytes are not elements
+    of [elt]. *)
+
+type 'a item = private string
+
+type writer
+(** A scratch encoder for {!item}, under no bounds.  Not reentrant: one
+    per domain. *)
+
+val writer : unit -> writer
+
+val item : writer -> 'a ty -> 'a -> 'a item
+(** The bytes [ty]'s writer writes for [x], under no bounds. *)
+
+val run_of_items : 'a item list -> 'a run
+(** The items, in order, as one written run. *)
+
+val items : 'a ty -> 'a run -> 'a list
+(** The elements of a run made with the same [ty]. *)
+
 val size_of : ?config:Codec.config -> 'a ty -> 'a -> (int, Codec.error) result
 (** [Codec.encoded_size ?config] of [x]'s Value form, computed from [x]. *)
 

@@ -36,6 +36,10 @@ let replica_commands =
    message carries its rejection reason, which must itself fit.) *)
 let small = { Codec.default_config with int_bits = 24; max_string = 128 }
 
+(* 63-bit ints and short strings: a written run is copied when none of
+   its items is longer than a string may be, and walked otherwise. *)
+let short = { Codec.default_config with max_string = 16 }
+
 (* ---- generators ---- *)
 
 let gen_str =
@@ -188,6 +192,112 @@ let prop_sizes =
       && List.equal Value.equal
            (values_of (Command.make "entry" (Command.args1 Reconcile.entry_ty)) (key, stamp))
            [ Reconcile.entry_value (key, stamp) ])
+
+(* ---- runs: a list kept as its bytes reads and writes as the list ---- *)
+
+type elt = Elt : 'a Command.ty -> elt
+
+let elts =
+  Command.
+    [
+      Elt Reconcile.entry_ty;
+      Elt int;
+      Elt str;
+      Elt port;
+      Elt any;
+      Elt (option str);
+      Elt (list int);
+      Elt (pair int any);
+      Elt (triple str (option int) (list str));
+    ]
+
+type read = Accepted of Value.t list * int | Refused | Errs of Codec.error
+
+let same_read a b =
+  match (a, b) with
+  | Accepted (vs, pos), Accepted (vs', pos') -> List.equal Value.equal vs vs' && pos = pos'
+  | Refused, Refused -> true
+  | Errs e, Errs e' -> e = e'
+  | _ -> false
+
+(* One argument of [ty] read from [body] (a count, then the argument):
+   the outcome, with the values and where the reader stopped, and the
+   argument if accepted. *)
+let read_one config ty body =
+  let c = Command.make "x" (Command.args1 ty) in
+  let r = Codec.reader config body in
+  match Command.read_args config (Command.decl [ Command.Cmd c ]) "x" r with
+  | Some payload ->
+      (Accepted (Command.payload_values payload, Codec.position r), Command.cast c payload)
+  | None -> (Refused, None)
+  | exception Codec.Codec_error e -> (Errs e, None)
+
+let write_one config ty x =
+  let c = Command.make "x" (Command.args1 ty) in
+  let enc = Codec.encoder ~config () in
+  Codec.start enc;
+  ( (match Command.write_args enc c x with
+    | () -> Codec.finish enc
+    | exception Codec.Codec_error e -> Error e),
+    Command.encoded_size ~config c x )
+
+(* A list of an element type's values, now and then with one of another
+   type or not a list at all, then maybe truncated or with a byte
+   flipped. *)
+let gen_run_body elt_type =
+  Gen.(
+    gen_of ~typed:false (Vtype.Tlist elt_type) >>= fun v ->
+    let body = "\001" ^ Codec.encode_exn v in
+    frequency
+      [
+        (6, pure body);
+        (1, map (fun n -> String.sub body 0 (n mod (String.length body + 1))) nat);
+        ( 2,
+          map2
+            (fun i b ->
+              let bytes = Bytes.of_string body in
+              let i = i mod Bytes.length bytes in
+              Bytes.set bytes i (Char.chr b);
+              Bytes.to_string bytes)
+            nat (int_range 0 255) );
+      ])
+
+let prop_runs =
+  QCheck2.Test.make ~name:"a run reads, refuses, errs and writes as its list does" ~count:1000
+    ~print:(fun (Elt ty, body, config) ->
+      Printf.sprintf "%s, %S, int_bits %d, max_string %d" (Vtype.to_string (Command.vtype ty))
+        body config.Codec.int_bits config.Codec.max_string)
+    Gen.(
+      oneofl elts >>= fun (Elt ty) ->
+      map2 (fun body config -> (Elt ty, body, config))
+        (gen_run_body (Command.vtype ty))
+        (oneofl [ Codec.default_config; small; short ]))
+    (fun (Elt ty, body, config) ->
+      let as_list, items = read_one config (Command.list ty) body in
+      let as_run, run = read_one config (Command.run ty) body in
+      same_read as_list as_run
+      &&
+      match (items, run) with
+      | Some xs, Some run ->
+          let runs =
+            [
+              run;
+              Command.run_of_items (List.map (Command.item (Command.writer ()) ty) xs);
+            ]
+          in
+          List.for_all
+            (fun run ->
+              List.equal Value.equal
+                (values_of (Command.make "x" (Command.args1 (Command.list ty)))
+                   (Command.items ty run))
+                (values_of (Command.make "x" (Command.args1 (Command.list ty))) xs)
+              && List.for_all
+                   (fun config ->
+                     write_one config (Command.run ty) run = write_one config (Command.list ty) xs)
+                   [ Codec.default_config; small; short ])
+            runs
+      | None, None -> true
+      | _ -> false)
 
 (* ---- delivery: a typed port accepts and refuses what the Value path does ---- *)
 
@@ -390,6 +500,39 @@ let test_injected_shapes () =
   Alcotest.(check bool) "the same outcome as the Value path" true
     (without_form typed_side = without_form value_side)
 
+(* A digest whose entries the run refuses falls back to the Value path on
+   a typed port, and is rejected there with a failure reply, as on an
+   untyped one. *)
+let test_refused_digest_falls_back () =
+  let hash = Reconcile.hash_value 0L in
+  let digest entries =
+    [ Value.str ""; Value.option None; Value.list entries; hash; Value.option None ]
+  in
+  let stamp = Value.tuple [ Value.int 1; Value.int 0 ] in
+  (* the last entry has an origin of a string's tag and an int's size *)
+  let shapes =
+    [
+      digest [ Value.int 3 ];
+      digest [ Value.tuple [ Value.str "k"; stamp ]; Value.tuple [ Value.int 1; stamp ] ];
+      digest [ Value.tuple [ Value.str "k"; Value.tuple [ Value.int 1 ] ] ];
+      digest [ Value.tuple [ Value.str "k"; Value.tuple [ Value.int 1; Value.str "" ] ] ];
+    ]
+  in
+  let bodies ~receiver ~sink =
+    List.map
+      (fun args ->
+        Codec.encode_exn
+          (Message.envelope ~target:receiver
+             (Message.make ~reply_to:sink ~sent_at:0 "sync_digest" args)))
+      shapes
+  in
+  let typed_side = outcome ~typed:true bodies in
+  let value_side = outcome ~typed:false bodies in
+  let delivered (d, _, _, _) = d and failures (_, f, _, _) = f in
+  Alcotest.(check int) "none delivered" 0 (List.length (delivered typed_side));
+  Alcotest.(check int) "a failure reply each" 4 (List.length (failures typed_side));
+  Alcotest.(check bool) "the same outcome as the Value path" true (typed_side = value_side)
+
 (* ---- the digest view ---- *)
 
 let prop_view =
@@ -434,4 +577,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_delivery;
     Alcotest.test_case "test_replica's injected shapes" `Quick test_injected_shapes;
     QCheck_alcotest.to_alcotest prop_view;
+    QCheck_alcotest.to_alcotest prop_runs;
+    Alcotest.test_case "a refused digest falls back to the Value path" `Quick
+      test_refused_digest_falls_back;
   ]

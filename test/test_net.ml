@@ -265,7 +265,7 @@ let test_link_perfect () =
   let rng = Rng.create ~seed:1 in
   for _ = 1 to 100 do
     match Link.transmit Link.perfect rng ~size:100 with
-    | Link.Deliver [ 0 ] -> ()
+    | Link.Deliver 0 -> ()
     | _ -> Alcotest.fail "perfect link must deliver instantly"
   done
 
@@ -284,7 +284,7 @@ let test_link_duplication () =
   let rng = Rng.create ~seed:3 in
   let link = { Link.perfect with duplicate = 1.0 } in
   match Link.transmit link rng ~size:10 with
-  | Link.Deliver [ _; _ ] -> ()
+  | Link.Deliver_twice _ -> ()
   | _ -> Alcotest.fail "expected two copies"
 
 let test_link_bandwidth_delay () =
@@ -292,7 +292,7 @@ let test_link_bandwidth_delay () =
   let link = { Link.perfect with bandwidth = Some 1000 } in
   (* 500 bytes at 1000 B/s = 0.5 s *)
   match Link.transmit link rng ~size:500 with
-  | Link.Deliver [ d ] -> Alcotest.(check int) "serialization delay" (Clock.of_float_s 0.5) d
+  | Link.Deliver d -> Alcotest.(check int) "serialization delay" (Clock.of_float_s 0.5) d
   | _ -> Alcotest.fail "expected one delivery"
 
 (* ---- Topology ---- *)

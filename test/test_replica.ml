@@ -427,6 +427,97 @@ let test_drop_one_gossip_each_way_converges () =
   Alcotest.(check int) "both keys everywhere" 2 (List.length t0);
   Alcotest.(check bool) "identical tables" true (t0 = t1)
 
+(* A digest is answered by comparing its window's bytes with the
+   receiver's own: an equal window is answered as a diff that finds
+   nothing would be, and any other window is read and diffed.  One
+   replica holds a, b and c; each digest below claims the window [""..)
+   with the given entries, table hash and believed hash, and the replies
+   that reach the sender's port are listed by command. *)
+let digest_replies cases =
+  let world = make_world () in
+  let replica = List.hd (Replica.create_group world ~nodes:[ 0 ] ~sync_every:(Clock.s 1000) ()) in
+  let replies = ref [] in
+  driver world ~at:0 (fun ctx ->
+      Runtime.sleep ctx (Clock.ms 50);
+      List.iter
+        (fun key ->
+          ignore (Replica.write ctx ~replica ~key ~value:(Value.str key) ~timeout:(Clock.s 1)))
+        [ "a"; "b"; "c" ];
+      let own = Replica.table_in_store (replica_store world 0) in
+      let own_hash = Reconcile.table_hash own in
+      let port = Runtime.new_port ctx Replica.port_type in
+      List.iter
+        (fun (entries_of, hash_of, believed_of) ->
+          let entries = entries_of own in
+          let believed = Option.map Reconcile.hash_value (believed_of own_hash) in
+          Runtime.send ctx ~to_:replica ~reply_to:(Port.name port) "sync_digest"
+            [
+              Value.str "";
+              Value.option None;
+              Value.list (List.map Reconcile.entry_value entries);
+              Reconcile.hash_value (hash_of own_hash);
+              Value.option believed;
+            ];
+          let rec collect acc =
+            match Runtime.receive ctx ~timeout:(Clock.ms 200) [ port ] with
+            | `Timeout -> List.rev acc
+            | `Msg (_, msg) -> collect (msg.Dcp_core.Message.command :: acc)
+          in
+          replies := collect [] :: !replies)
+        cases);
+  Runtime.run_for world (Clock.s 5);
+  (List.rev !replies, metric world Replica.metric_malformed)
+
+let same entries = entries
+let own hash = hash
+let other hash = Int64.add hash 1L
+
+(* The entries with b's stamp replaced. *)
+let with_b stamp entries = List.map (fun (k, s) -> if k = "b" then (k, stamp) else (k, s)) entries
+
+(* Against each equal window, one that is not: as many entries with b
+   older, or one entry fewer, under the receiver's own hash.  The receiver
+   pushes b to either. *)
+let test_equal_window_answers () =
+  let without_b entries = List.filter (fun (k, _) -> k <> "b") entries in
+  let older_b entries = with_b (fst (List.assoc "b" entries) - 1, 0) entries in
+  let replies, malformed =
+    digest_replies
+      [
+        (same, own, fun _ -> None);
+        (same, own, fun h -> Some h);
+        (same, other, fun _ -> None);
+        (same, other, fun h -> Some h);
+        (older_b, own, fun _ -> None);
+        (without_b, own, fun _ -> None);
+      ]
+  in
+  Alcotest.(check (list (list string)))
+    "an ack exactly when the hashes match and the sender's belief is stale"
+    [ [ "sync_ack" ]; []; []; []; [ "sync_delta" ]; [ "sync_delta" ] ]
+    replies;
+  Alcotest.(check int) "nothing malformed" 0 malformed
+
+(* One newer stamp, under the receiver's own hash and with as many
+   entries as it holds: neither names an equal window. *)
+let test_newer_stamp_takes_diff () =
+  let replies, _ =
+    digest_replies [ (with_b (9, 0), own, fun _ -> None); (with_b (9, 0), other, fun _ -> None) ]
+  in
+  Alcotest.(check (list (list string))) "b is pulled" [ [ "sync_pull" ]; [ "sync_pull" ] ] replies
+
+let test_nonpositive_stamp_malformed () =
+  let replies, malformed =
+    digest_replies
+      [
+        (with_b (0, 5), own, fun h -> Some h);
+        (with_b (0, 5), other, fun _ -> None);
+        (with_b (4, -1), own, fun _ -> None);
+      ]
+  in
+  Alcotest.(check (list (list string))) "no answer" [ []; []; [] ] replies;
+  Alcotest.(check int) "each counted" 3 malformed
+
 (* Satellite 2: semantically malformed replica-to-replica messages are
    dropped and counted, never fatal. *)
 let test_malformed_gossip_is_dropped_not_fatal () =
@@ -798,4 +889,9 @@ let tests =
     Alcotest.test_case "a group on the 1979 codec converges" `Quick
       test_config_1979_group_converges;
     QCheck_alcotest.to_alcotest prop_incremental_hash;
+    Alcotest.test_case "an equal window is answered as an empty diff" `Quick
+      test_equal_window_answers;
+    Alcotest.test_case "one newer stamp takes the diff" `Quick test_newer_stamp_takes_diff;
+    Alcotest.test_case "a non-positive digest stamp is malformed" `Quick
+      test_nonpositive_stamp_malformed;
   ]

@@ -278,7 +278,7 @@ let test_encode_bounds_raise_at_sender () =
 (* A rejected message's failure reply is subject to the codec's bounds
    like any message.  One it cannot encode has no sender to raise
    [Send_failed] to: it is dropped and counted, and the world runs on. *)
-let failure_counters ~link ~at command =
+let failure_counters ?reply_node ~link ~at command =
   let config = { Runtime.default_config with codec = Codec.config_1979 } in
   let world = make_world ~link ~config () in
   let ping_def : Runtime.def =
@@ -292,21 +292,36 @@ let failure_counters ~link ~at command =
   Runtime.register_def world ping_def;
   let ping = List.hd (Runtime.guardian_ports (Runtime.create_guardian world ~at:1 ~def_name:"ping" ~args:[])) in
   with_driver world ~at:0 (fun ctx ->
-      let reply = Runtime.new_port ctx [ Vtype.wildcard ] in
+      let reply = Port.name (Runtime.new_port ctx [ Vtype.wildcard ]) in
+      let reply =
+        match reply_node with None -> reply | Some node -> { reply with Port_name.node }
+      in
       Runtime.sleep ctx at;
-      Runtime.send ctx ~to_:ping ~reply_to:(Port.name reply) command []);
+      Runtime.send ctx ~to_:ping ~reply_to:reply command []);
   Runtime.run_for world (Clock.s 1);
   let counter name =
     Option.value (List.assoc_opt name (Dcp_sim.Metrics.counters (Runtime.metrics world))) ~default:0
   in
-  (counter "deliver.discarded", counter "failure.sent", counter "failure.unencodable")
+  (counter "deliver.discarded", counter "failure.sent", counter "failure.unencodable",
+   counter "failure.unroutable")
+
+let three (a, b, c, _) = (a, b, c)
+
+(* A failure reply to a port on a node outside the world is dropped and
+   counted, and the world runs on. *)
+let test_failure_to_unknown_node_dropped () =
+  let discarded, sent, _, unroutable =
+    failure_counters ~reply_node:7 ~link:Link.perfect ~at:0 "pong"
+  in
+  Alcotest.(check (triple int int int))
+    "discarded, no failure sent, one unroutable" (1, 0, 1) (discarded, sent, unroutable)
 
 let test_failure_past_int_bits_sent () =
   (* sent at 1 ms, rejected past 8.39 ms: the failure's send time exceeds
      24 bits, which bound transmitted values, not the send time *)
   Alcotest.(check (triple int int int))
     "discarded, failure sent, none unencodable" (1, 1, 0)
-    (failure_counters ~link:Link.wan ~at:(Clock.ms 1) "pong")
+    (three (failure_counters ~link:Link.wan ~at:(Clock.ms 1) "pong"))
 
 (* A 1979 world's clock passes 2^23 ns (8.39 ms) early; its messages go on
    being delivered after that. *)
@@ -336,7 +351,7 @@ let test_failure_past_max_string_dropped () =
   (* the reason quotes the command, which fits max_string alone *)
   Alcotest.(check (triple int int int))
     "discarded, no failure sent, one unencodable" (1, 0, 1)
-    (failure_counters ~link:Link.perfect ~at:0 (String.make 4080 'c'))
+    (three (failure_counters ~link:Link.perfect ~at:0 (String.make 4080 'c')))
 
 (* Two guardians that answer each other over a zero-latency link never
    let virtual time move.  The engine reports the loop instead of spinning
@@ -433,4 +448,6 @@ let tests =
       (test_zero_latency_livelock_raises ~shards:1);
     Alcotest.test_case "zero-latency ping-pong on a worker domain raises" `Quick
       (test_zero_latency_livelock_raises ~shards:2);
+    Alcotest.test_case "failure to a node outside the world dropped" `Quick
+      test_failure_to_unknown_node_dropped;
   ]
