@@ -1,4 +1,4 @@
-(* Bechamel micro-benchmarks of the hot paths: codec, CRC, heap, WAL,
+(* Bechamel micro-benchmarks of the hot paths: codec, CRC, engine, WAL,
    tokens, and the full in-simulator send path.  One Test.make per row.
 
    Besides the console table, [run] writes BENCH_micro.json (schema
@@ -8,7 +8,7 @@
 open Bechamel
 open Toolkit
 open Dcp_wire
-module Heap = Dcp_sim.Heap
+module Engine = Dcp_sim.Engine
 module Crc32 = Dcp_net.Crc32
 module Packet = Dcp_net.Packet
 module Wal = Dcp_stable.Wal
@@ -63,30 +63,26 @@ let test_fragment_reassemble =
          let r = Packet.Reassembly.create () in
          List.iter (fun f -> ignore (Packet.Reassembly.offer r ~now:0 f)) frags))
 
-let test_heap =
-  Test.make ~name:"heap push+pop x64"
+(* The engine's event queue: host events scheduled at scattered times,
+   then stepped until none is left.  Each run starts from an empty engine,
+   so the queue's growth is part of it. *)
+let engine_schedule_step name n =
+  Test.make ~name
     (Staged.stage (fun () ->
-         let h = Heap.create ~cmp:Int.compare in
-         for i = 0 to 63 do
-           Heap.push h ((i * 37) mod 64)
+         let e = Engine.create () in
+         for i = 0 to n - 1 do
+           Engine.schedule e ~at:((i * 37) mod n) ignore
          done;
-         for _ = 0 to 63 do
-           ignore (Heap.pop h)
+         while Engine.step e do
+           ()
          done))
 
-(* Depth matters to the sift: 1k keys is ~5 levels of the 4-ary heap
+let test_engine_64 = engine_schedule_step "engine schedule+step x64" 64
+
+(* Depth matters to the sift: 1k events is ~5 levels of the 4-ary heap
    (vs ~10 of a binary one), so this row tracks the per-level cost the
    shallow x64 row can hide. *)
-let test_heap_1k =
-  Test.make ~name:"heap push+pop x1k"
-    (Staged.stage (fun () ->
-         let h = Heap.create ~cmp:Int.compare in
-         for i = 0 to 1023 do
-           Heap.push h ((i * 997) mod 1024)
-         done;
-         for _ = 0 to 1023 do
-           ignore (Heap.pop h)
-         done))
+let test_engine_1k = engine_schedule_step "engine schedule+step x1k" 1024
 
 let test_wal_append =
   Test.make ~name:"wal.append 64B"
@@ -238,8 +234,8 @@ let all_tests =
     test_crc32_4k;
     test_fragment;
     test_fragment_reassemble;
-    test_heap;
-    test_heap_1k;
+    test_engine_64;
+    test_engine_1k;
     test_wal_append;
     test_wal_replay_1k;
     test_wal_recover_1k;
@@ -267,14 +263,19 @@ let scd_status_args =
   let marks base = Value.list (List.init 5 (fun j -> Value.int (base + j))) in
   [ Value.int 2; Value.int 1234; marks 40; marks 30 ]
 
-(* Two guardians on a 2-node perfect-link world: the receiver loops on a
-   port typed like an SCD member's, the sender is idle.  The returned
-   function is one round trip: a remote send of scd_status from the
-   sender, run until the receiver has taken it off its port. *)
-let scd_status_round_trip () =
+(* Two guardians on a 2-node perfect-link world of [shards] shards: the
+   receiver loops on a port typed like an SCD member's, the sender is
+   idle.  The returned function is one round trip: a remote send of
+   scd_status from the sender, run until the receiver has taken it off its
+   port.  With two shards the nodes live on different shards, so the body
+   crosses an epoch barrier: parked in the source shard's outbox, then
+   injected into the receiver's engine. *)
+let scd_status_round_trip ?(shards = 1) () =
   let module Scd = Dcp_primitives.Scd in
   let world =
-    Runtime.create_world ~seed:1 ~topology:(Topology.full_mesh ~n:2 Dcp_net.Link.perfect) ()
+    Runtime.create_world ~seed:1 ~shards
+      ~topology:(Topology.full_mesh ~n:2 Dcp_net.Link.perfect)
+      ()
   in
   let sender = ref None in
   Runtime.register_def world
@@ -309,7 +310,7 @@ let scd_status_round_trip () =
    32-byte string) with a reply port, its pong and the client's 1 s timed
    receive, in minor words: a client of 2,000 round trips less one of
    1,000, over 1,000.  Each world runs one client first, which grows the
-   event heap to the size its cancelled timeouts reach. *)
+   event heap to the size its dead timeouts reach. *)
 let local_round_trip_words () =
   let args = [ Value.int 7; Value.str (String.make 32 'p') ] in
   let words pings =
@@ -325,11 +326,10 @@ let local_round_trip_words () =
 (* A process blocked in a timed receive on one port.  The returned
    function is an enqueue that resumes it, through the process's next
    receive, which blocks again; 4,096 calls first grow the event heap to
-   the size its cancelled timers reach before a purge. *)
+   the size its dead timeouts reach before a purge. *)
 let blocked_receive () =
   let module Port = Dcp_core.Port in
   let module Process = Dcp_core.Process in
-  let module Engine = Dcp_sim.Engine in
   let engine = Engine.create () in
   let port =
     Port.create
@@ -351,6 +351,19 @@ let blocked_receive () =
     ignore (enqueue ())
   done;
   enqueue
+
+(* [Store.flush] of one pending record: a set and a flush, less a set
+   alone on a store that has logged the same records, so the log's growth
+   cancels out. *)
+let store_flush_words ~words_per_call =
+  let module Store = Dcp_stable.Store in
+  let set store () = Store.set store ~key:"k" "v" in
+  let flushed = Store.create () and unflushed = Store.create () in
+  let with_flush () =
+    set flushed ();
+    Store.flush flushed
+  in
+  words_per_call with_flush -. words_per_call (set unflushed)
 
 (* A replica's table of these entries, each value its counter. *)
 let replica_table entries =
@@ -517,11 +530,15 @@ let alloc_rows () =
       ("alloc.trace.record_deferred traced", words_per_call (record_send traced));
       ("alloc.trace.record_deferred untraced", words_per_call (record_send untraced));
       ("alloc.round-trip scd_status", words_per_call (scd_status_round_trip ()));
+      ( "alloc.barrier.exchange scd_status (2 shards less 1)",
+        words_per_call (scd_status_round_trip ~shards:2 ())
+        -. words_per_call (scd_status_round_trip ()) );
+      ("alloc.store.flush one pending record", store_flush_words ~words_per_call);
       ("alloc.round-trip local timed", local_round_trip_words ());
       ( "alloc.engine.schedule+step",
         words_per_call (fun () ->
-            ignore (Dcp_sim.Engine.schedule_after engine ~delay:1 ignore);
-            Dcp_sim.Engine.step engine) );
+            Engine.schedule_after engine ~delay:1 ignore;
+            Engine.step engine) );
       ("alloc.port.enqueue+resume timed", words_per_call (blocked_receive ()));
       ( "alloc.reconcile.update one key newer",
         words_per_call (fun () ->

@@ -4,7 +4,7 @@
      list     show the scenario library and the fault-profile matrix
      run      replay one (scenario, seed, profile); print its verdict,
               fingerprint and stats
-     sweep    run many seeds per profile; write CHECK_sweep.json
+     sweep    run many seeds per profile; merge them into CHECK_sweep.json
      shrink   minimise a failing (seed, profile) to the smallest repro
 
    Examples:
@@ -149,8 +149,11 @@ let run_sweep scenario_name profile_names seeds seed_base horizon_ms workload sh
             sweep)
           scenarios
       in
-      Check.Sweep.write_json ~path:json_path sweeps;
-      if not quiet then Printf.printf "wrote %s\n%!" json_path;
+      (match Check.Sweep.write_json ~path:json_path sweeps with
+      | Ok () -> if not quiet then Printf.printf "wrote %s\n%!" json_path
+      | Error e ->
+          prerr_endline ("dcp_check: " ^ e);
+          exit 2);
       let failures = List.concat_map (fun s -> s.Check.Sweep.failures) sweeps in
       if failures = [] then `Ok ()
       else
@@ -178,7 +181,10 @@ let sweep_cmd =
     Arg.(
       value
       & opt string "CHECK_sweep.json"
-      & info [ "json" ] ~doc:"Where to write the sweep summary JSON.")
+      & info [ "json" ]
+          ~doc:
+            "The sweep summary JSON to merge into: each sweep replaces the entry with its \
+             scenario and profiles, and the others are kept.")
   in
   let quiet_arg = Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress the console summary.") in
   Cmd.v

@@ -51,25 +51,52 @@ let pp ppf t =
   FAIL seed=%d profile=%s: %s" f.seed f.profile f.reason)
     t.failures
 
+let schema = "dcp.check.sweep/v1"
+
 (* [wall_s] keeps the millisecond precision the file has always carried. *)
-let write_json ~path sweeps =
+let to_json t =
   let open Dcp_json.Json in
   let int n = Num (float_of_int n) in
-  let sweep t =
-    Obj
-      [
-        ("scenario", Str t.scenario);
-        ("profiles", Arr (List.map (fun p -> Str p) t.profiles));
-        ("seed_base", int t.seed_base);
-        ("seeds_per_profile", int t.seeds);
-        ("runs", int t.runs);
-        ("wall_s", Num (float_of_string (Printf.sprintf "%.3f" t.wall_s)));
-        ( "failures",
-          Arr
-            (List.map
-               (fun f ->
-                 Obj [ ("profile", Str f.profile); ("seed", int f.seed); ("reason", Str f.reason) ])
-               t.failures) );
-      ]
+  Obj
+    [
+      ("scenario", Str t.scenario);
+      ("profiles", Arr (List.map (fun p -> Str p) t.profiles));
+      ("seed_base", int t.seed_base);
+      ("seeds_per_profile", int t.seeds);
+      ("runs", int t.runs);
+      ("wall_s", Num (float_of_string (Printf.sprintf "%.3f" t.wall_s)));
+      ( "failures",
+        Arr
+          (List.map
+             (fun f -> Obj [ ("profile", Str f.profile); ("seed", int f.seed); ("reason", Str f.reason) ])
+             t.failures) );
+    ]
+
+(* The entries already in [path]: none if it does not exist. *)
+let existing path =
+  let open Dcp_json.Json in
+  let refuse why = Error (Printf.sprintf "%s is not a %s file (%s); left as it is" path schema why) in
+  if not (Sys.file_exists path) then Ok []
+  else
+    match parse (In_channel.with_open_bin path In_channel.input_all) with
+    | exception (Parse_error e | Sys_error e) -> refuse e
+    | json -> (
+        match (member "schema" json, member "sweeps" json) with
+        | Some (Str s), Some (Arr sweeps) when String.equal s schema -> Ok sweeps
+        | _ -> refuse "no schema and sweeps")
+
+(* An entry is a sweep's when it has the sweep's scenario and profiles. *)
+let same entry t =
+  let open Dcp_json.Json in
+  member "scenario" entry = Some (Str t.scenario)
+  && member "profiles" entry = Some (Arr (List.map (fun p -> Str p) t.profiles))
+
+let write_json ~path sweeps =
+  let open Dcp_json.Json in
+  let merge entries =
+    let entry e = match List.find_opt (same e) sweeps with Some t -> to_json t | None -> e in
+    let fresh = List.filter (fun t -> not (List.exists (fun e -> same e t) entries)) sweeps in
+    let all = List.map entry entries @ List.map to_json fresh in
+    to_file path (Obj [ ("schema", Str schema); ("sweeps", Arr all) ])
   in
-  to_file path (Obj [ ("schema", Str "dcp.check.sweep/v1"); ("sweeps", Arr (List.map sweep sweeps)) ])
+  Result.map merge (existing path)

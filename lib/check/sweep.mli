@@ -34,6 +34,11 @@ val run :
 
 val pp : Format.formatter -> t -> unit
 
-val write_json : path:string -> t list -> unit
-(** Write the [dcp.check.sweep/v1] summary (seeds run, failures, wall
-    time), the CHECK_sweep.json counterpart of BENCH_micro.json. *)
+val write_json : path:string -> t list -> (unit, string) result
+(** Write the sweeps into the [dcp.check.sweep/v1] summary at [path]
+    (seeds run, failures, wall time), the CHECK_sweep.json counterpart of
+    BENCH_micro.json.  The file is merged, not replaced: a sweep replaces
+    the entry with its scenario and profile list in place, the other
+    entries stay in their order, and a sweep with no entry is appended.
+    A file that exists but is not such a summary is refused with [Error]
+    and left untouched. *)

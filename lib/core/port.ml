@@ -2,14 +2,17 @@ open Dcp_wire
 module Engine = Dcp_sim.Engine
 
 (* One blocked receive: registered on every port of its list, resumed (or
-   timed out) exactly once.  [enqueue] and the timeout act on it through the
-   module-level functions below, so blocking builds no closure but the
-   timer's. *)
+   timed out) exactly once.  A timed one is also the payload of its
+   timeout event, which is dead once the waiter is served, so [enqueue]
+   tells [engine] so and keeps no handle on the event.  [enqueue] and the
+   timeout act on it through the module-level functions below, so
+   blocking builds no closure. *)
 type waiter = {
   mutable active : bool;
   wports : t list;
   resume : outcome -> unit;
-  mutable timer : Engine.timer option;
+  engine : Engine.t;
+  timed : bool;
 }
 
 and t = {
@@ -63,11 +66,11 @@ let rec leave w = function
       leave w rest
 
 let time_out w () =
-  if w.active then begin
-    w.active <- false;
-    leave w w.wports;
-    w.resume `Timeout
-  end
+  w.active <- false;
+  leave w w.wports;
+  w.resume `Timeout
+
+let timeout_event = { Engine.fire = time_out; live = (fun w -> w.active) }
 
 (* Hand [msg] to the first active waiter. *)
 let rec serve t msg =
@@ -76,7 +79,7 @@ let rec serve t msg =
   | w :: rest ->
       if w.active then begin
         w.active <- false;
-        (match w.timer with Some timer -> Engine.cancel timer | None -> ());
+        if w.timed then Engine.discard w.engine;
         leave w w.wports;
         w.resume (`Msg (t, msg));
         true
@@ -120,11 +123,12 @@ let rec join w = function
       join w rest
 
 let wait engine ports timeout resume =
-  let w = { active = true; wports = ports; resume; timer = None } in
-  (match timeout with
-  | Some d -> w.timer <- Some (Engine.schedule_after engine ~delay:d (time_out w))
-  | None -> ());
-  join w ports
+  match timeout with
+  | None -> join { active = true; wports = ports; resume; engine; timed = false } ports
+  | Some delay ->
+      let w = { active = true; wports = ports; resume; engine; timed = true } in
+      Engine.post_after engine ~delay timeout_event w ();
+      join w ports
 
 let receive engine ~ports ~timeout : outcome =
   if ports = [] then invalid_arg "Port.receive: empty port list";

@@ -43,62 +43,65 @@ let leave_raising previous e =
   leave previous;
   Printexc.raise_with_backtrace e trace
 
+(* The effect handler of [p]'s fiber. *)
+let handler p : (unit, unit) Effect.Deep.handler =
+  {
+    retc = (fun () -> if p.state <> Dead then p.state <- Finished);
+    exnc =
+      (fun e ->
+        if p.state <> Dead then begin
+          p.state <- Finished;
+          p.failure <- Some e;
+          Logs.warn (fun m -> m "process %s died with exception %s" p.name (Printexc.to_string e))
+        end);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Suspend register ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                if p.state = Dead then ()
+                  (* killed while running: stop at this suspension point;
+                     the continuation is dropped *)
+                else begin
+                  p.state <- Blocked;
+                  p.suspensions <- p.suspensions + 1;
+                  let suspension = p.suspensions in
+                  (* Only the first call of this suspension's resume, while
+                     the process is still blocked in it, continues it; a
+                     killed process's continuation is dropped, and the
+                     fiber is reclaimed by the GC. *)
+                  let resume v =
+                    if p.state = Blocked && p.suspensions = suspension then begin
+                      p.state <- Running;
+                      let previous = enter p in
+                      match Effect.Deep.continue k v with
+                      | () -> leave previous
+                      | exception e -> leave_raising previous e
+                    end
+                  in
+                  register resume
+                end)
+        | _ -> None);
+  }
+
+let run p body =
+  if p.state = Created then begin
+    p.state <- Running;
+    let previous = enter p in
+    match Effect.Deep.match_with body () (handler p) with
+    | () -> leave previous
+    | exception e -> leave_raising previous e
+  end
+
+(* A process start is an event of this kind: the process and its body. *)
+let start = { Engine.fire = run; live = Engine.always }
+
 let spawn engine ~name body =
   let rec p = { name; state = Created; failure = None; suspensions = 0; some = Some p } in
-  let handler : (unit, unit) Effect.Deep.handler =
-    {
-      retc = (fun () -> if p.state <> Dead then p.state <- Finished);
-      exnc =
-        (fun e ->
-          if p.state <> Dead then begin
-            p.state <- Finished;
-            p.failure <- Some e;
-            Logs.warn (fun m ->
-                m "process %s died with exception %s" p.name (Printexc.to_string e))
-          end);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend register ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  if p.state = Dead then ()
-                    (* killed while running: stop at this suspension point;
-                       the continuation is dropped *)
-                  else begin
-                    p.state <- Blocked;
-                    p.suspensions <- p.suspensions + 1;
-                    let suspension = p.suspensions in
-                    (* Only the first call of this suspension's resume, while
-                       the process is still blocked in it, continues it; a
-                       killed process's continuation is dropped, and the
-                       fiber is reclaimed by the GC. *)
-                    let resume v =
-                      if p.state = Blocked && p.suspensions = suspension then begin
-                        p.state <- Running;
-                        let previous = enter p in
-                        match Effect.Deep.continue k v with
-                        | () -> leave previous
-                        | exception e -> leave_raising previous e
-                      end
-                    in
-                    register resume
-                  end)
-          | _ -> None);
-    }
-  in
-  let start () =
-    if p.state = Created then begin
-      p.state <- Running;
-      let previous = enter p in
-      match Effect.Deep.match_with body () handler with
-      | () -> leave previous
-      | exception e -> leave_raising previous e
-    end
-  in
-  ignore (Engine.schedule_after engine ~delay:0 start);
+  Engine.post_after engine ~delay:0 start p body;
   p
 
 let suspend register = Effect.perform (Suspend register)
 
-let sleep engine d = suspend (fun resume -> ignore (Engine.schedule_after engine ~delay:d resume))
+let sleep engine d = suspend (fun resume -> Engine.schedule_after engine ~delay:d resume)

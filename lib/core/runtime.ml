@@ -120,7 +120,7 @@ and shard = {
   mutable snext_guardian_id : int;  (** strided: shard_id + k * shard_count *)
   mutable snext_port_uid : int;  (** strided *)
   mutable snext_mint_id : int;  (** strided; deterministic ids for primitives *)
-  outboxes : (Clock.time * node_id * string) list ref array;
+  outboxes : (Clock.time * node * string) list ref array;
       (** per destination shard, newest first; drained at barriers *)
 }
 
@@ -300,7 +300,7 @@ let encoded = function
    raise {!Send_failed} to.  So is one whose reply port names a node
    outside the world, which no network can carry (a corrupt envelope's
    port, say). *)
-let rec reject w node msg reason =
+let rec reject node msg reason =
   let sh = node.shard in
   Metrics.incr sh.shot.m_deliver_discarded;
   stracef sh "discard" "%s: %a" reason Message.pp msg;
@@ -312,68 +312,72 @@ let rec reject w node msg reason =
           scount sh "failure.unroutable"
       | Ok body ->
           Metrics.incr sh.shot.m_failure_sent;
-          dispatch w ~from:node ~target:reply_port body
+          dispatch ~from:node ~target:reply_port body
       | Error _ -> scount sh "failure.unencodable")
   | Some _ | None -> ()
 
 (* A message read by its port's declaration was checked by that read;
    any other is checked against the port type. *)
-and deliver_message w node target msg =
+and deliver_message node target msg =
   match Int_tbl.find node.gindex target.Port_name.guardian with
-  | exception Not_found -> reject w node msg "target guardian does not exist"
-  | g when not g.galive -> reject w node msg "target guardian does not exist"
+  | exception Not_found -> reject node msg "target guardian does not exist"
+  | g when not g.galive -> reject node msg "target guardian does not exist"
   | g -> (
       match Int_tbl.find g.gport_index target.Port_name.uid with
-      | exception Not_found -> reject w node msg "target port does not exist"
+      | exception Not_found -> reject node msg "target port does not exist"
       | port when not (Port_name.equal (Port.name port) target) ->
-          reject w node msg "target port does not exist"
+          reject node msg "target port does not exist"
       | port -> (
           match msg.Message.typed with
-          | Some _ -> enqueue w node port msg
+          | Some _ -> enqueue node port msg
           | None -> (
               match
                 Vtype.check_message (Port.ptype port) ~command:msg.Message.command
                   msg.Message.args
               with
-              | Error reason -> reject w node msg ("message rejected: " ^ reason)
-              | Ok () -> enqueue w node port msg)))
+              | Error reason -> reject node msg ("message rejected: " ^ reason)
+              | Ok () -> enqueue node port msg)))
 
-and enqueue w node port msg =
+and enqueue node port msg =
   let sh = node.shard in
   match Port.enqueue port msg with
   | `Delivered | `Queued ->
       Metrics.incr sh.shot.m_deliver_ok;
       Metrics.observe sh.shot.m_latency_us
         (Clock.to_float_us (Clock.diff (Engine.now sh.sengine) msg.Message.sent_at))
-  | `Full -> reject w node msg "no room at target port"
-  | `Closed -> reject w node msg "target port does not exist"
+  | `Full -> reject node msg "no room at target port"
+  | `Closed -> reject node msg "target port does not exist"
 
 (* [sh] is the shard whose engine is executing this delivery — the
    destination node's shard, except for the unknown-node tally. *)
 and deliver_body w sh dst_node_id body =
   match Int_tbl.find w.nodes dst_node_id with
   | exception Not_found -> Metrics.incr sh.shot.m_deliver_unknown_node
-  | node -> (
-      if not node.up then Metrics.incr node.shard.shot.m_deliver_node_down
-      else
-        match Message.of_wire ~config:w.config.codec ?commands:node.ncommands body with
-        | Ok (target, msg) -> deliver_message w node target msg
-        | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed)
+  | node -> deliver_at node body
+
+and deliver_at node body =
+  if not node.up then Metrics.incr node.shard.shot.m_deliver_node_down
+  else
+    match Message.of_wire ~config:node.world.config.codec ?commands:node.ncommands body with
+    | Ok (target, msg) -> deliver_message node target msg
+    | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed
+
+(* A body's arrival at a node, by local send or barrier injection, is an
+   event of this kind: the node and the body, with no closure. *)
+and arrival = { Engine.fire = deliver_at; live = Engine.always }
 
 (* Hand an encoded body from a node to its target.  Everything here is
-   source-shard state: the engine the local-delivery timer lands on, and
+   source-shard state: the engine the local delivery lands on, and
    the network the remote path uses.  If the destination node lives on
    another shard, the source shard's network still simulates the full link
    (delay, loss, fragmentation) — the destination handler is a forwarder
    that parks the reassembled body in the outbox for the barrier
    exchange. *)
-and dispatch w ~from ~target body =
+and dispatch ~from ~target body =
   let sh = from.shard in
   if target.Port_name.node = from.node_id then begin
     Metrics.incr sh.shot.m_send_local;
-    ignore
-      (Engine.schedule_after sh.sengine ~delay:local_delay (fun () ->
-           deliver_body w sh target.Port_name.node body))
+    Engine.post_after sh.sengine ~delay:local_delay arrival from body
   end
   else begin
     Metrics.incr sh.shot.m_send_remote;
@@ -399,14 +403,14 @@ let install_handler w node =
    into that shard's outbox, stamped with the source shard's arrival time.
    Forwarders are installed once and never cleared: whether the
    destination node is up is its own shard's business, checked by
-   [deliver_body] after the exchange. *)
+   [deliver_at] when the exchange injects the body. *)
 let install_forwarders w node =
   Array.iter
     (fun src_shard ->
       if src_shard != node.shard then
         let out = src_shard.outboxes.(node.shard.shard_id) in
         Network.set_handler src_shard.snetwork node.node_id (fun ~src:_ body ->
-            out := (Engine.now src_shard.sengine, node.node_id, body) :: !out))
+            out := (Engine.now src_shard.sengine, node, body) :: !out))
     w.shards
 
 let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(parallel = false)
@@ -505,7 +509,7 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(para
    shard ascending, then chronological append order — the canonical order
    that makes destination sequence numbers (and so all same-time
    tie-breaks) independent of execution mode.  Destination clocks sit at
-   the barrier, so [Engine.schedule] clamps each arrival into the next
+   the barrier, so [Engine.post] clamps each arrival into the next
    epoch: cross-shard latency is rounded up to the barrier, which is the
    epoch-barrier equivalence at work. *)
 let exchange w =
@@ -520,10 +524,9 @@ let exchange w =
               out := [];
               let dst = w.shards.(dst_id) in
               List.iter
-                (fun (at, nid, body) ->
+                (fun (at, node, body) ->
                   incr injected;
-                  ignore
-                    (Engine.schedule dst.sengine ~at (fun () -> deliver_body w dst nid body)))
+                  Engine.post dst.sengine ~at arrival node body)
                 (List.rev items))
         src.outboxes)
     w.shards;
@@ -706,7 +709,7 @@ let self_destruct c =
    handler, its engine's semaphore, its guardians' state), so chaos
    schedules them as events on the victim's shard.  Forwarders on other
    shards stay installed — in-flight cross-shard traffic still arrives in
-   the outbox and is discarded by [deliver_body] if the node is down at
+   the outbox and is discarded by [deliver_at] if the node is down at
    injection time. *)
 let crash_node w node_id =
   match Int_tbl.find_opt w.nodes node_id with
@@ -795,14 +798,14 @@ let restart_node w node_id =
 let schedule_at w ~node ~at f =
   match Int_tbl.find_opt w.nodes node with
   | None -> invalid_arg "Runtime.schedule_at: unknown node"
-  | Some n -> ignore (Engine.schedule n.shard.sengine ~at (fun () -> f ()))
+  | Some n -> Engine.schedule n.shard.sengine ~at f
 
 (* ------------------------------------------------------------------ *)
 (* Send and receive                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* After the message is encoded: trace it, flush, and hand it on. *)
-let transmit w g ~now ~to_ body =
+let transmit g ~now ~to_ body =
   let sh = g.home.shard in
   (* A traced world keeps the body it will deliver and makes text on
      read; an untraced one only counts the send. *)
@@ -812,7 +815,7 @@ let transmit w g ~now ~to_ body =
      crash can tear or drop only state the rest of the world has never
      observed. *)
   Store.flush g.gstore;
-  dispatch w ~from:g.home ~target:to_ body
+  dispatch ~from:g.home ~target:to_ body
 
 (* §3.4 step 1: encode the arguments; failures surface at the sender,
    before the send is traced or anything leaves the guardian. *)
@@ -828,7 +831,7 @@ let send c ~to_ ?reply_to command args =
     check_transmittable (Transmit.check_all w.registry args);
     let now = Engine.now sh.sengine in
     encoded (Message.values_to_wire sh.sencoder ~target:to_ ?reply_to ~sent_at:now command args)
-    |> transmit w g ~now ~to_
+    |> transmit g ~now ~to_
   end
 
 let send_command c ~to_ ?reply_to command x =
@@ -841,7 +844,7 @@ let send_command c ~to_ ?reply_to command x =
     check_transmittable (Command.check_named command (Transmit.check_named w.registry) x);
     let now = Engine.now sh.sengine in
     encoded (Message.command_to_wire sh.sencoder ~target:to_ ?reply_to ~sent_at:now command x)
-    |> transmit w g ~now ~to_
+    |> transmit g ~now ~to_
   end
 
 let owned g p = (Port.name p).Port_name.guardian = g.gid

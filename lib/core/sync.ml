@@ -11,7 +11,7 @@ let mutex engine = { engine; held = false; mutex_waiters = Queue.create () }
 let lock m =
   if not m.held then m.held <- true
   else
-    Process.suspend (fun resume -> Queue.add (fun () -> resume ()) m.mutex_waiters)
+    Process.suspend (fun resume -> Queue.add resume m.mutex_waiters)
 
 let unlock m =
   if not m.held then invalid_arg "Sync.unlock: mutex not held";
@@ -20,7 +20,7 @@ let unlock m =
   | Some wake ->
       (* Hand the lock directly to the next waiter; schedule the wakeup so
          the unlocking process finishes its current event first. *)
-      ignore (Engine.schedule_after m.engine ~delay:0 wake)
+      Engine.schedule_after m.engine ~delay:0 wake
 
 let with_lock m f =
   lock m;
@@ -34,14 +34,14 @@ let condition engine = { cengine = engine; cond_waiters = Queue.create () }
 
 let wait c m =
   Process.suspend (fun resume ->
-      Queue.add (fun () -> resume ()) c.cond_waiters;
+      Queue.add resume c.cond_waiters;
       unlock m);
   lock m
 
 let signal c =
   match Queue.take_opt c.cond_waiters with
   | None -> ()
-  | Some wake -> ignore (Engine.schedule_after c.cengine ~delay:0 wake)
+  | Some wake -> Engine.schedule_after c.cengine ~delay:0 wake
 
 let broadcast c =
   let pending = Queue.length c.cond_waiters in
@@ -62,13 +62,13 @@ let semaphore engine n =
 
 let acquire s =
   if s.free > 0 then s.free <- s.free - 1
-  else Process.suspend (fun resume -> Queue.add (fun () -> resume ()) s.sem_waiters)
+  else Process.suspend (fun resume -> Queue.add resume s.sem_waiters)
 
 let release s =
   match Queue.take_opt s.sem_waiters with
   | Some wake ->
       (* hand the unit straight to the next waiter *)
-      ignore (Engine.schedule_after s.sengine ~delay:0 wake)
+      Engine.schedule_after s.sengine ~delay:0 wake
   | None ->
       if s.free >= s.total then invalid_arg "Sync.release: all units already free";
       s.free <- s.free + 1
@@ -91,7 +91,7 @@ let start_request kl k =
   if not (List.mem k kl.held_keys) then kl.held_keys <- k :: kl.held_keys
   else
     Process.suspend (fun resume ->
-        kl.key_waiters <- kl.key_waiters @ [ (k, fun () -> resume ()) ])
+        kl.key_waiters <- kl.key_waiters @ [ (k, resume) ])
 
 let end_request kl k =
   if not (List.mem k kl.held_keys) then invalid_arg "Sync.end_request: key not held";
@@ -105,7 +105,7 @@ let end_request kl k =
   | Some (wake, remaining) ->
       (* The key stays held and passes to the first waiter for it. *)
       kl.key_waiters <- remaining;
-      ignore (Engine.schedule_after kl.kengine ~delay:0 wake)
+      Engine.schedule_after kl.kengine ~delay:0 wake
 
 let with_key kl k f =
   start_request kl k;

@@ -149,8 +149,10 @@ let deliver_fragment t frag =
             handler ~src body)
   end
 
-let schedule_delivery t frag delay =
-  ignore (Engine.schedule_after t.engine ~delay (fun () -> deliver_fragment t frag))
+(* A fragment arrival is an event of this kind: the network and the
+   fragment, with no closure. *)
+let arrival = { Engine.fire = deliver_fragment; live = Engine.always }
+let schedule_delivery t frag delay = Engine.post_after t.engine ~delay arrival t frag
 
 (* One fragment offered to the link, and the rest after it: top-level
    functions, so a send allocates no closure to walk its fragments. *)

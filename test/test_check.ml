@@ -205,12 +205,64 @@ let test_replica_verdict_text () =
         (Check.Oracle.replica_convergence.Check.Oracle.check world))
     cases
 
+(* [Sweep.write_json] merges: sweeps with other scenarios or profile lists
+   survive in their order, a rerun replaces its own entry in place, and a
+   file of another kind is refused untouched. *)
+let test_sweep_json_merges () =
+  let sweep scenario profiles wall_s =
+    {
+      Check.Sweep.scenario;
+      profiles;
+      seed_base = 1;
+      seeds = 2;
+      runs = 2 * List.length profiles;
+      failures = [];
+      wall_s;
+    }
+  in
+  let path = Filename.temp_file "sweep" ".json" in
+  Sys.remove path;
+  let entries () =
+    let json = Dcp_json.Json.parse (In_channel.with_open_bin path In_channel.input_all) in
+    match Dcp_json.Json.member "sweeps" json with
+    | Some (Dcp_json.Json.Arr sweeps) ->
+        List.map
+          (fun e ->
+            match (Dcp_json.Json.member "scenario" e, Dcp_json.Json.member "wall_s" e) with
+            | Some (Str s), Some (Num w) -> (s, w)
+            | _ -> Alcotest.fail "malformed entry")
+          sweeps
+    | _ -> Alcotest.fail "no sweeps"
+  in
+  let write sweeps =
+    match Check.Sweep.write_json ~path sweeps with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  in
+  write [ sweep "bank" [ "lan+crash"; "wan+crash" ] 1.0 ];
+  write [ sweep "itinerary" [ "lan+crash" ] 2.0; sweep "bank" [ "lan+crash+disk" ] 3.0 ];
+  Alcotest.(check (list (pair string (float 0.)))) "both writes survive"
+    [ ("bank", 1.0); ("itinerary", 2.0); ("bank", 3.0) ]
+    (entries ());
+  write [ sweep "bank" [ "lan+crash"; "wan+crash" ] 4.0 ];
+  Alcotest.(check (list (pair string (float 0.)))) "a rerun replaces its entry in place"
+    [ ("bank", 4.0); ("itinerary", 2.0); ("bank", 3.0) ]
+    (entries ());
+  Out_channel.with_open_bin path (fun oc -> output_string oc "{\"schema\": \"other\"}\n");
+  (match Check.Sweep.write_json ~path [ sweep "bank" [ "lan" ] 5.0 ] with
+  | Ok () -> Alcotest.fail "another kind of file was overwritten"
+  | Error _ -> ());
+  Alcotest.(check string) "the refused file is untouched" "{\"schema\": \"other\"}\n"
+    (In_channel.with_open_bin path In_channel.input_all);
+  Sys.remove path
+
 let tests =
   [
     Alcotest.test_case "mutated model is detected" `Quick test_mutation_detected;
     Alcotest.test_case "honest twin passes" `Quick test_honest_twin_passes;
     Alcotest.test_case "mutation shrinks to a minimal counterexample" `Slow test_mutation_shrinks;
     Alcotest.test_case "failing sweep is deterministic" `Slow test_sweep_deterministic_failures;
+    Alcotest.test_case "sweep json merges, refuses other files" `Quick test_sweep_json_merges;
     Alcotest.test_case "outcome fingerprint is deterministic" `Quick
       test_outcome_fingerprint_deterministic;
     Alcotest.test_case "replica fingerprint is deterministic" `Slow

@@ -65,7 +65,7 @@ let test_process_kill_while_blocked () =
         Process.sleep e (Clock.ms 10);
         resumed := true)
   in
-  ignore (Engine.schedule e ~at:(Clock.ms 1) (fun () -> Process.kill p));
+  Engine.schedule e ~at:(Clock.ms 1) (fun () -> Process.kill p);
   Engine.run e;
   Alcotest.(check bool) "sleep never returns" false !resumed
 
@@ -96,8 +96,8 @@ let test_process_double_resume_ignored () =
   ignore
     (Process.spawn e ~name:"t" (fun () ->
          Process.suspend (fun resume ->
-             ignore (Engine.schedule_after e ~delay:1 (fun () -> resume ()));
-             ignore (Engine.schedule_after e ~delay:2 (fun () -> resume ())));
+             Engine.schedule_after e ~delay:1 (fun () -> resume ());
+             Engine.schedule_after e ~delay:2 (fun () -> resume ()));
          incr wakeups));
   Engine.run e;
   Alcotest.(check int) "woken exactly once" 1 !wakeups
@@ -151,9 +151,8 @@ let test_port_receive_blocks_until_enqueue () =
          match Port.receive e ~ports:[ p ] ~timeout:None with
          | `Msg (_, m) -> got := m.Message.command
          | `Timeout -> ()));
-  ignore
-    (Engine.schedule e ~at:(Clock.ms 3) (fun () ->
-         Alcotest.(check bool) "handed to waiter" true (Port.enqueue p (msg "late") = `Delivered)));
+  Engine.schedule e ~at:(Clock.ms 3) (fun () ->
+      Alcotest.(check bool) "handed to waiter" true (Port.enqueue p (msg "late") = `Delivered));
   Engine.run e;
   Alcotest.(check string) "woke with message" "late" !got
 
@@ -188,9 +187,9 @@ let test_port_two_waiters_fifo () =
            | `Timeout -> ()))
   in
   receiver "first";
-  ignore (Engine.schedule e ~at:1 (fun () -> receiver "second"));
-  ignore (Engine.schedule e ~at:(Clock.ms 1) (fun () -> ignore (Port.enqueue p (msg "m1"))));
-  ignore (Engine.schedule e ~at:(Clock.ms 2) (fun () -> ignore (Port.enqueue p (msg "m2"))));
+  Engine.schedule e ~at:1 (fun () -> receiver "second");
+  Engine.schedule e ~at:(Clock.ms 1) (fun () -> ignore (Port.enqueue p (msg "m1")));
+  Engine.schedule e ~at:(Clock.ms 2) (fun () -> ignore (Port.enqueue p (msg "m2")));
   Engine.run e;
   Alcotest.(check (list (pair string string)))
     "FIFO handoff"
@@ -206,7 +205,7 @@ let test_port_timeout_then_late_message_stays () =
          match Port.receive e ~ports:[ p ] ~timeout:(Some (Clock.ms 1)) with
          | `Msg _ -> outcome := "msg"
          | `Timeout -> outcome := "timeout"));
-  ignore (Engine.schedule e ~at:(Clock.ms 5) (fun () -> ignore (Port.enqueue p (msg "late"))));
+  Engine.schedule e ~at:(Clock.ms 5) (fun () -> ignore (Port.enqueue p (msg "late")));
   Engine.run e;
   Alcotest.(check string) "timed out" "timeout" !outcome;
   Alcotest.(check int) "late message buffered for next receive" 1 (Port.queued p)

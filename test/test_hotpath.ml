@@ -302,19 +302,34 @@ let test_metrics_registry_many_names () =
 
 (* ---- engine: pending is exact (and O(1)) through cancel/fire ---- *)
 
+(* A cancellable timeout: a guarded event alive while [armed]; [cancel]
+   kills it once and tells the engine, as a served receive does. *)
+let timeout_event = { Engine.fire = (fun armed () -> armed := false); live = ( ! ) }
+
+let cancel e armed =
+  if !armed then begin
+    armed := false;
+    Engine.discard e
+  end
+
 let test_engine_pending_exact () =
   let e = Engine.create () in
-  let timers = List.init 100 (fun i -> Engine.schedule_after e ~delay:(Clock.ms i) (fun () -> ())) in
+  let timeouts =
+    List.init 100 (fun i ->
+        let armed = ref true in
+        Engine.post_after e ~delay:(Clock.ms i) timeout_event armed ();
+        armed)
+  in
   Alcotest.(check int) "all scheduled" 100 (Engine.pending e);
-  List.iteri (fun i t -> if i mod 2 = 0 then Engine.cancel t) timers;
+  List.iteri (fun i t -> if i mod 2 = 0 then cancel e t) timeouts;
   Alcotest.(check int) "half cancelled" 50 (Engine.pending e);
   (* double cancel must not double-decrement *)
-  List.iteri (fun i t -> if i mod 2 = 0 then Engine.cancel t) timers;
+  List.iteri (fun i t -> if i mod 2 = 0 then cancel e t) timeouts;
   Alcotest.(check int) "re-cancel is a no-op" 50 (Engine.pending e);
   ignore (Engine.step e);
   Alcotest.(check int) "one fired" 49 (Engine.pending e);
-  (* cancelling an already-fired timer must not decrement *)
-  List.iter Engine.cancel timers;
+  (* cancelling an already-fired timeout must not decrement *)
+  List.iter (cancel e) timeouts;
   Alcotest.(check int) "cancel after fire is a no-op" 0 (Engine.pending e);
   Engine.run e;
   Alcotest.(check int) "drained" 0 (Engine.pending e)

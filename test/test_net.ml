@@ -418,7 +418,7 @@ let test_network_expires_stranded_partials () =
   let engine, net = make_net ~mtu:2 ~link:slow ~n:2 () in
   let delivered = ref 0 in
   Network.set_handler net 1 (fun ~src:_ _ -> incr delivered);
-  let at t f = ignore (Engine.schedule engine ~at:(Clock.ms t) f) in
+  let at t f = Engine.schedule engine ~at:(Clock.ms t) f in
   let strand t =
     at t (fun () -> Network.send net ~src:0 ~dst:1 "abc");
     at (t + 25_500) (fun () -> Network.partition net [ [ 0 ]; [ 1 ] ]);

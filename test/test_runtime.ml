@@ -426,6 +426,57 @@ let test_recovery_restores_store () =
     "logged value survives the crash" (Some "cambridge") !observed;
   Alcotest.(check bool) "guardian recovered" true (Runtime.guardian_alive keeper)
 
+(* Three echo/client process pairs on one engine, passing messages
+   through ports with a 5 us host-event hop.  Each client takes every pong
+   with a 10 ms timed receive (1 s for the last), and every fourth ping is
+   answered 20 ms late, so most timeouts die when their waiter is served
+   and the rest fire; the last ones die a second past the last live
+   event.  A dead timeout never fires, never counts and never moves the
+   clock: the counts below are the engine's from before its events were
+   data, when a served receive cancelled a timer. *)
+let test_timed_echo_engine_counts () =
+  let module Engine = Dcp_sim.Engine in
+  let e = Engine.create () in
+  let port uid =
+    Port.create
+      ~name:(Port_name.make ~node:0 ~guardian:uid ~index:0 ~uid)
+      ~ptype:[ Vtype.wildcard ] ~capacity:16
+  in
+  let hop to_ command args =
+    Engine.schedule_after e ~delay:(Clock.us 5) (fun () ->
+        ignore (Port.enqueue to_ (Message.make ~sent_at:(Engine.now e) command args)))
+  in
+  for pair = 0 to 2 do
+    let echo = port (2 * pair) and reply = port ((2 * pair) + 1) in
+    ignore
+      (Process.spawn e ~name:"echo" (fun () ->
+           let rec loop () =
+             (match Port.receive e ~ports:[ echo ] ~timeout:None with
+             | `Msg (_, { Message.args; _ }) ->
+                 (match args with
+                 | [ Value.Int round ] when round mod 4 = 3 -> Process.sleep e (Clock.ms 20)
+                 | _ -> ());
+                 hop reply "pong" args
+             | `Timeout -> ());
+             loop ()
+           in
+           loop ()));
+    ignore
+      (Process.spawn e ~name:"client" (fun () ->
+           for round = 0 to 9 do
+             hop echo "ping" [ Value.int round ];
+             let timeout = Clock.ms (if round = 9 then 1000 else 10) in
+             ignore (Port.receive e ~ports:[ reply ] ~timeout:(Some timeout))
+           done))
+  done;
+  let counts () = (Engine.events_executed e, Engine.pending e, Engine.now e) in
+  Engine.run_for e (Clock.ms 15);
+  Alcotest.(check (triple int int int)) "executed, pending, now at 15 ms" (33, 6, Clock.ms 15) (counts ());
+  Engine.run e;
+  Alcotest.(check (triple int int int)) "executed, pending, now when drained"
+    (78, 0, Clock.us 40_050) (counts ())
+
+
 let tests =
   [
     Alcotest.test_case "echo roundtrip across nodes" `Quick test_echo_roundtrip;
@@ -450,4 +501,6 @@ let tests =
       (test_zero_latency_livelock_raises ~shards:2);
     Alcotest.test_case "failure to a node outside the world dropped" `Quick
       test_failure_to_unknown_node_dropped;
+    Alcotest.test_case "timed echo: engine counts as before events were data" `Quick
+      test_timed_echo_engine_counts;
   ]

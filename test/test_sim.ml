@@ -1,68 +1,116 @@
-(* The simulation substrate: heap, clock, engine, metrics, trace. *)
+(* The simulation substrate: clock, engine and its event heap, metrics,
+   trace. *)
 
-module Heap = Dcp_sim.Heap
 module Clock = Dcp_sim.Clock
 module Engine = Dcp_sim.Engine
 module Metrics = Dcp_sim.Metrics
 module Trace = Dcp_sim.Trace
 
-(* ---- Heap ---- *)
+(* A cancellable timeout as the engine sees one: a guarded event whose
+   [armed] flag is its liveness.  [cancel] kills it and tells the engine,
+   as a served receive does for its timeout. *)
+type timeout = { mutable armed : bool; on_fire : unit -> unit }
 
-let heap_of_list xs =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) xs;
-  h
+let timeout_event =
+  {
+    Engine.fire =
+      (fun tm () ->
+        tm.armed <- false;
+        tm.on_fire ());
+    live = (fun tm -> tm.armed);
+  }
 
-let rec drain h acc = if Heap.length h = 0 then List.rev acc else drain h (Heap.pop h :: acc)
+let arm e ~at on_fire =
+  let tm = { armed = true; on_fire } in
+  Engine.post e ~at timeout_event tm ();
+  tm
+
+let cancel e tm =
+  if tm.armed then begin
+    tm.armed <- false;
+    Engine.discard e
+  end
+
+(* ---- The engine's event heap ---- *)
+
+(* Host events at [times], each logging its time and index; returns the
+   log, newest first. *)
+let schedule_all e times =
+  let log = ref [] in
+  List.iteri (fun i at -> Engine.schedule e ~at (fun () -> log := (at, i) :: !log)) times;
+  log
+
+let rec drain e = if Engine.step e then drain e
 
 let test_heap_basics () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.(check int) "empty" 0 (Heap.length h);
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
-  Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check int) "peek min" 1 (Heap.peek h);
-  Alcotest.(check int) "pop min" 1 (Heap.pop h);
-  Alcotest.(check int) "pop next" 3 (Heap.pop h);
-  Alcotest.(check int) "pop last" 5 (Heap.pop h);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty heap") (fun () ->
-      ignore (Heap.pop h));
-  Alcotest.check_raises "peek empty" (Invalid_argument "Heap.peek: empty heap") (fun () ->
-      ignore (Heap.peek h))
+  let e = Engine.create () in
+  Alcotest.(check bool) "empty engine: step is false" false (Engine.step e);
+  Alcotest.(check (option int)) "empty: no next time" None (Engine.next_time e);
+  let log = schedule_all e [ 5; 1; 3 ] in
+  Alcotest.(check int) "pending" 3 (Engine.pending e);
+  Alcotest.(check (option int)) "next time is the earliest" (Some 1) (Engine.next_time e);
+  Alcotest.(check bool) "step fires" true (Engine.step e);
+  Alcotest.(check (list (pair int int))) "earliest first" [ (1, 1) ] !log;
+  Alcotest.(check int) "clock at it" 1 (Engine.now e);
+  drain e;
+  Alcotest.(check (list (pair int int))) "then the rest in order" [ (1, 1); (3, 2); (5, 0) ]
+    (List.rev !log);
+  Alcotest.(check bool) "drained engine: step is false" false (Engine.step e);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e);
+  Alcotest.(check int) "three executed" 3 (Engine.events_executed e)
+
+(* Ties fire in scheduling order: the heap orders by (time, seq). *)
+let sorted_by_time_then_seq times =
+  List.stable_sort (fun (t1, _) (t2, _) -> Int.compare t1 t2) (List.mapi (fun i t -> (t, i)) times)
 
 let test_heap_sorts () =
-  let h = heap_of_list [ 9; 2; 7; 2; 0; -3; 100; 55 ] in
-  Alcotest.(check (list int)) "drains sorted" [ -3; 0; 2; 2; 7; 9; 55; 100 ] (drain h [])
+  let times = [ 9; 2; 7; 2; 0; 3; 100; 55 ] in
+  let e = Engine.create () in
+  let log = schedule_all e times in
+  Engine.run e;
+  Alcotest.(check (list (pair int int))) "fires sorted, ties in order" (sorted_by_time_then_seq times)
+    (List.rev !log)
 
-(* Heap order holds after any interleaving of pushes and pops: every pop
-   returns the least element held, as a sorted-list model says. *)
+(* After any interleaving of schedules and steps, every step fires the
+   least (time, seq) queued, as a sorted-list model says. *)
 let prop_heap_invariant =
   QCheck2.Test.make ~name:"heap invariant after pushes and pops" ~count:300
-    QCheck2.Gen.(list (pair bool int))
+    QCheck2.Gen.(list (pair bool (int_range 0 1000)))
     (fun ops ->
-      let h = Heap.create ~cmp:Int.compare in
-      let step model (push, v) =
+      let e = Engine.create () in
+      let log = ref [] and seq = ref 0 in
+      let step model (push, d) =
         match model with
         | None -> None
         | Some model -> (
             if push then begin
-              Heap.push h v;
-              Some (List.merge Int.compare [ v ] model)
+              let key = (Engine.now e + d, !seq) in
+              incr seq;
+              Engine.schedule_after e ~delay:d (fun () -> log := key :: !log);
+              Some (List.merge compare [ key ] model)
             end
             else
               match model with
-              | [] -> if Heap.length h = 0 then Some [] else None
-              | m :: rest -> if Heap.length h > 0 && Heap.pop h = m then Some rest else None)
+              | [] -> if Engine.step e then None else Some []
+              | m :: rest ->
+                  if Engine.step e && List.hd !log = m && Engine.now e = fst m then Some rest
+                  else None)
       in
       match List.fold_left step (Some []) ops with
-      | Some model -> drain h [] = model
+      | Some model ->
+          log := [];
+          Engine.run e;
+          List.rev !log = model
       | None -> false)
 
 let prop_heap_sorted_drain =
   QCheck2.Test.make ~name:"heap drains in sorted order" ~count:300
-    QCheck2.Gen.(list int)
-    (fun xs -> drain (heap_of_list xs) [] = List.sort Int.compare xs)
+    QCheck2.Gen.(list (int_range 0 1_000_000))
+    (fun times ->
+      let e = Engine.create () in
+      let log = schedule_all e times in
+      Engine.run e;
+      List.rev !log = sorted_by_time_then_seq times)
 
 (* ---- Clock ---- *)
 
@@ -86,9 +134,9 @@ let test_engine_order () =
   let e = Engine.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
-  ignore (Engine.schedule e ~at:(Clock.ms 5) (note "b"));
-  ignore (Engine.schedule e ~at:(Clock.ms 1) (note "a"));
-  ignore (Engine.schedule e ~at:(Clock.ms 9) (note "c"));
+  Engine.schedule e ~at:(Clock.ms 5) (note "b");
+  Engine.schedule e ~at:(Clock.ms 1) (note "a");
+  Engine.schedule e ~at:(Clock.ms 9) (note "c");
   Engine.run e;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
   Alcotest.(check int) "clock at last event" (Clock.ms 9) (Engine.now e)
@@ -97,26 +145,28 @@ let test_engine_fifo_ties () =
   let e = Engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Engine.schedule e ~at:(Clock.ms 1) (fun () -> log := i :: !log))
+    Engine.schedule e ~at:(Clock.ms 1) (fun () -> log := i :: !log)
   done;
   Engine.run e;
   Alcotest.(check (list int)) "ties run in scheduling order" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
+(* A dead event never fires, never counts and never moves the clock. *)
 let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
-  let t = Engine.schedule e ~at:(Clock.ms 1) (fun () -> fired := true) in
-  Engine.cancel t;
+  let tm = arm e ~at:(Clock.ms 1) (fun () -> fired := true) in
+  cancel e tm;
   Engine.run e;
-  Alcotest.(check bool) "cancelled timer silent" false !fired;
-  Alcotest.(check bool) "marked cancelled" true (Engine.is_cancelled t)
+  Alcotest.(check bool) "cancelled timeout silent" false !fired;
+  Alcotest.(check int) "not executed" 0 (Engine.events_executed e);
+  Alcotest.(check int) "clock unmoved" 0 (Engine.now e);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e)
 
 let test_engine_schedule_in_past_clamped () =
   let e = Engine.create () in
   let when_fired = ref (-1) in
-  ignore
-    (Engine.schedule e ~at:(Clock.ms 10) (fun () ->
-         ignore (Engine.schedule e ~at:(Clock.ms 1) (fun () -> when_fired := Engine.now e))));
+  Engine.schedule e ~at:(Clock.ms 10) (fun () ->
+      Engine.schedule e ~at:(Clock.ms 1) (fun () -> when_fired := Engine.now e));
   Engine.run e;
   Alcotest.(check int) "clamped to now" (Clock.ms 10) !when_fired
 
@@ -124,7 +174,7 @@ let test_engine_run_until () =
   let e = Engine.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore (Engine.schedule e ~at:(Clock.ms i) (fun () -> incr count))
+    Engine.schedule e ~at:(Clock.ms i) (fun () -> incr count)
   done;
   Engine.run_until e (Clock.ms 5);
   Alcotest.(check int) "only first five" 5 !count;
@@ -132,20 +182,33 @@ let test_engine_run_until () =
   Engine.run e;
   Alcotest.(check int) "rest run later" 10 !count
 
-(* A cancelled timer within the limit must not let [run_until] fire the
-   live timer queued behind it, past the limit. *)
+(* A dead event within the limit must not let [run_until] fire the live
+   event queued behind it, past the limit.  [next_time] drops dead heads,
+   so it is read on a second engine set up the same way. *)
 let test_engine_run_until_cancelled_head () =
-  let e = Engine.create () in
-  let fired = ref [] in
-  let head = Engine.schedule e ~at:(Clock.ms 1) (fun () -> fired := 1 :: !fired) in
-  ignore (Engine.schedule e ~at:(Clock.ms 10) (fun () -> fired := 10 :: !fired));
-  Engine.cancel head;
+  let setup () =
+    let e = Engine.create () in
+    let fired = ref [] in
+    let head = arm e ~at:(Clock.ms 1) (fun () -> fired := 1 :: !fired) in
+    Engine.schedule e ~at:(Clock.ms 10) (fun () -> fired := 10 :: !fired);
+    cancel e head;
+    (e, fired)
+  in
+  let e, fired = setup () in
   Engine.run_until e (Clock.ms 5);
   Alcotest.(check (list int)) "nothing fires" [] !fired;
+  Alcotest.(check int) "nothing executed" 0 (Engine.events_executed e);
   Alcotest.(check int) "clock at limit" (Clock.ms 5) (Engine.now e);
-  Alcotest.(check int) "live timer still pending" 1 (Engine.pending e);
+  Alcotest.(check int) "live event still pending" 1 (Engine.pending e);
   Engine.run e;
-  Alcotest.(check (list int)) "it fires later" [ 10 ] !fired
+  Alcotest.(check (list int)) "it fires later" [ 10 ] !fired;
+  Alcotest.(check int) "one executed" 1 (Engine.events_executed e);
+  let e, fired = setup () in
+  Alcotest.(check (option int)) "next time skips the dead head" (Some (Clock.ms 10))
+    (Engine.next_time e);
+  Alcotest.(check int) "clock unmoved by next time" 0 (Engine.now e);
+  Alcotest.(check int) "nothing executed by next time" 0 (Engine.events_executed e);
+  Alcotest.(check (list int)) "nothing fired" [] !fired
 
 let test_engine_cascading () =
   (* Events scheduling events: a chain of N hops lands at t = N. *)
@@ -153,9 +216,9 @@ let test_engine_cascading () =
   let hops = ref 0 in
   let rec hop () =
     incr hops;
-    if !hops < 100 then ignore (Engine.schedule_after e ~delay:(Clock.us 1) hop)
+    if !hops < 100 then Engine.schedule_after e ~delay:(Clock.us 1) hop
   in
-  ignore (Engine.schedule_after e ~delay:(Clock.us 1) hop);
+  Engine.schedule_after e ~delay:(Clock.us 1) hop;
   Engine.run e;
   Alcotest.(check int) "all hops" 100 !hops;
   Alcotest.(check int) "time advanced linearly" (Clock.us 100) (Engine.now e);
@@ -163,36 +226,45 @@ let test_engine_cascading () =
 
 let test_engine_pending () =
   let e = Engine.create () in
-  let t1 = Engine.schedule e ~at:(Clock.ms 1) (fun () -> ()) in
-  ignore (Engine.schedule e ~at:(Clock.ms 2) (fun () -> ()));
+  let t1 = arm e ~at:(Clock.ms 1) ignore in
+  Engine.schedule e ~at:(Clock.ms 2) ignore;
   Alcotest.(check int) "two pending" 2 (Engine.pending e);
-  Engine.cancel t1;
+  cancel e t1;
   Alcotest.(check int) "one after cancel" 1 (Engine.pending e)
 
-(* Cancelled timers are purged from the queue in bulk; the firing sequence
-   must match a reference that simply deletes a timer when it is
-   cancelled.  Bursts and mass cancels push the queue past the purge
-   floor; [Run_until] checks that nothing past the limit fires, whether or
-   not a cancelled timer heads the queue. *)
+(* The engine against a reference queue that deletes a timeout the moment
+   it is cancelled.  Host events and cancellable timeouts interleave;
+   bursts and mass cancels push the dead events past the purge floor; a
+   [Run_to_cancelled] limit lands exactly on a dead event.  After every
+   operation the fired sequence, [events_executed], [pending] and [now]
+   must match the reference.  [next_time] drops the dead events at the
+   head of the queue, so it is compared only at a [Peek] and at the end:
+   a [Step] or a [Run_until] that no [Peek] precedes meets dead heads. *)
 type engine_op =
-  | Schedule of int
+  | Host of int
+  | Arm of int
   | Burst of int * int
   | Cancel of int
   | Cancel_every of int
   | Step
   | Run_until of int
+  | Run_to_cancelled of int
+  | Peek
 
 let gen_engine_ops =
   QCheck2.Gen.(
     list_size (int_range 0 200)
       (frequency
          [
-           (4, map (fun d -> Schedule d) (int_range 0 50));
-           (2, map2 (fun n d -> Burst (n, d)) (int_range 1 150) (int_range 1 40));
+           (3, map (fun d -> Host d) (int_range 0 50));
+           (3, map (fun d -> Arm d) (int_range 0 50));
+           (2, map2 (fun n d -> Burst (n, d)) (int_range 1 400) (int_range 1 40));
            (3, map (fun i -> Cancel i) nat);
            (1, map (fun m -> Cancel_every m) (int_range 1 3));
            (3, pure Step);
            (2, map (fun d -> Run_until d) (int_range 0 30));
+           (2, map (fun i -> Run_to_cancelled i) nat);
+           (1, pure Peek);
          ]))
 
 module Ref_queue = Set.Make (struct
@@ -208,22 +280,35 @@ let prop_engine_purge_matches_reference =
     gen_engine_ops (fun ops ->
       let e = Engine.create () in
       let fired = ref [] in
-      (* id -> (engine timer, reference key); ids count up like seq *)
-      let handles = Hashtbl.create 64 and n = ref 0 in
-      (* the reference: live (time, seq) pairs, a clock, a firing log *)
-      let live = ref Ref_queue.empty and clock = ref 0 and ref_fired = ref [] in
-      let schedule d =
+      (* the timeouts armed so far, by id; ids count up like seq *)
+      let timeouts = Hashtbl.create 64 and n = ref 0 in
+      (* the reference: live and cancelled (time, seq) pairs, a clock, an
+         execution count, a firing log *)
+      let live = ref Ref_queue.empty and dead = ref Ref_queue.empty in
+      let clock = ref 0 and executed = ref 0 and ref_fired = ref [] in
+      let add key = live := Ref_queue.add key !live in
+      let host d =
         let id = !n in
-        let timer = Engine.schedule_after e ~delay:d (fun () -> fired := id :: !fired) in
-        let key = (!clock + d, id) in
-        Hashtbl.replace handles id (timer, key);
-        live := Ref_queue.add key !live;
+        Engine.schedule_after e ~delay:d (fun () -> fired := id :: !fired);
+        add (!clock + d, id);
         incr n
       in
-      let cancel id =
-        let timer, key = Hashtbl.find handles id in
-        Engine.cancel timer;
-        live := Ref_queue.remove key !live
+      let arm_timeout d =
+        let id = !n in
+        let tm = arm e ~at:(!clock + d) (fun () -> fired := id :: !fired) in
+        Hashtbl.replace timeouts id (tm, (!clock + d, id));
+        add (!clock + d, id);
+        incr n
+      in
+      let cancel_id id =
+        match Hashtbl.find_opt timeouts id with
+        | None -> ()
+        | Some (tm, key) ->
+            cancel e tm;
+            if Ref_queue.mem key !live then begin
+              live := Ref_queue.remove key !live;
+              dead := Ref_queue.add key !dead
+            end
       in
       let ref_step () =
         match Ref_queue.min_elt_opt !live with
@@ -231,71 +316,101 @@ let prop_engine_purge_matches_reference =
         | Some ((at, id) as k) ->
             live := Ref_queue.remove k !live;
             clock := at;
+            incr executed;
             ref_fired := id :: !ref_fired;
             true
       in
+      let run_until limit =
+        Engine.run_until e limit;
+        let rec ref_run () =
+          match Ref_queue.min_elt_opt !live with
+          | Some (at, _) when at <= limit ->
+              ignore (ref_step ());
+              ref_run ()
+          | Some _ | None -> if !clock < limit then clock := limit
+        in
+        ref_run ()
+      in
+      let next_time_agrees () = Engine.next_time e = Option.map fst (Ref_queue.min_elt_opt !live) in
       let apply = function
-        | Schedule d -> schedule d
+        | Host d -> host d
+        | Arm d -> arm_timeout d
         | Burst (k, d) ->
             for i = 1 to k do
-              schedule ((i * 7) mod d)
+              arm_timeout ((i * 7) mod d)
             done
-        | Cancel i -> if !n > 0 then cancel (i mod !n)
+        | Cancel i -> if !n > 0 then cancel_id (i mod !n)
         | Cancel_every m ->
             for id = 0 to !n - 1 do
-              if id mod m = 0 then cancel id
+              if id mod m = 0 then cancel_id id
             done
         | Step -> ignore (Engine.step e, ref_step ())
-        | Run_until d ->
-            let limit = !clock + d in
-            Engine.run_until e limit;
-            let rec ref_run () =
-              match Ref_queue.min_elt_opt !live with
-              | Some (at, _) when at <= limit ->
-                  ignore (ref_step ());
-                  ref_run ()
-              | Some _ | None -> clock := limit
-            in
-            ref_run ()
+        | Run_until d -> run_until (!clock + d)
+        | Run_to_cancelled i -> (
+            match List.filter (fun (at, _) -> at >= !clock) (Ref_queue.elements !dead) with
+            | [] -> ()
+            | ahead -> run_until (fst (List.nth ahead (i mod List.length ahead))))
+        | Peek -> ()
+      in
+      let agrees () =
+        !fired = !ref_fired
+        && Engine.events_executed e = !executed
+        && Engine.pending e = Ref_queue.cardinal !live
+        && Engine.now e = !clock
       in
       List.for_all
         (fun op ->
           apply op;
-          Engine.pending e = Ref_queue.cardinal !live && Engine.now e = !clock && !fired = !ref_fired)
+          agrees () && (op <> Peek || next_time_agrees ()))
         ops
+      && next_time_agrees ()
       &&
       (Engine.run e;
        while ref_step () do () done;
-       !fired = !ref_fired))
+       agrees () && next_time_agrees ()))
 
-(* A loop that arms a timer and cancels it (a receive that is answered
+(* A loop that arms a timeout and cancels it (a receive that is answered
    before its timeout) must not grow the queue. *)
 let test_engine_cancel_cycles_bounded () =
   let e = Engine.create () in
   let order = ref [] in
   for i = 1 to 10 do
-    ignore (Engine.schedule e ~at:(Clock.s (20 - i)) (fun () -> order := i :: !order))
+    Engine.schedule e ~at:(Clock.s (20 - i)) (fun () -> order := i :: !order)
   done;
   for _ = 1 to 100_000 do
-    Engine.cancel (Engine.schedule_after e ~delay:(Clock.s 1) (fun () -> Alcotest.fail "cancelled timer fired"))
+    cancel e (arm e ~at:(Engine.now e + Clock.s 1) (fun () -> Alcotest.fail "cancelled timeout fired"))
   done;
-  Alcotest.(check int) "pending counts live timers" 10 (Engine.pending e);
-  (* unpurged, 100k timers and their closures take over a million words *)
+  Alcotest.(check int) "pending counts live events" 10 (Engine.pending e);
+  (* unpurged, 100k timeouts and their payloads take over a million words *)
   let words = Obj.reachable_words (Obj.repr e) in
   if words > 50_000 then Alcotest.failf "queue holds %d words after 100k cancels" words;
   Engine.run e;
-  Alcotest.(check (list int)) "live timers fire in time order" [ 10; 9; 8; 7; 6; 5; 4; 3; 2; 1 ]
+  Alcotest.(check (list int)) "live events fire in time order" [ 10; 9; 8; 7; 6; 5; 4; 3; 2; 1 ]
     (List.rev !order)
 
+(* The purge filters the heap: once the dead outnumber the live past the
+   floor they are dropped at once, and the survivors still fire in
+   order. *)
 let test_heap_filter () =
-  let h = heap_of_list (List.init 100 (fun i -> (i * 37) mod 100)) in
-  Heap.filter h (fun x -> x mod 3 <> 0);
-  Alcotest.(check (list int)) "survivors in order"
-    (List.filter (fun x -> x mod 3 <> 0) (List.init 100 Fun.id))
-    (drain h []);
-  Heap.push h 5;
-  Heap.filter h (fun _ -> false);
-  Alcotest.(check int) "emptied" 0 (Heap.length h)
+  let e = Engine.create () in
+  let fired = ref [] in
+  let timeouts =
+    List.init 3000 (fun i ->
+        let at = (i * 37) mod 3000 in
+        arm e ~at (fun () -> fired := at :: !fired))
+  in
+  List.iteri (fun i tm -> if i mod 3 <> 0 then cancel e tm) timeouts;
+  Alcotest.(check int) "a third live" 1000 (Engine.pending e);
+  (* all 3,000 events and their timeouts hold over 40,000 words *)
+  let words = Obj.reachable_words (Obj.repr e) in
+  if words > 30_000 then Alcotest.failf "dead events not purged: %d words" words;
+  Engine.run e;
+  let survivors = List.filteri (fun i _ -> i mod 3 = 0) (List.init 3000 (fun i -> (i * 37) mod 3000)) in
+  Alcotest.(check (list int)) "survivors in order" (List.sort Int.compare survivors) (List.rev !fired);
+  List.iter (cancel e) (List.init 2000 (fun i -> arm e ~at:(Clock.s 1 + i) ignore));
+  Alcotest.(check int) "emptied" 0 (Engine.pending e);
+  Alcotest.(check (option int)) "nothing next" None (Engine.next_time e);
+  Alcotest.(check bool) "step is false" false (Engine.step e)
 
 (* ---- Metrics ---- *)
 
