@@ -368,12 +368,13 @@ let store_flush_words ~words_per_call =
 (* A replica's table of these entries, each value its counter. *)
 let replica_table entries =
   let module Reconcile = Dcp_primitives.Reconcile in
-  List.fold_left
-    (fun held (key, stamp) ->
-      match Reconcile.update held ~key ~value:(Value.int (fst stamp)) ~stamp with
-      | Some (held, _) -> held
-      | None -> held)
-    Reconcile.empty entries
+  let table = Reconcile.create () in
+  List.iter
+    (fun (key, stamp) ->
+      let value = Value.int (fst stamp) in
+      ignore (Reconcile.update table ~key ~value ~stamp : Reconcile.outcome))
+    entries;
+  table
 
 (* A replica on node 1 of a 2-node perfect-link world holding [table],
    sent there in one sync_delta, and on node 0 a guardian whose port
@@ -541,8 +542,10 @@ let alloc_rows () =
             Engine.step engine) );
       ("alloc.port.enqueue+resume timed", words_per_call (blocked_receive ()));
       ( "alloc.reconcile.update one key newer",
+        let updated = replica_table table and counter = ref 1000 in
         words_per_call (fun () ->
-            Reconcile.update held ~key:"key0050" ~value:(Value.int 1000) ~stamp:(1000, 2)) );
+            incr counter;
+            Reconcile.update updated ~key:"key0050" ~value:(Value.int 1000) ~stamp:(!counter, 2)) );
       ( "alloc.replica.digest equal window",
         words_per_call (replica_digest_round ~table ~claimed:table ()) );
       ( "alloc.replica.digest one key newer",

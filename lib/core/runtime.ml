@@ -57,7 +57,6 @@ type hot_metrics = {
   m_deliver_ok : Metrics.counter;
   m_deliver_discarded : Metrics.counter;
   m_failure_sent : Metrics.counter;
-  m_deliver_unknown_node : Metrics.counter;
   m_deliver_node_down : Metrics.counter;
   m_deliver_malformed : Metrics.counter;
   m_latency_us : Metrics.histogram;
@@ -348,13 +347,6 @@ and enqueue node port msg =
   | `Full -> reject node msg "no room at target port"
   | `Closed -> reject node msg "target port does not exist"
 
-(* [sh] is the shard whose engine is executing this delivery — the
-   destination node's shard, except for the unknown-node tally. *)
-and deliver_body w sh dst_node_id body =
-  match Int_tbl.find w.nodes dst_node_id with
-  | exception Not_found -> Metrics.incr sh.shot.m_deliver_unknown_node
-  | node -> deliver_at node body
-
 and deliver_at node body =
   if not node.up then Metrics.incr node.shard.shot.m_deliver_node_down
   else
@@ -395,9 +387,8 @@ let render_send config label body =
 (* World setup                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let install_handler w node =
-  Network.set_handler node.shard.snetwork node.node_id (fun ~src:_ body ->
-      deliver_body w node.shard node.node_id body)
+let install_handler node =
+  Network.set_handler node.shard.snetwork node.node_id (fun ~src:_ body -> deliver_at node body)
 
 (* On every OTHER shard, this node's handler forwards reassembled bodies
    into that shard's outbox, stamped with the source shard's arrival time.
@@ -426,7 +417,6 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(para
       m_deliver_ok = Metrics.counter metrics "deliver.ok";
       m_deliver_discarded = Metrics.counter metrics "deliver.discarded";
       m_failure_sent = Metrics.counter metrics "failure.sent";
-      m_deliver_unknown_node = Metrics.counter metrics "deliver.unknown_node";
       m_deliver_node_down = Metrics.counter metrics "deliver.node_down";
       m_deliver_malformed = Metrics.counter metrics "deliver.malformed";
       m_latency_us = Metrics.histogram metrics "latency.message_us";
@@ -495,7 +485,7 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(para
         }
       in
       Int_tbl.replace w.nodes node_id node;
-      install_handler w node;
+      install_handler node;
       install_forwarders w node)
     (Topology.nodes topology);
   w
@@ -742,7 +732,7 @@ let restart_node w node_id =
         (* fresh processors: units held by processes the crash killed are
            not owed to anyone *)
         node.cpus <- Sync.semaphore sh.sengine w.config.processors_per_node;
-        install_handler w node;
+        install_handler node;
         scount sh "node.restarted";
         stracef sh "restart" "node %d restarted" node_id;
         List.iter

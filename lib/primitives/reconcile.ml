@@ -68,10 +68,6 @@ type window = { lo : string; hi : string option }
 let window_ok { lo; hi } =
   match hi with None -> true | Some hi -> String.compare lo hi < 0
 
-let in_window { lo; hi } key =
-  String.compare lo key <= 0
-  && match hi with None -> true | Some hi -> String.compare key hi < 0
-
 (* ---- byte budgeting ----
 
    A sync message must respect a configurable byte budget.  The budget is
@@ -94,7 +90,9 @@ let take_within ~budget ~size entries =
     | [] -> (List.rev acc, [])
     | entry :: rest ->
         let s = size entry in
-        if acc <> [] && used + s > budget then (List.rev acc, entry :: rest)
+        (* [used + s] would wrap past [max_int], the size of an
+           unencodable entry *)
+        if acc <> [] && s > budget - used then (List.rev acc, entry :: rest)
         else go (used + s) (entry :: acc) rest
   in
   go 0 [] entries
@@ -111,20 +109,51 @@ let chunks ~budget ~size entries =
 
 (* ---- the table and its digest view ----
 
-   A replica's table, kept sorted by key: each entry holds its value, its
-   stamp, and the bytes of its digest entry [(key, stamp)].  §3.3 gives
-   every value one system-wide external rep, so those bytes depend on the
-   entry alone; a digest window is written from them without a sort, a
-   size walk or a write per entry, and a received window is compared with
-   them byte for byte. *)
-
-module Keys = Map.Make (String)
+   A replica's table: two arrays sorted by key and updated in place, the
+   keys and what is held for each (its value, its stamp, and the bytes of
+   its digest entry [(key, stamp)]).  §3.3 gives every value one
+   system-wide external rep, so those bytes depend on the entry alone; a
+   digest window is written from them without a sort, a size walk or a
+   write per entry, and a received window is compared with them byte for
+   byte.  Every read finds its window's first key by binary search and
+   walks that window only, with no closure and no exception. *)
 
 type 'v held = { value : 'v; stamp : stamp; enc : (string * stamp) Command.item }
-type 'v table = 'v held Keys.t
 
-let empty = Keys.empty
-let find table key = Option.map (fun h -> (h.value, h.stamp)) (Keys.find_opt key table)
+type 'v table = {
+  mutable keys : string array;  (** sorted; the first [size] are the table's *)
+  mutable held : 'v held array;  (** at its key's index *)
+  mutable size : int;
+}
+
+type outcome = Stale | Added | Replaced of stamp
+
+let create () = { keys = [||]; held = [||]; size = 0 }
+
+(* The index of [key] among [keys.(lo)] to [keys.(hi - 1)], or [lnot i]
+   when it is absent and [i] is where it would go. *)
+let rec search keys key lo hi =
+  if lo >= hi then lnot lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = String.compare key keys.(mid) in
+    if c = 0 then mid else if c < 0 then search keys key lo mid else search keys key (mid + 1) hi
+
+(* The index of the first key at least [key]. *)
+let first_from table key =
+  let i = search table.keys key 0 table.size in
+  if i >= 0 then i else lnot i
+
+(* The index past the window's keys. *)
+let window_stop table window =
+  match window.hi with None -> table.size | Some hi -> first_from table hi
+
+let find table key =
+  let i = search table.keys key 0 table.size in
+  if i < 0 then None
+  else
+    let h = table.held.(i) in
+    Some (h.value, h.stamp)
 
 (* An entry's size under the default bounds is its bytes' length: an
    encoding no longer than [max_string] holds no string longer, and the
@@ -140,84 +169,92 @@ let entry_size key h =
    into [update]. *)
 let writer = Dcp_sim.Exec.domain_local Command.writer
 
-let update table ~key ~value ~stamp =
-  let held = Keys.find_opt key table in
-  match held with
-  | Some h when stamp_compare h.stamp stamp >= 0 -> None
-  | _ ->
-      let enc = Command.item (Dcp_sim.Exec.local_get writer) entry_ty (key, stamp) in
-      Some (Keys.add key { value; stamp; enc } table, Option.map (fun h -> h.stamp) held)
+let held_of key value stamp =
+  { value; stamp; enc = Command.item (Dcp_sim.Exec.local_get writer) entry_ty (key, stamp) }
 
-(* A window is read by one fold over the table from its first key, which
-   costs less than a sequence from the window's start (an allocation per
-   entry) on tables a window mostly covers; the fold stops by raising the
-   part already read. *)
-exception Window_full of (string * stamp) Command.item list * string
-exception Window_end of (string * stamp) list
+(* A full table doubles, its new arrays filled with the entry going in:
+   the spare slots keep that key and record alive until later inserts
+   overwrite them, even once an update has replaced the record. *)
+let insert table i key h =
+  let n = table.size in
+  if n = Array.length table.keys then begin
+    let keys = Array.make (Int.max 8 (2 * n)) key and held = Array.make (Int.max 8 (2 * n)) h in
+    Array.blit table.keys 0 keys 0 n;
+    Array.blit table.held 0 held 0 n;
+    table.keys <- keys;
+    table.held <- held
+  end;
+  Array.blit table.keys i table.keys (i + 1) (n - i);
+  Array.blit table.held i table.held (i + 1) (n - i);
+  table.keys.(i) <- key;
+  table.held.(i) <- h;
+  table.size <- n + 1
+
+let update table ~key ~value ~stamp =
+  let i = search table.keys key 0 table.size in
+  if i >= 0 then begin
+    let old = table.held.(i).stamp in
+    if stamp_compare old stamp >= 0 then Stale
+    else begin
+      table.held.(i) <- held_of key value stamp;
+      Replaced old
+    end
+  end
+  else begin
+    insert table (lnot i) key (held_of key value stamp);
+    Added
+  end
+
+(* The index past the entries from [i] on that fit the [budget] left after
+   [used].  Comparing against what is left cannot wrap, where [used + s]
+   would for an entry sized [max_int]. *)
+let rec fit table ~budget i used =
+  if i >= table.size then i
+  else
+    let s = entry_size table.keys.(i) table.held.(i) in
+    if s > budget - used then i else fit table ~budget (i + 1) (used + s)
+
+(* The entries' bytes from [first] to [i], consed from the last. *)
+let rec items_to held first i acc =
+  if i < first then acc else items_to held first (i - 1) (held.(i).enc :: acc)
 
 let take_window ~budget table ~from =
-  let budget = entry_budget ~budget in
-  match
-    Keys.fold
-      (fun key h (used, taken) ->
-        if String.compare key from < 0 then (used, taken)
-        else
-          let size = entry_size key h in
-          if taken <> [] && used + size > budget then raise_notrace (Window_full (taken, key))
-          else (used + size, h.enc :: taken))
-      table (0, [])
-  with
-  | _, taken -> (Command.run_of_items (List.rev taken), None)
-  | exception Window_full (taken, next) -> (Command.run_of_items (List.rev taken), Some next)
+  let first = first_from table from in
+  let stop =
+    if first >= table.size then first
+    else
+      fit table ~budget:(entry_budget ~budget) (first + 1)
+        (entry_size table.keys.(first) table.held.(first))
+  in
+  ( Command.run_of_items (items_to table.held first (stop - 1) []),
+    if stop < table.size then Some table.keys.(stop) else None )
+
+let rec entries_to table first i acc =
+  if i < first then acc
+  else entries_to table first (i - 1) ((table.keys.(i), table.held.(i).stamp) :: acc)
 
 let held_in table window =
-  match
-    Keys.fold
-      (fun key h held ->
-        if String.compare key window.lo < 0 then held
-        else if in_window window key then (key, h.stamp) :: held
-        else raise_notrace (Window_end held))
-      table []
-  with
-  | held -> List.rev held
-  | exception Window_end held -> List.rev held
+  entries_to table (first_from table window.lo) (window_stop table window - 1) []
 
-(* The fold carries the position in the run that the next entry must
-   match, and stops at the first entry past the window or the first that
-   differs.  Once one key is at or past [lo], every later one is, so only
-   [hi] is compared from then on.  Equal bytes are equal entries, and as
-   many: the run's elements and the table's entry bytes both parse one
-   way. *)
-exception Past_window of int
-exception Differs
-
-let past_hi window key =
-  match window.hi with None -> false | Some hi -> String.compare key hi >= 0
+(* Whether [body] holds the entries' bytes from index [i] to [stop], one
+   after another from [pos], ending at [last].  Equal bytes are equal
+   entries, and as many: the run's elements and the table's entry bytes
+   both parse one way. *)
+let rec bytes_from held i stop body pos last =
+  if i >= stop then pos = last
+  else
+    let enc = (held.(i).enc :> string) in
+    let next = pos + String.length enc in
+    next <= last && Codec.bytes_at body pos enc && bytes_from held (i + 1) stop body next last
 
 let holds table window (run : (string * stamp) Command.run) =
-  let stop = run.off + run.len in
-  let started = ref false in
-  match
-    Keys.fold
-      (fun key h pos ->
-        if (not !started) && String.compare key window.lo < 0 then pos
-        else begin
-          started := true;
-          if past_hi window key then raise_notrace (Past_window pos)
-          else
-            let enc = (h.enc :> string) in
-            let next = pos + String.length enc in
-            if next <= stop && Codec.bytes_at run.body pos enc then next
-            else raise_notrace Differs
-        end)
-      table run.off
-  with
-  | pos -> pos = stop
-  | exception Past_window pos -> pos = stop
-  | exception Differs -> false
+  bytes_from table.held (first_from table window.lo) (window_stop table window) run.body run.off
+    (run.off + run.len)
 
 let view table =
-  Keys.fold (fun key h acc -> (key, h.stamp, entry_size key h) :: acc) table [] |> List.rev
+  List.init table.size (fun i ->
+      let h = table.held.(i) in
+      (table.keys.(i), h.stamp, entry_size table.keys.(i) h))
 
 (* ---- digest diffing ----
 

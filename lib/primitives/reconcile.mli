@@ -87,20 +87,29 @@ val chunks : budget:int -> size:('a -> int) -> 'a list -> 'a list list
 
 (** {1 The table and its digest view}
 
-    A replica's key → (value, stamp) table, kept sorted by key, with the
-    bytes of each entry's digest entry ({!entry_ty}'s encoding, which by
-    §3.3 depends on the entry alone), so that a digest window is written
-    as one run of those bytes, sized by their sum, and compared with a
-    received window byte for byte. *)
+    A replica's key → (value, stamp) table: mutable, kept sorted by key
+    in two arrays updated in place, with the bytes of each entry's digest
+    entry ({!entry_ty}'s encoding, which by §3.3 depends on the entry
+    alone), so that a digest window is written as one run of those bytes,
+    sized by their sum, and compared with a received window byte for
+    byte.  Each read finds its window's first key by binary search and
+    walks that window only. *)
 
 type 'v table
 
-val empty : 'v table
+val create : unit -> 'v table
+(** A new, empty table.  Tables share nothing: each replica makes its own. *)
+
 val find : 'v table -> string -> ('v * stamp) option
 
-val update : 'v table -> key:string -> value:'v -> stamp:stamp -> ('v table * stamp option) option
-(** Last writer wins: [None] when the table holds [key] at a stamp at least
-    as large; otherwise the new table and the stamp [key] held, if any. *)
+type outcome =
+  | Stale  (** the table holds the key at a stamp at least as large; unchanged *)
+  | Added  (** the key was absent *)
+  | Replaced of stamp  (** the key held this older stamp *)
+
+val update : 'v table -> key:string -> value:'v -> stamp:stamp -> outcome
+(** Last writer wins, in place: the table takes the entry unless it is
+    [Stale]. *)
 
 val take_window :
   budget:int -> 'v table -> from:string -> (string * stamp) Command.run * string option

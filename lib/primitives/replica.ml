@@ -118,7 +118,7 @@ let keepalive_periods = 8
 type state = {
   replica_id : int;
   config : config;
-  mutable table : Value.t Reconcile.table;  (** sorted by key: the digest view *)
+  table : Value.t Reconcile.table;  (** sorted by key, updated in place: the digest view *)
   mutable hash : int64;  (** {!Reconcile.table_hash} of the table, kept by [apply] *)
   mutable clock : int;
   mutable peers : Port_name.t array;  (** sorted, deduped, self excluded *)
@@ -205,19 +205,25 @@ let config_in_store store =
 
 (* ---- applying stamped writes ---- *)
 
+let xor_entry state key stamp =
+  state.hash <- Int64.logxor state.hash (Reconcile.entry_hash (key, stamp))
+
 (* Apply a stamped write; true if it won (newer than what we hold). *)
 let apply ctx state ~key ~value ~stamp =
   observe_stamp state stamp;
-  match Reconcile.update state.table ~key ~value ~stamp with
-  | None -> false
-  | Some (table, replaced) ->
-      Option.iter
-        (fun old -> state.hash <- Int64.logxor state.hash (Reconcile.entry_hash (key, old)))
-        replaced;
-      state.hash <- Int64.logxor state.hash (Reconcile.entry_hash (key, stamp));
-      state.table <- table;
-      Store.set (Runtime.store ctx) ~key:(mirror_key key) (Reconcile.stamp_to_string stamp);
-      true
+  let won =
+    match Reconcile.update state.table ~key ~value ~stamp with
+    | Reconcile.Stale -> false
+    | Added -> true
+    | Replaced old ->
+        xor_entry state key old;
+        true
+  in
+  if won then begin
+    xor_entry state key stamp;
+    Store.set (Runtime.store ctx) ~key:(mirror_key key) (Reconcile.stamp_to_string stamp)
+  end;
+  won
 
 (* ---- sync-message accounting ---- *)
 
@@ -554,7 +560,7 @@ let make_state ctx ~config ~peers =
   {
     replica_id = Runtime.guardian_id (Runtime.ctx_guardian ctx);
     config;
-    table = Reconcile.empty;
+    table = Reconcile.create ();
     hash = 0L;
     clock = 0;
     peers;

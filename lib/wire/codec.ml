@@ -322,13 +322,27 @@ let reader_at input pos =
   if pos < 0 || pos > String.length input then invalid_arg "Codec.reader_at";
   { input; pos }
 
-let rec matches_at input pos run i =
-  i = String.length run
-  || Char.equal (String.unsafe_get input (pos + i)) (String.unsafe_get run i)
-     && matches_at input pos run (i + 1)
+(* [s] against [input] from [pos], eight bytes per step: a load of each
+   and an equality of the two, which allocates nothing.  A run of eight
+   bytes or more ends with the word that ends it, which may overlap the
+   last one compared; a shorter one goes byte by byte.  [last] is where
+   [s]'s final word starts. *)
+let rec words_at input pos s i last =
+  if i >= last then Int64.equal (String.get_int64_ne input (pos + last)) (String.get_int64_ne s last)
+  else
+    Int64.equal (String.get_int64_ne input (pos + i)) (String.get_int64_ne s i)
+    && words_at input pos s (i + 8) last
+
+let rec chars_at input pos s i =
+  i = String.length s
+  || Char.equal (String.unsafe_get input (pos + i)) (String.unsafe_get s i)
+     && chars_at input pos s (i + 1)
 
 let bytes_at input pos s =
-  pos >= 0 && String.length s <= String.length input - pos && matches_at input pos s 0
+  let n = String.length s in
+  pos >= 0
+  && n <= String.length input - pos
+  && if n < 8 then chars_at input pos s 0 else words_at input pos s 0 (n - 8)
 
 let skip_run r run =
   if bytes_at r.input r.pos run then begin

@@ -543,19 +543,22 @@ let prop_view =
            (int_range 0 3)))
     (fun writes ->
       let model = Hashtbl.create 8 in
-      let table, agreed =
+      let table = Reconcile.create () in
+      let agreed =
         List.fold_left
-          (fun (table, agreed) (key, c, o) ->
+          (fun agreed (key, c, o) ->
             let stamp = (c, o) in
             let held = Hashtbl.find_opt model key in
             let wins =
               match held with Some s -> Reconcile.stamp_compare s stamp < 0 | None -> true
             in
             if wins then Hashtbl.replace model key stamp;
-            match Reconcile.update table ~key ~value:c ~stamp with
-            | None -> (table, agreed && not wins)
-            | Some (table, replaced) -> (table, agreed && wins && replaced = held))
-          (Reconcile.empty, true) writes
+            match (Reconcile.update table ~key ~value:c ~stamp, held) with
+            | Stale, _ -> agreed && not wins
+            | Added, None -> agreed && wins
+            | Replaced old, Some s -> agreed && wins && old = s
+            | (Added | Replaced _), _ -> false)
+          true writes
       in
       let rebuilt =
         Hashtbl.fold (fun key stamp acc -> (key, stamp) :: acc) model []

@@ -178,14 +178,13 @@ let test_reconcile_stamps_and_windows () =
     (Reconcile.window_ok { Reconcile.lo = "z"; hi = Some "a" });
   let w = { Reconcile.lo = "b"; hi = Some "d" } in
   Alcotest.(check bool) "window ok" true (Reconcile.window_ok w);
-  let table =
-    List.fold_left
-      (fun table key ->
-        match Reconcile.update table ~key ~value:() ~stamp:(1, 0) with
-        | Some (table, _) -> table
-        | None -> table)
-      Reconcile.empty [ "a"; "b"; "c"; "d"; "e" ]
-  in
+  let table = Reconcile.create () in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool)
+        "a new key is added" true
+        (Reconcile.update table ~key ~value:() ~stamp:(1, 0) = Added))
+    [ "a"; "b"; "c"; "d"; "e" ];
   Alcotest.(check (list string)) "a window holds [lo, hi)" [ "b"; "c" ]
     (List.map fst (Reconcile.held_in table w))
 
@@ -856,6 +855,179 @@ let prop_incremental_hash =
       let recomputed = Reconcile.table_hash (Replica.table_in_store (replica_store world 0)) in
       Option.equal Int64.equal !reported (Some recomputed))
 
+(* ---- the in-place table ---- *)
+
+let entry_size entry =
+  match Codec.encoded_size (Reconcile.entry_value entry) with Ok n -> n | Error _ -> max_int
+
+(* A key past [max_string] sizes as [max_int]: once a window holds an
+   entry, [used + max_int] must not wrap and let the big entry, and every
+   entry after it, join the window. *)
+let test_unencodable_entry_alone () =
+  let big = "b" ^ String.make (1 lsl 20) 'x' in
+  let table = Reconcile.create () in
+  List.iter
+    (fun key -> ignore (Reconcile.update table ~key ~value:() ~stamp:(1, 0) : Reconcile.outcome))
+    [ "a"; big; "c" ];
+  let window from =
+    let run, next = Reconcile.take_window ~budget:Reconcile.default_budget table ~from in
+    (List.map fst (Command.items Reconcile.entry_ty run), next)
+  in
+  Alcotest.(check bool)
+    "the first window stops before the big key" true
+    (window "" = ([ "a" ], Some big));
+  Alcotest.(check bool)
+    "the second window carries the big key alone" true
+    (window big = ([ big ], Some "c"));
+  Alcotest.(check bool) "the third window ends the table" true (window "c" = ([ "c" ], None));
+  let sizes = List.map (fun (_, _, size) -> size) (Reconcile.view table) in
+  Alcotest.(check bool) "the big key sizes as max_int" true (List.nth sizes 1 = max_int);
+  Alcotest.(check int) "chunks on the same sizes: three" 3
+    (List.length (Reconcile.chunks ~budget:Reconcile.default_budget ~size:Fun.id sizes))
+
+(* A reference model of the table: a key-sorted association list, key ->
+   (value, stamp), on which random interleavings of updates, finds, window
+   takes and window compares on two tables must give the table's results.
+   A run given to [holds] is the model's window, or that window with one
+   stamp's origin bumped (one byte), one entry dropped or one entry added;
+   its window is a random one or the one the table last took. *)
+
+type run_edit = Same | Bump of int | Drop of int | Extra
+
+type table_op =
+  | Update of int * string * Reconcile.stamp
+  | Find of int * string
+  | Take of int * string * int  (** table, from, budget *)
+  | Held_in of int * Reconcile.window
+  | Holds of int * Reconcile.window option * run_edit  (** [None]: the last window taken *)
+
+let show_window { Reconcile.lo; hi } =
+  Printf.sprintf "[%S, %s)" lo (match hi with None -> "end" | Some hi -> Printf.sprintf "%S" hi)
+
+let show_table_op = function
+  | Update (t, key, (c, o)) -> Printf.sprintf "update %d %S (%d, %d)" t key c o
+  | Find (t, key) -> Printf.sprintf "find %d %S" t key
+  | Take (t, from, budget) -> Printf.sprintf "take %d from %S budget %d" t from budget
+  | Held_in (t, w) -> Printf.sprintf "held_in %d %s" t (show_window w)
+  | Holds (t, w, edit) ->
+      Printf.sprintf "holds %d %s %s" t
+        (match w with None -> "last window" | Some w -> show_window w)
+        (match edit with
+        | Same -> "same"
+        | Bump i -> Printf.sprintf "bump %d" i
+        | Drop i -> Printf.sprintf "drop %d" i
+        | Extra -> "extra")
+
+let gen_table_op =
+  let open QCheck2.Gen in
+  let table = int_range 0 1 and key = oneofl [ ""; "a"; "b"; "ba"; "c"; "d"; "e"; "f" ] in
+  let window = map2 (fun lo hi -> { Reconcile.lo; hi }) key (opt key) in
+  let edit =
+    frequency
+      [
+        (3, pure Same);
+        (1, map (fun i -> Bump i) small_nat);
+        (1, map (fun i -> Drop i) small_nat);
+        (1, pure Extra);
+      ]
+  in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun t key stamp -> Update (t, key, stamp))
+          table key
+          (pair (int_range 1 6) (int_range 0 3)) );
+      (1, map2 (fun t key -> Find (t, key)) table key);
+      (* 96 of the budget go to the message around the entries, so budgets
+         up to 97 leave one byte: less than any entry *)
+      (3, map3 (fun t from budget -> Take (t, from, budget)) table key (int_range 1 180));
+      (1, map2 (fun t w -> Held_in (t, w)) table window);
+      (3, map3 (fun t w edit -> Holds (t, w, edit)) table (opt ~ratio:0.4 window) edit);
+    ]
+
+let item_writer = Command.writer ()
+let item entry = Command.item item_writer Reconcile.entry_ty entry
+let entry_bytes entries = String.concat "" (List.map (fun e -> (item e :> string)) entries)
+
+let run_bytes (run : _ Command.run) = String.sub run.body run.off run.len
+
+let prop_table_model =
+  QCheck2.Test.make ~name:"the in-place table agrees with a sorted-list model" ~count:500
+    ~print:(fun ops -> String.concat "; " (List.map show_table_op ops))
+    QCheck2.Gen.(list_size (int_range 0 60) gen_table_op)
+    (fun ops ->
+      let tables = [| Reconcile.create (); Reconcile.create () |] in
+      let models = [| []; [] |] in
+      let last = [| { Reconcile.lo = ""; hi = None }; { lo = ""; hi = None } |] in
+      let entries t = List.map (fun (key, (_, stamp)) -> (key, stamp)) models.(t) in
+      let within { Reconcile.lo; hi } (key, _) =
+        String.compare lo key <= 0
+        && match hi with None -> true | Some hi -> String.compare key hi < 0
+      in
+      let step i op =
+        match op with
+        | Update (t, key, stamp) ->
+            let held = List.assoc_opt key models.(t) in
+            let expected : Reconcile.outcome =
+              match held with
+              | Some (_, old) when Reconcile.stamp_compare old stamp >= 0 -> Stale
+              | Some (_, old) -> Replaced old
+              | None -> Added
+            in
+            if expected <> Stale then
+              models.(t) <-
+                List.sort
+                  (fun (a, _) (b, _) -> String.compare a b)
+                  ((key, (i, stamp)) :: List.remove_assoc key models.(t));
+            Reconcile.update tables.(t) ~key ~value:i ~stamp = expected
+        | Find (t, key) -> Reconcile.find tables.(t) key = List.assoc_opt key models.(t)
+        | Take (t, from, budget) ->
+            let rest = List.filter (fun (key, _) -> String.compare key from >= 0) (entries t) in
+            let taken =
+              match Reconcile.chunks ~budget ~size:entry_size rest with
+              | [] -> []
+              | first :: _ -> first
+            in
+            let next = Option.map fst (List.nth_opt rest (List.length taken)) in
+            let run, next' = Reconcile.take_window ~budget tables.(t) ~from in
+            last.(t) <- { Reconcile.lo = from; hi = next };
+            Command.items Reconcile.entry_ty run = taken
+            && String.equal (run_bytes run) (entry_bytes taken)
+            && next' = next
+        | Held_in (t, w) ->
+            Reconcile.held_in tables.(t) w = List.filter (within w) (entries t)
+        | Holds (t, w, edit) ->
+            let w = Option.value w ~default:last.(t) in
+            let inside = List.filter (within w) (entries t) in
+            let nth n = n mod List.length inside in
+            let edited =
+              match edit with
+              | _ when inside = [] -> inside
+              | Same -> inside
+              | Bump n ->
+                  List.mapi
+                    (fun j ((key, (c, o)) as entry) ->
+                      if j = nth n then (key, (c, o + 1)) else entry)
+                    inside
+              | Drop n -> List.filteri (fun j _ -> j <> nth n) inside
+              | Extra -> inside @ [ ("g", (1, 0)) ]
+            in
+            let run = Command.run_of_items (List.map item edited) in
+            Reconcile.holds tables.(t) w run
+            = String.equal (entry_bytes edited) (entry_bytes inside)
+      in
+      let rec all i = function
+        | [] -> true
+        | op :: ops -> step i op && all (i + 1) ops
+      in
+      all 0 ops
+      && Array.for_all2
+           (fun table model ->
+             Reconcile.view table
+             = List.map (fun (key, (_, stamp)) -> (key, stamp, entry_size (key, stamp))) model)
+           tables models)
+
 let tests =
   [
     Alcotest.test_case "write propagates" `Quick test_write_propagates;
@@ -894,4 +1066,7 @@ let tests =
     Alcotest.test_case "one newer stamp takes the diff" `Quick test_newer_stamp_takes_diff;
     Alcotest.test_case "a non-positive digest stamp is malformed" `Quick
       test_nonpositive_stamp_malformed;
+    Alcotest.test_case "a window carries an unencodable entry alone" `Quick
+      test_unencodable_entry_alone;
+    QCheck_alcotest.to_alcotest prop_table_model;
   ]

@@ -453,6 +453,29 @@ let test_check_named_deep () =
   Alcotest.(check bool) "unknown type" true (Result.is_error (Transmit.check_named reg unknown));
   Alcotest.(check bool) "bad shape" true (Result.is_error (Transmit.check_named reg bad_shape))
 
+(* [Codec.bytes_at] against the equality of [s] with the bytes of
+   [input] from [pos], on runs of every length around its eight-byte step,
+   cut from [input] (mostly from [pos]) or from a copy differing in one
+   byte, and reaching outside [input]. *)
+let prop_bytes_at =
+  QCheck2.Test.make ~name:"bytes_at is substring equality" ~count:2000
+    QCheck2.Gen.(
+      quad (string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_range 0 40)) (int_range (-1) 40)
+        (pair (int_range (-2) 42) (opt (int_range 0 40)))
+        (int_range 0 42))
+    (fun (input, flip, (pos, off), len) ->
+      let source =
+        if flip < 0 || flip >= String.length input then input
+        else String.mapi (fun i c -> if i = flip then 'c' else c) input
+      in
+      let off = Int.min (Option.value off ~default:(Int.max 0 pos)) (String.length source) in
+      let s = String.sub source off (Int.min len (String.length source - off)) in
+      let n = String.length s in
+      let expected =
+        pos >= 0 && pos + n <= String.length input && String.equal (String.sub input pos n) s
+      in
+      Codec.bytes_at input pos s = expected)
+
 let tests =
   [
     Alcotest.test_case "value accessors" `Quick test_value_accessors;
@@ -494,4 +517,5 @@ let tests =
     Alcotest.test_case "lying encoder caught" `Quick test_transmit_bad_encoder_caught;
     Alcotest.test_case "registry conflict" `Quick test_registry_conflict;
     Alcotest.test_case "check_named deep" `Quick test_check_named_deep;
+    QCheck_alcotest.to_alcotest prop_bytes_at;
   ]
